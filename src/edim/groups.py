@@ -265,14 +265,14 @@ def realize(expr):
 # structural queries
 # ---------------------------------------------------------------------------
 
-def _partitions(n):
+def _partitions(n, most=None):
+    """Partitions of n into parts <= most (default n), largest part first."""
     if n == 0:
         yield ()
         return
-    for first in range(n, 0, -1):
-        for rest in _partitions(n - first):
-            if not rest or rest[0] <= first:
-                yield (first,) + rest
+    for first in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
 
 
 @lru_cache(maxsize=None)

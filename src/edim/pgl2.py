@@ -1,14 +1,24 @@
 """GL_2 and PGL_2 over finite fields: canonical representatives, projective
 orders, the trace invariant tr^2/det, exhaustive subgroup-embedding search,
 and the explicit dihedral / elementary-abelian matrix representations.
+
+The work runs on integer codes: an F_q element is its ``encode()``, a matrix
+a 4-tuple of codes, a projective class the code a*q^3 + b*q^2 + c*q + d of
+its canonical representative.  Each field's ``_Kernel`` holds add, mul, neg
+and inverse tables on the codes, the order census and the memoized
+``pgl2_embeds`` verdicts; ``Mat2`` and ``PGL2Element`` carry results only.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 
 from .errors import (DependentAlphas, EvenChar, RealZetaAbsent, TooLarge,
                      ZeroElement)
+from .exactfield import FqElement
 from .groups import Cyc, Dih, ElemAb
 
 Q_CAP = 27
@@ -26,9 +36,6 @@ class Mat2:
 
     def det(self):
         return self.a * self.d - self.b * self.c
-
-    def trace(self):
-        return self.a + self.d
 
     def __mul__(self, o):
         return Mat2(self.ctx,
@@ -61,10 +68,6 @@ class Mat2:
         return "[[%s,%s],[%s,%s]]" % tuple(x.encode() for x in self.entries())
 
 
-def mat2_identity(ctx):
-    return Mat2(ctx, ctx.one, ctx.zero, ctx.zero, ctx.one)
-
-
 @dataclass(frozen=True)
 class PGL2Element:
     """Scalar class of an invertible Mat2 in canonical form: the first nonzero
@@ -92,12 +95,6 @@ class PGL2Element:
     def is_identity(self):
         return self.rep.is_scalar()
 
-    def __eq__(self, o):
-        return isinstance(o, PGL2Element) and self.rep == o.rep
-
-    def __hash__(self):
-        return hash(self.rep)
-
     def encode(self):
         q = self.rep.ctx.q
         v = 0
@@ -114,63 +111,115 @@ def _check_cap(ctx):
         raise TooLarge("PGL_2 enumeration capped at q = %d" % Q_CAP)
 
 
+class _Table(dict):
+    """An F_q operation on codes, filled from FqElement arithmetic on first
+    use; kept only for q <= Q_CAP (dn_representation reads few entries of
+    a larger field's table, which would not fit in memory)."""
+
+    def __init__(self, fn, keep):
+        super().__init__()
+        self.fn, self.keep = fn, keep
+
+    def __missing__(self, key):
+        val = self.fn(key)
+        if self.keep:
+            self[key] = val
+        return val
+
+
+class _Kernel:
+    def __init__(self, ctx):
+        self.ctx, self.q, keep = ctx, ctx.q, ctx.q <= Q_CAP
+        self.q2, self.q3 = ctx.q ** 2, ctx.q ** 3
+
+        def op(f):
+            return _Table(lambda x: _Table(lambda y, ex=self.fq(x): f(
+                ex, self.fq(y)).encode(), keep), keep)
+        self.add, self.mul = op(operator.add), op(operator.mul)
+        self.neg = _Table(lambda x: (-self.fq(x)).encode(), keep)
+        self.inv = _Table(lambda x: self.fq(x).inverse().encode(), keep)
+        self.verdicts, self.orders = {}, None
+
+    def fq(self, x):
+        p, k = self.ctx.p, self.ctx.k
+        return FqElement(self.ctx, [x // p ** i % p for i in range(k)])
+
+    def mat(self, x):
+        q = self.q
+        return x // self.q3, x // self.q2 % q, x // q % q, x % q
+
+    def element(self, code):
+        return PGL2Element(Mat2(self.ctx, *map(self.fq, self.mat(code))))
+
+    def prod(self, x, y):
+        """Code of the product of the classes with codes x and y."""
+        add, mul, q, q2, q3 = self.add, self.mul, self.q, self.q2, self.q3
+        a, b, c, d = x // q3, x // q2 % q, x // q % q, x % q
+        e, f, g, h = y // q3, y // q2 % q, y // q % q, y % q
+        m = (add[mul[a][e]][mul[b][g]], add[mul[a][f]][mul[b][h]],
+             add[mul[c][e]][mul[d][g]], add[mul[c][f]][mul[d][h]])
+        row = mul[self.inv[m[0] or m[1]]]
+        return ((row[m[0]] * q + row[m[1]]) * q + row[m[2]]) * q + row[m[3]]
+
+    def order(self, m, cap):
+        """Least d <= cap with m^d scalar (m a 4-tuple of codes), else None."""
+        add, mul = self.add, self.mul
+        ra, rb, rc, rd = (mul[x] for x in m)
+        a, b, c, d = m
+        for n in range(1, cap + 1):
+            if b == 0 and c == 0 and a == d:
+                return n
+            a, b, c, d = (add[ra[a]][rc[b]], add[rb[a]][rd[b]],
+                          add[ra[c]][rc[d]], add[rb[c]][rd[d]])
+        return None
+
+    def census(self):
+        """Map order -> ascending codes of the classes of that order."""
+        if self.orders is None:
+            q, q2, q3, self.orders = self.q, self.q2, self.q3, {}
+            # canonical codes: (0, 1, c != 0, d), then (1, b, c, d != bc)
+            for x in chain(range(q2 + q, 2 * q2), range(q3, 2 * q3)):
+                m = self.mat(x)
+                if m[0] == 0 or m[3] != self.mul[m[1]][m[2]]:
+                    self.orders.setdefault(self.order(m, q2 + q + 1),
+                                           []).append(x)
+        return self.orders
+
+
+_kernel = lru_cache(maxsize=None)(_Kernel)  # one per field context
+
+
 def pgl2_enumerate(ctx):
-    """All q^3 - q projective classes, canonical, in deterministic order."""
+    """All q^3 - q projective classes, canonical, ascending by code."""
     _check_cap(ctx)
-    els = list(ctx.elements())
-    nonzero = [x for x in els if not x.is_zero()]
-    out = []
-    one = ctx.one
-    # a = 1: det = d - bc != 0
-    for b in els:
-        for c in els:
-            bc = b * c
-            for d in els:
-                if d != bc:
-                    out.append(PGL2Element(Mat2(ctx, one, b, c, d)))
-    # a = 0, b = 1: det = -c != 0
-    for c in nonzero:
-        for d in els:
-            out.append(PGL2Element(Mat2(ctx, ctx.zero, one, c, d)))
-    return out
+    k = _kernel(ctx)
+    return [k.element(x) for x in sorted(chain(*k.census().values()))]
 
 
 def pgl2_order(e):
     """Least d >= 1 with rep^d scalar."""
-    m = e.rep
-    acc = m
-    d = 1
-    cap = m.ctx.q ** 2 + m.ctx.q + 1
-    while not acc.is_scalar():
-        acc = acc * m
-        d += 1
-        if d > cap:
-            raise AssertionError("order computation exceeded group bound")
+    k, q = _kernel(e.rep.ctx), e.rep.ctx.q
+    d = k.order(k.mat(e.encode()), q * q + q + 1)
+    if d is None:
+        raise AssertionError("order computation exceeded group bound")
     return d
 
 
 def trace_invariant(e):
     """tr^2 / det of any representative; equals zeta_n + zeta_n^{-1} + 2 when
     the projective order n is coprime to the characteristic."""
-    m = e.rep
-    t = m.trace()
-    return t * t * m.det().inverse()
-
-
-_census_cache = {}
+    k = _kernel(e.rep.ctx)
+    (a, b, c, d), add, mul = k.mat(e.encode()), k.add, k.mul
+    t = add[a][d]
+    return k.fq(mul[mul[t][t]][k.inv[add[mul[a][d]][k.neg[mul[b][c]]]]])
 
 
 def order_census(ctx):
     """Map order -> sorted list of PGL2Elements of that order."""
-    key = (ctx.p, ctx.modulus)
-    if key not in _census_cache:
-        census = {}
-        for e in pgl2_enumerate(ctx):
-            census.setdefault(pgl2_order(e), []).append(e)
-        for lst in census.values():
-            lst.sort(key=PGL2Element.encode)
-        _census_cache[key] = census
-    return _census_cache[key]
+    _check_cap(ctx)
+    k = _kernel(ctx)
+    return {n: [k.element(x) for x in codes]
+            for n, codes in k.census().items()}
 
 
 @dataclass(frozen=True)
@@ -183,89 +232,72 @@ def pgl2_embeds(h, ctx):
     """Exhaustive search for an embedding of h into PGL_2(F_q).
 
     Returns a PGL2Witness or None (a definite No: the search is exhaustive).
+    Verdicts are memoized per (group, field).
     """
     _check_cap(ctx)
+    if not isinstance(h, (Cyc, Dih, ElemAb)):
+        raise TooLarge("unsupported family for PGL_2 search")
+    if isinstance(h, Cyc) and h.n > 60:
+        raise TooLarge("cyclic search capped at n = 60")
+    if isinstance(h, Dih) and h.n > 30:
+        raise TooLarge("dihedral search capped at n = 30")
+    if isinstance(h, ElemAb) and h.p ** h.r > 64:
+        raise TooLarge("elementary abelian search capped at order 64")
+    k = _kernel(ctx)
+    if h not in k.verdicts:
+        got = _search(k, h)
+        k.verdicts[h] = None if got is None else PGL2Witness(
+            h, tuple(k.element(x) for x in got))
+    return k.verdicts[h]
+
+
+def _search(k, h):
+    census, ident = k.census(), k.q3 + 1
     if isinstance(h, Cyc):
-        if h.n > 60:
-            raise TooLarge("cyclic search capped at n = 60")
         if h.n == 1:
-            return PGL2Witness(h, ())
-        cands = order_census(ctx).get(h.n)
-        return PGL2Witness(h, (cands[0],)) if cands else None
+            return ()
+        cands = census.get(h.n)
+        return (cands[0],) if cands else None
     if isinstance(h, Dih):
-        if h.n > 30:
-            raise TooLarge("dihedral search capped at n = 30")
-        return _embed_dihedral(h, ctx)
-    if isinstance(h, ElemAb):
-        if h.p ** h.r > 64:
-            raise TooLarge("elementary abelian search capped at order 64")
-        return _embed_elemab(h, ctx)
-    raise TooLarge("unsupported family for PGL_2 search")
-
-
-def _embed_dihedral(h, ctx):
-    n = h.n
-    census = order_census(ctx)
-    invol = census.get(2, [])
-    if n == 1:
-        # D_1 = C_2
-        return PGL2Witness(h, (PGL2Element.of(mat2_identity(ctx)), invol[0])) \
-            if invol else None
-    rotations = census.get(n, [])
-    for s in rotations:
-        si = s.inverse()
-        spowers = set()
-        acc = s
-        for _ in range(n):
-            spowers.add(acc)
-            acc = acc * s
-        for t in invol:
-            if t in spowers:
-                continue
-            if t * s * t.inverse() == si:
-                return PGL2Witness(h, (s, t))
-    return None
-
-
-def _embed_elemab(h, ctx):
-    p, r = h.p, h.r
-    cands = order_census(ctx).get(p, [])
-    if not cands:
+        invol = census.get(2, [])
+        if h.n == 1:  # D_1 = C_2
+            return (ident, invol[0]) if invol else None
+        for s in census.get(h.n, []):
+            spowers = [s]  # s, s^2, ..., s^n = 1, so s^-1 = spowers[-2]
+            while len(spowers) < h.n:
+                spowers.append(k.prod(spowers[-1], s))
+            for t in invol:
+                if t not in spowers and \
+                        k.prod(k.prod(t, s), t) == spowers[-2]:
+                    return s, t
         return None
+    p, r = h.p, h.r
 
-    def extend(gens, subgroup):
+    def extend(gens, subgroup, cands, start):
         if len(gens) == r:
             return tuple(gens)
-        start = cands.index(gens[-1]) + 1 if gens else 0
+        if len(gens) == 1:
+            # only what commutes with the first generator can follow it;
+            # census order is kept, so the search and its No are unchanged
+            first = gens[0]
+            cands = [x for x in cands if k.prod(x, first) == k.prod(first, x)]
+            start = cands.index(first) + 1
         for i in range(start, len(cands)):
             x = cands[i]
-            if x in subgroup:
+            if x in subgroup or any(k.prod(x, g) != k.prod(g, x)
+                                    for g in gens[1:]):
                 continue
-            if any(x * g != g * x for g in gens):
-                continue
-            bigger = {a * xp for a in subgroup for xp in _cyclic(x, p)}
-            got = extend(gens + [x], bigger)
+            xpowers = [x]
+            while len(xpowers) < p - 1:
+                xpowers.append(k.prod(xpowers[-1], x))
+            got = extend(gens + [x], subgroup | {
+                k.prod(a, y) for a in subgroup for y in xpowers}, cands, i + 1)
             if got is not None:
                 return got
         return None
 
-    ident = PGL2Element.of(mat2_identity(ctx))
-    got = extend([], {ident})
-    return PGL2Witness(h, got) if got is not None else None
+    return extend([], {ident}, census.get(p, []), 0)
 
-
-def _cyclic(x, n):
-    out = [PGL2Element.of(mat2_identity(x.rep.ctx))]
-    acc = x
-    for _ in range(n - 1):
-        out.append(acc)
-        acc = acc * x
-    return out
-
-
-# ---------------------------------------------------------------------------
-# explicit representations
-# ---------------------------------------------------------------------------
 
 def dp_representation(ctx):
     """D_p inside GL_2(F_q) in characteristic p odd: the unipotent rotation
@@ -286,11 +318,14 @@ def dn_representation(ctx, n):
         raise ValueError("n must be >= 3")
     if n % ctx.p == 0:
         raise RealZetaAbsent("n divisible by the characteristic")
-    for c in ctx.elements():
-        s = Mat2(ctx, ctx.zero, -ctx.one, ctx.one, c)
-        if _proj_order(s) == n:
-            t = Mat2(ctx, ctx.one, c, ctx.zero, -ctx.one)
-            _assert_dihedral_proj(s, t, n)
+    k = _kernel(ctx)
+    for c in range(ctx.q):
+        if k.order((0, k.neg[1], 1, c), n) == n:
+            s = Mat2(ctx, ctx.zero, -ctx.one, ctx.one, k.fq(c))
+            t = Mat2(ctx, ctx.one, k.fq(c), ctx.zero, -ctx.one)
+            assert (t * t).is_scalar()
+            lhs = PGL2Element.of(t * s * t.inverse())
+            assert lhs == PGL2Element.of(s.inverse())
             return s, t
     raise RealZetaAbsent("zeta_%d + zeta_%d^-1 is not in F_%d" % (n, n, ctx.q))
 
@@ -317,18 +352,6 @@ def elemab_representation(ctx, alphas):
     return mats
 
 
-def _proj_order(m):
-    acc = m
-    d = 1
-    cap = m.ctx.q ** 2 + m.ctx.q + 1
-    while not acc.is_scalar():
-        acc = acc * m
-        d += 1
-        if d > cap:
-            raise AssertionError("unexpected non-terminating order")
-    return d
-
-
 def _assert_dihedral(s, t, n):
     acc = s
     for _ in range(n - 1):
@@ -336,10 +359,3 @@ def _assert_dihedral(s, t, n):
     assert acc.is_identity(), "s^n != 1"
     assert (t * t).is_identity(), "t^2 != 1"
     assert t * s * t.inverse() == s.inverse(), "t s t^-1 != s^-1"
-
-
-def _assert_dihedral_proj(s, t, n):
-    assert _proj_order(s) == n
-    assert (t * t).is_scalar()
-    lhs = PGL2Element.of(t * s * t.inverse())
-    assert lhs == PGL2Element.of(s.inverse())

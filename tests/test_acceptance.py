@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing one PASS line.
 
-Budgets (wall-clock, asserted): 1 <1s; 2,3 <5s each; 5 <60s; 6,7 <120s
-each; 8 <60s.
+Budgets (wall-clock, asserted): 1 <1s; 2,3 <5s each; 4 <10s; 5 <60s; 6,7
+<120s each; 8 <60s.
 """
 
 import itertools
@@ -86,6 +86,7 @@ def test_criterion_3_alternating_bounds():
 
 
 def test_criterion_4_elementary_abelian():
+    t0 = time.time()
     fields = {2: [Q, Cyclotomic(2), FiniteField(3, 1), FiniteField(5, 1)],
               3: [Cyclotomic(3), FiniteField(2, 2), FiniteField(7, 1)],
               5: [Cyclotomic(5), FiniteField(11, 1), FiniteField(2, 4)]}
@@ -102,7 +103,9 @@ def test_criterion_4_elementary_abelian():
             for k in range(1, 5):
                 iv = _bound(ElemAb(p, r), FiniteField(p, k))
                 assert ((iv.lo, iv.hi) == (1, 1)) == (k >= r), (p, r, k, iv)
-    _report(4, "E(p,r) exact values across descriptor kinds")
+    elapsed = time.time() - t0
+    assert elapsed < 10.0, elapsed
+    _report(4, "E(p,r) exact values across descriptor kinds, %.2fs" % elapsed)
 
 
 def test_criterion_5_pgl2_lemma_suites():

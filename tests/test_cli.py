@@ -133,6 +133,15 @@ def test_pgl2_embed_command(capsys):
     assert doc["embeds"] is True
 
 
+def test_bound_former_hangs(capsys):
+    for group, field, want in (("D30", "F(25)", {"lo": 2, "hi": 27}),
+                               ("E(7,2)", "F(8)", {"lo": 2, "hi": 2})):
+        code, out = _capture(capsys, ["bound", "--group", group,
+                                      "--field", field])
+        assert code == 0
+        assert json.loads(out)["interval"] == want, (group, field)
+
+
 def test_field_query_command(capsys):
     code, out = _capture(capsys, ["field", "--field", "F(2)",
                                   "--query", "extend", "--n", "3"])

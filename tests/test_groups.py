@@ -1,8 +1,12 @@
+import itertools
+import math
+
 import pytest
 
 from edim.fielddesc import (NO, UNKNOWN, YES, Cyclotomic, FiniteField,
                             RationalField)
-from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, center,
+from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym,
+                         _partition_orders, _partitions, center,
                          character_exists, element_orders,
                          embedding_certificate, expr_order, l_core, pident,
                          pinv, pmul, porder, realize)
@@ -135,3 +139,39 @@ def test_product_factor_embeds():
     g = Product(Sym(3), Cyc(4))
     for h in (Sym(3), Cyc(4)):
         assert embedding_certificate(h, g) is not None
+
+
+def test_partition_counts():
+    # p(n) by the coin-change recurrence over part sizes 1..n
+    ways = [1] + [0] * 30
+    for part in range(1, 31):
+        for n in range(part, 31):
+            ways[n] += ways[n - part]
+    assert (ways[20], ways[30]) == (627, 5604)
+    for n in range(31):
+        parts = list(_partitions(n))
+        assert len(parts) == ways[n], n
+        assert len(set(parts)) == len(parts)
+        assert all(sum(lam) == n and list(lam) == sorted(lam, reverse=True)
+                   for lam in parts)
+
+
+def test_partition_orders_match_permutations():
+    for n in range(1, 9):
+        orders = {False: set(), True: set()}
+        for perm in itertools.permutations(range(n)):
+            seen, lengths = set(), []
+            for i in range(n):
+                if i not in seen:
+                    j, length = i, 0
+                    while j not in seen:
+                        seen.add(j)
+                        j, length = perm[j], length + 1
+                    lengths.append(length)
+            order = math.lcm(*lengths)
+            orders[False].add(order)
+            if (n - len(lengths)) % 2 == 0:
+                orders[True].add(order)
+        for even_only in (False, True):
+            assert _partition_orders(n, even_only) == orders[even_only], \
+                (n, even_only)

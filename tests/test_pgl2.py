@@ -4,9 +4,10 @@ from edim.errors import TooLarge
 from edim.exactfield import fq_context
 from edim.fielddesc import finite_field_from_q
 from edim.groups import Cyc, Dih, ElemAb, Sym
-from edim.pgl2 import (dn_representation, dp_representation,
-                       elemab_representation, order_census, pgl2_embeds,
-                       pgl2_enumerate, pgl2_order, trace_invariant)
+from edim.pgl2 import (Mat2, PGL2Element, dn_representation,
+                       dp_representation, elemab_representation, order_census,
+                       pgl2_embeds, pgl2_enumerate, pgl2_order,
+                       trace_invariant)
 
 
 def test_group_size():
@@ -103,7 +104,7 @@ def test_embeds_witness_is_faithful():
             if y.encode() not in closure:
                 closure.add(y.encode())
                 work.append(y)
-    assert len(closure) + 1 >= 14  # identity may or may not be hit by words
+    assert len(closure) == 14
 
 
 def test_unsupported_family_raises():
@@ -135,3 +136,102 @@ def test_constructive_representations():
     ctx2 = fq_context(2, 2)
     els = elemab_representation(ctx2, [ctx2.one, ctx2.gen()])
     assert len(els) == 2
+
+
+def _mat2_census(ctx):
+    """Order census recomputed by powering Mat2 over FqElement."""
+    els = list(ctx.elements())
+    reps = [Mat2(ctx, ctx.one, b, c, d)
+            for b in els for c in els for d in els if d != b * c]
+    reps += [Mat2(ctx, ctx.zero, ctx.one, c, d)
+             for c in els[1:] for d in els]
+    census = {}
+    for m in reps:
+        acc, n = m, 1
+        while not acc.is_scalar():
+            acc, n = acc * m, n + 1
+        census.setdefault(n, []).append(PGL2Element(m).encode())
+    return {n: sorted(codes) for n, codes in census.items()}
+
+
+def test_order_census_matches_mat2_oracle():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11):
+        ctx = fq_context(*_pk(q))
+        got = {n: [e.encode() for e in lst]
+               for n, lst in order_census(ctx).items()}
+        assert got == _mat2_census(ctx), q
+
+
+def _primes(limit):
+    return [n for n in range(2, limit + 1)
+            if all(n % d for d in range(2, n))]
+
+
+def _dickson(h, p, k):
+    """Does h embed in PGL_2(F_q), q = p^k (Dickson's subgroup list)."""
+    q = p ** k
+    if isinstance(h, Cyc):
+        return h.n == 1 or (q - 1) % h.n == 0 or (q + 1) % h.n == 0 \
+            or h.n == p
+    if isinstance(h, Dih):
+        n = h.n
+        return n == 1 or (n == p and p != 2) or (p == 2 and n == 2 and k >= 2) \
+            or (((q - 1) % n == 0 or (q + 1) % n == 0)
+                and (p != 2 or n % 2 == 1))
+    if h.p == p:
+        return h.r <= k
+    if h.p == 2:
+        return h.r <= 2
+    return h.r == 1 and ((q - 1) % h.p == 0 or (q + 1) % h.p == 0)
+
+
+def _closure(images, ctx):
+    ident = PGL2Element.of(Mat2(ctx, 1, 0, 0, 1))
+    seen, work = {ident}, [ident]
+    while work:
+        x = work.pop()
+        for g in images:
+            y = x * g
+            if y not in seen:
+                seen.add(y)
+                work.append(y)
+    return seen
+
+
+def _assert_witness(h, wit, ctx):
+    """The images satisfy h's relations in Mat2 arithmetic and generate
+    exactly |h| elements."""
+    imgs = wit.images
+
+    def power(x, n):
+        acc = PGL2Element.of(Mat2(ctx, 1, 0, 0, 1))
+        for _ in range(n):
+            acc = acc * x
+        return acc
+
+    if isinstance(h, Cyc):
+        size = h.n
+        assert all(power(x, h.n).is_identity() for x in imgs)
+    elif isinstance(h, Dih):
+        size, (s, t) = 2 * h.n, imgs
+        assert power(s, h.n).is_identity() and (t * t).is_identity()
+        assert t * s * t.inverse() == s.inverse()
+    else:
+        size = h.p ** h.r
+        assert all(power(x, h.p).is_identity() for x in imgs)
+        assert all(x * y == y * x for x in imgs for y in imgs)
+    assert len(_closure(imgs, ctx)) == size, (h, ctx.q)
+
+
+def test_verdicts_match_dickson_and_witnesses_are_faithful():
+    groups = [Cyc(n) for n in range(1, 61)] + [Dih(n) for n in range(1, 31)]
+    groups += [ElemAb(ell, r) for ell in _primes(64) for r in range(1, 7)
+               if ell ** r <= 64]
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        p, k = _pk(q)
+        ctx = fq_context(p, k)
+        for h in groups:
+            wit = pgl2_embeds(h, ctx)
+            assert (wit is not None) == _dickson(h, p, k), (h, q)
+            if wit is not None:
+                _assert_witness(h, wit, ctx)
