@@ -22,7 +22,7 @@ from .groups import Alt, Cyc, Dih, ElemAb, Product, Sym
 from .crossratio import CRSymbol, cr_rewrite, sn_action, verify_faithful
 from .ratfunc import render
 from .tschirnhaus import (general_poly, reduce_general, verify_specialization)
-from .edengine import BoundInterval, bound, trace_json
+from .edengine import bound, trace_json
 from . import pgl2 as _pgl2
 
 SCHEMA = "edim/1"

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import AmbientOutOfRange, AmbientTooSmall
-from .ratfunc import QQ, MultiPoly, RatFn
+from .ratfunc import QQ, RatFn
 
 _BASE = (1, 2, 3)
 

@@ -1,10 +1,16 @@
-"""Fixpoint inference engine for essential-dimension intervals.
+"""Inference engine for essential-dimension intervals: leaf facts plus a
+worklist of constraint edges.
 
 ``bound(g, fd)`` propagates certified ``BoundInterval`` enclosures of
 ed_K(G) over a finite, explicitly-constructed closure of queries (subgroup
 certificates, product factors, named quotients, named field extensions),
-firing rules from a fixed citation-carrying catalog until no interval can
-be narrowed further.  Every narrowing emits a ``TraceNode``; the trace is a
+narrowing only through rules from a fixed citation-carrying catalog.  Rules
+about a single (G, K) are leaf facts, applied once when a query is created.
+Rules relating two queries become constraint edges, built at the same
+moment with their hypotheses decided once; a FIFO worklist re-applies an
+edge only when an interval it reads has narrowed.  Every rule narrows
+monotonically, so the propagation order does not change the final
+intervals.  Every narrowing emits a ``TraceNode``; the trace is a
 replayable certificate, never a case analysis: rules that depend on a
 three-valued field predicate simply do not fire on Unknown.
 """
@@ -12,20 +18,20 @@ three-valued field predicate simply do not fire on Unknown.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import Inconsistent, NotCentral, NotPrime, NotPrimeOrder, TooLarge
+from .errors import (DependentAlphas, EvenChar, Inconsistent, NotCentral,
+                     NotPrime, NotPrimeOrder, RealZetaAbsent, TooLarge)
 from .exactfield import fq_context, is_prime
 from .fielddesc import (NO, UNKNOWN, YES, INF as FP_INF, FiniteField, char_of,
                         contains_real_zeta, contains_zeta, extend_with_zeta,
                         fp_dimension)
-from .groups import (Alt, CharacterWitness, Cyc, Dih, ElemAb, Product, Sym,
-                     center, character_exists, element_orders,
-                     embedding_certificate, expr_order, l_core, pident, pinv,
-                     pmul, porder, realize)
+from .groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, center,
+                     character_exists, element_orders, embedding_certificate,
+                     expr_order, l_core, pident, pmul, porder, realize)
 from . import pgl2 as _pgl2
-from .errors import DegreeTooLarge, DependentAlphas, EvenChar, RealZetaAbsent
 
 INF = math.inf
 
@@ -441,7 +447,7 @@ def s_lower_recurrence(n, fd):
         if k <= n:
             lo[k] = v
     if char_of(fd) != 2:
-        if n >= 6 and char_of(fd) != 2:
+        if n >= 6:
             lo[6] = max(lo[6], 3)
         for m in range(3, n + 1):
             lo[m] = max(lo[m], lo[m - 2] + 1)
@@ -480,327 +486,274 @@ def a_lower_recurrence(n, fd):
 
 
 # ---------------------------------------------------------------------------
-# the engine
+# leaf rules: facts about one (G, K), applied once to each alias of a query
 # ---------------------------------------------------------------------------
 
-def _hi_add(a, b):
-    return INF if (a is INF or b is INF) else a + b
+def _leaf_triv(a, fd):
+    yield (0, 0) if expr_order(a) == 1 else (1, None)
 
 
-def _hi_sub1(a):
-    return INF if a is INF else a - 1
+def _leaf_rep(a, fd):
+    yield None, expr_order(a)  # regular representation
+    if isinstance(a, Sym) and a.n >= 2 or isinstance(a, Alt) and a.n >= 3:
+        yield None, a.n
+    if not (isinstance(fd, FiniteField) and fd.k <= 12):
+        return
+    if isinstance(a, Dih) and a.n >= 3:
+        try:
+            _pgl2.dn_representation(fq_context(fd.p, fd.k), a.n)
+        except (EvenChar, RealZetaAbsent):
+            pass
+        else:
+            yield None, 2
+    if isinstance(a, ElemAb) and fd.p == a.p and fd.k >= a.r:
+        ctx = fq_context(fd.p, fd.k)
+        gen = ctx.gen() if fd.k > 1 else ctx.one
+        alphas = [ctx.one]
+        while len(alphas) < a.r:
+            alphas.append(alphas[-1] * gen)
+        try:
+            _pgl2.elemab_representation(ctx, alphas)
+        except DependentAlphas:
+            pass
+        else:
+            yield None, 2
+
+
+def _leaf_s_ub(a, fd):
+    if isinstance(a, Sym) and a.n >= 5:
+        yield None, a.n - 3
+
+
+_S_SMALL = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3}  # Thm 1.2; S_6 outside char 2
+
+
+def _leaf_s_small(a, fd):
+    if isinstance(a, Sym) and a.n in _S_SMALL \
+            and (a.n < 6 or char_of(fd) != 2):
+        yield _S_SMALL[a.n], _S_SMALL[a.n]
+
+
+def _leaf_elemab(a, fd):
+    if isinstance(a, ElemAb) and contains_zeta(fd, a.p) is YES:
+        yield a.r, a.r
+
+
+def _leaf_s_lb(a, fd):
+    if isinstance(a, Sym):
+        yield (a.n // 2 if char_of(fd) != 2 else (a.n + 1) // 3), None
+
+
+def _leaf_a(a, fd):
+    if not (isinstance(a, Alt) and a.n >= 3):
+        return
+    if char_of(fd) == 2:
+        yield a.n // 3, None
+        return
+    if a.n == 3:
+        yield 1, 1
+    elif a.n in (4, 5):
+        yield 2, 2
+    yield 2 * (a.n // 4), None
+
+
+def _leaf_a_ub(a, fd):
+    if char_of(fd) != 2 or not isinstance(a, Alt):
+        return
+    if a.n == 8:
+        yield None, 3
+    if a.n == 5 and contains_zeta(fd, 3) is YES:
+        yield 1, 1
+
+
+def _pgl2_spelling(a):
+    """The one spelling of a's isomorphism class that R-PGL-OBS searches
+    for in PGL_2(F_q): its first alias within the search caps, or None."""
+    return next((b for b in atom_aliases(canon(a))
+                 if (isinstance(b, Cyc) and b.n <= 60)
+                 or (isinstance(b, Dih) and b.n <= 30)
+                 or (isinstance(b, ElemAb) and b.p ** b.r <= 64)), None)
+
+
+def _leaf_pgl_obs(a, fd):
+    if expr_order(a) == 1:
+        return
+    try:
+        orders = sorted(expr_element_orders(a))
+    except TooLarge:
+        orders = []
+    l = char_of(fd)
+    if l > 0 and any(o % l == 0 and o != l for o in orders):
+        yield 2, None
+    if any((l == 0 or o % l != 0) and contains_real_zeta(fd, o) is NO
+           for o in orders):
+        yield 2, None
+    if isinstance(fd, FiniteField) and fd.q <= _pgl2.Q_CAP \
+            and a == _pgl2_spelling(a) \
+            and _pgl2.pgl2_embeds(a, fq_context(fd.p, fd.k)) is None:
+        yield 2, None
+
+
+def _leaf_dn(a, fd):
+    crit = dn_criterion(a.n, fd) if isinstance(a, Dih) else UNKNOWN
+    if crit is not UNKNOWN:
+        yield (1, 1) if crit is YES else (2, None)
+
+
+def _leaf_e22(a, fd):
+    if char_of(fd) != 2 or a != ElemAb(2, 2):
+        return
+    s = fp_dimension(fd)
+    if s == 1:
+        yield 2, 2
+    elif s is FP_INF or (s is not None and s >= 2):
+        yield 1, 1
+
+
+def _leaf_epr_charp(a, fd):
+    if not (isinstance(a, ElemAb) and char_of(fd) == a.p):
+        return
+    s = fp_dimension(fd)
+    if s is not None:
+        yield (1, 1) if (s is FP_INF or s >= a.r) else (2, None)
+
+
+def _leaf_cyc(a, fd):
+    if isinstance(a, Cyc) and contains_zeta(fd, a.n) is YES:
+        yield None, 1
+
+
+# in catalog order; each fn(alias, fd) yields (lo, hi) narrowings, None
+# meaning no bound on that side
+LEAF_RULES = (
+    ("R-TRIV", _leaf_triv), ("R-REP", _leaf_rep), ("R-S-UB", _leaf_s_ub),
+    ("R-S-SMALL", _leaf_s_small), ("R-ELEMAB", _leaf_elemab),
+    ("R-S-LB", _leaf_s_lb), ("R-A", _leaf_a), ("R-A-UB", _leaf_a_ub),
+    ("R-PGL-OBS", _leaf_pgl_obs), ("R-DN", _leaf_dn), ("R-E22", _leaf_e22),
+    ("R-EPR-CHARP", _leaf_epr_charp), ("R-CYC", _leaf_cyc),
+)
+
+
+# ---------------------------------------------------------------------------
+# the engine: edge rules map source intervals to a (lo, hi) narrowing
+# ---------------------------------------------------------------------------
+
+def _interval(lo, hi):
+    return BoundInterval(0 if lo is None else lo, INF if hi is None else hi)
+
+
+def _lo_of(iv):
+    return iv.lo, None
+
+
+def _hi_of(iv):
+    return None, iv.hi
+
+
+def _plus_one(iv):
+    return iv.lo + 1, None if iv.hi is INF else iv.hi + 1
+
+
+def _minus_one(iv):
+    return max(iv.lo - 1, 0), None if iv.hi is INF else iv.hi - 1
+
+
+def _sum_hi(*ivs):
+    his = [iv.hi for iv in ivs]
+    return None if INF in his else (None, sum(his))
 
 
 class _Engine:
+    """Queries with intervals, narrowed by leaf facts once at creation and
+    then by constraint edges, propagated on a FIFO worklist."""
+
     def __init__(self):
         self.intervals = {}
-        self.exprs = {}
-        self.fds = {}
-        self.order = []
         self.trace = []
-        self.changed = False
+        self.edges = []    # (rule, source keys, target key, interval map)
+        self.readers = {}  # key -> the edges that read it
+        self.queue = deque()
 
     def query(self, expr, fd):
         expr = canon(expr)
         key = (str(expr), fd.describe())
         if key not in self.intervals:
             self.intervals[key] = TOP
-            self.exprs[key] = expr
-            self.fds[key] = fd
-            self.order.append(key)
-            self.changed = True
+            aliases = atom_aliases(expr)
+            for rule, fn in LEAF_RULES:
+                for alias in aliases:
+                    for lo, hi in fn(alias, fd):
+                        self.narrow(key, rule, lo, hi)
+            self._link_edges(key, expr, fd)
         return key
-
-    def premise(self, key):
-        return (key, self.intervals[key])
 
     def narrow(self, key, rule, lo=None, hi=None, premises=()):
         cur = self.intervals[key]
-        new = cur.meet(BoundInterval(lo if lo is not None else 0,
-                                     hi if hi is not None else INF))
+        new = cur.meet(_interval(lo, hi))
         if new == cur:
             return
         self.intervals[key] = new
         self.trace.append(TraceNode(rule, RuleCatalog.citation(rule),
                                     tuple(premises), (key, new)))
-        self.changed = True
+        self.queue.extend(self.readers.get(key, ()))
 
-    # -- rules, in catalog order ------------------------------------------
+    def link(self, rule, sources, target, imap):
+        edge = (rule, tuple(sources), target, imap)
+        self.edges.append(edge)
+        for src in set(edge[1]):
+            self.readers.setdefault(src, []).append(edge)
+        self.queue.append(edge)
 
-    def rule_triv(self, key):
-        e = self.exprs[key]
-        if expr_order(e) == 1:
-            self.narrow(key, "R-TRIV", lo=0, hi=0)
-        else:
-            self.narrow(key, "R-TRIV", lo=1)
+    def link_both(self, rule, key, qkey):
+        """ed(key) = ed(qkey) + 1, as two edges."""
+        self.link(rule, [qkey], key, _plus_one)
+        self.link(rule, [key], qkey, _minus_one)
 
-    def rule_prod(self, key):
-        e, fd = self.exprs[key], self.fds[key]
-        for view in product_views(e):
-            fkeys = [self.query(f, fd) for f in view]
-            his = [self.intervals[k].hi for k in fkeys]
-            if INF in his:
-                continue
-            self.narrow(key, "R-PROD", hi=sum(his),
-                        premises=[self.premise(k) for k in fkeys])
+    def apply(self, edge):
+        rule, sources, target, imap = edge
+        ivs = [self.intervals[s] for s in sources]
+        bounds = imap(*ivs)
+        if bounds is not None:
+            self.narrow(target, rule, *bounds, premises=zip(sources, ivs))
 
-    def rule_sub(self, key):
-        e, fd = self.exprs[key], self.fds[key]
-        edges = []  # (sub_expr, sub_alias, sup_expr, sup_alias)
-        for alias in atom_aliases(e) if not isinstance(e, Product) else (e,):
-            if isinstance(alias, Alt) and alias.n >= 3:
-                edges.append((alias, Sym(alias.n)))
-            if isinstance(alias, Dih) and alias.n >= 3:
-                edges.append((alias, Sym(alias.n)))
-        for view in product_views(e):
-            target = e if isinstance(e, Product) else None
-            for f in view:
-                if target is not None:
-                    edges.append((f, target))
-                elif isinstance(e, ElemAb) and isinstance(f, (ElemAb, Cyc)):
-                    sub = f if isinstance(f, ElemAb) else ElemAb(e.p, 1)
-                    edges.append((sub, e))
-                elif isinstance(e, Cyc):
-                    edges.append((f, e))
-        for sub, sup in edges:
+    def _link_edges(self, key, e, fd):
+        """The edges of a new query, in catalog order.  Every hypothesis
+        (embedding certificate, Thm 4.5 or 4.6 check) is decided here."""
+        views = product_views(e)
+        for view in views:
+            self.link("R-PROD", [self.query(f, fd) for f in view], key,
+                      _sum_hi)
+        pairs = [(a, Sym(a.n)) for a in atom_aliases(e)
+                 if isinstance(a, (Alt, Dih)) and a.n >= 3]
+        pairs += [(ElemAb(e.p, 1) if isinstance(e, ElemAb)
+                   and isinstance(f, Cyc) else f, e)
+                  for view in views for f in view]
+        for sub, sup in dict.fromkeys(pairs):  # E(p,2) lists its pair twice
             if embedding_certificate(sub, sup) is None:
                 continue
-            skey = self.query(sub, fd)
-            gkey = self.query(sup, fd)
-            if skey == gkey:
-                continue
-            self.narrow(gkey, "R-SUB", lo=self.intervals[skey].lo,
-                        premises=[self.premise(skey)])
-            self.narrow(skey, "R-SUB", hi=self.intervals[gkey].hi,
-                        premises=[self.premise(gkey)])
-
-    def rule_ext(self, key):
-        e, fd = self.exprs[key], self.fds[key]
-        if char_of(fd) != 2 or not isinstance(e, (Sym, Alt)):
-            return
-        if contains_zeta(fd, 3) is YES:
-            return
-        ekey = self.query(e, extend_with_zeta(fd, 3))
-        self.narrow(key, "R-EXT", lo=self.intervals[ekey].lo,
-                    premises=[self.premise(ekey)])
-
-    def rule_rep(self, key):
-        e, fd = self.exprs[key], self.fds[key]
-        self.narrow(key, "R-REP", hi=expr_order(e))  # regular representation
-        for alias in self._aliases(e):
-            if isinstance(alias, Sym) and alias.n >= 2:
-                self.narrow(key, "R-REP", hi=alias.n)
-            if isinstance(alias, Alt) and alias.n >= 3:
-                self.narrow(key, "R-REP", hi=alias.n)
-            if isinstance(fd, FiniteField) and fd.k <= 12:
-                ctx = fq_context(fd.p, fd.k)
-                if isinstance(alias, Dih) and alias.n >= 3:
-                    try:
-                        _pgl2.dn_representation(ctx, alias.n)
-                    except (EvenChar, RealZetaAbsent):
-                        pass
-                    else:
-                        self.narrow(key, "R-REP", hi=2)
-                if isinstance(alias, ElemAb) and fd.p == alias.p \
-                        and fd.k >= alias.r:
-                    gen = ctx.gen() if fd.k > 1 else ctx.one
-                    alphas, acc = [], ctx.one
-                    for _ in range(alias.r):
-                        alphas.append(acc)
-                        acc = acc * gen
-                    try:
-                        _pgl2.elemab_representation(ctx, alphas)
-                    except DependentAlphas:
-                        pass
-                    else:
-                        self.narrow(key, "R-REP", hi=2)
-
-    def rule_s_ub(self, key):
-        for alias in self._aliases(self.exprs[key]):
-            if isinstance(alias, Sym) and alias.n >= 5:
-                self.narrow(key, "R-S-UB", hi=alias.n - 3)
-
-    def rule_s_small(self, key):
-        fd = self.fds[key]
-        for alias in self._aliases(self.exprs[key]):
-            if not isinstance(alias, Sym):
-                continue
-            if alias.n in (2, 3):
-                self.narrow(key, "R-S-SMALL", lo=1, hi=1)
-            elif alias.n in (4, 5):
-                self.narrow(key, "R-S-SMALL", lo=2, hi=2)
-            elif alias.n == 6 and char_of(fd) != 2:
-                self.narrow(key, "R-S-SMALL", lo=3, hi=3)
-
-    def rule_ce_split(self, key):
-        e, fd = self.exprs[key], self.fds[key]
-        for view in product_views(e):
+            skey, gkey = self.query(sub, fd), self.query(sup, fd)
+            if skey != gkey:
+                self.link("R-SUB", [skey], gkey, _lo_of)
+                self.link("R-SUB", [gkey], skey, _hi_of)
+        if char_of(fd) == 2 and isinstance(e, (Sym, Alt)) \
+                and contains_zeta(fd, 3) is not YES:
+            self.link("R-EXT", [self.query(e, extend_with_zeta(fd, 3))], key,
+                      _lo_of)
+        for view in views:
             for idx, f in enumerate(view):
                 if not (isinstance(f, Cyc) and is_prime(f.n)):
                     continue
-                rest = _product_of([x for j, x in enumerate(view) if j != idx])
-                res = check_thm46(rest, f.n, fd)
-                if not res.applicable:
-                    continue
-                gkey = self.query(rest, fd)
-                giv = self.intervals[gkey]
-                self.narrow(key, "R-CE-SPLIT", lo=giv.lo + 1,
-                            hi=_hi_add(giv.hi, 1),
-                            premises=[self.premise(gkey)])
-                giv2 = self.intervals[key]
-                self.narrow(gkey, "R-CE-SPLIT", lo=max(giv2.lo - 1, 0),
-                            hi=_hi_sub1(giv2.hi),
-                            premises=[self.premise(key)])
-
-    def rule_ce(self, key):
-        e, fd = self.exprs[key], self.fds[key]
-        for alias in self._aliases(e):
-            if not (isinstance(alias, Cyc) and alias.n > 1):
-                continue
-            for p in sorted(_prime_factors(alias.n)):
-                if alias.n == p or not _thm45_cyclic(alias.n, p, fd):
-                    continue
-                qkey = self.query(Cyc(alias.n // p), fd)
-                qiv = self.intervals[qkey]
-                self.narrow(key, "R-CE", lo=qiv.lo + 1, hi=_hi_add(qiv.hi, 1),
-                            premises=[self.premise(qkey)])
-                cur = self.intervals[key]
-                self.narrow(qkey, "R-CE", lo=max(cur.lo - 1, 0),
-                            hi=_hi_sub1(cur.hi),
-                            premises=[self.premise(key)])
-
-    def rule_elemab(self, key):
-        fd = self.fds[key]
-        for alias in self._aliases(self.exprs[key]):
-            if isinstance(alias, ElemAb) and contains_zeta(fd, alias.p) is YES:
-                self.narrow(key, "R-ELEMAB", lo=alias.r, hi=alias.r)
-
-    def rule_s_lb(self, key):
-        fd = self.fds[key]
-        for alias in self._aliases(self.exprs[key]):
-            if not isinstance(alias, Sym):
-                continue
-            if char_of(fd) != 2:
-                self.narrow(key, "R-S-LB", lo=alias.n // 2)
-            else:
-                self.narrow(key, "R-S-LB", lo=(alias.n + 1) // 3)
-
-    def rule_a(self, key):
-        fd = self.fds[key]
-        for alias in self._aliases(self.exprs[key]):
-            if not (isinstance(alias, Alt) and alias.n >= 3):
-                continue
-            if char_of(fd) != 2:
-                if alias.n == 3:
-                    self.narrow(key, "R-A", lo=1, hi=1)
-                elif alias.n in (4, 5):
-                    self.narrow(key, "R-A", lo=2, hi=2)
-                self.narrow(key, "R-A", lo=2 * (alias.n // 4))
-            else:
-                self.narrow(key, "R-A", lo=alias.n // 3)
-
-    def rule_a_ub(self, key):
-        fd = self.fds[key]
-        if char_of(fd) != 2:
-            return
-        for alias in self._aliases(self.exprs[key]):
-            if isinstance(alias, Alt) and alias.n == 8:
-                self.narrow(key, "R-A-UB", hi=3)
-            if isinstance(alias, Alt) and alias.n == 5 \
-                    and contains_zeta(fd, 3) is YES:
-                self.narrow(key, "R-A-UB", lo=1, hi=1)
-
-    def rule_pgl_obs(self, key):
-        e, fd = self.exprs[key], self.fds[key]
-        if expr_order(e) == 1:
-            return
-        try:
-            orders = expr_element_orders(e)
-        except TooLarge:
-            orders = None
-        l = char_of(fd)
-        if orders is not None:
-            if l > 0 and any(o % l == 0 and o != l for o in orders):
-                self.narrow(key, "R-PGL-OBS", lo=2)
-            for o in sorted(orders):
-                if (l == 0 or o % l != 0) \
-                        and contains_real_zeta(fd, o) is NO:
-                    self.narrow(key, "R-PGL-OBS", lo=2)
-                    break
-        if isinstance(fd, FiniteField) and fd.q <= _pgl2.Q_CAP:
-            for alias in self._aliases(e):
-                supported = (isinstance(alias, Cyc) and alias.n <= 60) \
-                    or (isinstance(alias, Dih) and alias.n <= 30) \
-                    or (isinstance(alias, ElemAb) and alias.p ** alias.r <= 64)
-                if not supported:
-                    continue
-                ctx = fq_context(fd.p, fd.k)
-                if _pgl2.pgl2_embeds(alias, ctx) is None:
-                    self.narrow(key, "R-PGL-OBS", lo=2)
-                break
-
-    def rule_dn(self, key):
-        fd = self.fds[key]
-        for alias in self._aliases(self.exprs[key]):
-            if not isinstance(alias, Dih):
-                continue
-            crit = dn_criterion(alias.n, fd)
-            if crit is YES:
-                self.narrow(key, "R-DN", lo=1, hi=1)
-            elif crit is NO:
-                self.narrow(key, "R-DN", lo=2)
-
-    def rule_e22(self, key):
-        fd = self.fds[key]
-        if char_of(fd) != 2:
-            return
-        for alias in self._aliases(self.exprs[key]):
-            if isinstance(alias, ElemAb) and (alias.p, alias.r) == (2, 2):
-                s = fp_dimension(fd)
-                if s == 1:
-                    self.narrow(key, "R-E22", lo=2, hi=2)
-                elif s is FP_INF or (s is not None and s >= 2):
-                    self.narrow(key, "R-E22", lo=1, hi=1)
-
-    def rule_epr_charp(self, key):
-        fd = self.fds[key]
-        for alias in self._aliases(self.exprs[key]):
-            if not (isinstance(alias, ElemAb) and char_of(fd) == alias.p):
-                continue
-            s = fp_dimension(fd)
-            if s is None:
-                continue
-            if s is FP_INF or s >= alias.r:
-                self.narrow(key, "R-EPR-CHARP", lo=1, hi=1)
-            else:
-                self.narrow(key, "R-EPR-CHARP", lo=2)
-
-    def rule_cyc(self, key):
-        fd = self.fds[key]
-        for alias in self._aliases(self.exprs[key]):
-            if isinstance(alias, Cyc) and contains_zeta(fd, alias.n) is YES:
-                self.narrow(key, "R-CYC", hi=1)
-
-    # -- driver -----------------------------------------------------------
-
-    def _aliases(self, e):
-        if isinstance(e, Product):
-            return (e,)
-        return atom_aliases(e)
-
-    RULE_FNS = ("rule_triv", "rule_prod", "rule_sub", "rule_ext", "rule_rep",
-                "rule_s_ub", "rule_s_small", "rule_ce_split", "rule_ce",
-                "rule_elemab", "rule_s_lb", "rule_a", "rule_a_ub",
-                "rule_pgl_obs", "rule_dn", "rule_e22", "rule_epr_charp",
-                "rule_cyc")
+                rest = _product_of(view[:idx] + view[idx + 1:])
+                if check_thm46(rest, f.n, fd).applicable:
+                    self.link_both("R-CE-SPLIT", key, self.query(rest, fd))
+        if isinstance(e, Cyc):
+            for p in sorted(_prime_factors(e.n)):
+                if e.n != p and _thm45_cyclic(e.n, p, fd):
+                    self.link_both("R-CE", key, self.query(Cyc(e.n // p), fd))
 
     def run(self):
-        self.changed = True
-        while self.changed:
-            self.changed = False
-            for key in list(self.order):
-                for fn in self.RULE_FNS:
-                    getattr(self, fn)(key)
+        while self.queue:
+            self.apply(self.queue.popleft())
 
 
 def bound(g, fd):
@@ -845,30 +798,28 @@ def replay_trace(nodes):
     return state
 
 
+# the interval maps an edge of each rule may carry, as the engine links them
+_EDGE_MAPS = {"R-PROD": (_sum_hi,), "R-SUB": (_lo_of, _hi_of),
+              "R-EXT": (_lo_of,), "R-CE": (_plus_one, _minus_one),
+              "R-CE-SPLIT": (_plus_one, _minus_one)}
+
+
 def _implied_interval(node, cur):
-    ivs = [iv for _, iv in node.premises]
     key, claimed = node.conclusion
-    if node.rule == "R-PROD":
-        return BoundInterval(0, sum(iv.hi for iv in ivs))
-    if node.rule in ("R-SUB", "R-EXT", "R-CE", "R-CE-SPLIT"):
-        # bidirectional rules: find the direction that reproduces the claim
-        (piv,) = ivs
-        if node.rule in ("R-SUB", "R-EXT"):
-            cands = [BoundInterval(piv.lo, INF), BoundInterval(0, piv.hi)]
-            if node.rule == "R-EXT":
-                cands = cands[:1]
-        else:
-            cands = [BoundInterval(piv.lo + 1, _hi_add(piv.hi, 1)),
-                     BoundInterval(max(piv.lo - 1, 0), _hi_sub1(piv.hi))]
-        for cand in cands:
-            try:
-                if cur(key).meet(cand) == claimed:
-                    return cand
-            except Inconsistent:
-                continue
-        return cands[-1]
-    # leaf rules assert their conclusion directly from checked hypotheses
-    return claimed
+    if node.rule not in _EDGE_MAPS:
+        # leaf rules assert their conclusion directly from checked hypotheses
+        return claimed
+    # edge rules: find the map (direction) that reproduces the claim
+    ivs = [iv for _, iv in node.premises]
+    cands = [_interval(*(imap(*ivs) or (None, None)))
+             for imap in _EDGE_MAPS[node.rule]]
+    for cand in cands:
+        try:
+            if cur(key).meet(cand) == claimed:
+                return cand
+        except Inconsistent:
+            continue
+    return cands[-1]
 
 
 def trace_json(g, fd, interval, nodes):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CharDividesM, CharZero, InconsistentCustom, NotPrime
 from .exactfield import is_prime

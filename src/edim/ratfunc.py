@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from . import unipoly
 from .errors import (DivisionByZero, DomainMismatch, IndeterminateForm,
-                     PoleAtPoint, UnboundVariable, ZeroElement)
-from .exactfield import FqContext, FqElement, Rational, fq_context
+                     PoleAtPoint, UnboundVariable)
+from .exactfield import FqContext, FqElement, fq_context
 
 _CERT_PRIME = (1 << 61) - 1  # Mersenne prime used for rational specializations
 _CERT_TRIES = 4
@@ -470,7 +470,7 @@ def _gcd_prs(f, g):
 class RatFn:
     """Reduced fraction num/den of MultiPolys; den is graded-lex monic."""
 
-    __slots__ = ("num", "den", "_eval_hint")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den, reduce=True):
         num._check(den)
@@ -490,7 +490,6 @@ class RatFn:
             den = MultiPoly.const(den.domain, den.vars, den.domain.one)
         self.num = num
         self.den = den
-        self._eval_hint = None
 
     # -- constructors -------------------------------------------------------
 
@@ -638,13 +637,6 @@ class RatFn:
 
     def evaluate(self, values):
         """Exact evaluation at field elements keyed by variable name."""
-        if self._eval_hint is not None:
-            acc = None
-            for fac, expo in self._eval_hint:
-                v = fac.evaluate(values)
-                v = v ** expo if expo >= 0 else (v ** (-expo)).inverse()
-                acc = v if acc is None else acc * v
-            return acc
         d = self.den.evaluate(values)
         if _czero(d):
             raise PoleAtPoint("denominator vanishes at the given point")

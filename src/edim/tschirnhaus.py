@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import unipoly
 from .errors import (CharDividesDegree, DegenerateTail, PoleAtAssignment,
                      PoleAtPoint, SplittingTooLarge, Unsupported)
 from .exactfield import fq_context
-from .ratfunc import QQ, MultiPoly, RatFn
+from .ratfunc import QQ, RatFn
 
 
 def tvars(n):

@@ -106,13 +106,6 @@ def powmod(base, e, m, zero, one):
     return result
 
 
-def eval_at(a, x, zero):
-    acc = zero
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def derivative(a, field):
     out = []
     for i in range(1, len(a)):

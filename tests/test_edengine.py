@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from edim import edengine
 from edim.edengine import (BoundInterval, RuleCatalog, Thm45Result,
                            Thm46Result, TooLarge, a_lower_recurrence,
                            atom_aliases, bound, canon, center_order,
@@ -273,3 +274,61 @@ def test_unknown_fields_block_rules():
     fd = Custom(characteristic=0)
     iv, _ = bound(Dih(9), fd)
     assert iv.lo >= 1 and iv.hi >= 2
+
+
+# --- propagation order and oracle calls -------------------------------------
+
+_NAIVE_GROUPS = ([Sym(n) for n in (3, 4, 5, 6, 7)]
+                 + [Alt(n) for n in (4, 5, 6)]
+                 + [Dih(n) for n in (4, 5, 6, 9)]
+                 + [Cyc(n) for n in (4, 6, 12, 30)]
+                 + [ElemAb(2, 2), ElemAb(2, 3), ElemAb(3, 2)]
+                 + [Product(Sym(3), Cyc(4)), Product(Alt(5), Cyc(3)),
+                    Product(Dih(5), Cyc(3))])
+_NAIVE_FIELDS = [Q, F2, FiniteField(3, 1), F4, Cyclotomic(3),
+                 Custom(characteristic=0)]
+
+
+@pytest.mark.parametrize("fd", _NAIVE_FIELDS, ids=str)
+def test_worklist_matches_naive_fixpoint(fd):
+    # oracle for the worklist: re-apply every stored edge, in creation
+    # order, until a whole sweep narrows nothing
+    for g in _NAIVE_GROUPS:
+        eng = edengine._Engine()
+        key = eng.query(g, fd)
+        before = None
+        while before != eng.intervals:
+            before = dict(eng.intervals)
+            for edge in eng.edges:
+                eng.apply(edge)
+        assert eng.intervals[key] == bound(g, fd)[0], (g, fd)
+        worklist = edengine._Engine()
+        worklist.query(g, fd)
+        worklist.run()
+        assert worklist.intervals == eng.intervals, (g, fd)
+
+
+def test_oracles_called_once_per_key(monkeypatch):
+    calls = []
+
+    def counted(fn, name, key):
+        def wrapper(*args):
+            calls.append((name,) + key(*args))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(edengine, "embedding_certificate",
+                        counted(edengine.embedding_certificate, "cert",
+                                lambda h, g: (str(h), str(g))))
+    monkeypatch.setattr(edengine._pgl2, "pgl2_embeds",
+                        counted(edengine._pgl2.pgl2_embeds, "pgl2",
+                                lambda h, ctx: (str(h), ctx.p, ctx.k)))
+    seen = set()
+    for g, fd in [(Cyc(6006), Q), (ElemAb(5, 2), FiniteField(11, 1)),
+                  (Product(Product(Sym(3), Cyc(4)), Cyc(5)), Q),
+                  (Product(Alt(5), Cyc(3)), Cyclotomic(3))]:
+        calls.clear()
+        bound(g, fd)
+        assert len(calls) == len(set(calls)), (g, fd, calls)
+        seen |= {c[0] for c in calls}
+    assert seen == {"cert", "pgl2"}
