@@ -28,9 +28,10 @@ from .exactfield import fq_context, is_prime
 from .fielddesc import (NO, UNKNOWN, YES, INF as FP_INF, FiniteField, char_of,
                         contains_real_zeta, contains_zeta, extend_with_zeta,
                         fp_dimension)
-from .groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, center,
-                     character_exists, element_orders, embedding_certificate,
-                     expr_order, l_core, pident, pmul, porder, realize)
+from .groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, _prime_power_parts,
+                     center, character_exists, element_orders,
+                     embedding_certificate, expr_order, l_core, pident, pmul,
+                     porder, realize)
 from . import pgl2 as _pgl2
 
 INF = math.inf
@@ -203,23 +204,6 @@ def product_views(e):
         if len(parts) >= 2:
             views.append(tuple(canon(Cyc(q)) for q in parts))
     return views
-
-
-def _prime_power_parts(n):
-    parts = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            q = 1
-            while m % p == 0:
-                m //= p
-                q *= p
-            parts.append(q)
-        p += 1
-    if m > 1:
-        parts.append(m)
-    return parts
 
 
 def _prime_factors(n):

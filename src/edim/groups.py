@@ -3,7 +3,11 @@ structural queries consumed by the bound engine (orders, centers, normal
 l-subgroups, linear characters, embedding certificates).
 
 Permutations are 0-based tuples; ``a * b`` composes as functions, so
-``(pmul(a, b))[i] = a[b[i]]``.
+``(pmul(a, b))[i] = a[b[i]]``.  C_n is realized on its CRT points: one
+cycle for each prime power exactly dividing n, on consecutive blocks, so its
+degree is the sum of those prime powers rather than n.  An embedding
+certificate is a point map: an injective map from H's points into G's
+points, carrying H's own generators into G.
 """
 
 from __future__ import annotations
@@ -132,20 +136,22 @@ def pident(n):
     return tuple(range(n))
 
 
-def porder(a):
-    n = len(a)
-    seen = [False] * n
-    orders = 1
-    for i in range(n):
+def _cycle_lengths(a):
+    seen = [False] * len(a)
+    lengths = []
+    for i in range(len(a)):
         if not seen[i]:
-            ln = 0
-            j = i
+            ln, j = 0, i
             while not seen[j]:
                 seen[j] = True
                 j = a[j]
                 ln += 1
-            orders = math.lcm(orders, ln)
-    return orders
+            lengths.append(ln)
+    return lengths
+
+
+def porder(a):
+    return math.lcm(*_cycle_lengths(a))
 
 
 def _cycle(points, degree):
@@ -153,6 +159,33 @@ def _cycle(points, degree):
     for i, x in enumerate(points):
         a[x] = points[(i + 1) % len(points)]
     return tuple(a)
+
+
+def _rotations(lengths):
+    """One cycle on each consecutive block of the given lengths."""
+    a, start = [], 0
+    for ln in lengths:
+        a += [start + (i + 1) % ln for i in range(ln)]
+        start += ln
+    return tuple(a)
+
+
+def _prime_power_parts(n):
+    """The prime powers exactly dividing n, by ascending prime."""
+    parts = []
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            q = 1
+            while m % p == 0:
+                m //= p
+                q *= p
+            parts.append(q)
+        p += 1
+    if m > 1:
+        parts.append(m)
+    return parts
 
 
 def _shift(perm, offset, degree):
@@ -169,7 +202,7 @@ def _shift(perm, offset, degree):
 class PermGroup:
     """Immutable permutation group with a cached deterministic order."""
 
-    def __init__(self, degree, generators, order=None, expr=None):
+    def __init__(self, degree, generators, order, expr=None):
         self.degree = degree
         self.generators = tuple(tuple(g) for g in generators)
         for g in self.generators:
@@ -177,27 +210,11 @@ class PermGroup:
                 raise ValueError("generator is not a permutation of the degree")
         self.expr = expr
         self._elements = None
-        if order is None:
-            order = len(self.elements(ORDER_CAP))
         self.order = order
 
     def elements(self, cap=ORDER_CAP):
         if self._elements is None:
-            ident = pident(self.degree)
-            seen = {ident}
-            frontier = [ident]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in self.generators:
-                        y = pmul(g, x)
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-                            if len(seen) > cap:
-                                raise TooLarge("group exceeds enumeration cap %d" % cap)
-                frontier = nxt
-            self._elements = frozenset(seen)
+            self._elements = _closure(self.degree, [], self.generators, cap)
         if len(self._elements) > cap:
             raise TooLarge("group exceeds enumeration cap %d" % cap)
         return self._elements
@@ -210,7 +227,14 @@ class PermGroup:
 
 
 def realize(expr):
-    """Faithful permutation realization with standard generators."""
+    """Faithful permutation realization with standard generators.
+
+    S_n, A_n and D_n (n >= 3) act on n points, E(p,r) on r blocks of p
+    points (one p-cycle generator per block), a product on the disjoint
+    union of its factors' points.  C_n acts on its CRT points: its one
+    generator is a product of disjoint cycles, one of each length p^a
+    exactly dividing n, on sum(p^a) points (61 for C720720).
+    """
     _validate(expr)
     order = expr_order(expr)
     if isinstance(expr, Sym):
@@ -245,7 +269,8 @@ def realize(expr):
         n = expr.n
         if n == 1:
             return PermGroup(1, [], order=1, expr=expr)
-        return PermGroup(n, [_cycle(tuple(range(n)), n)], order=order, expr=expr)
+        gen = _rotations(_prime_power_parts(n))
+        return PermGroup(len(gen), [gen], order=order, expr=expr)
     if isinstance(expr, ElemAb):
         p, r = expr.p, expr.r
         deg = p * r
@@ -316,7 +341,8 @@ def _closure(degree, base, extra, cap=ORDER_CAP):
                     seen.add(y)
                     nxt.append(y)
                     if len(seen) > cap:
-                        raise TooLarge("closure exceeds cap")
+                        raise TooLarge("group exceeds enumeration cap %d"
+                                       % cap)
         frontier = nxt
     return frozenset(seen)
 
@@ -480,150 +506,121 @@ def _pow(x, e):
 class Embedding:
     source: object
     target: object
-    images: tuple  # one permutation of the target's degree per source generator
+    points: tuple  # source point i goes to target point points[i]
+    images: tuple  # each source generator carried along points
 
 
-def _verify_embedding(h_pg, images, degree, cap=200):
-    """Check that generator -> image extends to an injective homomorphism."""
-    if len(images) != len(h_pg.generators):
-        return False
-    for im in images:
-        if sorted(im) != list(range(degree)):
+def _transport(perm, points, degree):
+    """perm carried along points (points[i] -> points[perm[i]]); every other
+    point of the degree is fixed."""
+    a = list(range(degree))
+    for i, x in enumerate(perm):
+        a[points[i]] = points[x]
+    return tuple(a)
+
+
+def _contains(g, perm):
+    """Whether realize(g) contains perm, a permutation of its degree."""
+    if isinstance(g, Product):
+        dl = realize(g.left).degree
+        return (all(x < dl for x in perm[:dl]) and _contains(g.left, perm[:dl])
+                and _contains(g.right, tuple(x - dl for x in perm[dl:])))
+    if isinstance(g, (Sym, Alt)):
+        return isinstance(g, Sym) or \
+            (len(perm) - len(_cycle_lengths(perm))) % 2 == 0
+    if isinstance(g, Dih) and g.n >= 3:  # i -> a + i or a - i (mod n)
+        step = (perm[1] - perm[0]) % g.n
+        return step in (1, g.n - 1) and all(
+            x == (perm[0] + i * step) % g.n for i, x in enumerate(perm))
+    # C_n, E(p,r), D_1 and D_2 are all the rotations of their blocks
+    blocks = (_prime_power_parts(g.n) if isinstance(g, Cyc)
+              else [g.p] * g.r if isinstance(g, ElemAb) else [2] * g.n)
+    start = 0
+    for ln in blocks:
+        k = perm[start] - start
+        if any(perm[start + i] != start + (i + k) % ln for i in range(ln)):
             return False
-    if h_pg.order > cap:
-        # large source: verify the generator orders and sampled word relations
-        for gsrc, gim in zip(h_pg.generators, images):
-            if porder(gsrc) != porder(gim):
-                return False
-        return True
-    ident_h = pident(h_pg.degree)
-    ident_g = pident(degree)
-    phi = {ident_h: ident_g}
-    frontier = [ident_h]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gsrc, gim in zip(h_pg.generators, images):
-                y = pmul(gsrc, x)
-                fy = pmul(gim, phi[x])
-                if y in phi:
-                    if phi[y] != fy:
-                        return False
-                else:
-                    phi[y] = fy
-                    nxt.append(y)
-        frontier = nxt
-    # phi is a total map built along words; homomorphism + injectivity checks
-    items = list(phi.items())
-    for x, fx in items:
-        for y, fy in items:
-            if phi[pmul(x, y)] != pmul(fx, fy):
-                return False
-    return len(set(phi.values())) == len(phi)
+        start += ln
+    return True
 
 
-def _pad(perm, degree):
-    return tuple(perm) + tuple(range(len(perm), degree))
+def _verify_embedding(h_pg, g, points, images):
+    """Whether images are h_pg's generators carried along the point map
+    points into realize(g), each lying in realize(g); O(degree) each.
+
+    Carrying along an injective point map is conjugation by a relabeling,
+    so generator -> image extends to an injective homomorphism whatever the
+    order of H.
+    """
+    degree = realize(g).degree
+    if len(points) != h_pg.degree or len(set(points)) != len(points) \
+            or not all(0 <= x < degree for x in points):
+        return False
+    return len(images) == len(h_pg.generators) and all(
+        tuple(im) == _transport(gen, points, degree) and _contains(g, im)
+        for gen, im in zip(h_pg.generators, images))
 
 
 def embedding_certificate(h, g):
-    """Explicit verified generator images for a built-in inclusion h <= g.
+    """A verified point-map certificate for a built-in inclusion h <= g.
 
-    Returns an Embedding or None; None is absence of a certificate, not a
-    proof of non-embeddability.
+    Certified: h == g; S_m, A_m, D_m (m >= 3), E(p,r) (pr <= n) in S_n,
+    A_m in A_n, E(p,s) in E(p,r), E(3,2) in A_n (n >= 6), S_m x C_2 in
+    S_{m+2} and A_m x C_3 in A_{m+3}, all on h's own points; C_d in C_n for
+    d | n coprime to n/d, onto C_n's CRT blocks for the primes dividing d;
+    a product into a product factorwise; h into one factor of a product,
+    on that factor's points.  Returns an Embedding or None; None is absence
+    of a certificate, not a proof of non-embeddability.
     """
-    images = _find_images(h, g)
-    if images is None:
+    points = _find_points(h, g)
+    if points is None:
         return None
-    h_pg = realize(h)
-    g_pg = realize(g)
-    images = tuple(tuple(im) for im in images)
-    if not _verify_embedding(h_pg, images, g_pg.degree):
+    h_pg, degree = realize(h), realize(g).degree
+    images = tuple(_transport(gen, points, degree) for gen in h_pg.generators)
+    if not _verify_embedding(h_pg, g, points, images):
         return None
-    if h_pg.order <= 200:
-        sub = PermGroup(g_pg.degree, images or [pident(g_pg.degree)])
-        if sub.order != h_pg.order:
-            return None
-    return Embedding(h, g, images)
+    return Embedding(h, g, points, images)
 
 
-def _find_images(h, g):
-    if h == g:
-        return [tuple(gen) for gen in realize(g).generators]
-    # natural inclusions among atoms
-    if isinstance(h, Sym) and isinstance(g, Sym) and h.n <= g.n:
-        return [_pad(gen, g.n) for gen in realize(h).generators]
-    if isinstance(h, Alt) and isinstance(g, Alt) and h.n <= g.n:
-        return [_pad(gen, g.n) for gen in realize(h).generators]
-    if isinstance(h, Alt) and isinstance(g, Sym) and h.n <= g.n:
-        return [_pad(gen, g.n) for gen in realize(h).generators]
-    if isinstance(h, Dih) and isinstance(g, Sym) and 3 <= h.n <= g.n:
-        return [_pad(gen, g.n) for gen in realize(h).generators]
-    if isinstance(h, ElemAb) and isinstance(g, Sym) and h.p * h.r <= g.n:
-        return [_pad(gen, g.n) for gen in realize(h).generators]
-    if isinstance(h, ElemAb) and isinstance(g, ElemAb) and h.p == g.p and h.r <= g.r:
-        return [_pad(gen, g.p * g.r) for gen in realize(h).generators]
-    if isinstance(h, Cyc) and isinstance(g, Cyc) and g.n % h.n == 0:
-        k = g.n // h.n
-        step = _pow(_cycle(tuple(range(g.n)), g.n), k)
-        return [step] if h.n > 1 else []
-    # ElemAb(3,2) inside A_6: two disjoint 3-cycles are even
-    if h == ElemAb(3, 2) and isinstance(g, Alt) and g.n >= 6:
-        return [_pad(_cycle((0, 1, 2), 6), g.n), _pad(_cycle((3, 4, 5), 6), g.n)]
-    if isinstance(h, Product):
-        imgs = _product_images(h, g)
-        if imgs is not None:
-            return imgs
-    # factor inclusion: h inside one slot of a product target
-    if isinstance(g, Product):
-        dl = realize(g.left).degree
-        deg = dl + realize(g.right).degree
-        li = _find_images(h, g.left)
-        if li is not None:
-            return [_shift(im, 0, deg) for im in li]
-        ri = _find_images(h, g.right)
-        if ri is not None:
-            return [_shift(im, dl, deg) for im in ri]
-    return None
-
-
-def _product_images(h, g):
-    hl, hr = h.left, h.right
-    # componentwise into a product target
-    if isinstance(g, Product):
-        li = _find_images(hl, g.left)
-        ri = _find_images(hr, g.right)
+def _find_points(h, g):
+    dl = realize(g.left).degree if isinstance(g, Product) else 0
+    if isinstance(h, Product) and isinstance(g, Product):
+        li, ri = _find_points(h.left, g.left), _find_points(h.right, g.right)
         if li is not None and ri is not None:
-            dl = realize(g.left).degree
-            deg = dl + realize(g.right).degree
-            return ([_shift(im, 0, deg) for im in li]
-                    + [_shift(im, dl, deg) for im in ri])
-        return None
-    # S_m x C_2 inside S_{m+2}
-    if (isinstance(g, Sym) and isinstance(hl, Sym) and hr == Cyc(2)
-            and hl.n + 2 <= g.n):
-        base = [_pad(gen, g.n) for gen in realize(hl).generators]
-        return base + [_pad(_cycle((hl.n, hl.n + 1), hl.n + 2), g.n)]
-    if (isinstance(g, Sym) and isinstance(hr, Sym) and hl == Cyc(2)
-            and hr.n + 2 <= g.n):
-        base = [_pad(gen, g.n) for gen in realize(hr).generators]
-        return [_pad(_cycle((hr.n, hr.n + 1), hr.n + 2), g.n)] + base
-    if isinstance(g, Alt):
-        # A_m x V_4 inside A_{m+4}: the double transpositions are even
-        if isinstance(hl, Alt) and hr == ElemAb(2, 2) and hl.n + 4 <= g.n:
-            m = hl.n
-            base = [_pad(gen, g.n) for gen in realize(hl).generators]
-            v1 = pmul(_cycle((m, m + 1), g.n), _cycle((m + 2, m + 3), g.n))
-            v2 = pmul(_cycle((m, m + 2), g.n), _cycle((m + 1, m + 3), g.n))
-            return base + [v1, v2]
-        # A_m x C_3 inside A_{m+3}
-        if isinstance(hl, Alt) and hr == Cyc(3) and hl.n + 3 <= g.n:
-            m = hl.n
-            base = [_pad(gen, g.n) for gen in realize(hl).generators]
-            return base + [_cycle((m, m + 1, m + 2), g.n)]
-        # V_4 x V_4 inside A_8
-        if hl == ElemAb(2, 2) and hr == ElemAb(2, 2) and g.n >= 8:
-            def dd(a, b, c, d):
-                return pmul(_cycle((a, b), g.n), _cycle((c, d), g.n))
-            return [dd(0, 1, 2, 3), dd(0, 2, 1, 3), dd(4, 5, 6, 7), dd(4, 6, 5, 7)]
+            return li + tuple(dl + x for x in ri)
+    if _on_own_points(h, g):
+        dh = realize(h).degree
+        return tuple(range(dh)) if dh <= realize(g).degree else None
+    if isinstance(h, Cyc) and isinstance(g, Cyc) and g.n % h.n == 0 \
+            and math.gcd(h.n, g.n // h.n) == 1:
+        starts, start = {}, 0
+        for q in _prime_power_parts(g.n):
+            starts[q], start = start, start + q
+        return tuple(starts[q] + i for q in _prime_power_parts(h.n)
+                     for i in range(q)) or (0,)  # C_1 is one fixed point
+    if isinstance(g, Product):  # h inside one factor
+        li = _find_points(h, g.left)
+        if li is not None:
+            return li
+        ri = _find_points(h, g.right)
+        return None if ri is None else tuple(dl + x for x in ri)
     return None
+
+
+def _on_own_points(h, g):
+    if h == g:
+        return True
+    if isinstance(g, Sym):
+        return (isinstance(h, (Sym, Alt)) and h.n <= g.n
+                or isinstance(h, Dih) and 3 <= h.n <= g.n
+                or isinstance(h, ElemAb) and h.p * h.r <= g.n
+                or isinstance(h, Product) and any(
+                    isinstance(a, Sym) and b == Cyc(2) and a.n + 2 <= g.n
+                    for a, b in ((h.left, h.right), (h.right, h.left))))
+    if isinstance(g, Alt):
+        return (isinstance(h, Alt) and h.n <= g.n
+                or h == ElemAb(3, 2) and g.n >= 6
+                or isinstance(h, Product) and isinstance(h.left, Alt)
+                and h.right == Cyc(3) and h.left.n + 3 <= g.n)
+    return isinstance(h, ElemAb) and isinstance(g, ElemAb) \
+        and h.p == g.p and h.r <= g.r

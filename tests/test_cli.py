@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -134,12 +135,18 @@ def test_pgl2_embed_command(capsys):
 
 
 def test_bound_former_hangs(capsys):
-    for group, field, want in (("D30", "F(25)", {"lo": 2, "hi": 27}),
-                               ("E(7,2)", "F(8)", {"lo": 2, "hi": 2})):
+    for group, field, want, budget in (
+            ("D30", "F(25)", {"lo": 2, "hi": 27}, None),
+            ("E(7,2)", "F(8)", {"lo": 2, "hi": 2}, None),
+            ("C720720", "Q", {"lo": 2, "hi": 61}, 1.0),
+            ("C30030", "Q", {"lo": 3, "hi": 38}, 1.0)):
+        start = time.perf_counter()
         code, out = _capture(capsys, ["bound", "--group", group,
                                       "--field", field])
         assert code == 0
         assert json.loads(out)["interval"] == want, (group, field)
+        if budget is not None:
+            assert time.perf_counter() - start < budget, (group, field)
 
 
 def test_field_query_command(capsys):

@@ -5,9 +5,9 @@ import pytest
 
 from edim.fielddesc import (NO, UNKNOWN, YES, Cyclotomic, FiniteField,
                             RationalField)
-from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym,
-                         _partition_orders, _partitions, center,
-                         character_exists, element_orders,
+from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, _closure,
+                         _partition_orders, _partitions, _verify_embedding,
+                         center, character_exists, element_orders,
                          embedding_certificate, expr_order, l_core, pident,
                          pinv, pmul, porder, realize)
 
@@ -42,11 +42,24 @@ def test_perm_primitives():
     (Dih(6), {1, 2, 3, 6}),
     (Cyc(12), {1, 2, 3, 4, 6, 12}),
     (ElemAb(5, 2), {1, 5}),
+    (Cyc(30), {1, 2, 3, 5, 6, 10, 15, 30}),
+    (Cyc(36), {1, 2, 3, 4, 6, 9, 12, 18, 36}),
 ])
 def test_element_orders_match_enumeration(expr, orders):
     g = realize(expr)
     assert element_orders(g) == orders
     assert {porder(x) for x in g.elements()} == orders
+
+
+def test_cyclic_realized_on_crt_points():
+    # one cycle per prime power exactly dividing n, never a degree-n cycle
+    for n, parts in ((2, [2]), (12, [4, 3]), (30, [2, 3, 5]), (36, [4, 9]),
+                     (64, [64]), (720720, [16, 9, 5, 7, 11, 13])):
+        g = realize(Cyc(n))
+        assert g.degree == sum(parts), n
+        assert porder(g.generators[0]) == n
+    assert realize(Cyc(720720)).degree == 61
+    assert realize(Cyc(1)).degree == 1
 
 
 @pytest.mark.parametrize("expr,zorder", [
@@ -125,14 +138,100 @@ def test_embedding_certificates():
     assert embedding_certificate(Cyc(6), Dih(6)) is None
 
 
-def test_embedding_preserves_relations():
-    emb = embedding_certificate(Dih(5), Sym(5))
-    assert emb is not None
-    hh = realize(Dih(5))
-    # the map gens -> images extends to an injective homomorphism: check
-    # products of generator pairs agree in order
-    for i, a in enumerate(hh.generators):
-        assert porder(a) == porder(emb.images[i])
+def _enumerated_embedding_ok(h, g, images):
+    """Oracle for |H| <= 200: generator -> image extends along words to a
+    well-defined map on all of H that is multiplicative and injective, and
+    every image lies in realize(g).  Quadratic in |H|."""
+    h_pg, g_pg = realize(h), realize(g)
+    assert h_pg.order <= 200
+    ident = pident(h_pg.degree)
+    phi = {ident: pident(g_pg.degree)}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gen, im in zip(h_pg.generators, images):
+                y, fy = pmul(gen, x), pmul(im, phi[x])
+                if y not in phi:
+                    phi[y] = fy
+                    nxt.append(y)
+                elif phi[y] != fy:
+                    return False
+        frontier = nxt
+    assert len(phi) == h_pg.order
+    items = list(phi.items())
+    if any(phi[pmul(x, y)] != pmul(fx, fy)
+           for x, fx in items for y, fy in items):
+        return False
+    return len(set(phi.values())) == len(phi) and \
+        all(g_pg.contains(im) for im in images)
+
+
+# one or more small instances of every certified inclusion shape
+CERTIFIED_SHAPES = [
+    (Dih(5), Dih(5)), (Product(Cyc(2), Sym(3)), Product(Cyc(2), Sym(3))),
+    (Sym(3), Sym(5)), (Alt(5), Sym(5)), (Alt(4), Alt(6)),
+    (Dih(3), Sym(3)), (Dih(5), Sym(5)), (Dih(4), Sym(6)),
+    (ElemAb(2, 2), Sym(4)), (ElemAb(3, 2), Sym(7)),
+    (ElemAb(2, 2), ElemAb(2, 4)), (ElemAb(3, 1), ElemAb(3, 3)),
+    (ElemAb(3, 2), Alt(6)), (ElemAb(3, 2), Alt(7)),
+    (Cyc(1), Cyc(6)), (Cyc(3), Cyc(12)), (Cyc(4), Cyc(60)),
+    (Cyc(15), Cyc(60)), (Cyc(36), Cyc(180)),
+    (Product(Sym(3), Cyc(2)), Sym(5)), (Product(Cyc(2), Sym(4)), Sym(7)),
+    (Product(Alt(4), Cyc(3)), Alt(7)),
+    (Product(Cyc(3), Dih(4)), Product(Cyc(15), Sym(4))),
+    (Cyc(3), Product(Alt(5), Cyc(3))), (Sym(3), Product(Sym(3), Cyc(4))),
+    (Cyc(4), Product(Sym(3), Cyc(4))),
+    (Cyc(5), Product(Product(Dih(4), Cyc(12)), Cyc(10))),
+]
+
+
+def test_embedding_matches_enumeration_oracle():
+    for h, g in CERTIFIED_SHAPES:
+        emb = embedding_certificate(h, g)
+        assert emb is not None, (h, g)
+        assert all(len(im) == realize(g).degree for im in emb.images)
+        assert _enumerated_embedding_ok(h, g, emb.images), (h, g)
+
+
+def test_verify_rejects_forged_point_maps():
+    s6 = realize(Sym(6))  # |H| = 720
+    emb = embedding_certificate(Sym(6), Sym(6))
+    assert _verify_embedding(s6, Sym(6), emb.points, emb.images)
+    # (0 1) -> (0 2) keeps both generator orders but breaks a relation: the
+    # graph of the map generates 25,920 elements, not 720
+    swap, rot = emb.images
+    forged = ((2, 1, 0, 3, 4, 5), rot)
+    assert [porder(x) for x in forged] == [porder(swap), porder(rot)]
+    graph = [a + tuple(6 + x for x in b) for a, b in zip(s6.generators, forged)]
+    assert len(_closure(12, [], graph)) == 25920
+    assert not _verify_embedding(s6, Sym(6), emb.points, forged)
+    # a point map that is not injective, out of range, or short; (0, 0)
+    # carries C2's generator to the identity, which lies in every target
+    assert not _verify_embedding(s6, Sym(6), (0, 0, 2, 3, 4, 5), emb.images)
+    assert not _verify_embedding(realize(Cyc(2)), Sym(3), (0, 0),
+                                 (pident(3),))
+    assert not _verify_embedding(s6, Sym(6), (0, 1, 2, 3, 4, 6), emb.images)
+    assert not _verify_embedding(s6, Sym(6), (0, 1, 2, 3, 4), emb.images)
+    # transported images outside the target: a transposition is odd, i -> 2i
+    # (mod 5) is not in D5, and a 3-cycle on C12's 4-block is not in C12
+    assert not _verify_embedding(realize(Cyc(2)), Alt(4), (0, 1),
+                                 ((1, 0, 2, 3),))
+    assert not _verify_embedding(realize(Cyc(4)), Dih(5), (1, 2, 4, 3),
+                                 ((0, 2, 4, 1, 3),))
+    assert not _verify_embedding(realize(Cyc(3)), Cyc(12), (0, 1, 2),
+                                 ((1, 2, 0, 3, 4, 5, 6),))
+
+
+def test_dropped_inclusions_are_not_certified():
+    # only coprime cyclic pairs; no A_m x V_4 in A_{m+4}, V_4 x V_4 in A_8
+    assert embedding_certificate(Cyc(2), Cyc(4)) is None
+    assert embedding_certificate(Cyc(6), Cyc(12)) is None
+    assert embedding_certificate(Product(Alt(4), ElemAb(2, 2)), Alt(8)) is None
+    assert embedding_certificate(Product(ElemAb(2, 2), ElemAb(2, 2)),
+                                 Alt(8)) is None
+    emb = embedding_certificate(Cyc(16), Cyc(720720))
+    assert emb.points == tuple(range(16)) and len(emb.images[0]) == 61
 
 
 def test_product_factor_embeds():

@@ -1,6 +1,9 @@
-"""Every name a module under ``src/edim`` imports is used in that module."""
+"""Every name a module under ``src/edim`` imports is used in that module, and
+every module-level ``_private`` definition is referenced somewhere in the
+package besides its own definition."""
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -28,3 +31,44 @@ def _unused_imports(tree):
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _references(node):
+    """How often each name is read, imported or used as an attribute."""
+    found = collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found[n.name] += 1
+    return found
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level ``_private`` definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    total = collections.Counter()
+    for tree in trees.values():
+        total.update(_references(tree))
+    unused = [(module, name) for module, tree in trees.items()
+              for name, node in _private_definitions(tree)
+              if total[name] == _references(node)[name]]
+    assert unused == []
