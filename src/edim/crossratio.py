@@ -1,15 +1,20 @@
 """The field of cross-ratios: symbolic [i,j;k,l] in K(x_1..x_n), the rewriting
 of any cross-ratio in the generators t_i = [1,2;3,i], the induced S_n action,
-and faithfulness verification.
+and faithfulness verification.  The Mobius map a reordering of four points
+induces is read from a table keyed by position permutation; its unimodular
+matrix keeps a reduced fraction reduced, and ``cr_define`` is built reduced,
+so rewriting needs no gcd but one per split.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import AmbientOutOfRange, AmbientTooSmall
-from .ratfunc import QQ, RatFn
+from .ratfunc import QQ, MultiPoly, RatFn
 
 _BASE = (1, 2, 3)
 
@@ -43,49 +48,55 @@ def tvars(n):
 
 
 def cr_define(sym):
-    """[i,j;k,l] = (x_i-x_k)(x_j-x_l) / ((x_i-x_l)(x_j-x_k))."""
+    """[i,j;k,l] = (x_i-x_k)(x_j-x_l) / ((x_i-x_l)(x_j-x_k)), built reduced:
+    the four linear factors join distinct pairs of variables."""
     vs = xvars(sym.n)
     i, j, k, l = sym.indices
-    x = lambda m: RatFn.var(QQ, vs, "x%d" % m)
-    return ((x(i) - x(k)) * (x(j) - x(l))) / ((x(i) - x(l)) * (x(j) - x(k)))
+    x = lambda m: MultiPoly.var(QQ, vs, "x%d" % m)
+    return RatFn((x(i) - x(k)) * (x(j) - x(l)), (x(i) - x(l)) * (x(j) - x(k)),
+                 reduce=False)
 
 
-# the six Mobius images of a cross-ratio under permuting its four points,
-# generated by the Step-2 identities (12).t = (34).t = 1/t and (23).t = 1 - t
-MOBIUS = (
-    lambda t: t,
-    lambda t: 1 / t,
-    lambda t: 1 - t,
-    lambda t: 1 / (1 - t),
-    lambda t: (t - 1) / t,
-    lambda t: t / (t - 1),
-)
+# the six Mobius images t -> (a t + b) / (c t + d) of a cross-ratio under
+# permuting its four points, generated by the Step-2 identities
+# (12).t = (34).t = 1/t and (23).t = 1 - t; every determinant is +-1
+MOBIUS = ((1, 0, 0, 1), (0, 1, 1, 0), (-1, 1, 0, 1), (0, 1, -1, 1),
+          (1, -1, 1, 0), (1, 0, 1, -1))
 
 
 def generator_symbol(n, i):
     return CRSymbol(n, (1, 2, 3, i))
 
 
-def _match_mobius(value, reference):
-    """Index of the Mobius map with value = MOBIUS[idx](reference)."""
-    for idx, phi in enumerate(MOBIUS):
-        if value == phi(reference):
-            return idx
-    raise AssertionError("cross-ratio values not Mobius-related")
+def _position_table():
+    """The MOBIUS matrix each position permutation induces, read off at one
+    point whose six images are distinct: points (0, 1, 3, 7), t = 9/7."""
+    cr = lambda i, j, k, l: (i - k) * (j - l) / ((i - l) * (j - k))
+    points = [Fraction(x) for x in (0, 1, 3, 7)]
+    t = cr(*points)
+    images = [(a * t + b) / (c * t + d) for a, b, c, d in MOBIUS]
+    assert len(set(images)) == len(MOBIUS)
+    return {perm: MOBIUS[images.index(cr(*(points[p] for p in perm)))]
+            for perm in itertools.permutations(range(4))}
+
+
+_POSITIONS = _position_table()
+
+
+def _mobius(reference, indices, r):
+    """The value of the reordering ``indices`` of ``reference`` from the
+    reduced value r of ``reference``; reduced, as the matrix is unimodular."""
+    a, b, c, d = _POSITIONS[tuple(reference.index(x) for x in indices)]
+    return RatFn(r.num * a + r.den * b, r.num * c + r.den * d, reduce=False)
 
 
 @lru_cache(maxsize=None)
 def _rewrite(n, indices):
-    sym = CRSymbol(n, indices)
-    vs = tvars(n)
-    tvar = lambda m: RatFn.var(QQ, vs, "t%d" % m)
-    overlap = sorted(set(indices) & set(_BASE))
-    value = cr_define(sym)
-    if len(overlap) == 3:
+    if len(set(indices) & set(_BASE)) == 3:
         # the symbol lies in the 4-point orbit of t_m = [1,2;3,m]
         m = next(x for x in indices if x not in _BASE)
-        idx = _match_mobius(value, cr_define(generator_symbol(n, m)))
-        return MOBIUS[idx](tvar(m))
+        return _mobius(_BASE + (m,), indices,
+                       RatFn.var(QQ, tvars(n), "t%d" % m))
     # reorder so the base indices sit in the first pair, then split the second
     # pair through the spare base index c: [i,j;k,l] = [i,j;c,l][i,j;c,k]^{-1}
     first = sorted(x for x in indices if x in _BASE)
@@ -93,10 +104,8 @@ def _rewrite(n, indices):
     arranged = tuple(first + rest)
     i, j, k, l = arranged
     c = min(x for x in _BASE if x not in arranged)
-    idx = _match_mobius(value, cr_define(CRSymbol(n, arranged)))
-    left = _rewrite(n, (i, j, c, l))
-    right = _rewrite(n, (i, j, c, k))
-    return MOBIUS[idx](left / right)
+    return _mobius(arranged, indices,
+                   _rewrite(n, (i, j, c, l)) / _rewrite(n, (i, j, c, k)))
 
 
 def cr_rewrite(sym):
@@ -177,7 +186,6 @@ def _three_cycle(n):
 
 
 def _all_perms(n):
-    import itertools
     return itertools.permutations(range(n))
 
 

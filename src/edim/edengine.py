@@ -795,15 +795,35 @@ def _implied_interval(node, cur):
         return claimed
     # edge rules: find the map (direction) that reproduces the claim
     ivs = [iv for _, iv in node.premises]
-    cands = [_interval(*(imap(*ivs) or (None, None)))
-             for imap in _EDGE_MAPS[node.rule]]
-    for cand in cands:
+    for imap in _EDGE_MAPS[node.rule]:
+        cand = _interval(*(imap(*ivs) or (None, None)))
         try:
-            if cur(key).meet(cand) == claimed:
-                return cand
+            reproduces = cur(key).meet(cand) == claimed
         except Inconsistent:
             continue
-    return cands[-1]
+        if reproduces:
+            if node.rule == "R-SUB" and not _sub_certified(node, imap):
+                raise Inconsistent("R-SUB from %s to %s has no embedding "
+                                   "certificate" % (node.premises[0][0], key))
+            return cand
+    return cand
+
+
+def _sub_certified(node, imap):
+    """R-SUB's hypothesis, re-checked: over one field, some spelling of the
+    premise's group embeds in some spelling of the conclusion's (``_lo_of``),
+    or the other way round (``_hi_of``), by a verified certificate."""
+    from .cli import parse_group  # cli imports this module
+    (pgroup, pfield), (cgroup, cfield) = node.premises[0][0], node.conclusion[0]
+    if pfield != cfield:
+        return False
+    sub, sup = (pgroup, cgroup) if imap is _lo_of else (cgroup, pgroup)
+    try:
+        subs, sups = (atom_aliases(canon(parse_group(g))) for g in (sub, sup))
+    except ValueError:  # an unparsable key certifies nothing
+        return False
+    return any(embedding_certificate(h, g) is not None
+               for h in subs for g in sups)
 
 
 def trace_json(g, fd, interval, nodes):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import unipoly
 from .errors import (DivisionByZero, DomainMismatch, IndeterminateForm,
                      PoleAtPoint, UnboundVariable)
-from .exactfield import FqContext, FqElement, fq_context
+from .exactfield import FqContext, FqElement, _pgcd, fq_context
 
 _CERT_PRIME = (1 << 61) - 1  # Mersenne prime used for rational specializations
 _CERT_TRIES = 4
@@ -342,20 +342,7 @@ class _SpecQ:
         return lst
 
     def gcd(self, a, b):
-        P = self.P
-        while b:
-            inv = pow(b[-1], -1, P)
-            nb = [x * inv % P for x in b]
-            r = list(a)
-            while len(r) >= len(nb) and r:
-                c = r[-1]
-                d = len(r) - len(nb)
-                for i, bc in enumerate(nb):
-                    r[d + i] = (r[d + i] - c * bc) % P
-                while r and r[-1] == 0:
-                    r.pop()
-            a, b = nb, r
-        return a if a else []
+        return _pgcd(a, b, self.P)
 
 
 class _SpecFq:

@@ -3,12 +3,32 @@ import random
 
 import pytest
 
-from edim.crossratio import (CRSymbol, apply_action, check_rewrite, cr_define,
-                             cr_rewrite, generator_symbol, sn_action,
-                             verify_faithful)
+from edim import crossratio, ratfunc
+from edim.crossratio import (MOBIUS, CRSymbol, apply_action, check_rewrite,
+                             cr_define, cr_rewrite, generator_symbol,
+                             sn_action, verify_faithful)
 from edim.errors import AmbientOutOfRange, AmbientTooSmall
 from edim.exactfield import fq_context
-from edim.ratfunc import render
+from edim.ratfunc import QQ, MultiPoly, render
+
+# the six Mobius images of a cross-ratio t, in MOBIUS order; with
+# _match_mobius, the search the position table replaced, kept as its oracle
+_MOBIUS_FNS = (
+    lambda t: t,
+    lambda t: 1 / t,
+    lambda t: 1 - t,
+    lambda t: 1 / (1 - t),
+    lambda t: (t - 1) / t,
+    lambda t: t / (t - 1),
+)
+
+
+def _match_mobius(value, reference):
+    """Index of the Mobius map with value = _MOBIUS_FNS[idx](reference)."""
+    for idx, phi in enumerate(_MOBIUS_FNS):
+        if value == phi(reference):
+            return idx
+    raise AssertionError("cross-ratio values not Mobius-related")
 
 
 def test_symbol_validation():
@@ -32,6 +52,37 @@ def test_rewrite_example_grammar():
     # [1,2;5,4] in ambient 5 rewrites to t4 / t5
     got = cr_rewrite(CRSymbol(5, (1, 2, 5, 4)))
     assert render(got) == "t4 * t5^-1"
+
+
+def test_position_table_matches_mobius_search():
+    ref = CRSymbol(6, (4, 1, 6, 2))
+    value = cr_define(ref)
+    for perm in itertools.permutations(range(4)):
+        moved = tuple(ref.indices[p] for p in perm)
+        want = cr_define(CRSymbol(6, moved))
+        assert crossratio._POSITIONS[perm] == \
+            MOBIUS[_match_mobius(want, value)], perm
+        assert crossratio._mobius(ref.indices, moved, value) == want, perm
+
+
+def test_structure_proves_coprimality(monkeypatch):
+    syms = [CRSymbol(n, idx) for n in range(4, 8)
+            for idx in itertools.permutations(range(1, n + 1), 4)]
+    orbit = [s for s in syms
+             if s.n >= 5 and len(set(s.indices) & {1, 2, 3}) == 3]
+
+    def no_gcd(*args, **kwargs):
+        raise AssertionError("poly_gcd called")
+
+    with monkeypatch.context() as m:
+        m.setattr(ratfunc, "poly_gcd", no_gcd)
+        crossratio._rewrite.cache_clear()
+        defined = [cr_define(s) for s in syms]
+        for s in orbit:
+            cr_rewrite(s)
+    for d in defined:
+        one = MultiPoly.const(QQ, d.vars, 1)
+        assert ratfunc.poly_gcd(d.num, d.den) == one, render(d)
 
 
 def test_check_rewrite_random_sample():

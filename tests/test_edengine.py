@@ -4,10 +4,10 @@ import random
 import pytest
 
 from edim import edengine
-from edim.edengine import (BoundInterval, RuleCatalog, Thm45Result,
-                           Thm46Result, TooLarge, a_lower_recurrence,
-                           atom_aliases, bound, canon, center_order,
-                           check_thm45, check_thm46, dn_criterion,
+from edim.edengine import (INF, BoundInterval, RuleCatalog, Thm45Result,
+                           Thm46Result, TooLarge, TraceNode,
+                           a_lower_recurrence, atom_aliases, bound, canon,
+                           center_order, check_thm45, check_thm46, dn_criterion,
                            expr_element_orders, l_core_trivial, product_views,
                            replay_trace, s_lower_recurrence, trace_json)
 from edim.errors import Inconsistent
@@ -246,6 +246,22 @@ def test_trace_replay_and_tamper_detection():
     bad2 = replace(nodes[0], citation="Lemma 0.0")
     with pytest.raises(Inconsistent):
         replay_trace([bad2] + nodes[1:])
+
+
+def test_replay_rechecks_subgroup_certificates():
+    iv, nodes = bound(Sym(5), Q)
+    sub = lambda premise, conclusion: TraceNode(
+        "R-SUB", RuleCatalog.citation("R-SUB"), (premise,), conclusion)
+    s5 = (("S5", "Q"), iv)
+    # S5 is not a subgroup of C7, nor of A5 (A5 <= S5 is the inclusion)
+    for forged in (sub(s5, (("C7", "Q"), BoundInterval(2, INF))),
+                   sub(s5, (("A5", "Q"), BoundInterval(2, INF)))):
+        with pytest.raises(Inconsistent, match="embedding certificate"):
+            replay_trace(nodes + [forged])
+    # the genuine upper bound D5 <= S5 replays; moved to another field, not
+    replay_trace(nodes + [sub(s5, (("D5", "Q"), BoundInterval(0, 2)))])
+    with pytest.raises(Inconsistent, match="embedding certificate"):
+        replay_trace(nodes + [sub(s5, (("D5", "F_2"), BoundInterval(0, 2)))])
 
 
 def test_trace_json_schema():
