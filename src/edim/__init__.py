@@ -3,8 +3,8 @@
 The package has three layers:
 
 - exact arithmetic: ``exactfield`` (Q and F_{p^k}), ``unipoly`` (univariate
-  factorization over finite fields), ``ratfunc`` (multivariate rational
-  functions);
+  polynomials and extension fields over finite fields), ``ratfunc``
+  (multivariate rational functions);
 - symbolic constructions: ``crossratio`` (the S_n action on cross-ratio
   fields), ``tschirnhaus`` (parameter-reducing polynomial transformations),
   ``pgl2`` (exhaustive PGL_2(F_q) computations);

@@ -111,6 +111,10 @@ class PoleAtAssignment(EdimError, ZeroDivisionError):
     pass
 
 
+# Nothing in edim raises this: the specialization oracle needs no splitting
+# field.  It stays because the benchmark worker (perfbench/worker.py)
+# evaluates ``errors.SplittingTooLarge`` on every skipped pole, so deleting
+# it would turn each skip into an AttributeError.
 class SplittingTooLarge(EdimError, ValueError):
     pass
 

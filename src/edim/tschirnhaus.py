@@ -6,7 +6,19 @@ a finite-field specialization oracle.
 Conventions.  ``Shift(lam)`` turns f(X) into f(X + lam) and maps each root r
 to r - lam.  ``ScaleRoots(lam)`` turns f into lam^{-n} f(lam X) and maps r to
 r / lam.  ``InvertRoot`` reverses the coefficients (re-monicized) and maps r
-to 1/r.
+to 1/r.  Each step is thus a Mobius map on roots, r -> (a r + b)/(c r + d),
+with matrix (1, -lam; 0, 1), (1, 0; 0, lam) and (0, 1; 1, 0) respectively,
+and a record composes into one matrix.
+
+The oracle ``verify_specialization`` checks one polynomial identity over the
+base field F_q: for mu = (a, b; c, d) and f = sum f_i X^i,
+
+    G(X) = sum_i f_i (dX - b)^i (-cX + a)^(n-i)
+         = prod_i ((d + c r_i) X - (b + a r_i)) = const * prod_i (X - mu(r_i))
+
+over the algebraic closure, where f = prod (X - r_i).  So h's roots are the
+images of f's roots exactly when monic(G) = h, and deg G < n exactly when
+some root is sent to infinity.  No factoring and no extension field.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from dataclasses import dataclass
 
 from . import unipoly
 from .errors import (CharDividesDegree, DegenerateTail, PoleAtAssignment,
-                     PoleAtPoint, SplittingTooLarge, Unsupported)
+                     PoleAtPoint, Unsupported)
 from .exactfield import fq_context
 from .ratfunc import QQ, RatFn
 
@@ -119,8 +131,9 @@ class PowerProduct:
 class Shift:
     lam: RatFn
 
-    def root_map(self, r, lam_value):
-        return r - lam_value
+    def mobius(self, m, lam_value):
+        a, b, c, d = m
+        return a - lam_value * c, b - lam_value * d, c, d
 
     def kind(self):
         return "Shift"
@@ -130,8 +143,9 @@ class Shift:
 class ScaleRoots:
     lam: RatFn
 
-    def root_map(self, r, lam_value):
-        return r / lam_value
+    def mobius(self, m, lam_value):
+        a, b, c, d = m
+        return a, b, lam_value * c, lam_value * d
 
     def kind(self):
         return "ScaleRoots"
@@ -141,8 +155,9 @@ class ScaleRoots:
 class InvertRoot:
     lam = None
 
-    def root_map(self, r, lam_value):
-        return r.inverse()
+    def mobius(self, m, lam_value):
+        a, b, c, d = m
+        return c, d, a, b
 
     def kind(self):
         return "InvertRoot"
@@ -311,9 +326,6 @@ def reduce_general(n, char):
 # specialization oracle
 # ---------------------------------------------------------------------------
 
-SPLIT_CAP = 12
-
-
 def _specialize_coeffs(gp, values, ctx):
     out = []
     for c in gp.coeffs:
@@ -329,56 +341,37 @@ def _specialize_coeffs(gp, values, ctx):
 
 def verify_specialization(f, h, record, assignment, ctx):
     """Specialize f and h at t-values in F_q and check that the recorded
-    transformations carry the root multiset of f onto that of h inside a
-    splitting extension."""
+    transformations carry the root multiset of f onto that of h, by the
+    Mobius identity of the module docstring."""
     values = dict(assignment)
     f_spec = _specialize_coeffs(f, values, ctx)
     h_spec = _specialize_coeffs(h, values, ctx)
-    lam_values = []
+    m = (ctx.one, ctx.zero, ctx.zero, ctx.one)
     for step in record.steps:
-        if step.lam is None:
-            lam_values.append(None)
-            continue
-        try:
-            lv = ctx.coerce(step.lam.evaluate(values))
-        except (PoleAtPoint, ZeroDivisionError):
-            raise PoleAtAssignment("step parameter has a pole at the assignment")
-        if isinstance(step, ScaleRoots) and lv.is_zero():
-            raise PoleAtAssignment("scaling parameter vanishes at the assignment")
-        lam_values.append(lv)
-    n = f.n
-    fpoly = list(reversed([ctx.one] + f_spec))  # low-to-high
-    hpoly = list(reversed([ctx.one] + h_spec))
-    factors = unipoly.factor_monic(fpoly, ctx)
-    k = math.lcm(*[len(p) - 1 for p, _ in factors])
-    if k > SPLIT_CAP:
-        raise SplittingTooLarge("splitting field degree %d exceeds %d"
-                                % (k, SPLIT_CAP))
-    mapped = [ctx.one]  # product of (X - image) over all mapped roots
-    for p, mult in factors:
-        d = len(p) - 1
-        ext = unipoly.ExtField(ctx, p)
-        root = ext.gen()
-        conj = []
-        r = root
-        for _ in range(d):
-            conj.append(r)
-            r = r ** ctx.q
-        images = []
-        for r in conj:
-            for step, lv in zip(record.steps, lam_values):
-                if isinstance(step, InvertRoot) and r.is_zero():
-                    raise PoleAtAssignment("root hits zero before inversion")
-                r = step.root_map(r, ext.from_base(lv) if lv is not None else None)
-            images.append(r)
-        charpoly = [ext.one]
-        for im in images:
-            charpoly = unipoly.mul(charpoly, [-im, ext.one], ext.zero)
-        base_poly = []
-        for cf in charpoly:
-            assert all(x.is_zero() for x in cf.coeffs[1:]), \
-                "mapped characteristic polynomial not over the base field"
-            base_poly.append(cf.coeffs[0])
-        for _ in range(mult):
-            mapped = unipoly.mul(mapped, base_poly, ctx.zero)
-    return mapped == hpoly
+        lv = None
+        if step.lam is not None:
+            try:
+                lv = ctx.coerce(step.lam.evaluate(values))
+            except (PoleAtPoint, ZeroDivisionError):
+                raise PoleAtAssignment(
+                    "step parameter has a pole at the assignment")
+            if isinstance(step, ScaleRoots) and lv.is_zero():
+                raise PoleAtAssignment("scaling parameter vanishes at the "
+                                       "assignment: a pole of its inverse")
+        m = step.mobius(m, lv)
+    a, b, c, d = m
+    zero = ctx.zero
+    num = unipoly.trim([-b, d])  # dX - b, low-to-high
+    den = unipoly.trim([a, -c])  # -cX + a
+    den_pows = [[ctx.one]]
+    for _ in range(f.n):
+        den_pows.append(unipoly.mul(den_pows[-1], den, zero))
+    # Horner in num, starting from f_n = 1; f_{n-i} comes with den^i
+    g = [ctx.one]
+    for i, fi in enumerate(f_spec, 1):
+        g = unipoly.add(unipoly.mul(g, num, zero),
+                        unipoly.scale(den_pows[i], fi), zero)
+    if len(g) <= f.n:
+        raise PoleAtAssignment("a root is sent to infinity: pole of the "
+                               "composed Mobius map")
+    return unipoly.monic(g) == list(reversed([ctx.one] + h_spec))

@@ -3,7 +3,9 @@
 Coefficient lists are indexed by degree.  The functions are generic over any
 element type supporting +, -, *, / (Fraction, FqElement, ExtElement); the
 factorization routines additionally need an FqContext-like object carrying
-``p``, ``q``, ``zero``, ``one``.
+``p``, ``q``, ``zero``, ``one``.  No library path factors any more: the tests'
+root-based Tschirnhaus oracle does, and perfbench/tracer.py wraps
+``factor_monic`` and ``roots_in_field`` by name.
 """
 
 from __future__ import annotations
@@ -83,15 +85,15 @@ def divmod_poly(a, b, zero):
 def monic(a):
     if not a:
         return a
-    lc = a[-1]
-    return [x / lc for x in a]
+    inv = 1 / a[-1]
+    return [x * inv for x in a]
 
 
 def gcd_monic(a, b, zero):
     a, b = list(a), list(b)
     while b:
-        _, r = divmod_poly(a, monic(b), zero)
-        a, b = monic(b), r
+        b = monic(b)
+        a, b = b, divmod_poly(a, b, zero)[1]
     return monic(a) if a else a
 
 

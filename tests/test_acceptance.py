@@ -21,7 +21,7 @@ from edim.groups import Alt, Dih, ElemAb, Sym
 from edim.pgl2 import order_census, pgl2_embeds, trace_invariant
 from edim.tschirnhaus import (general_poly, parameter_count, reduce_general,
                               verify_specialization)
-from edim.errors import PoleAtAssignment, PoleAtPoint, SplittingTooLarge
+from edim.errors import PoleAtAssignment, PoleAtPoint
 from edim import unipoly as U
 
 Q = RationalField()
@@ -230,12 +230,12 @@ def test_criterion_8_tschirnhaus_pipeline():
                           for i in range(n)}
             try:
                 ok = verify_specialization(f, h, record, assignment, ctx)
-            except (PoleAtAssignment, SplittingTooLarge):
+            except PoleAtAssignment:
                 continue
             assert ok, (n, char, assignment)
             passes += 1
     elapsed = time.time() - t0
-    assert elapsed < 60.0, elapsed
+    assert elapsed < 10.0, elapsed
     _report(8, "parameter counts + 50/50 specializations per pair, %.2fs"
                % elapsed)
 

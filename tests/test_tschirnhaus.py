@@ -2,11 +2,75 @@ import random
 
 import pytest
 
-from edim.errors import PoleAtAssignment, SplittingTooLarge, Unsupported
+from edim import unipoly
+from edim.errors import PoleAtAssignment, PoleAtPoint, Unsupported
 from edim.exactfield import fq_context
-from edim.tschirnhaus import (GeneralPoly, InvertRoot, ScaleRoots, Shift,
-                              general_poly, parameter_count, reduce_general,
+from edim.ratfunc import QQ, RatFn
+from edim.tschirnhaus import (GeneralPoly, InvertRoot, PowerProduct,
+                              ScaleRoots, Shift, TransformRecord,
+                              _specialize_coeffs, general_poly,
+                              parameter_count, reduce_general,
                               verify_specialization)
+
+# criterion 8's (degree, characteristic) pairs
+PAIRS = [(2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0),
+         (2, 2), (3, 3), (3, 2), (4, 3), (5, 2), (5, 3),
+         (6, 5), (7, 2), (7, 3)]
+
+
+def _verify_by_roots(f, h, record, assignment, ctx):
+    """The root-based oracle: factor f over F_q, push every conjugate root of
+    every irreducible factor through the record inside F_q[X]/(factor), and
+    compare the product of (X - image) with h."""
+    values = dict(assignment)
+    f_spec = _specialize_coeffs(f, values, ctx)
+    h_spec = _specialize_coeffs(h, values, ctx)
+    lam_values = []
+    for step in record.steps:
+        if step.lam is None:
+            lam_values.append(None)
+            continue
+        try:
+            lv = ctx.coerce(step.lam.evaluate(values))
+        except (PoleAtPoint, ZeroDivisionError):
+            raise PoleAtAssignment("step parameter has a pole at the assignment")
+        if isinstance(step, ScaleRoots) and lv.is_zero():
+            raise PoleAtAssignment("scaling parameter vanishes at the assignment")
+        lam_values.append(lv)
+    fpoly = list(reversed([ctx.one] + f_spec))  # low-to-high
+    hpoly = list(reversed([ctx.one] + h_spec))
+    mapped = [ctx.one]
+    for p, mult in unipoly.factor_monic(fpoly, ctx):
+        ext = unipoly.ExtField(ctx, p)
+        r = ext.gen()
+        charpoly = [ext.one]
+        for _ in range(len(p) - 1):
+            im = r
+            for step, lv in zip(record.steps, lam_values):
+                if isinstance(step, Shift):
+                    im = im - ext.from_base(lv)
+                elif isinstance(step, ScaleRoots):
+                    im = im / ext.from_base(lv)
+                elif im.is_zero():
+                    raise PoleAtAssignment("root hits zero before inversion")
+                else:
+                    im = im.inverse()
+            charpoly = unipoly.mul(charpoly, [-im, ext.one], ext.zero)
+            r = r ** ctx.q
+        base_poly = []
+        for cf in charpoly:
+            assert all(x.is_zero() for x in cf.coeffs[1:])
+            base_poly.append(cf.coeffs[0])
+        for _ in range(mult):
+            mapped = unipoly.mul(mapped, base_poly, ctx.zero)
+    return mapped == hpoly
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except PoleAtAssignment:
+        return "pole"
 
 
 def test_general_poly_shape():
@@ -68,7 +132,7 @@ def test_specialization_oracle_accepts():
             assignment = {"t%d" % (i + 1): rng.choice(els) for i in range(n)}
             try:
                 assert verify_specialization(f, h, record, assignment, ctx)
-            except (PoleAtAssignment, SplittingTooLarge):
+            except PoleAtAssignment:
                 continue
             done += 1
 
@@ -88,16 +152,83 @@ def test_specialization_oracle_rejects_tampering():
         try:
             if not verify_specialization(f, wrong, record, assignment, ctx):
                 rejected += 1
-        except (PoleAtAssignment, SplittingTooLarge):
+        except PoleAtAssignment:
             continue
     assert rejected > 0
 
 
-def test_splitting_cap_enforced():
-    # a degree-16 factor forces a splitting field beyond the cap
-    f = general_poly(16, 0)
-    h, record = reduce_general(16, 0)
-    ctx = fq_context(2, 1)
-    assignment = {"t%d" % (i + 1): ctx.one for i in range(16)}
-    with pytest.raises((PoleAtAssignment, SplittingTooLarge)):
-        verify_specialization(f, h, record, assignment, ctx)
+def test_oracle_agreement_on_criterion_8_pairs():
+    # genuine h, h with its coefficients rotated, and h := f; outcome is
+    # True, False or "pole" and must be the same under both checks
+    rng = random.Random(8)
+    seen = set()
+    for n, char in PAIRS:
+        f = general_poly(n, char)
+        h, record = reduce_general(n, char)
+        rotated = GeneralPoly(n, char, h.coeffs[1:] + h.coeffs[:1])
+        for target in (h, rotated, f):
+            for _ in range(6):
+                ctx = fq_context(101, 1) if char == 0 else \
+                    fq_context(char, rng.choice([1, 1, 2]))
+                els = list(ctx.elements())
+                assignment = {"t%d" % (i + 1): rng.choice(els)
+                              for i in range(n)}
+                args = (f, target, record, assignment, ctx)
+                got = _outcome(verify_specialization, *args)
+                assert got == _outcome(_verify_by_roots, *args), \
+                    (n, char, target is h, assignment)
+                seen.add(got)
+    assert seen == {True, False, "pole"}
+
+
+def test_mobius_check_finds_roots_sent_to_infinity():
+    # X^2 + t1 X + t2 with t2 = 0 has the root 0, which InvertRoot sends
+    # to infinity; the oracle reports the same point as a pole
+    f = general_poly(2, 0)
+    record = TransformRecord((InvertRoot(),))
+    ctx = fq_context(101, 1)
+    assignment = {"t1": ctx.from_int(3), "t2": ctx.zero}
+    for check in (verify_specialization, _verify_by_roots):
+        with pytest.raises(PoleAtAssignment):
+            check(f, f, record, assignment, ctx)
+
+
+def test_every_pole_message_says_pole():
+    # callers skip a draw on PoleAtAssignment, and some match on the word
+    f = general_poly(2, 0)
+    vs = ("t1", "t2")
+    t1 = RatFn.var(QQ, vs, "t1")
+    inv_t1 = RatFn.const(QQ, vs, QQ.one) / t1
+    ctx = fq_context(101, 1)
+    at_zero = {"t1": ctx.zero, "t2": ctx.one}
+    cases = [
+        (GeneralPoly(2, 0, (PowerProduct.of(inv_t1), f.coeffs[1])),
+         TransformRecord(()), at_zero),
+        (f, TransformRecord((Shift(inv_t1),)), at_zero),
+        (f, TransformRecord((ScaleRoots(t1),)), at_zero),
+        (f, TransformRecord((InvertRoot(),)), {"t1": ctx.one, "t2": ctx.zero}),
+    ]
+    messages = set()
+    for h, record, assignment in cases:
+        with pytest.raises(PoleAtAssignment) as exc:
+            verify_specialization(f, h, record, assignment, ctx)
+        messages.add(str(exc.value))
+    assert len(messages) == 4
+    assert all("pole" in m.lower() for m in messages), messages
+
+
+def test_large_degree_verifies_without_a_cap():
+    # degrees whose splitting fields exceed any fixed cap: f's factors over
+    # F_q may have any degree pattern, and the check never factors f
+    for n, char, ctx in ((9, 2, fq_context(2, 1)),
+                         (16, 0, fq_context(101, 1))):
+        f = general_poly(n, char)
+        h, record = reduce_general(n, char)
+        rng = random.Random(n)
+        els = list(ctx.elements())
+        outcomes = set()
+        for _ in range(12):
+            assignment = {"t%d" % (i + 1): rng.choice(els) for i in range(n)}
+            outcomes.add(_outcome(verify_specialization, f, h, record,
+                                  assignment, ctx))
+        assert True in outcomes and outcomes <= {True, "pole"}, (n, outcomes)
