@@ -16,8 +16,7 @@ from .errors import (DegreeTooLarge, EdimError, Inconsistent, ParseError,
                      PoleAtAssignment, TooLarge, Unsupported)
 from .exactfield import fq_context, is_prime
 from .fielddesc import (INF, NO, UNKNOWN, YES, Custom, Cyclotomic,
-                        FiniteField, RationalField, char_of,
-                        finite_field_from_q)
+                        RationalField, char_of, finite_field_from_q)
 from .groups import Alt, Cyc, Dih, ElemAb, Product, Sym
 from .crossratio import CRSymbol, cr_rewrite, sn_action, verify_faithful
 from .ratfunc import render
@@ -118,7 +117,7 @@ def _parse_custom(body, original):
     keymap = {"char": "characteristic", "zeta_yes": "zeta_yes",
               "zeta_no": "zeta_no", "real_zeta_yes": "real_zeta_yes",
               "real_zeta_no": "real_zeta_no", "fp_dim": "fp_dim"}
-    for part in _split_custom(body):
+    for part in _split_top(body):
         if not part:
             continue
         if "=" not in part:
@@ -149,12 +148,13 @@ def _parse_custom(body, original):
     return Custom(**kwargs)
 
 
-def _split_custom(body):
+def _split_top(text):
+    """Split at the commas outside every (), [] and {}."""
     parts, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "[":
+    for ch in text:
+        if ch in "([{":
             depth += 1
-        elif ch == "]":
+        elif ch in ")]}":
             depth -= 1
         if ch == "," and depth == 0:
             parts.append("".join(cur))
@@ -163,20 +163,6 @@ def _split_custom(body):
             cur.append(ch)
     parts.append("".join(cur))
     return parts
-
-
-def render_group(expr):
-    return str(expr)
-
-
-def render_field(fd):
-    if isinstance(fd, RationalField):
-        return "Q"
-    if isinstance(fd, Cyclotomic):
-        return "Qzeta(%d)" % fd.m
-    if isinstance(fd, FiniteField):
-        return "F(%d)" % fd.q
-    return fd.describe()
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +183,8 @@ def _cmd_bound(args):
 
 
 def _cmd_table(args):
-    groups = [parse_group(t) for t in args.groups.split(",")]
-    fields = [parse_field(t) for t in args.fields.split(",")]
+    groups = [parse_group(t) for t in _split_top(args.groups)]
+    fields = [parse_field(t) for t in _split_top(args.fields)]
     rows = []
     for g in groups:
         for fd in fields:
@@ -338,7 +324,7 @@ def _cmd_field(args):
     if args.query == "extend":
         new = fd.extend_with_zeta(args.n)
         return {"field": fd.describe(), "query": "extend", "n": args.n,
-                "answer": render_field(new)}
+                "answer": new.describe()}
     raise ParseError("unknown field query %r" % args.query)
 
 

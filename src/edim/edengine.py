@@ -8,7 +8,9 @@ narrowing only through rules from a fixed citation-carrying catalog.  Rules
 about a single (G, K) are leaf facts, applied once when a query is created.
 Rules relating two queries become constraint edges, built at the same
 moment with their hypotheses decided once; a FIFO worklist re-applies an
-edge only when an interval it reads has narrowed.  Every rule narrows
+edge only when an interval it reads has narrowed.  Both come from two pure
+functions of a query, ``leaf_facts`` and ``edges_of``, which
+``replay_trace`` calls again on every trace node.  Every rule narrows
 monotonically, so the propagation order does not change the final
 intervals.  Every narrowing emits a ``TraceNode``; the trace is a
 replayable certificate, never a case analysis: rules that depend on a
@@ -22,8 +24,9 @@ from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import (DependentAlphas, EvenChar, Inconsistent, NotCentral,
-                     NotPrime, NotPrimeOrder, RealZetaAbsent, TooLarge)
+from .errors import (DependentAlphas, EdimError, EvenChar, Inconsistent,
+                     NotCentral, NotPrime, NotPrimeOrder, RealZetaAbsent,
+                     TooLarge)
 from .exactfield import fq_context, is_prime
 from .fielddesc import (NO, UNKNOWN, YES, INF as FP_INF, FiniteField, char_of,
                         contains_real_zeta, contains_zeta, extend_with_zeta,
@@ -619,8 +622,12 @@ LEAF_RULES = (
 
 
 # ---------------------------------------------------------------------------
-# the engine: edge rules map source intervals to a (lo, hi) narrowing
+# the hypotheses: leaf facts and constraint edges of one query, decided once
 # ---------------------------------------------------------------------------
+
+def _key(e, fd):
+    return str(canon(e)), fd.describe()
+
 
 def _interval(lo, hi):
     return BoundInterval(0 if lo is None else lo, INF if hi is None else hi)
@@ -647,6 +654,60 @@ def _sum_hi(*ivs):
     return None if INF in his else (None, sum(his))
 
 
+def leaf_facts(e, fd):
+    """The (rule, lo, hi) narrowings of the canonical query (e, fd), in
+    catalog order: every leaf rule fired on every alias of e."""
+    aliases = atom_aliases(e)
+    return [(rule, lo, hi) for rule, fn in LEAF_RULES for a in aliases
+            for lo, hi in fn(a, fd)]
+
+
+def _one_more(rule, q, qq):
+    """ed(q) = ed(qq) + 1, as two edges."""
+    return [(rule, (qq,), q, _plus_one), (rule, (q,), qq, _minus_one)]
+
+
+def edges_of(e, fd):
+    """The constraint edges of the canonical query (e, fd), in catalog
+    order, as (rule, sources, target, imap) with each source and the target
+    an (expr, field) pair; imap maps the source intervals to a (lo, hi)
+    narrowing of the target, or None.  Every hypothesis of an edge rule
+    (embedding certificate, Thm 4.5 or 4.6 check) is decided here."""
+    q = (e, fd)
+    views = product_views(e)
+    out = [("R-PROD", tuple((f, fd) for f in view), q, _sum_hi)
+           for view in views]
+    pairs = [(a, Sym(a.n)) for a in atom_aliases(e)
+             if isinstance(a, (Alt, Dih)) and a.n >= 3]
+    pairs += [(ElemAb(e.p, 1) if isinstance(e, ElemAb)
+               and isinstance(f, Cyc) else f, e)
+              for view in views for f in view]
+    for sub, sup in dict.fromkeys(pairs):  # E(p,2) lists its pair twice
+        if canon(sub) != canon(sup) \
+                and embedding_certificate(sub, sup) is not None:
+            out += [("R-SUB", ((sub, fd),), (sup, fd), _lo_of),
+                    ("R-SUB", ((sup, fd),), (sub, fd), _hi_of)]
+    if char_of(fd) == 2 and isinstance(e, (Sym, Alt)) \
+            and contains_zeta(fd, 3) is not YES:
+        out.append(("R-EXT", ((e, extend_with_zeta(fd, 3)),), q, _lo_of))
+    for view in views:
+        for idx, f in enumerate(view):
+            if not (isinstance(f, Cyc) and is_prime(f.n)):
+                continue
+            rest = _product_of(view[:idx] + view[idx + 1:])
+            if check_thm46(rest, f.n, fd).applicable:
+                out += _one_more("R-CE-SPLIT", q, (rest, fd))
+    if isinstance(e, Cyc):
+        for p in sorted(_prime_factors(e.n)):
+            if e.n != p and _thm45_cyclic(e.n, p, fd):
+                out += _one_more("R-CE", q, (Cyc(e.n // p), fd))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the engine: leaf facts at creation, then edges on a FIFO worklist
+# ---------------------------------------------------------------------------
+
 class _Engine:
     """Queries with intervals, narrowed by leaf facts once at creation and
     then by constraint edges, propagated on a FIFO worklist."""
@@ -659,16 +720,17 @@ class _Engine:
         self.queue = deque()
 
     def query(self, expr, fd):
-        expr = canon(expr)
-        key = (str(expr), fd.describe())
+        key = _key(expr, fd)
         if key not in self.intervals:
             self.intervals[key] = TOP
-            aliases = atom_aliases(expr)
-            for rule, fn in LEAF_RULES:
-                for alias in aliases:
-                    for lo, hi in fn(alias, fd):
-                        self.narrow(key, rule, lo, hi)
-            self._link_edges(key, expr, fd)
+            expr = canon(expr)
+            for rule, lo, hi in leaf_facts(expr, fd):
+                self.narrow(key, rule, lo, hi)
+            keys = {(expr, fd): key}  # key each end once: _key canonicalizes
+            for rule, sources, target, imap in edges_of(expr, fd):
+                ends = [keys[q] if q in keys else keys.setdefault(
+                    q, self.query(*q)) for q in sources + (target,)]
+                self.link(rule, ends[:-1], ends[-1], imap)
         return key
 
     def narrow(self, key, rule, lo=None, hi=None, premises=()):
@@ -688,52 +750,12 @@ class _Engine:
             self.readers.setdefault(src, []).append(edge)
         self.queue.append(edge)
 
-    def link_both(self, rule, key, qkey):
-        """ed(key) = ed(qkey) + 1, as two edges."""
-        self.link(rule, [qkey], key, _plus_one)
-        self.link(rule, [key], qkey, _minus_one)
-
     def apply(self, edge):
         rule, sources, target, imap = edge
         ivs = [self.intervals[s] for s in sources]
         bounds = imap(*ivs)
         if bounds is not None:
             self.narrow(target, rule, *bounds, premises=zip(sources, ivs))
-
-    def _link_edges(self, key, e, fd):
-        """The edges of a new query, in catalog order.  Every hypothesis
-        (embedding certificate, Thm 4.5 or 4.6 check) is decided here."""
-        views = product_views(e)
-        for view in views:
-            self.link("R-PROD", [self.query(f, fd) for f in view], key,
-                      _sum_hi)
-        pairs = [(a, Sym(a.n)) for a in atom_aliases(e)
-                 if isinstance(a, (Alt, Dih)) and a.n >= 3]
-        pairs += [(ElemAb(e.p, 1) if isinstance(e, ElemAb)
-                   and isinstance(f, Cyc) else f, e)
-                  for view in views for f in view]
-        for sub, sup in dict.fromkeys(pairs):  # E(p,2) lists its pair twice
-            if embedding_certificate(sub, sup) is None:
-                continue
-            skey, gkey = self.query(sub, fd), self.query(sup, fd)
-            if skey != gkey:
-                self.link("R-SUB", [skey], gkey, _lo_of)
-                self.link("R-SUB", [gkey], skey, _hi_of)
-        if char_of(fd) == 2 and isinstance(e, (Sym, Alt)) \
-                and contains_zeta(fd, 3) is not YES:
-            self.link("R-EXT", [self.query(e, extend_with_zeta(fd, 3))], key,
-                      _lo_of)
-        for view in views:
-            for idx, f in enumerate(view):
-                if not (isinstance(f, Cyc) and is_prime(f.n)):
-                    continue
-                rest = _product_of(view[:idx] + view[idx + 1:])
-                if check_thm46(rest, f.n, fd).applicable:
-                    self.link_both("R-CE-SPLIT", key, self.query(rest, fd))
-        if isinstance(e, Cyc):
-            for p in sorted(_prime_factors(e.n)):
-                if e.n != p and _thm45_cyclic(e.n, p, fd):
-                    self.link_both("R-CE", key, self.query(Cyc(e.n // p), fd))
 
     def run(self):
         while self.queue:
@@ -753,14 +775,48 @@ def bound(g, fd):
 # ---------------------------------------------------------------------------
 
 def replay_trace(nodes):
-    """Re-derive all intervals from a trace, verifying that every node's
-    conclusion follows from its recorded premises under its rule's
-    arithmetic.  Returns the final {query: interval} map; raises
-    Inconsistent on any mismatch."""
-    state = {}
+    """Re-derive every node with the engine's own ``leaf_facts`` and
+    ``edges_of``, on the queries its keys parse back to.  A node without
+    premises must be a leaf fact of its key under its rule; one with
+    premises, an edge of its conclusion's or a premise's key with its rule,
+    premise keys and target.  Met with the current interval, the fact or
+    the edge's map must give exactly the claim.  Returns the final
+    {query: interval} map; raises Inconsistent on a non-canonical key, a
+    wrong citation, a stale premise, an underived claim or a node that does
+    not narrow."""
+    from .cli import parse_field, parse_group  # cli imports this module
+    state, queries, derived = {}, {}, {}
 
-    def cur(key):
-        return state.get(key, TOP)
+    def of(fn, key):
+        if key not in queries:
+            try:
+                q = canon(parse_group(key[0])), parse_field(key[1])
+            except (EdimError, ValueError):
+                q = None
+            if q is None or _key(*q) != key:
+                raise Inconsistent("trace key %s/%s is not canonical" % key)
+            queries[key] = q
+        if (fn, key) not in derived:
+            derived[fn, key] = fn(*queries[key])
+        return derived[fn, key]
+
+    def candidates(rule, key, premises):
+        if not premises:
+            yield from ((lo, hi) for r, lo, hi in of(leaf_facts, key)
+                        if r == rule)
+            return
+        srcs = tuple(pk for pk, _ in premises)
+        for k in dict.fromkeys((key,) + srcs):
+            for r, sources, target, imap in of(edges_of, k):
+                if r == rule and _key(*target) == key \
+                        and tuple(_key(*s) for s in sources) == srcs:
+                    yield imap(*(piv for _, piv in premises)) or (None, None)
+
+    def gives(cur, bounds, claimed):
+        try:
+            return cur.meet(_interval(*bounds)) == claimed
+        except Inconsistent:
+            return False
 
     for node in nodes:
         if RuleCatalog.citation(node.rule) != node.citation:
@@ -768,62 +824,18 @@ def replay_trace(nodes):
                                % node.rule)
         key, claimed = node.conclusion
         for pk, piv in node.premises:
-            if cur(pk) != piv:
+            if state.get(pk, TOP) != piv:
                 raise Inconsistent("stale premise for %s in %s"
                                    % (pk, node.rule))
-        implied = _implied_interval(node, cur)
-        got = cur(key).meet(implied)
-        if got != claimed:
-            raise Inconsistent("replay of %s derived %s, trace claims %s"
-                               % (node.rule, got, claimed))
-        if got == cur(key):
+        cur = state.get(key, TOP)
+        if not any(gives(cur, b, claimed)
+                   for b in candidates(node.rule, key, node.premises)):
+            raise Inconsistent("%s does not derive %s for %s/%s"
+                               % ((node.rule, claimed) + key))
+        if claimed == cur:
             raise Inconsistent("node of %s does not narrow" % node.rule)
-        state[key] = got
+        state[key] = claimed
     return state
-
-
-# the interval maps an edge of each rule may carry, as the engine links them
-_EDGE_MAPS = {"R-PROD": (_sum_hi,), "R-SUB": (_lo_of, _hi_of),
-              "R-EXT": (_lo_of,), "R-CE": (_plus_one, _minus_one),
-              "R-CE-SPLIT": (_plus_one, _minus_one)}
-
-
-def _implied_interval(node, cur):
-    key, claimed = node.conclusion
-    if node.rule not in _EDGE_MAPS:
-        # leaf rules assert their conclusion directly from checked hypotheses
-        return claimed
-    # edge rules: find the map (direction) that reproduces the claim
-    ivs = [iv for _, iv in node.premises]
-    for imap in _EDGE_MAPS[node.rule]:
-        cand = _interval(*(imap(*ivs) or (None, None)))
-        try:
-            reproduces = cur(key).meet(cand) == claimed
-        except Inconsistent:
-            continue
-        if reproduces:
-            if node.rule == "R-SUB" and not _sub_certified(node, imap):
-                raise Inconsistent("R-SUB from %s to %s has no embedding "
-                                   "certificate" % (node.premises[0][0], key))
-            return cand
-    return cand
-
-
-def _sub_certified(node, imap):
-    """R-SUB's hypothesis, re-checked: over one field, some spelling of the
-    premise's group embeds in some spelling of the conclusion's (``_lo_of``),
-    or the other way round (``_hi_of``), by a verified certificate."""
-    from .cli import parse_group  # cli imports this module
-    (pgroup, pfield), (cgroup, cfield) = node.premises[0][0], node.conclusion[0]
-    if pfield != cfield:
-        return False
-    sub, sup = (pgroup, cgroup) if imap is _lo_of else (cgroup, pgroup)
-    try:
-        subs, sups = (atom_aliases(canon(parse_group(g))) for g in (sub, sup))
-    except ValueError:  # an unparsable key certifies nothing
-        return False
-    return any(embedding_certificate(h, g) is not None
-               for h in subs for g in sups)
 
 
 def trace_json(g, fd, interval, nodes):

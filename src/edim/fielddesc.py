@@ -40,7 +40,9 @@ def _divisors(n):
 
 @dataclass(frozen=True)
 class FieldDescriptor:
-    """Base class; use the concrete constructors below."""
+    """Base class; use the concrete constructors below.  ``describe()``
+    (and ``str``) writes the grammar ``cli.parse_field`` reads back:
+    ``Q``, ``Qzeta(m)``, ``F(q)``, ``custom{...}``."""
 
     def char(self):
         raise NotImplementedError
@@ -137,7 +139,7 @@ class Cyclotomic(FieldDescriptor):
         return Cyclotomic(math.lcm(self.m, m))
 
     def describe(self):
-        return "Q(zeta_%d)" % self.m
+        return "Qzeta(%d)" % self.m
 
     __str__ = describe
 
@@ -190,7 +192,7 @@ class FiniteField(FieldDescriptor):
         return FiniteField(self.p, self.k * d)
 
     def describe(self):
-        return "F_%d" % self.q
+        return "F(%d)" % self.q
 
     __str__ = describe
 

@@ -4,9 +4,9 @@ import time
 
 import pytest
 
-from edim.cli import (ParseError, parse_field, parse_group, render_field,
-                      render_group, run)
-from edim.fielddesc import Custom, Cyclotomic, FiniteField, RationalField
+from edim.cli import ParseError, parse_field, parse_group, run
+from edim.fielddesc import (INF, Custom, Cyclotomic, FiniteField,
+                            RationalField)
 from edim.groups import Alt, Cyc, Dih, ElemAb, Product, Sym
 
 
@@ -54,7 +54,7 @@ def test_group_round_trip_random():
         e = rand_atom()
         for _ in range(rng.randrange(0, 3)):
             e = Product(e, rand_atom())
-        assert parse_group(render_group(e)) == e
+        assert parse_group(str(e)) == e
 
 
 def test_parse_field_forms():
@@ -63,8 +63,28 @@ def test_parse_field_forms():
     assert parse_field("F(8)") == FiniteField(2, 3)
     fd = parse_field("custom{char=0, zeta_yes=[5], real_zeta_yes=[5]}")
     assert isinstance(fd, Custom)
-    for f in (RationalField(), Cyclotomic(12), FiniteField(5, 2)):
-        assert parse_field(render_field(f)) == f
+
+
+def test_field_describe_round_trips():
+    # describe() is the CLI grammar, so every trace key parses back
+    custom = Custom(characteristic=2, fp_dim=INF)
+    fields = [RationalField(), Cyclotomic(1), Cyclotomic(12),
+              FiniteField(2, 1), FiniteField(5, 2), FiniteField(2, 10),
+              Custom(), custom,
+              Custom(characteristic=3, zeta_no=frozenset({7}), fp_dim=4),
+              Custom(characteristic=0, zeta_yes=frozenset({5}),
+                     real_zeta_yes=frozenset({5}), zeta_no=frozenset({7}))]
+    # and so must the fields the engine derives with extend_with_zeta
+    fields += [FiniteField(2, 2).extend_with_zeta(11),
+               RationalField().extend_with_zeta(5),
+               Cyclotomic(4).extend_with_zeta(3),
+               custom.extend_with_zeta(3)]
+    assert FiniteField(2, 2).extend_with_zeta(11).describe() == "F(1024)"
+    assert custom.extend_with_zeta(3).describe() \
+        == "custom{char=2, zeta_yes=[3], fp_dim=inf}"
+    for fd in fields:
+        assert parse_field(fd.describe()) == fd, fd
+        assert str(fd) == fd.describe()
 
 
 def test_parse_field_errors():
@@ -101,6 +121,20 @@ def test_table_command(capsys):
     first = doc["rows"][0]
     assert first["group"] == "S4" and first["field"] == "Q"
     assert first["interval"] == {"lo": 2, "hi": 2}
+
+
+def test_table_splits_at_top_level_commas(capsys):
+    code, out = _capture(capsys, ["table", "--groups", "E(2,2),S3",
+                                  "--fields", "custom{char=0, zeta_yes=[5], "
+                                              "real_zeta_yes=[5]},F(4)"])
+    assert code == 0, out
+    rows = json.loads(out)["rows"]
+    assert [(r["group"], r["field"]) for r in rows] == [
+        ("E(2,2)", "custom{char=0, zeta_yes=[5], real_zeta_yes=[5]}"),
+        ("E(2,2)", "F(4)"),
+        ("S3", "custom{char=0, zeta_yes=[5], real_zeta_yes=[5]}"),
+        ("S3", "F(4)")]
+    assert rows[1]["interval"] == {"lo": 1, "hi": 1}  # Prop 5.9, [F_4:F_2]=2
 
 
 def test_crossratio_rewrite_command(capsys):

@@ -1,5 +1,7 @@
 import json
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from edim.edengine import (INF, BoundInterval, RuleCatalog, Thm45Result,
                            center_order, check_thm45, check_thm46, dn_criterion,
                            expr_element_orders, l_core_trivial, product_views,
                            replay_trace, s_lower_recurrence, trace_json)
+from edim.cli import parse_field, parse_group
 from edim.errors import Inconsistent
 from edim.fielddesc import (NO, UNKNOWN, YES, Custom, Cyclotomic, FiniteField,
                             RationalField)
@@ -236,7 +239,6 @@ def test_trace_replay_and_tamper_detection():
     assert iv in state.values()
     # tamper with a conclusion: replay must fail
     assert nodes
-    from dataclasses import replace
     key, concl = nodes[-1].conclusion
     bad = replace(nodes[-1],
                   conclusion=(key, BoundInterval(concl.lo, concl.hi + 1)))
@@ -256,12 +258,152 @@ def test_replay_rechecks_subgroup_certificates():
     # S5 is not a subgroup of C7, nor of A5 (A5 <= S5 is the inclusion)
     for forged in (sub(s5, (("C7", "Q"), BoundInterval(2, INF))),
                    sub(s5, (("A5", "Q"), BoundInterval(2, INF)))):
-        with pytest.raises(Inconsistent, match="embedding certificate"):
+        with pytest.raises(Inconsistent, match="R-SUB does not derive"):
             replay_trace(nodes + [forged])
     # the genuine upper bound D5 <= S5 replays; moved to another field, not
     replay_trace(nodes + [sub(s5, (("D5", "Q"), BoundInterval(0, 2)))])
-    with pytest.raises(Inconsistent, match="embedding certificate"):
-        replay_trace(nodes + [sub(s5, (("D5", "F_2"), BoundInterval(0, 2)))])
+    with pytest.raises(Inconsistent,
+                       match=r"R-SUB does not derive \[0, 2\] for D5/F\(2\)"):
+        replay_trace(nodes + [sub(s5, (("D5", "F(2)"), BoundInterval(0, 2)))])
+
+
+def _node(rule, premises, conclusion):
+    return TraceNode(rule, RuleCatalog.citation(rule), tuple(premises),
+                     conclusion)
+
+
+# one query per leaf rule whose trace narrows by that rule
+_LEAF_QUERIES = [
+    ("R-TRIV", Sym(3), Q), ("R-REP", Sym(5), Q), ("R-S-UB", Sym(7), Q),
+    ("R-S-SMALL", Sym(4), Q), ("R-ELEMAB", ElemAb(3, 2), F4),
+    ("R-S-LB", Sym(7), Q), ("R-A", Alt(6), Q), ("R-A-UB", Alt(8), F2),
+    ("R-PGL-OBS", Cyc(5), Q), ("R-DN", Dih(5), Cyclotomic(5)),
+    ("R-E22", ElemAb(2, 2), F2),
+    ("R-EPR-CHARP", ElemAb(3, 2), FiniteField(3, 2)),
+    ("R-CYC", Cyc(4), Cyclotomic(4)),
+]
+
+
+def test_leaf_queries_cover_every_leaf_rule():
+    assert sorted(r for r, _, _ in _LEAF_QUERIES) \
+        == sorted(r for r, _ in edengine.LEAF_RULES)
+
+
+@pytest.mark.parametrize("rule,g,fd", _LEAF_QUERIES,
+                         ids=[r for r, _, _ in _LEAF_QUERIES])
+def test_replay_rejects_forged_leaf_conclusions(rule, g, fd):
+    _, nodes = bound(g, fd)
+    i = next(i for i, n in enumerate(nodes) if n.rule == rule)
+    key, claimed = nodes[i].conclusion
+    cur = replay_trace(nodes[:i]).get(key, edengine.TOP)
+    if claimed.lo < claimed.hi:
+        forged = BoundInterval(claimed.lo + 1, claimed.hi)
+    elif claimed.lo < cur.hi:
+        forged = BoundInterval(claimed.lo + 1, claimed.lo + 1)
+    else:
+        forged = BoundInterval(claimed.lo - 1, claimed.lo - 1)
+    # a narrowing that arithmetic alone cannot tell from the genuine one
+    assert cur.meet(forged) == forged != cur
+    bad = _node(rule, (), (key, forged))
+    with pytest.raises(Inconsistent, match="%s does not derive" % rule):
+        replay_trace(nodes[:i] + [bad])
+    # the same fact, genuine, replays; so does the whole trace
+    replay_trace(nodes[:i] + [nodes[i]])
+    replay_trace(nodes)
+
+
+def test_replay_rejects_leaf_fact_of_another_query():
+    # ed_Q(S7) is in [3, 4]; R-ELEMAB gives 5 only to (Z/5)^5 over Q(zeta_5)
+    _, nodes = bound(Cyc(5), Q)
+    bad = _node("R-ELEMAB", (), (("S7", "Q"), BoundInterval(5, 5)))
+    with pytest.raises(Inconsistent, match="R-ELEMAB does not derive"):
+        replay_trace(nodes + [bad])
+
+
+def _state_after(g, fd):
+    iv, nodes = bound(g, fd)
+    return nodes, replay_trace(nodes)
+
+
+def _premise(state, g, fd):
+    key = (str(canon(g)), fd.describe())
+    return key, state[key]
+
+
+@pytest.mark.parametrize("rule,base,premises,target,claim", [
+    # S3 x C3 is not a factorization of S4 x C3
+    ("R-PROD", (Product(Sym(3), Cyc(3)), Q),
+     [(Cyc(3), Q), (Sym(3), Q)], (Product(Sym(4), Cyc(3)), Q),
+     lambda c3, s3: BoundInterval(0, c3.hi + s3.hi)),
+    # C5 is not a subgroup of S3
+    ("R-SUB", (Cyc(5), Q), [(Cyc(5), Q)], (Sym(3), Q),
+     lambda c5: BoundInterval(c5.lo, INF)),
+    # R-EXT keeps the group and extends the field; here it does neither
+    ("R-EXT", (Cyc(5), Q), [(Cyc(5), Q)], (Sym(7), Q),
+     lambda c5: BoundInterval(c5.lo, INF)),
+    # F(8) is not F(2)(zeta_3) = F(4)
+    ("R-EXT", (Sym(7), FiniteField(2, 3)), [(Sym(7), FiniteField(2, 3))],
+     (Sym(7), F2), lambda s7: BoundInterval(s7.lo, INF)),
+    # S7 is not C5 x C_p, and no Thm 4.5 check links them
+    ("R-CE", (Cyc(5), Q), [(Cyc(5), Q)], (Sym(7), Q),
+     lambda c5: BoundInterval(c5.lo + 1, c5.hi + 1)),
+    # Thm 4.6 needs zeta_3, which Q lacks
+    ("R-CE-SPLIT", (Alt(5), Q), [(Alt(5), Q)], (Product(Alt(5), Cyc(3)), Q),
+     lambda a5: BoundInterval(a5.lo + 1, INF if a5.hi is INF else a5.hi + 1)),
+], ids=["R-PROD", "R-SUB", "R-EXT", "R-EXT-field", "R-CE", "R-CE-SPLIT"])
+def test_replay_rejects_false_edge_hypotheses(rule, base, premises, target,
+                                              claim):
+    nodes, state = _state_after(*base)
+    prem = [_premise(state, g, fd) for g, fd in premises]
+    key = (str(canon(target[0])), target[1].describe())
+    forged = claim(*[iv for _, iv in prem])
+    # the arithmetic holds and narrows; only the hypothesis is false
+    assert state.get(key, edengine.TOP).meet(forged) == forged \
+        != state.get(key, edengine.TOP)
+    with pytest.raises(Inconsistent, match="%s does not derive" % rule):
+        replay_trace(nodes + [_node(rule, prem, (key, forged))])
+
+
+def test_replay_accepts_genuine_ext_and_ce_nodes():
+    # no catalog trace holds R-EXT or R-CE, so build one of each by hand
+    nodes, state = _state_after(Sym(7), F4)
+    prem = _premise(state, Sym(7), F4)
+    ext = _node("R-EXT", [prem], (("S7", "F(2)"), BoundInterval(prem[1].lo,
+                                                               INF)))
+    assert replay_trace(nodes + [ext])[("S7", "F(2)")].lo == prem[1].lo
+    nodes, state = _state_after(Cyc(3), Q)
+    prem = _premise(state, Cyc(3), Q)
+    lo, hi = prem[1].lo + 1, prem[1].hi + 1
+    ce = _node("R-CE", [prem], (("C6", "Q"), BoundInterval(lo, hi)))
+    assert replay_trace(nodes + [ce])[("C6", "Q")] == BoundInterval(lo, hi)
+
+
+def test_replay_rejects_non_canonical_keys():
+    _, nodes = bound(Sym(3), Q)
+    key, iv = nodes[0].conclusion
+    assert key == ("S3", "Q")
+    for alias in (("D3", "Q"), ("S3", " Q"), ("S3", "F_2"),
+                  ("S3", "Q(zeta_1)")):
+        bad = replace(nodes[0], conclusion=(alias, iv))
+        with pytest.raises(Inconsistent, match="not canonical"):
+            replay_trace([bad] + nodes[1:])
+
+
+def test_catalog_traces_replay():
+    # every non-hang bound query of the benchmark catalog reaches its
+    # reference interval, and replay re-derives every node of its trace
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "catalog.json"
+    workloads = json.loads(path.read_text())["workloads"]
+    cases = {(e["query"], json.dumps(e["expect"], sort_keys=True))
+             for w in ("bound-structural", "bound-pgl2")
+             for stratum, entries in workloads[w].items() if stratum != "hang"
+             for e in entries}
+    assert len({q for q, _ in cases}) == len(cases) > 2700
+    for query, expect in sorted(cases):
+        group, field = query.split("/", 1)
+        iv, nodes = bound(parse_group(group), parse_field(field))
+        assert iv.json() == json.loads(expect), query
+        assert not nodes or iv in replay_trace(nodes).values(), query
 
 
 def test_trace_json_schema():
@@ -303,9 +445,11 @@ _NAIVE_GROUPS = ([Sym(n) for n in (3, 4, 5, 6, 7)]
                     Product(Dih(5), Cyc(3))])
 _NAIVE_FIELDS = [Q, F2, FiniteField(3, 1), F4, Cyclotomic(3),
                  Custom(characteristic=0)]
+# the fields' names in the paper's notation, kept as the test ids
+_NAIVE_IDS = ["Q", "F_2", "F_3", "F_4", "Q(zeta_3)", "custom{char=0}"]
 
 
-@pytest.mark.parametrize("fd", _NAIVE_FIELDS, ids=str)
+@pytest.mark.parametrize("fd", _NAIVE_FIELDS, ids=_NAIVE_IDS)
 def test_worklist_matches_naive_fixpoint(fd):
     # oracle for the worklist: re-apply every stored edge, in creation
     # order, until a whole sweep narrows nothing
