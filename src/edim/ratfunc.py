@@ -3,6 +3,9 @@
 ``MultiPoly`` is a sparse polynomial keyed by exponent tuples; ``RatFn`` is a
 reduced fraction of two such polynomials with a monic (graded-lex) denominator.
 The coefficient domain is either the rationals (``QQ``) or an ``FqContext``.
+
+``poly_gcd`` tries, in order: a monomial argument (gcd x^min), unit content in
+a private variable, a specialization certificate, and last the primitive PRS.
 """
 
 from __future__ import annotations
@@ -159,14 +162,8 @@ class MultiPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        res = MultiPoly.const(self.domain, self.vars, self.domain.one)
-        base = self
-        while n:
-            if n & 1:
-                res = res * base
-            base = base * base
-            n >>= 1
-        return res
+        return _binary_pow(self, n) if n else \
+            MultiPoly.const(self.domain, self.vars, self.domain.one)
 
     def scale(self, c):
         c = self.domain.coerce(c)
@@ -202,6 +199,16 @@ class MultiPoly:
                     term = term * cache[key]
             acc = acc + term
         return acc
+
+
+def _binary_pow(base, n):
+    """base ** n for n >= 1, left to right: no product with 1, no spare square."""
+    res = base
+    for bit in bin(n)[3:]:
+        res = res * res
+        if bit == "1":
+            res = res * base
+    return res
 
 
 def _czero(c):
@@ -269,11 +276,27 @@ def poly_gcd(f, g, seed=0):
         return _normalize(g)
     if g.is_zero():
         return _normalize(f)
-    if f.is_constant() or g.is_constant():
-        return MultiPoly.const(f.domain, f.vars, f.domain.one)
-    if _gcd_is_one(f, g, seed):
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        # every divisor of a monomial is a monomial (a constant is x^0)
+        low = tuple(map(min, *f.terms, *g.terms))
+        return MultiPoly(f.domain, f.vars, {low: f.domain.one})
+    if _unit_content(f, g) or _unit_content(g, f) or _gcd_is_one(f, g, seed):
         return MultiPoly.const(f.domain, f.vars, f.domain.one)
     return _normalize(_gcd_prs(f, g))
+
+
+def _unit_content(f, g):
+    """Some variable v occurs in f, not in g, and a coefficient of f in v is a
+    nonzero constant: then gcd(f, g) = 1, as a common divisor is free of v
+    and so divides that constant."""
+    for v in f.occurring() - g.occurring():
+        coeffs = {}
+        for e in f.terms:
+            coeffs.setdefault(e[v], []).append(e)
+        if any(len(es) == 1 and sum(es[0]) == es[0][v]
+               for es in coeffs.values()):
+            return True
+    return False
 
 
 def _gcd_is_one(f, g, seed=0):
@@ -346,7 +369,8 @@ class _SpecQ:
 
 
 class _SpecFq:
-    """Specialization of F_p-polynomials into a larger extension F_{p^e}."""
+    """Specialization of F_p-polynomials into F_{p^e}, the least e with
+    p^e >= 2^20 but e <= 12: F_4096 for p = 2, F_531441 for p = 3."""
 
     def __init__(self, base):
         e = 1
@@ -572,14 +596,7 @@ class RatFn:
             return RatFn.const(self.domain, self.vars, self.domain.one)
         if n < 0:
             return self.inverse() ** (-n)
-        res = RatFn.const(self.domain, self.vars, self.domain.one)
-        base = self
-        while n:
-            if n & 1:
-                res = res * base
-            base = base * base
-            n >>= 1
-        return res
+        return _binary_pow(self, n)
 
     # -- substitution and evaluation ----------------------------------------
 

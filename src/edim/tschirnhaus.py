@@ -30,7 +30,7 @@ from . import unipoly
 from .errors import (CharDividesDegree, DegenerateTail, PoleAtAssignment,
                      PoleAtPoint, Unsupported)
 from .exactfield import fq_context
-from .ratfunc import QQ, RatFn
+from .ratfunc import QQ, RatFn, _pow_table
 
 
 def tvars(n):
@@ -210,16 +210,23 @@ def _one(gp):
 
 
 def apply_shift(gp, lam):
-    """f(X) -> f(X + lam); requires expandable coefficients."""
+    """f(X) -> f(X + lam) over one denominator: for polynomial a_i (a_0 = 1)
+    and lam = u/v, the coefficient of X^{n-j} is
+
+        sum_{i<=j} C(n-i, j-i) a_i u^{j-i} v^i / v^j,
+
+    one numerator polynomial reduced once against v^j."""
     n = gp.n
     a = [_one(gp)] + [c.expand() for c in gp.coeffs]
+    if not all(x.den.is_constant() for x in a):
+        raise ValueError("apply_shift needs polynomial coefficients")
+    upow = _pow_table(lam.num, n)
+    vpow = _pow_table(lam.den, n)
     out = []
     for j in range(1, n + 1):
-        acc = None
-        for i in range(0, j + 1):
-            term = a[i] * math.comb(n - i, j - i) * lam ** (j - i)
-            acc = term if acc is None else acc + term
-        out.append(PowerProduct.of(acc))
+        num = sum(a[i].num * upow[j - i] * vpow[i] * math.comb(n - i, j - i)
+                  for i in range(j + 1))
+        out.append(PowerProduct.of(RatFn(num, vpow[j])))
     return GeneralPoly(n, gp.char, tuple(out))
 
 

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from edim import ratfunc
 from edim.errors import PoleAtPoint, UnboundVariable
 from edim.exactfield import fq_context
-from edim.ratfunc import QQ, MultiPoly, RatFn, poly_divexact, poly_gcd, render
+from edim.ratfunc import (QQ, MultiPoly, RatFn, _gcd_prs, _normalize,
+                          poly_divexact, poly_gcd, render)
 
 
 def _vars():
@@ -108,3 +110,87 @@ def test_substitute_detects_indeterminate():
     f = t4 / (t4 - t5)
     with pytest.raises(IndeterminateForm):
         f.substitute({"t4": t5, "t5": t5})
+
+
+def _rand_poly(rng, dom, vars, use, coeffs, terms, deg):
+    """Up to `terms` random terms of degree <= deg in the variables `use`."""
+    p = MultiPoly.zero(dom, vars)
+    for _ in range(terms):
+        mono = MultiPoly.const(dom, vars, rng.choice(coeffs))
+        for _ in range(rng.randrange(0, deg + 1)):
+            mono = mono * MultiPoly.var(dom, vars, rng.choice(use))
+        p = p + mono
+    return p
+
+
+def test_poly_gcd_fast_paths_match_prs_oracle(monkeypatch):
+    # poly_gcd decides monomial and unit-content pairs by structure; the
+    # primitive PRS is the oracle.  f = a h and g = b h, where a may carry a
+    # linear factor in t1, a variable that g never has.
+    vars = ("t1", "t2", "t3")
+    fired = {"monomial": 0, "unit_content": 0, "common_factor": 0}
+    unit_content = ratfunc._unit_content
+
+    def counted(f, g):
+        found = unit_content(f, g)
+        fired["unit_content"] += found
+        return found
+
+    monkeypatch.setattr(ratfunc, "_unit_content", counted)
+    domains = [QQ, fq_context(2, 1), fq_context(3, 1), fq_context(5, 1),
+               fq_context(2, 2)]
+    for seed, dom in enumerate(domains):
+        rng = random.Random(100 + seed)
+        coeffs = ([Fraction(c) for c in range(-3, 4) if c] if dom is QQ
+                  else [c for c in dom.elements() if not c.is_zero()])
+        for _ in range(40):
+            h, a, b = (_rand_poly(rng, dom, vars, use, coeffs,
+                                  rng.randrange(1, 4), rng.randrange(3))
+                       for use in (vars[1:], vars, vars[1:]))
+            if rng.random() < 0.5:
+                t1 = MultiPoly.var(dom, vars, "t1")
+                a = a * (t1 * rng.choice(coeffs)
+                         + _rand_poly(rng, dom, vars, vars[1:], coeffs, 2, 1))
+            f, g = a * h, b * h
+            if f.is_zero() or g.is_zero():
+                continue
+            monomial = len(f.terms) == 1 or len(g.terms) == 1
+            fired["monomial"] += monomial
+            for x, y in ((f, g), (g, f)):
+                d = poly_gcd(x, y)
+                assert d == _normalize(_gcd_prs(x, y)), (x, y)
+            fired["common_factor"] += not (monomial or d.is_constant())
+    assert min(fired.values()) >= 20, fired
+
+
+def test_poly_gcd_near_misses_are_not_coprime():
+    vars = ("t1", "t2", "t3")
+    t1, t2, t3 = (MultiPoly.var(QQ, vars, v) for v in vars)
+    cases = [
+        # t1 is private to f but its coefficients t2 and t2^2 are not units
+        (t1 * t2 + t2 * t2, t2, t2),
+        (t1 * t2 + t2 * t3, t2 + t2 * t3, t2),
+        ((t2 + t3) * (t1 + t2), t2 + t3, t2 + t3),
+        # a monomial against a sum: x^min over the terms of both; t2 does
+        # not divide t2 + t3, so that gcd is 1
+        (t1 * t2, t2 + t3, MultiPoly.const(QQ, vars, 1)),
+        (t1 * t2 * t2, t2 * t2 * t3 + t1 * t2, t2),
+        (t1 * t2, t2 * t3 + t2 * t2, t2),
+    ]
+    for f, g, want in cases:
+        for x, y in ((f, g), (g, f)):
+            assert poly_gcd(x, y) == want, (x, y)
+            assert _normalize(_gcd_prs(x, y)) == want, (x, y)
+
+
+def test_pow_matches_repeated_product():
+    vars = ("t4", "t5")
+    p = MultiPoly.var(QQ, vars, "t4") + MultiPoly.const(QQ, vars, 2)
+    r = RatFn(p, MultiPoly.var(QQ, vars, "t5"))
+    one = RatFn.const(QQ, vars, 1)
+    acc_p, acc_r = MultiPoly.const(QQ, vars, 1), one
+    for n in range(0, 10):
+        assert p ** n == acc_p and r ** n == acc_r, n
+        assert r ** -n == one / acc_r, n
+        acc_p, acc_r = acc_p * p, acc_r * r
+    assert p ** 1 is p and r ** 1 is r

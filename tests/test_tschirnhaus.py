@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from edim import unipoly
+from edim import ratfunc, unipoly
 from edim.errors import PoleAtAssignment, PoleAtPoint, Unsupported
 from edim.exactfield import fq_context
-from edim.ratfunc import QQ, RatFn
+from edim.ratfunc import QQ, RatFn, render
 from edim.tschirnhaus import (GeneralPoly, InvertRoot, PowerProduct,
                               ScaleRoots, Shift, TransformRecord,
                               _specialize_coeffs, general_poly,
@@ -232,3 +232,68 @@ def test_large_degree_verifies_without_a_cap():
             outcomes.add(_outcome(verify_specialization, f, h, record,
                                   assignment, ctx))
         assert True in outcomes and outcomes <= {True, "pole"}, (n, outcomes)
+
+
+def _rendered(n, char):
+    h, record = reduce_general(n, char)
+    return ([c.render() for c in h.coeffs],
+            [(s.kind(), None if s.lam is None else render(s.lam))
+             for s in record.steps])
+
+
+def _rescaled(lam, bodies):
+    """Coefficients 0, lam^-j * body_j, with the last two tied."""
+    coeffs = ["0"] + ["(%s)^-%d * %s" % (lam, j, body)
+                      for j, body in enumerate(bodies, 2)]
+    return coeffs + coeffs[-1:]
+
+
+def test_rendered_reductions_are_pinned():
+    # as `edim tschirnhaus reduce` prints them: the wild cubic, and two
+    # pairs whose depressed coefficients are reduced mod p
+    w = "(t1^3 * t3 + 2 * t1^2 * t2^2 + t2^3) * (t1^3)^-1"
+    c33 = "(%s)^-1 * (1 * t1^-1)^-2 * t1" % w
+    assert _rendered(3, 3) == (
+        ["0", c33, c33],
+        [("Shift", "t2 * t1^-1"), ("InvertRoot", None),
+         ("ScaleRoots", "1 * t1^-1")])
+    lam = ("(4 * t1^4 * t2 + t1^3 * t3 + 4 * t1^2 * t4 + t1 * t5 + 4 * t6)"
+           " * (t1^5 + 4 * t1^3 * t2 + 2 * t1^2 * t3 + 2 * t1 * t4"
+           " + 4 * t5)^-1")
+    assert _rendered(6, 5) == (
+        _rescaled(lam, ["t2", "(t1 * t2 + t3)",
+                        "(t1^2 * t2 + 2 * t1 * t3 + t4)",
+                        "(4 * t1^5 + t1^3 * t2 + 3 * t1^2 * t3"
+                        " + 3 * t1 * t4 + t5)"]),
+        [("Shift", "4 * t1"), ("ScaleRoots", lam)])
+    an1 = "(t1^6 + 2 * t1^4 * t2 + 2 * t1^3 * t3 + t1 * t5 + t6)"
+    lam = ("(2 * t1^5 * t2 + t1^4 * t3 + 2 * t1^3 * t4 + t1^2 * t5"
+           " + 2 * t1 * t6 + t7) * %s^-1" % an1)
+    assert _rendered(7, 3) == (
+        _rescaled(lam, ["t2", "(t1^3 + t1 * t2 + t3)",
+                        "(t1^2 * t2 + 2 * t1 * t3 + t4)",
+                        "(2 * t1^3 * t2 + t5)", an1]),
+        [("Shift", "2 * t1"), ("ScaleRoots", lam)])
+
+
+def test_structure_decides_every_reduction_gcd(monkeypatch):
+    # the shift reduces over a constant or monomial denominator, and the
+    # rescale's a_n / a_{n-1} has unit content in t_n; only the wild cubic
+    # expands products that need a certificate
+    def no_gcd(*args, **kwargs):
+        raise AssertionError("gcd by specialization or PRS")
+
+    monkeypatch.setattr(ratfunc, "_gcd_is_one", no_gcd)
+    monkeypatch.setattr(ratfunc, "_gcd_prs", no_gcd)
+    reduced = 0
+    for n in range(2, 10):
+        for char in (0, 2, 3, 5, 7):
+            if (n, char) == (3, 3):
+                continue
+            try:
+                reduce_general(n, char)
+            except Unsupported:
+                assert n % char == 0, (n, char)
+                continue
+            reduced += 1
+    assert reduced == 32
