@@ -1,22 +1,19 @@
 """The field of cross-ratios: symbolic [i,j;k,l] in K(x_1..x_n), the rewriting
 of any cross-ratio in the generators t_i = [1,2;3,i], the induced S_n action,
-and faithfulness verification.  The Mobius map a reordering of four points
-induces is read from a table keyed by position permutation; its unimodular
-matrix keeps a reduced fraction reduced, and ``cr_define`` is built reduced,
-so rewriting needs no gcd but one per split.
+and faithfulness verification.  A rewrite is the symbol on the slice
+(x_1, x_2, x_3) = (inf, 0, 1), x_m = t_m, a product of linear forms in closed
+form; ``cr_define`` and the rewrite are both built reduced, with no gcd.
+``check_rewrite`` proves a rewrite independently, by exact composition.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import AmbientOutOfRange, AmbientTooSmall
 from .ratfunc import QQ, MultiPoly, RatFn
-
-_BASE = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -57,59 +54,42 @@ def cr_define(sym):
                  reduce=False)
 
 
-# the six Mobius images t -> (a t + b) / (c t + d) of a cross-ratio under
-# permuting its four points, generated by the Step-2 identities
-# (12).t = (34).t = 1/t and (23).t = 1 - t; every determinant is +-1
-MOBIUS = ((1, 0, 0, 1), (0, 1, 1, 0), (-1, 1, 0, 1), (0, 1, -1, 1),
-          (1, -1, 1, 0), (1, 0, 1, -1))
-
-
 def generator_symbol(n, i):
     return CRSymbol(n, (1, 2, 3, i))
 
 
-def _position_table():
-    """The MOBIUS matrix each position permutation induces, read off at one
-    point whose six images are distinct: points (0, 1, 3, 7), t = 9/7."""
-    cr = lambda i, j, k, l: (i - k) * (j - l) / ((i - l) * (j - k))
-    points = [Fraction(x) for x in (0, 1, 3, 7)]
-    t = cr(*points)
-    images = [(a * t + b) / (c * t + d) for a, b, c, d in MOBIUS]
-    assert len(set(images)) == len(MOBIUS)
-    return {perm: MOBIUS[images.index(cr(*(points[p] for p in perm)))]
-            for perm in itertools.permutations(range(4))}
-
-
-_POSITIONS = _position_table()
-
-
-def _mobius(reference, indices, r):
-    """The value of the reordering ``indices`` of ``reference`` from the
-    reduced value r of ``reference``; reduced, as the matrix is unimodular."""
-    a, b, c, d = _POSITIONS[tuple(reference.index(x) for x in indices)]
-    return RatFn(r.num * a + r.den * b, r.num * c + r.den * d, reduce=False)
-
-
+# perfbench/make_catalog.py clears this cache to time a cold rewrite
 @lru_cache(maxsize=None)
 def _rewrite(n, indices):
-    if len(set(indices) & set(_BASE)) == 3:
-        # the symbol lies in the 4-point orbit of t_m = [1,2;3,m]
-        m = next(x for x in indices if x not in _BASE)
-        return _mobius(_BASE + (m,), indices,
-                       RatFn.var(QQ, tvars(n), "t%d" % m))
-    # reorder so the base indices sit in the first pair, then split the second
-    # pair through the spare base index c: [i,j;k,l] = [i,j;c,l][i,j;c,k]^{-1}
-    first = sorted(x for x in indices if x in _BASE)
-    rest = sorted(x for x in indices if x not in _BASE)
-    arranged = tuple(first + rest)
-    i, j, k, l = arranged
-    c = min(x for x in _BASE if x not in arranged)
-    return _mobius(arranged, indices,
-                   _rewrite(n, (i, j, c, l)) / _rewrite(n, (i, j, c, k)))
+    vs = tvars(n)
+    zero, one = MultiPoly.zero(QQ, vs), MultiPoly.const(QQ, vs, 1)
+
+    def x(m):  # the slice value of x_m for m >= 2
+        return zero if m == 2 else one if m == 3 else \
+            MultiPoly.var(QQ, vs, "t%d" % m)
+
+    def diff(a, b):  # x_a - x_b, with the factors that contain x_1 cancelled
+        return one if 1 in (a, b) else x(a) - x(b)
+
+    i, j, k, l = indices
+    return RatFn(diff(i, k) * diff(j, l), diff(i, l) * diff(j, k),
+                 reduce=False)
 
 
 def cr_rewrite(sym):
-    """Express sym as a rational function of the generators t_4..t_n."""
+    """Express sym as a rational function of the generators t_4..t_n.
+
+    The result is [i,j;k,l] restricted to the slice x_1 = inf, x_2 = 0,
+    x_3 = 1, x_m = t_m, on which [1,2;3,m] is t_m itself.  This is sound:
+    both sym and its rewrite with t_m = [1,2;3,m] are PGL_2-invariant
+    functions of (x_1..x_n), PGL_2 is sharply 3-transitive, so one Mobius map
+    moves a generic point onto the slice, and two invariant functions that
+    agree on the slice agree everywhere.  It is reduced by construction: each
+    index occurs in one factor above and one below, so the two that contain
+    x_1 cancel, and the rest join distinct pairs of indices, so they are
+    pairwise non-associate linear forms (t_a, t_a - 1, t_a - t_b, or the
+    constant -1).
+    """
     if sym.n < 5:
         raise AmbientTooSmall("rewriting needs n >= 5")
     return _rewrite(sym.n, sym.indices)
@@ -190,9 +170,10 @@ def _all_perms(n):
 
 
 def check_rewrite(sym):
-    """Exact soundness of cr_rewrite(sym): substituting t_i = [1,2;3,i] into
-    the rewritten form returns cr_define(sym); checked by cross-multiplying
-    the unreduced composition against the definition (no gcd needed)."""
+    """Exact soundness of cr_rewrite(sym), independent of the slice argument:
+    substituting t_i = [1,2;3,i] into the rewritten form returns
+    cr_define(sym); checked by cross-multiplying the unreduced composition
+    against the definition (no gcd needed)."""
     rewritten = cr_rewrite(sym)
     bindings = {"t%d" % i: cr_define(generator_symbol(sym.n, i))
                 for i in range(4, sym.n + 1)}

@@ -5,21 +5,16 @@ reduced fraction of two such polynomials with a monic (graded-lex) denominator.
 The coefficient domain is either the rationals (``QQ``) or an ``FqContext``.
 
 ``poly_gcd`` tries, in order: a monomial argument (gcd x^min), unit content in
-a private variable, a specialization certificate, and last the primitive PRS.
+a private variable, and last the primitive PRS (pseudo-remainder sequence).
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
-from . import unipoly
 from .errors import (DivisionByZero, DomainMismatch, IndeterminateForm,
                      PoleAtPoint, UnboundVariable)
-from .exactfield import FqContext, FqElement, _pgcd, fq_context
-
-_CERT_PRIME = (1 << 61) - 1  # Mersenne prime used for rational specializations
-_CERT_TRIES = 4
+from .exactfield import FqContext, FqElement
 
 
 class RationalDomain:
@@ -270,7 +265,7 @@ def _normalize(f):
     return f.scale(f.domain.one / lc)
 
 
-def poly_gcd(f, g, seed=0):
+def poly_gcd(f, g):
     """Monic (graded-lex) gcd of two polynomials over a field domain."""
     if f.is_zero():
         return _normalize(g)
@@ -280,7 +275,7 @@ def poly_gcd(f, g, seed=0):
         # every divisor of a monomial is a monomial (a constant is x^0)
         low = tuple(map(min, *f.terms, *g.terms))
         return MultiPoly(f.domain, f.vars, {low: f.domain.one})
-    if _unit_content(f, g) or _unit_content(g, f) or _gcd_is_one(f, g, seed):
+    if _unit_content(f, g) or _unit_content(g, f):
         return MultiPoly.const(f.domain, f.vars, f.domain.one)
     return _normalize(_gcd_prs(f, g))
 
@@ -297,105 +292,6 @@ def _unit_content(f, g):
                for es in coeffs.values()):
             return True
     return False
-
-
-def _gcd_is_one(f, g, seed=0):
-    """Probabilistically certify gcd(f, g) = 1; False means "unknown".
-
-    For each variable occurring in both arguments, all other variables are
-    specialized at random points while preserving both leading coefficients;
-    a coprime pair of univariate images proves that the gcd is free of that
-    variable.  Sound because a nontrivial divisor survives specialization.
-    """
-    common = f.occurring() & g.occurring()
-    if not common:
-        return True
-    rng = random.Random((seed, len(f.terms), len(g.terms)).__hash__())
-    if isinstance(f.domain, RationalDomain):
-        spec = _SpecQ()
-    elif f.domain.k == 1:
-        spec = _SpecFq(f.domain)
-    else:
-        return False
-    for v in sorted(common):
-        if not _certify_var(f, g, v, spec, rng):
-            return False
-    return True
-
-
-def _certify_var(f, g, v, spec, rng):
-    for _ in range(_CERT_TRIES):
-        point = spec.random_point(f.vars, rng)
-        fu = spec.univariate(f, v, point)
-        gu = spec.univariate(g, v, point)
-        if fu is None or gu is None:
-            continue
-        if len(fu) - 1 != f.degree_in(v) or len(gu) - 1 != g.degree_in(v):
-            continue  # a leading coefficient vanished; retry
-        if len(spec.gcd(fu, gu)) == 1:
-            return True
-        return False
-    return False
-
-
-class _SpecQ:
-    """Specialization of Q-polynomials into F_P for a large prime P."""
-
-    P = _CERT_PRIME
-
-    def random_point(self, vars, rng):
-        return [rng.randrange(1, self.P) for _ in vars]
-
-    def univariate(self, f, v, point):
-        out = {}
-        for e, c in f.terms.items():
-            num = c.numerator % self.P
-            den = c.denominator % self.P
-            if den == 0:
-                return None
-            val = num * pow(den, -1, self.P) % self.P
-            for i, d in enumerate(e):
-                if d and i != v:
-                    val = val * pow(point[i], d, self.P) % self.P
-            out[e[v]] = (out.get(e[v], 0) + val) % self.P
-        top = max(out, default=0)
-        lst = [out.get(i, 0) for i in range(top + 1)]
-        while lst and lst[-1] == 0:
-            lst.pop()
-        return lst
-
-    def gcd(self, a, b):
-        return _pgcd(a, b, self.P)
-
-
-class _SpecFq:
-    """Specialization of F_p-polynomials into F_{p^e}, the least e with
-    p^e >= 2^20 but e <= 12: F_4096 for p = 2, F_531441 for p = 3."""
-
-    def __init__(self, base):
-        e = 1
-        while base.p ** e < (1 << 20) and e < 12:
-            e += 1
-        self.ext = fq_context(base.p, e)
-
-    def random_point(self, vars, rng):
-        return [unipoly._random_element(self.ext, rng) for _ in vars]
-
-    def univariate(self, f, v, point):
-        ctx = self.ext
-        out = {}
-        for e, c in f.terms.items():
-            val = ctx.from_int(c.encode())  # base is a prime field
-            for i, d in enumerate(e):
-                if d and i != v:
-                    val = val * point[i] ** d
-            out[e[v]] = out.get(e[v], ctx.zero) + val
-        top = max(out, default=0)
-        lst = [out.get(i, ctx.zero) for i in range(top + 1)]
-        return unipoly.trim(lst)
-
-    def gcd(self, a, b):
-        return unipoly.gcd_monic(a, b, self.ext.zero)
 
 
 def _content_pp(f, v):

@@ -1,18 +1,20 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from edim import crossratio, ratfunc
-from edim.crossratio import (MOBIUS, CRSymbol, apply_action, check_rewrite,
-                             cr_define, cr_rewrite, generator_symbol,
-                             sn_action, verify_faithful)
+from edim.crossratio import (CRSymbol, apply_action, check_rewrite, cr_define,
+                             cr_rewrite, generator_symbol, sn_action, tvars,
+                             verify_faithful, xvars)
 from edim.errors import AmbientOutOfRange, AmbientTooSmall
 from edim.exactfield import fq_context
-from edim.ratfunc import QQ, MultiPoly, render
+from edim.ratfunc import QQ, MultiPoly, RatFn, render
 
-# the six Mobius images of a cross-ratio t, in MOBIUS order; with
-# _match_mobius, the search the position table replaced, kept as its oracle
+# the six Mobius images of a cross-ratio t under reordering its four points,
+# generated by the paper's Step-2 identities (12).t = (34).t = 1/t and
+# (23).t = 1 - t; with _match_mobius, the oracle for the closed-form rewrite
 _MOBIUS_FNS = (
     lambda t: t,
     lambda t: 1 / t,
@@ -54,22 +56,51 @@ def test_rewrite_example_grammar():
     assert render(got) == "t4 * t5^-1"
 
 
-def test_position_table_matches_mobius_search():
-    ref = CRSymbol(6, (4, 1, 6, 2))
-    value = cr_define(ref)
-    for perm in itertools.permutations(range(4)):
-        moved = tuple(ref.indices[p] for p in perm)
-        want = cr_define(CRSymbol(6, moved))
-        assert crossratio._POSITIONS[perm] == \
-            MOBIUS[_match_mobius(want, value)], perm
-        assert crossratio._mobius(ref.indices, moved, value) == want, perm
+@pytest.mark.parametrize("n, idx, want", [
+    (5, (3, 1, 4, 2), "-t4 + 1"),
+    (5, (5, 1, 2, 4), "-t5 * (t4 - t5)^-1"),
+    (5, (2, 4, 3, 5), "(t4 - t5) * (t4 * t5 - t5)^-1"),
+    (7, (4, 5, 6, 7), "(t4 * t5 - t4 * t7 - t5 * t6 + t6 * t7)"
+                      " * (t4 * t5 - t4 * t6 - t5 * t7 + t6 * t7)^-1"),
+])
+def test_rewrite_renderings(n, idx, want):
+    # one symbol of each shape: base indices 1, 2 and 3; 1 and one more;
+    # 2 and 3 only; none
+    assert render(cr_rewrite(CRSymbol(n, idx))) == want
+
+
+def test_reorderings_rewrite_to_the_six_mobius_images():
+    # the Klein four-group fixes a cross-ratio, so each of the six images of
+    # t_m comes from 4 of the 24 reorderings of (1,2,3,m)
+    for n in (5, 6):
+        for m in range(4, n + 1):
+            t = RatFn.var(QQ, tvars(n), "t%d" % m)
+            hits = Counter(_match_mobius(cr_rewrite(CRSymbol(n, p)), t)
+                           for p in itertools.permutations((1, 2, 3, m)))
+            assert hits == {idx: 4 for idx in range(6)}, (n, m, hits)
+
+
+def test_cross_ratio_is_mobius_invariant():
+    # the lemma behind the slice: [i,j;k,l] is fixed by x -> x + a, x -> a x
+    # and x -> 1/x applied to every point at once, which generate PGL_2
+    ring = xvars(4) + ("a",)
+    x = {v: RatFn.var(QQ, ring, v) for v in xvars(4)}
+    a = RatFn.var(QQ, ring, "a")
+    moves = [{v: xv + a for v, xv in x.items()},
+             {v: a * xv for v, xv in x.items()},
+             {v: 1 / xv for v, xv in x.items()}]
+    for idx in itertools.permutations(range(1, 5)):
+        cr = cr_define(CRSymbol(4, idx))
+        lifted = cr.substitute(x)
+        for move in moves:
+            assert cr.substitute(move) == lifted, (idx, move)
 
 
 def test_structure_proves_coprimality(monkeypatch):
-    syms = [CRSymbol(n, idx) for n in range(4, 8)
+    defs = [CRSymbol(n, idx) for n in range(4, 8)
             for idx in itertools.permutations(range(1, n + 1), 4)]
-    orbit = [s for s in syms
-             if s.n >= 5 and len(set(s.indices) & {1, 2, 3}) == 3]
+    syms = [CRSymbol(n, idx) for n in range(5, 9)
+            for idx in itertools.permutations(range(1, n + 1), 4)]
 
     def no_gcd(*args, **kwargs):
         raise AssertionError("poly_gcd called")
@@ -77,12 +108,14 @@ def test_structure_proves_coprimality(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(ratfunc, "poly_gcd", no_gcd)
         crossratio._rewrite.cache_clear()
-        defined = [cr_define(s) for s in syms]
-        for s in orbit:
-            cr_rewrite(s)
+        defined = [cr_define(s) for s in defs]
+        rewritten = [cr_rewrite(s) for s in syms]
     for d in defined:
         one = MultiPoly.const(QQ, d.vars, 1)
         assert ratfunc.poly_gcd(d.num, d.den) == one, render(d)
+    for s, r in zip(syms, rewritten):
+        if s.n <= 7:
+            assert ratfunc._gcd_prs(r.num, r.den).is_constant(), s
 
 
 def test_check_rewrite_random_sample():

@@ -279,11 +279,10 @@ def test_rendered_reductions_are_pinned():
 def test_structure_decides_every_reduction_gcd(monkeypatch):
     # the shift reduces over a constant or monomial denominator, and the
     # rescale's a_n / a_{n-1} has unit content in t_n; only the wild cubic
-    # expands products that need a certificate
+    # expands products whose gcd needs the PRS
     def no_gcd(*args, **kwargs):
-        raise AssertionError("gcd by specialization or PRS")
+        raise AssertionError("gcd by PRS")
 
-    monkeypatch.setattr(ratfunc, "_gcd_is_one", no_gcd)
     monkeypatch.setattr(ratfunc, "_gcd_prs", no_gcd)
     reduced = 0
     for n in range(2, 10):
