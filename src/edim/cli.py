@@ -427,7 +427,15 @@ def run(argv):
         if args.command == "pgl2" and args.mode in ("embed", "reps") \
                 and args.group is None:
             raise ParseError("pgl2 %s needs --group" % args.mode)
-        out = _BODIES[args.command](args)
+        out = {"schema": SCHEMA, "command": args.command,
+               **_BODIES[args.command](args)}
+        try:
+            text = (_plain(args.command, out) if getattr(args, "plain", False)
+                    else json.dumps(out, sort_keys=True))
+        except ValueError:  # str() of an int, e.g. the hi = n! of R-REP
+            raise TooLarge("an integer in the output exceeds Python's "
+                           "int-to-str limit of %d digits"
+                           % sys.get_int_max_str_digits())
     except Inconsistent as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}))
         return 4
@@ -437,11 +445,7 @@ def run(argv):
     except (ParseError, EdimError, ValueError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}))
         return 2
-    out = {"schema": SCHEMA, "command": args.command, **out}
-    if getattr(args, "plain", False):
-        print(_plain(args.command, out))
-    else:
-        print(json.dumps(out, sort_keys=True))
+    print(text)
     return 0
 
 

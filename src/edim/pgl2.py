@@ -161,13 +161,14 @@ class _Kernel:
         row = mul[self.inv[m[0] or m[1]]]
         return ((row[m[0]] * q + row[m[1]]) * q + row[m[2]]) * q + row[m[3]]
 
-    def order(self, m, cap):
-        """Least d <= cap with m^d scalar (m a 4-tuple of codes), else None."""
+    def order(self, m, cap, linear=False):
+        """Least d <= cap with m^d scalar (m a 4-tuple of codes), or with
+        m^d = 1 if linear; else None."""
         add, mul = self.add, self.mul
         ra, rb, rc, rd = (mul[x] for x in m)
         a, b, c, d = m
         for n in range(1, cap + 1):
-            if b == 0 and c == 0 and a == d:
+            if b == 0 and c == 0 and a == d and (a == 1 or not linear):
                 return n
             a, b, c, d = (add[ra[a]][rc[b]], add[rb[a]][rd[b]],
                           add[ra[c]][rc[d]], add[rb[c]][rd[d]])
@@ -312,20 +313,19 @@ def dp_representation(ctx):
 
 
 def dn_representation(ctx, n):
-    """D_n inside GL_2(F_q) when c = zeta_n + zeta_n^{-1} lies in F_q: the
-    companion matrix of X^2 - cX + 1 and a compatible reflection."""
+    """D_n inside GL_2(F_q) when p does not divide n and c = zeta_n +
+    zeta_n^{-1} lies in F_q: the companion matrix of X^2 - cX + 1, of exact
+    order n, and the reflection [[1, c], [0, -1]]."""
     if n < 3:
         raise ValueError("n must be >= 3")
     if n % ctx.p == 0:
         raise RealZetaAbsent("n divisible by the characteristic")
     k = _kernel(ctx)
     for c in range(ctx.q):
-        if k.order((0, k.neg[1], 1, c), n) == n:
+        if k.order((0, k.neg[1], 1, c), n, linear=True) == n:
             s = Mat2(ctx, ctx.zero, -ctx.one, ctx.one, k.fq(c))
             t = Mat2(ctx, ctx.one, k.fq(c), ctx.zero, -ctx.one)
-            assert (t * t).is_scalar()
-            lhs = PGL2Element.of(t * s * t.inverse())
-            assert lhs == PGL2Element.of(s.inverse())
+            _assert_dihedral(s, t, n)
             return s, t
     raise RealZetaAbsent("zeta_%d + zeta_%d^-1 is not in F_%d" % (n, n, ctx.q))
 

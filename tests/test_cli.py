@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -225,3 +226,22 @@ def test_plain_renderer(capsys):
     assert "3" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+def test_integers_past_the_str_limit_are_a_capability_limit(capsys):
+    # R-REP's regular representation gives S1700 (and D1800 <= S1800) a
+    # hi = n! of more digits than Python writes by default
+    for group in ("S1700", "D1800"):
+        for extra in ([], ["--plain"]):
+            code, out = _capture(capsys, ["bound", "--group", group,
+                                          "--field", "Q"] + extra)
+            assert code == 3, (group, extra)
+            assert out.count("\n") == 1
+            doc = json.loads(out)
+            assert set(doc) == {"schema", "error"}
+            assert "int-to-str limit" in doc["error"]
+            assert str(sys.get_int_max_str_digits()) in doc["error"]
+    code, out = _capture(capsys, ["bound", "--group", "S1000",
+                                  "--field", "Q"])
+    assert code == 0
+    assert json.loads(out)["interval"] == {"lo": 500, "hi": 997}

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from edim import edengine
+from edim import edengine, pgl2
 from edim.edengine import (INF, BoundInterval, RuleCatalog, Thm45Result,
                            Thm46Result, TooLarge, TraceNode,
                            a_lower_recurrence, atom_aliases, bound, canon,
@@ -13,9 +13,10 @@ from edim.edengine import (INF, BoundInterval, RuleCatalog, Thm45Result,
                            expr_element_orders, l_core_trivial, product_views,
                            replay_trace, s_lower_recurrence, trace_json)
 from edim.cli import parse_field, parse_group
-from edim.errors import Inconsistent
+from edim.errors import DependentAlphas, Inconsistent
+from edim.exactfield import fq_context
 from edim.fielddesc import (NO, UNKNOWN, YES, Custom, Cyclotomic, FiniteField,
-                            RationalField)
+                            RationalField, finite_field_from_q)
 from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, center,
                          element_orders, expr_order, l_core, porder, realize)
 
@@ -389,21 +390,96 @@ def test_replay_rejects_non_canonical_keys():
             replay_trace([bad] + nodes[1:])
 
 
-def test_catalog_traces_replay():
-    # every non-hang bound query of the benchmark catalog reaches its
-    # reference interval, and replay re-derives every node of its trace
+def _catalog_cases():
+    """(query, expected interval JSON) for every non-hang bound query of
+    the benchmark catalog."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "catalog.json"
     workloads = json.loads(path.read_text())["workloads"]
-    cases = {(e["query"], json.dumps(e["expect"], sort_keys=True))
-             for w in ("bound-structural", "bound-pgl2")
-             for stratum, entries in workloads[w].items() if stratum != "hang"
-             for e in entries}
-    assert len({q for q, _ in cases}) == len(cases) > 2700
-    for query, expect in sorted(cases):
+    return sorted({(e["query"], json.dumps(e["expect"], sort_keys=True))
+                   for w in ("bound-structural", "bound-pgl2")
+                   for stratum, entries in workloads[w].items()
+                   if stratum != "hang" for e in entries})
+
+
+def _bound_and_replay(cases):
+    for query, expect in cases:
         group, field = query.split("/", 1)
         iv, nodes = bound(parse_group(group), parse_field(field))
         assert iv.json() == json.loads(expect), query
         assert not nodes or iv in replay_trace(nodes).values(), query
+
+
+def test_catalog_traces_replay():
+    # every non-hang bound query of the benchmark catalog reaches its
+    # reference interval, and replay re-derives every node of its trace
+    cases = _catalog_cases()
+    assert len({q for q, _ in cases}) == len(cases) > 2700
+    _bound_and_replay(cases)
+
+
+# --- R-REP from field arithmetic --------------------------------------------
+
+def _companion_search(ctx, n):
+    """The search R-REP's D_n fact replaces: some c in F_q, p not dividing
+    n, whose companion matrix of X^2 - cX + 1 has projective order n."""
+    k = pgl2._kernel(ctx)
+    return n % ctx.p != 0 and any(k.order((0, k.neg[1], 1, c), n) == n
+                                  for c in range(ctx.q))
+
+
+def _independent_powers(ctx, r):
+    """The construction R-REP's E(p,r) fact replaces: 1, g, ..., g^(r-1)
+    for g the generator of F_q over F_p pass the F_p-independence scan of
+    ``elemab_representation``."""
+    gen = ctx.gen() if ctx.k > 1 else ctx.one
+    try:
+        pgl2.elemab_representation(ctx, [gen ** i for i in range(r)])
+    except DependentAlphas:
+        return False
+    return True
+
+
+def _rep_gives_two(a, fd):
+    # the first narrowing is the regular representation's |G|
+    return (None, 2) in list(edengine._leaf_rep(a, fd))[1:]
+
+
+def test_rep_facts_match_the_matrix_searches():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27):
+        fd = finite_field_from_q(q)
+        ctx = fq_context(fd.p, fd.k)
+        for n in range(3, 41):
+            assert _rep_gives_two(Dih(n), fd) \
+                == _companion_search(ctx, n), (q, n)
+        for p in sorted({2, 3, 5, 7, fd.p}):
+            for r in range(1, 7):
+                assert _rep_gives_two(ElemAb(p, r), fd) \
+                    == (p == fd.p and _independent_powers(ctx, r)), (q, p, r)
+
+
+def test_bound_builds_no_representation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the engine built a matrix representation")
+
+    monkeypatch.setattr(pgl2, "dn_representation", refuse)
+    monkeypatch.setattr(pgl2, "elemab_representation", refuse)
+    cases = [(query, expect) for query, expect in _catalog_cases()
+             if query.split("/", 1)[1].startswith("F(")
+             and any(a in query for a in ("D", "E("))]
+    assert len(cases) > 300
+    _bound_and_replay(cases)
+
+
+def test_prime_factors_match_a_sieve():
+    # every prime d <= N marks itself on all its multiples
+    N = 10 ** 4
+    factors = [set() for _ in range(N + 1)]
+    for d in range(2, N + 1):
+        if not factors[d]:
+            for m in range(d, N + 1, d):
+                factors[m].add(d)
+    for n in range(1, N + 1):
+        assert edengine._prime_factors(n) == factors[n], n
 
 
 def test_trace_json_schema():

@@ -2,7 +2,7 @@ import pytest
 
 from edim.errors import TooLarge
 from edim.exactfield import fq_context
-from edim.fielddesc import finite_field_from_q
+from edim.fielddesc import YES, finite_field_from_q
 from edim.groups import Cyc, Dih, ElemAb, Sym
 from edim.pgl2 import (Mat2, PGL2Element, dn_representation,
                        dp_representation, elemab_representation, order_census,
@@ -117,16 +117,34 @@ def test_q_cap():
         pgl2_embeds(Cyc(3), fq_context(2, 6))  # q = 64 > 27
 
 
+_PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)
+
+
+def _linear_order(m, cap):
+    acc = m
+    for d in range(1, cap + 1):
+        if acc.is_identity():
+            return d
+        acc = acc * m
+    return None
+
+
 def test_constructive_representations():
-    # odd n with zeta_n + zeta_n^{-1} in the field
-    for n, (p, k) in [(3, (5, 1)), (5, (2, 2)), (7, (2, 3)), (9, (17, 1))]:
-        mats = dn_representation(fq_context(p, k), n)
-        assert mats is not None
+    # D_n in GL_2(F_q): a rotation of exact order n exactly when p does
+    # not divide n and zeta_n + zeta_n^{-1} lies in F_q
     from edim.errors import RealZetaAbsent
-    with pytest.raises(RealZetaAbsent):
-        dn_representation(fq_context(5, 1), 5)  # char divides n
-    with pytest.raises(RealZetaAbsent):
-        dn_representation(fq_context(2, 1), 5)  # real zeta_5 not in F_2
+    for q in _PRIME_POWERS:
+        fd = finite_field_from_q(q)
+        ctx = fq_context(fd.p, fd.k)
+        for n in range(3, 31):
+            if n % fd.p == 0 or fd.contains_real_zeta(n) is not YES:
+                with pytest.raises(RealZetaAbsent):
+                    dn_representation(ctx, n)
+                continue
+            s, t = dn_representation(ctx, n)
+            assert _linear_order(s, n) == n, (q, n)
+            assert (t * t).is_identity() and not t.is_identity()
+            assert t * s * t.inverse() == s.inverse()
     # D_p in its own odd characteristic
     s, t = dp_representation(fq_context(3, 1))
     assert s is not None and t is not None
