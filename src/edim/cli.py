@@ -1,14 +1,16 @@
 """Command-line front end: parse group/field descriptions, dispatch to the library,
 emit JSON (default, schema ``edim/1``) or plain-text tables.
 
-Exit codes: 0 success; 2 parse/usage errors; 3 a checker refused the size
-(TooLarge/Unsupported); 4 internal inconsistency.
+Exit codes: 0 success; 1 the reader closed stdout early (a broken pipe);
+2 parse/usage errors; 3 a checker refused the size (TooLarge/Unsupported);
+4 internal inconsistency.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -450,7 +452,15 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early, as in `edim table ... | head -1`: send what
+        # is still buffered to devnull so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,6 +3,10 @@
 ``MultiPoly`` is a sparse polynomial keyed by exponent tuples; ``RatFn`` is a
 reduced fraction of two such polynomials with a monic (graded-lex) denominator.
 The coefficient domain is either the rationals (``QQ``) or an ``FqContext``.
+A rational coefficient is a Python ``int`` when its denominator is 1 and a
+``Fraction`` only when it is not, so the products and sums of integer
+polynomials never leave int arithmetic; every quotient of two coefficients
+goes through ``_div``, which is exact and never a float.
 
 ``poly_gcd`` tries, in order: a monomial argument (gcd x^min), unit content in
 a private variable, and last the primitive PRS (pseudo-remainder sequence).
@@ -18,19 +22,21 @@ from .exactfield import FqContext, FqElement
 
 
 class RationalDomain:
-    """The field Q with Fraction elements, mirroring FqContext's interface."""
+    """The field Q, mirroring FqContext's interface.  An element is an int
+    when its denominator is 1 and a Fraction otherwise; the two compare and
+    hash equal, so term dicts and equality do not see the difference."""
 
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, v):
         if isinstance(v, (int, Fraction)):
-            return Fraction(v)
+            return v.numerator if v.denominator == 1 else v
         raise DomainMismatch("cannot coerce %r into Q" % (v,))
 
     def from_int(self, n):
-        return Fraction(n)
+        return int(n)
 
     def __repr__(self):
         return "QQ"
@@ -59,7 +65,7 @@ class MultiPoly:
     def __init__(self, domain, vars, terms):
         self.domain = domain
         self.vars = tuple(vars)
-        self.terms = {e: c for e, c in terms.items() if not _czero(c)}
+        self.terms = _nonzero_terms(terms)
 
     # -- constructors -------------------------------------------------------
 
@@ -206,16 +212,42 @@ def _binary_pow(base, n):
     return res
 
 
+def _nonzero_terms(terms):
+    """The nonzero terms, a rational coefficient of denominator 1 as an int."""
+    out = {}
+    for e, c in terms.items():
+        if type(c) is int:
+            if c:
+                out[e] = c
+        elif isinstance(c, FqElement):
+            if not c.is_zero():
+                out[e] = c
+        elif c:
+            out[e] = c.numerator if c.denominator == 1 else c
+    return out
+
+
 def _czero(c):
     return c == 0 if isinstance(c, (int, Fraction)) else c.is_zero()
+
+
+def _div(a, b):
+    """a / b for coefficients or values of one field, exact: over Q an int
+    when the quotient is integral, else a Fraction, and never a float."""
+    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+        q = Fraction(a, b)
+        return q.numerator if q.denominator == 1 else q
+    return a / b
 
 
 def _coerce_into(coeff, sample):
     """Map a domain coefficient into the field of the evaluation point."""
     if sample is None or isinstance(coeff, type(sample)):
         return coeff
-    if isinstance(coeff, Fraction):
-        field = sample.field if hasattr(sample, "field") else sample.ctx
+    if isinstance(coeff, (int, Fraction)):
+        field = getattr(sample, "field", None) or getattr(sample, "ctx", None)
+        if field is None:  # a rational point
+            return coeff
         try:
             return field.coerce(coeff)
         except ZeroDivisionError:
@@ -246,7 +278,7 @@ def poly_divexact(f, g):
         qe = tuple(a - b for a, b in zip(e, ge))
         if any(x < 0 for x in qe):
             return None
-        qc = c / gc
+        qc = _div(c, gc)
         quo[qe] = qc
         for e2, c2 in g.terms.items():
             ne = tuple(a + b for a, b in zip(qe, e2))
@@ -262,7 +294,7 @@ def _normalize(f):
     if f.is_zero():
         return f
     _, lc = f.leading()
-    return f.scale(f.domain.one / lc)
+    return f.scale(_div(f.domain.one, lc))
 
 
 def poly_gcd(f, g):
@@ -375,9 +407,10 @@ def _gcd_prs(f, g):
 # ---------------------------------------------------------------------------
 
 class RatFn:
-    """Reduced fraction num/den of MultiPolys; den is graded-lex monic."""
+    """Reduced fraction num/den of MultiPolys; den is graded-lex monic.
+    ``_text`` holds ``render(self)`` once it has been asked for."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_text")
 
     def __init__(self, num, den, reduce=True):
         num._check(den)
@@ -390,13 +423,14 @@ class RatFn:
                 den = poly_divexact(den, g)
         _, lc = den.leading()
         if lc != den.domain.one:
-            inv = den.domain.one / lc
+            inv = _div(den.domain.one, lc)
             num = num.scale(inv)
             den = den.scale(inv)
         if num.is_zero():
             den = MultiPoly.const(den.domain, den.vars, den.domain.one)
         self.num = num
         self.den = den
+        self._text = None
 
     # -- constructors -------------------------------------------------------
 
@@ -429,7 +463,7 @@ class RatFn:
         return self.num.is_constant() and self.den.is_constant()
 
     def constant_value(self):
-        return self.num.constant_value() / self.den.constant_value()
+        return _div(self.num.constant_value(), self.den.constant_value())
 
     def occurring(self):
         return self.num.occurring() | self.den.occurring()
@@ -443,7 +477,9 @@ class RatFn:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        return render(self)
+        if self._text is None:
+            self._text = render(self)
+        return self._text
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -541,7 +577,7 @@ class RatFn:
         if _czero(d):
             raise PoleAtPoint("denominator vanishes at the given point")
         n = self.num.evaluate(values)
-        return n / d
+        return _div(n, d)
 
 
 def _compose_poly(p, bindings, maxdeg, sample):
@@ -582,7 +618,7 @@ def _pow_table(p, n):
 # ---------------------------------------------------------------------------
 
 def _render_coeff(c):
-    if isinstance(c, Fraction):
+    if isinstance(c, (int, Fraction)):
         return str(c)
     return str(c.encode())
 
@@ -617,7 +653,7 @@ def render_poly(p):
         if idx == 0:
             out.append(_render_term(p.vars, e, c, lead=True))
             continue
-        neg = (c < 0) if isinstance(c, Fraction) else False
+        neg = (c < 0) if isinstance(c, (int, Fraction)) else False
         if neg:
             out.append("- " + _render_term(p.vars, e, -c, lead=True).lstrip("-"))
         else:

@@ -86,11 +86,13 @@ class PowerProduct:
     def __pow__(self, e):
         return PowerProduct(tuple((b, x * e) for b, x in self.factors))
 
-    def evaluate(self, values):
+    def evaluate(self, values, memo=None):
+        """The product at a point; ``memo`` (id(base) -> value) is shared by
+        callers that evaluate many products over the same bases there."""
         acc = None
         sample = next(iter(values.values()))
         for base, exp in self.factors:
-            v = base.evaluate(values)
+            v = _base_value(base, values, memo)
             if v.is_zero() and exp < 0:
                 raise PoleAtPoint("negative power of a vanishing factor")
             v = v ** exp if exp >= 0 else (v.inverse()) ** (-exp)
@@ -125,6 +127,15 @@ class PowerProduct:
 
     def __repr__(self):
         return self.render()
+
+
+def _base_value(base, values, memo):
+    if memo is None:
+        return base.evaluate(values)
+    v = memo.get(id(base))
+    if v is None:
+        v = memo[id(base)] = base.evaluate(values)
+    return v
 
 
 @dataclass(frozen=True)
@@ -333,14 +344,14 @@ def reduce_general(n, char):
 # specialization oracle
 # ---------------------------------------------------------------------------
 
-def _specialize_coeffs(gp, values, ctx):
+def _specialize_coeffs(gp, values, ctx, memo=None):
     out = []
     for c in gp.coeffs:
         if c.is_zero():
             out.append(ctx.zero)
             continue
         try:
-            out.append(ctx.coerce(c.evaluate(values)))
+            out.append(ctx.coerce(c.evaluate(values, memo)))
         except (PoleAtPoint, ZeroDivisionError):
             raise PoleAtAssignment("coefficient has a pole at the assignment")
     return out
@@ -351,14 +362,15 @@ def verify_specialization(f, h, record, assignment, ctx):
     transformations carry the root multiset of f onto that of h, by the
     Mobius identity of the module docstring."""
     values = dict(assignment)
-    f_spec = _specialize_coeffs(f, values, ctx)
-    h_spec = _specialize_coeffs(h, values, ctx)
+    memo = {}  # each distinct base RatFn is evaluated once at the point
+    f_spec = _specialize_coeffs(f, values, ctx, memo)
+    h_spec = _specialize_coeffs(h, values, ctx, memo)
     m = (ctx.one, ctx.zero, ctx.zero, ctx.one)
     for step in record.steps:
         lv = None
         if step.lam is not None:
             try:
-                lv = ctx.coerce(step.lam.evaluate(values))
+                lv = ctx.coerce(_base_value(step.lam, values, memo))
             except (PoleAtPoint, ZeroDivisionError):
                 raise PoleAtAssignment(
                     "step parameter has a pole at the assignment")

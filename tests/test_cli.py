@@ -1,5 +1,8 @@
 import json
+import os
+import pathlib
 import random
+import subprocess
 import sys
 import time
 
@@ -245,3 +248,29 @@ def test_integers_past_the_str_limit_are_a_capability_limit(capsys):
                                   "--field", "Q"])
     assert code == 0
     assert json.loads(out)["interval"] == {"lo": 500, "hi": 997}
+
+
+def _edim(argv, stdout):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c",
+                           "from edim.cli import main; main()", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          timeout=120)
+
+
+def test_broken_pipe_exits_quietly(capsys):
+    argv = ["table", "--groups", "S4,S5,D5", "--fields", "Q,F(2)"]
+    # the reader has gone before the first write, as `| head -1` can leave
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _edim(argv, write_end)
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in done.stderr and done.stderr == b""
+    assert done.returncode == 1
+    # with a reader, the bytes are those of run() and the exit code is 0
+    done = _edim(argv, subprocess.PIPE)
+    code, out = _capture(capsys, argv)
+    assert (done.returncode, done.stdout.decode()) == (code, out) == (0, out)

@@ -1,13 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from edim import ratfunc
+from edim.crossratio import CRSymbol, cr_define, cr_rewrite, generator_symbol
 from edim.errors import PoleAtPoint, UnboundVariable
 from edim.exactfield import fq_context
 from edim.ratfunc import (QQ, MultiPoly, RatFn, _gcd_prs, _normalize,
                           poly_divexact, poly_gcd, render)
+from edim.tschirnhaus import reduce_general
 
 
 def _vars():
@@ -194,3 +197,77 @@ def test_pow_matches_repeated_product():
         assert r ** -n == one / acc_r, n
         acc_p, acc_r = acc_p * p, acc_r * r
     assert p ** 1 is p and r ** 1 is r
+
+
+# -- coefficient types over Q: an int when integral, else a Fraction ----------
+
+def _assert_exact_rationals(polys):
+    for p in polys:
+        assert p.domain is QQ
+        for c in p.terms.values():
+            assert type(c) is int or (type(c) is Fraction
+                                      and c.denominator != 1), (c, p)
+
+
+def _parts(r):
+    return r.num, r.den
+
+
+def test_integral_coefficients_are_ints():
+    rng = random.Random(11)
+    for n in (4, 5, 6, 7):
+        syms = [CRSymbol(n, idx)
+                for idx in itertools.permutations(range(1, n + 1), 4)]
+        for sym in syms:
+            _assert_exact_rationals(_parts(cr_define(sym)))
+        if n < 5:
+            continue
+        bindings = {"t%d" % i: cr_define(generator_symbol(n, i))
+                    for i in range(4, n + 1)}
+        for sym in rng.sample(syms, 40):
+            _assert_exact_rationals(cr_rewrite(sym).compose_pair(bindings))
+    for n in range(2, 8):
+        h, record = reduce_general(n, 0)
+        for c in h.coeffs:
+            for base, _ in c.factors:
+                _assert_exact_rationals(_parts(base))
+        for step in record.steps:
+            if step.lam is not None:
+                _assert_exact_rationals(_parts(step.lam))
+
+
+def test_quotients_of_coefficients_are_exact():
+    vars = ("x", "y")
+    x, y = (MultiPoly.var(QQ, vars, v) for v in vars)
+    r = RatFn(x, 2 * y)
+    assert r.num.terms == {(1, 0): Fraction(1, 2)}
+    assert type(r.num.terms[(1, 0)]) is Fraction
+    assert r.den.terms == {(0, 1): 1} and type(r.den.terms[(0, 1)]) is int
+    # a divisor whose leading coefficient is not 1
+    q = poly_divexact(x + 1, 2 * x + 2)
+    assert q.terms == {(0, 0): Fraction(1, 2)}
+    assert type(q.terms[(0, 0)]) is Fraction
+    q = poly_divexact(x * x - 1, 3 * x + 3)
+    assert q.terms == {(1, 0): Fraction(1, 3), (0, 0): Fraction(-1, 3)}
+    assert all(type(c) is Fraction for c in q.terms.values())
+    # an integral quotient stays an int
+    q = poly_divexact(6 * x + 4, 3 * x + 2)
+    assert q.terms == {(0, 0): 2} and type(q.terms[(0, 0)]) is int
+    assert type(RatFn(4 * x, 2 * x).constant_value()) is int
+
+
+def test_evaluation_at_rational_points_is_exact():
+    t4, t5 = _v("t4"), _v("t5")
+    f = (t4 + t5) / (t4 - 2 * t5)
+    got = f.evaluate({"t4": Fraction(1, 2), "t5": Fraction(1, 3)})
+    assert got == Fraction(-5) and type(got) is int
+    got = f.evaluate({"t4": Fraction(1, 2), "t5": Fraction(1, 5)})
+    assert got == Fraction(7, 1) and type(got) is int
+    got = (t4 / t5).evaluate({"t4": Fraction(2, 3), "t5": Fraction(5, 7)})
+    assert got == Fraction(14, 15) and type(got) is Fraction
+    # int points: a true quotient, never a float
+    got = (t4 / t5).evaluate({"t4": 1, "t5": 2})
+    assert got == Fraction(1, 2) and type(got) is Fraction
+    half = RatFn.const(QQ, _vars(), Fraction(1, 2))
+    got = (half * t4).evaluate({"t4": Fraction(3, 5)})
+    assert got == Fraction(3, 10) and type(got) is Fraction

@@ -276,6 +276,35 @@ def test_rendered_reductions_are_pinned():
         [("Shift", "2 * t1"), ("ScaleRoots", lam)])
 
 
+def test_rendered_char0_reductions_are_pinned():
+    # over Q the depression brings in denominators; each coefficient renders
+    # as a reduced fraction, or as a bare integer when it is integral
+    lam = ("(-4/75 * t1^5 + 1/3 * t1^3 * t2 - 5/3 * t1^2 * t3"
+           " + 25/3 * t1 * t4 - 125/3 * t5) * (t1^4 - 5 * t1^2 * t2"
+           " + 50/3 * t1 * t3 - 125/3 * t4)^-1")
+    assert _rendered(5, 0) == (
+        _rescaled(lam, ["(-2/5 * t1^2 + t2)",
+                        "(4/25 * t1^3 - 3/5 * t1 * t2 + t3)",
+                        "(-3/125 * t1^4 + 3/25 * t1^2 * t2 - 2/5 * t1 * t3"
+                        " + t4)"]),
+        [("Shift", "-1/5 * t1"), ("ScaleRoots", lam)])
+    lam = ("(-6/245 * t1^7 + 1/5 * t1^5 * t2 - 7/5 * t1^4 * t3"
+           " + 49/5 * t1^3 * t4 - 343/5 * t1^2 * t5 + 2401/5 * t1 * t6"
+           " - 16807/5 * t7) * (t1^6 - 7 * t1^4 * t2 + 196/5 * t1^3 * t3"
+           " - 1029/5 * t1^2 * t4 + 4802/5 * t1 * t5 - 16807/5 * t6)^-1")
+    assert _rendered(7, 0) == (
+        _rescaled(lam, ["(-3/7 * t1^2 + t2)",
+                        "(10/49 * t1^3 - 5/7 * t1 * t2 + t3)",
+                        "(-15/343 * t1^4 + 10/49 * t1^2 * t2 - 4/7 * t1 * t3"
+                        " + t4)",
+                        "(12/2401 * t1^5 - 10/343 * t1^3 * t2"
+                        " + 6/49 * t1^2 * t3 - 3/7 * t1 * t4 + t5)",
+                        "(-5/16807 * t1^6 + 5/2401 * t1^4 * t2"
+                        " - 4/343 * t1^3 * t3 + 3/49 * t1^2 * t4"
+                        " - 2/7 * t1 * t5 + t6)"]),
+        [("Shift", "-1/7 * t1"), ("ScaleRoots", lam)])
+
+
 def test_structure_decides_every_reduction_gcd(monkeypatch):
     # the shift reduces over a constant or monomial denominator, and the
     # rescale's a_n / a_{n-1} has unit content in t_n; only the wild cubic
