@@ -214,6 +214,18 @@ def _prime_factors(n):
             for q in _prime_power_parts(n)}
 
 
+def _divisors(n):
+    """The divisors of n, multiplied out from its prime factors."""
+    out = {1}
+    for p in _prime_factors(n):
+        powers, m = [1], n
+        while m % p == 0:
+            m //= p
+            powers.append(powers[-1] * p)
+        out = {d * e for d in out for e in powers}
+    return out
+
+
 def _product_of(factors):
     if not factors:
         return Cyc(1)
@@ -283,7 +295,7 @@ def expr_element_orders(e):
         right = expr_element_orders(e.right)
         return {math.lcm(a, b) for a in left for b in right}
     if isinstance(e, Cyc):
-        return {d for d in range(1, e.n + 1) if e.n % d == 0}
+        return _divisors(e.n)
     if isinstance(e, Dih):
         return expr_element_orders(Cyc(e.n)) | {1, 2}
     if isinstance(e, ElemAb):
@@ -392,8 +404,8 @@ def _thm45_cyclic(n, p, fd):
         return False  # p^2 | n: (iii) and (iv) demand zeta_{p^a} both ways
     if contains_zeta(fd, p) is not YES:
         return False
-    for m in range(2 * p, n + 1, p):
-        if n % m == 0 and contains_zeta(fd, m) is not NO:
+    for m in sorted(_divisors(n)):
+        if m > p and m % p == 0 and contains_zeta(fd, m) is not NO:
             return False
     return True
 

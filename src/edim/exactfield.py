@@ -242,11 +242,8 @@ class FqElement:
     # -- ring structure -------------------------------------------------
 
     def _pair(self, other):
-        """Bring self and other into a common context, or None."""
-        if isinstance(other, int):
-            return self, self.ctx.from_int(other)
-        if isinstance(other, Fraction):
-            return self, self.ctx.coerce(other)
+        """Bring self and other into a common context, or None.  FqElement
+        is tested first: Fraction is an ABC, so its isinstance test is slow."""
         if isinstance(other, FqElement):
             if other.ctx is self.ctx or (other.ctx.p == self.ctx.p
                                          and other.ctx.modulus == self.ctx.modulus):
@@ -258,6 +255,10 @@ class FqElement:
                 if self.ctx.k == 1:
                     return other.ctx.coerce(self), other
             raise ValueError("mixed field contexts")
+        if isinstance(other, int):
+            return self, self.ctx.from_int(other)
+        if isinstance(other, Fraction):
+            return self, self.ctx.coerce(other)
         return None
 
     def __add__(self, other):

@@ -1,19 +1,19 @@
 """GL_2 and PGL_2 over finite fields: canonical representatives, projective
-orders, the trace invariant tr^2/det, exhaustive subgroup-embedding search,
+orders, conjugacy classes by tr^2/det, exhaustive subgroup-embedding search,
 and the explicit dihedral / elementary-abelian matrix representations.
 
 The work runs on integer codes: an F_q element is its ``encode()``, a matrix
 a 4-tuple of codes, a projective class the code a*q^3 + b*q^2 + c*q + d of
-its canonical representative.  Each field's ``_Kernel`` holds add, mul, neg
-and inverse tables on the codes, the order census and the memoized
-``pgl2_embeds`` verdicts; ``Mat2`` and ``PGL2Element`` carry results only.
+its canonical representative.  Each field's ``_Kernel`` holds the F_q tables
+on codes, the order census with each conjugacy class's least code, and the
+memoized ``pgl2_embeds`` verdicts; ``Mat2``, ``PGL2Element`` carry results.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 
 from .errors import (DependentAlphas, EvenChar, RealZetaAbsent, TooLarge,
@@ -41,6 +41,12 @@ class Mat2:
         return Mat2(self.ctx,
                     self.a * o.a + self.b * o.c, self.a * o.b + self.b * o.d,
                     self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d)
+
+    def __pow__(self, n):  # n >= 1
+        acc = self
+        for _ in range(n - 1):
+            acc = acc * self
+        return acc
 
     def inverse(self):
         dt = self.det()
@@ -84,7 +90,6 @@ class PGL2Element:
                 xi = x.inverse()
                 return PGL2Element(Mat2(m.ctx, m.a * xi, m.b * xi,
                                         m.c * xi, m.d * xi))
-        raise ZeroElement("zero matrix")
 
     def __mul__(self, o):
         return PGL2Element.of(self.rep * o.rep)
@@ -113,8 +118,7 @@ def _check_cap(ctx):
 
 class _Table(dict):
     """An F_q operation on codes, filled from FqElement arithmetic on first
-    use; kept only for q <= Q_CAP (dn_representation reads few entries of
-    a larger field's table, which would not fit in memory)."""
+    use; kept only for q <= Q_CAP, where the whole table fits in memory."""
 
     def __init__(self, fn, keep):
         super().__init__()
@@ -174,16 +178,35 @@ class _Kernel:
                           add[ra[c]][rc[d]], add[rb[c]][rd[d]])
         return None
 
+    def key(self, m):
+        """Class key of the invertible, non-scalar matrix m (a 4-tuple of
+        codes): u = tr^2/det, and whether det is a square when tr = 0, which
+        splits the two involution classes of odd q (Dickson)."""
+        add, mul, (a, b, c, d) = self.add, self.mul, m
+        t, det = add[a][d], add[mul[a][d]][self.neg[mul[b][c]]]
+        return mul[mul[t][t]][self.inv[det]], t == 0 and det in self.squares
+
+    @cached_property
+    def squares(self):
+        return {self.mul[x][x] for x in range(self.q)}
+
     def census(self):
-        """Map order -> ascending codes of the classes of that order."""
+        """Map order -> ascending codes of the classes of that order; fills
+        ``classes``, key -> (order, least code), ascending.  The order is
+        p for u = 4 (unipotent), else that of the first class with its u."""
         if self.orders is None:
-            q, q2, q3, self.orders = self.q, self.q2, self.q3, {}
+            q, q2, q3, p = self.q, self.q2, self.q3, self.ctx.p
+            self.orders, self.classes, by_u = {1: [q3 + 1]}, {}, {4 % p: p}
             # canonical codes: (0, 1, c != 0, d), then (1, b, c, d != bc)
-            for x in chain(range(q2 + q, 2 * q2), range(q3, 2 * q3)):
+            for x in chain(range(q2 + q, 2 * q2), range(q3 + 2, 2 * q3)):
+                # (1, 0, 0, 0) and the identity (1, 0, 0, 1) are skipped
                 m = self.mat(x)
                 if m[0] == 0 or m[3] != self.mul[m[1]][m[2]]:
-                    self.orders.setdefault(self.order(m, q2 + q + 1),
-                                           []).append(x)
+                    key = self.key(m)
+                    if key[0] not in by_u:
+                        by_u[key[0]] = self.order(m, q + 1)
+                    self.classes.setdefault(key, (by_u[key[0]], x))
+                    self.orders.setdefault(by_u[key[0]], []).append(x)
         return self.orders
 
 
@@ -198,21 +221,16 @@ def pgl2_enumerate(ctx):
 
 
 def pgl2_order(e):
-    """Least d >= 1 with rep^d scalar."""
+    """Least d >= 1 with rep^d scalar; d <= q + 1 in PGL_2(F_q)."""
     k, q = _kernel(e.rep.ctx), e.rep.ctx.q
-    d = k.order(k.mat(e.encode()), q * q + q + 1)
-    if d is None:
-        raise AssertionError("order computation exceeded group bound")
-    return d
+    return k.order(k.mat(e.encode()), q + 1)
 
 
 def trace_invariant(e):
     """tr^2 / det of any representative; equals zeta_n + zeta_n^{-1} + 2 when
     the projective order n is coprime to the characteristic."""
     k = _kernel(e.rep.ctx)
-    (a, b, c, d), add, mul = k.mat(e.encode()), k.add, k.mul
-    t = add[a][d]
-    return k.fq(mul[mul[t][t]][k.inv[add[mul[a][d]][k.neg[mul[b][c]]]]])
+    return k.fq(k.key(k.mat(e.encode()))[0])
 
 
 def order_census(ctx):
@@ -230,11 +248,8 @@ class PGL2Witness:
 
 
 def pgl2_embeds(h, ctx):
-    """Exhaustive search for an embedding of h into PGL_2(F_q).
-
-    Returns a PGL2Witness or None (a definite No: the search is exhaustive).
-    Verdicts are memoized per (group, field).
-    """
+    """Exhaustive search for an embedding of h into PGL_2(F_q): a
+    PGL2Witness, or None, a definite No.  Memoized per (group, field)."""
     _check_cap(ctx)
     if not isinstance(h, (Cyc, Dih, ElemAb)):
         raise TooLarge("unsupported family for PGL_2 search")
@@ -253,51 +268,47 @@ def pgl2_embeds(h, ctx):
 
 
 def _search(k, h):
+    """Generators of an embedding of h, as codes, or None.  Every embedding
+    is conjugate to one whose first generator is a class's least code of
+    its order, so trying only those keeps a No exhaustive."""
     census, ident = k.census(), k.q3 + 1
+    n = h.p if isinstance(h, ElemAb) else h.n
+    reps = [x for order, x in k.classes.values() if order == n]
     if isinstance(h, Cyc):
-        if h.n == 1:
-            return ()
-        cands = census.get(h.n)
-        return (cands[0],) if cands else None
+        return () if n == 1 else (reps[0],) if reps else None
     if isinstance(h, Dih):
         invol = census.get(2, [])
-        if h.n == 1:  # D_1 = C_2
+        if n == 1:  # D_1 = C_2
             return (ident, invol[0]) if invol else None
-        for s in census.get(h.n, []):
+        for s in reps:
             spowers = [s]  # s, s^2, ..., s^n = 1, so s^-1 = spowers[-2]
-            while len(spowers) < h.n:
+            while len(spowers) < n:
                 spowers.append(k.prod(spowers[-1], s))
             for t in invol:
-                if t not in spowers and \
-                        k.prod(k.prod(t, s), t) == spowers[-2]:
+                if t not in spowers and k.prod(k.prod(t, s), t) == spowers[-2]:
                     return s, t
         return None
-    p, r = h.p, h.r
 
-    def extend(gens, subgroup, cands, start):
-        if len(gens) == r:
+    def extend(gens, subgroup, cands):
+        if len(gens) == h.r:
             return tuple(gens)
-        if len(gens) == 1:
-            # only what commutes with the first generator can follow it;
-            # census order is kept, so the search and its No are unchanged
-            first = gens[0]
-            cands = [x for x in cands if k.prod(x, first) == k.prod(first, x)]
-            start = cands.index(first) + 1
-        for i in range(start, len(cands)):
-            x = cands[i]
+        for i, x in enumerate(cands):
             if x in subgroup or any(k.prod(x, g) != k.prod(g, x)
                                     for g in gens[1:]):
                 continue
             xpowers = [x]
-            while len(xpowers) < p - 1:
+            while len(xpowers) < n - 1:
                 xpowers.append(k.prod(xpowers[-1], x))
+            # the later generators lie in the first one's centralizer
+            later = cands[i + 1:] if gens else [y for y in census[n] if (
+                h.r > 1 and k.prod(y, x) == k.prod(x, y))]
             got = extend(gens + [x], subgroup | {
-                k.prod(a, y) for a in subgroup for y in xpowers}, cands, i + 1)
+                k.prod(a, y) for a in subgroup for y in xpowers}, later)
             if got is not None:
                 return got
         return None
 
-    return extend([], {ident}, census.get(p, []), 0)
+    return extend([], {ident}, reps)
 
 
 def dp_representation(ctx):
@@ -334,28 +345,17 @@ def elemab_representation(ctx, alphas):
     """(Z/pZ)^r inside GL_2 via [[1, alpha_i],[0,1]]; alphas F_p-independent."""
     alphas = [ctx.coerce(a) for a in alphas]
     p, r = ctx.p, len(alphas)
-    # exhaustive independence scan over all F_p-combinations
-    for code in range(1, p ** r):
-        acc = ctx.zero
-        cc = code
-        for a in alphas:
-            acc = acc + a * (cc % p)
-            cc //= p
-        if acc.is_zero():
-            raise DependentAlphas("alphas are F_p-dependent")
+    span = {ctx.zero}  # every F_p-combination of the alphas
+    for a in alphas:
+        span = {s + a * i for s in span for i in range(p)}
+    if len(span) < p ** r:
+        raise DependentAlphas("alphas are F_p-dependent")
     mats = [Mat2(ctx, 1, a, 0, 1) for a in alphas]
-    for m in mats:
-        acc = m
-        for _ in range(p - 1):
-            acc = acc * m
-        assert acc.is_identity()
+    assert all((m ** p).is_identity() for m in mats)
     return mats
 
 
 def _assert_dihedral(s, t, n):
-    acc = s
-    for _ in range(n - 1):
-        acc = acc * s
-    assert acc.is_identity(), "s^n != 1"
+    assert (s ** n).is_identity(), "s^n != 1"
     assert (t * t).is_identity(), "t^2 != 1"
     assert t * s * t.inverse() == s.inverse(), "t s t^-1 != s^-1"

@@ -408,9 +408,10 @@ def _gcd_prs(f, g):
 
 class RatFn:
     """Reduced fraction num/den of MultiPolys; den is graded-lex monic.
-    ``_text`` holds ``render(self)`` once it has been asked for."""
+    ``_text`` and ``_hash`` hold ``render(self)`` and the hash once they
+    have been asked for."""
 
-    __slots__ = ("num", "den", "_text")
+    __slots__ = ("num", "den", "_text", "_hash")
 
     def __init__(self, num, den, reduce=True):
         num._check(den)
@@ -430,7 +431,7 @@ class RatFn:
             den = MultiPoly.const(den.domain, den.vars, den.domain.one)
         self.num = num
         self.den = den
-        self._text = None
+        self._text = self._hash = None
 
     # -- constructors -------------------------------------------------------
 
@@ -474,7 +475,9 @@ class RatFn:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        if self._hash is None:
+            self._hash = hash((self.num, self.den))
+        return self._hash
 
     def __repr__(self):
         if self._text is None:

@@ -51,12 +51,8 @@ class PowerProduct:
     def __init__(self, factors):
         combined = {}
         for base, exp in factors:
-            if exp == 0:
-                continue
-            if base.is_constant() or base in combined:
+            if exp != 0:
                 combined[base] = combined.get(base, 0) + exp
-            else:
-                combined[base] = exp
         self.factors = tuple(sorted(((b, e) for b, e in combined.items() if e),
                                     key=lambda t: (repr(t[0]), t[1])))
 

@@ -1,5 +1,6 @@
 import pytest
 
+from edim import pgl2
 from edim.errors import TooLarge
 from edim.exactfield import fq_context
 from edim.fielddesc import YES, finite_field_from_q
@@ -173,7 +174,7 @@ def _mat2_census(ctx):
 
 
 def test_order_census_matches_mat2_oracle():
-    for q in (2, 3, 4, 5, 7, 8, 9, 11):
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
         ctx = fq_context(*_pk(q))
         got = {n: [e.encode() for e in lst]
                for n, lst in order_census(ctx).items()}
@@ -245,7 +246,7 @@ def test_verdicts_match_dickson_and_witnesses_are_faithful():
     groups = [Cyc(n) for n in range(1, 61)] + [Dih(n) for n in range(1, 31)]
     groups += [ElemAb(ell, r) for ell in _primes(64) for r in range(1, 7)
                if ell ** r <= 64]
-    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+    for q in _PRIME_POWERS:
         p, k = _pk(q)
         ctx = fq_context(p, k)
         for h in groups:
@@ -253,3 +254,50 @@ def test_verdicts_match_dickson_and_witnesses_are_faithful():
             assert (wit is not None) == _dickson(h, p, k), (h, q)
             if wit is not None:
                 _assert_witness(h, wit, ctx)
+
+
+def test_class_keys_are_the_conjugation_orbits():
+    # brute force in Mat2 arithmetic: the orbit of each non-identity class
+    # under conjugation by all of PGL_2(F_q)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        ctx = fq_context(*_pk(q))
+        k = pgl2._kernel(ctx)
+        els = [e for e in pgl2_enumerate(ctx) if not e.is_identity()]
+        inverses = [g.inverse() for g in els]
+        orbits, seen = [], set()
+        for e in els:
+            if e.encode() not in seen:
+                orbit = {e.encode()} | {(g * e * gi).encode()
+                                        for g, gi in zip(els, inverses)}
+                orbits.append(orbit)
+                seen |= orbit
+        by_key = {}
+        for e in els:
+            by_key.setdefault(k.key(k.mat(e.encode())), set()).add(
+                e.encode())
+        assert sorted(map(sorted, by_key.values())) == \
+            sorted(map(sorted, orbits)), q
+        # each class's recorded order and least code
+        assert set(k.classes) == set(by_key), q
+        for key, (n, least) in k.classes.items():
+            assert least == min(by_key[key]), (q, key)
+            assert by_key[key] <= set(k.census()[n]), (q, key)
+
+
+def test_elemab_no_search_is_linear_in_candidates(monkeypatch):
+    # E(7,2) is not in PGL_2(F_27): the search tries one first generator
+    # per class of order 7 and filters its centralizer once, so it
+    # multiplies a bounded number of times per order-7 candidate
+    ctx, h = fq_context(3, 3), ElemAb(7, 2)
+    k = pgl2._kernel(ctx)
+    k.census()
+    k.verdicts.pop(h, None)
+    calls, prod = [0], pgl2._Kernel.prod
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return prod(self, x, y)
+
+    monkeypatch.setattr(pgl2._Kernel, "prod", counted)
+    assert pgl2_embeds(h, ctx) is None
+    assert 0 < calls[0] <= 8 * len(k.census()[7])
