@@ -44,14 +44,24 @@ def tvars(n):
     return tuple("t%d" % i for i in range(4, n + 1))
 
 
+def _cross_product(n, a, b, c, d):
+    """(x_a - x_c)(x_b - x_d) = x_a x_b - x_a x_d - x_c x_b + x_c x_d, built
+    as its four terms; for distinct a, b, c, d the four monomials differ."""
+    def mono(p, q):
+        e = [0] * n
+        e[p - 1] = e[q - 1] = 1
+        return tuple(e)
+    return MultiPoly(QQ, xvars(n), {mono(a, b): 1, mono(a, d): -1,
+                                    mono(c, b): -1, mono(c, d): 1})
+
+
 def cr_define(sym):
     """[i,j;k,l] = (x_i-x_k)(x_j-x_l) / ((x_i-x_l)(x_j-x_k)), built reduced:
-    the four linear factors join distinct pairs of variables."""
-    vs = xvars(sym.n)
+    the four linear factors join distinct pairs of variables.  Each side is
+    one four-term polynomial, with no products of MultiPolys."""
     i, j, k, l = sym.indices
-    x = lambda m: MultiPoly.var(QQ, vs, "x%d" % m)
-    return RatFn((x(i) - x(k)) * (x(j) - x(l)), (x(i) - x(l)) * (x(j) - x(k)),
-                 reduce=False)
+    return RatFn(_cross_product(sym.n, i, j, k, l),
+                 _cross_product(sym.n, i, j, l, k), reduce=False)
 
 
 def generator_symbol(n, i):

@@ -19,12 +19,17 @@ base field F_q: for mu = (a, b; c, d) and f = sum f_i X^i,
 over the algebraic closure, where f = prod (X - r_i).  So h's roots are the
 images of f's roots exactly when monic(G) = h, and deg G < n exactly when
 some root is sent to infinity.  No factoring and no extension field.
+
+``general_poly`` and ``reduce_general`` are memoized per (n, char): their
+results are frozen records (tuples of PowerProducts over RatFns), so every
+caller in a session shares one derivation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import unipoly
 from .errors import (CharDividesDegree, DegenerateTail, PoleAtAssignment,
@@ -74,7 +79,8 @@ class PowerProduct:
         return self.factors == other.factors
 
     def __hash__(self):
-        return hash(self.factors)
+        # every zero product is equal to every other, whatever its factors
+        return hash(0) if self.is_zero() else hash(self.factors)
 
     def __mul__(self, other):
         return PowerProduct(self.factors + other.factors)
@@ -188,6 +194,7 @@ class GeneralPoly:
         return self.coeffs[j - 1]
 
 
+@lru_cache(maxsize=None)
 def general_poly(n, char):
     dom = _domain(char)
     vs = tvars(n)
@@ -317,6 +324,7 @@ def reduce_char3_cubic():
     return out, record
 
 
+@lru_cache(maxsize=None)
 def reduce_general(n, char):
     """Dispatch of the reduction pipeline; (reduced poly, record)."""
     if n < 2:

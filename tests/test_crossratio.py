@@ -190,3 +190,26 @@ def test_verify_faithful():
         verify_faithful(4)
     with pytest.raises(AmbientOutOfRange):
         verify_faithful(8)
+
+
+def _cr_define_by_products(sym):
+    """The definition as a product of differences of variables: the oracle
+    for cr_define's four-term construction."""
+    vs = xvars(sym.n)
+    i, j, k, l = sym.indices
+    x = lambda m: MultiPoly.var(QQ, vs, "x%d" % m)
+    return RatFn((x(i) - x(k)) * (x(j) - x(l)), (x(i) - x(l)) * (x(j) - x(k)),
+                 reduce=False)
+
+
+def test_cr_define_matches_product_of_differences():
+    for n in range(4, 8):
+        for idx in itertools.permutations(range(1, n + 1), 4):
+            sym = CRSymbol(n, idx)
+            got, want = cr_define(sym), _cr_define_by_products(sym)
+            assert got.vars == want.vars == xvars(n)
+            assert got.num.terms == want.num.terms, idx
+            assert got.den.terms == want.den.terms, idx
+            for p in (got.num, got.den):
+                assert len(p.terms) == 4
+                assert all(type(c) is int for c in p.terms.values()), idx

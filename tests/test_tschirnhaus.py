@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from edim import ratfunc, unipoly
+from edim import ratfunc, tschirnhaus, unipoly
 from edim.errors import PoleAtAssignment, PoleAtPoint, Unsupported
 from edim.exactfield import fq_context
 from edim.ratfunc import QQ, RatFn, render
@@ -319,9 +319,78 @@ def test_structure_decides_every_reduction_gcd(monkeypatch):
             if (n, char) == (3, 3):
                 continue
             try:
-                reduce_general(n, char)
+                # past the memo, so every pair is derived under the patch
+                reduce_general.__wrapped__(n, char)
             except Unsupported:
                 assert n % char == 0, (n, char)
                 continue
             reduced += 1
     assert reduced == 32
+
+
+def test_zero_products_share_a_hash():
+    vs = ("t1", "t2")
+    zero = RatFn.const(QQ, vs, QQ.zero)
+    t1 = RatFn.var(QQ, vs, "t1")
+    a = PowerProduct([(zero, 1)])
+    b = PowerProduct([(zero, 2), (t1, 1)])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # reduce_general(5, 0) builds one: its X^4 coefficient is 0 * lam^-1
+    h, _ = reduce_general(5, 0)
+    c1 = h.coefficient(1)
+    assert c1.is_zero() and len(c1.factors) == 2
+    assert len({c1, a, b}) == 1
+
+
+def _render_poly(gp):
+    return gp.n, gp.char, [c.render() for c in gp.coeffs]
+
+
+def _render_reduction(result):
+    h, record = result
+    return (_render_poly(h),
+            [(s.kind(), None if s.lam is None else render(s.lam))
+             for s in record.steps])
+
+
+def test_memo_matches_fresh_derivations():
+    for n, char in PAIRS + [(n, 0) for n in range(2, 10)]:
+        assert _render_poly(general_poly(n, char)) == \
+            _render_poly(general_poly.__wrapped__(n, char)), (n, char)
+        assert _render_reduction(reduce_general(n, char)) == \
+            _render_reduction(reduce_general.__wrapped__(n, char)), (n, char)
+
+
+def test_memo_returns_the_same_records():
+    for n, char in [(5, 0), (3, 3), (7, 2)]:
+        assert general_poly(n, char) is general_poly(n, char)
+        h, record = reduce_general(n, char)
+        h2, record2 = reduce_general(n, char)
+        assert h is h2 and record is record2
+
+
+def test_memo_keeps_raising_unsupported():
+    for n, char in [(4, 2), (1, 0)]:
+        for _ in range(3):
+            with pytest.raises(Unsupported):
+                reduce_general(n, char)
+
+
+def test_memo_derives_once(monkeypatch):
+    calls = []
+    original = tschirnhaus.depress
+
+    def counted(gp):
+        calls.append((gp.n, gp.char))
+        return original(gp)
+
+    monkeypatch.setattr(tschirnhaus, "depress", counted)
+    reduce_general.cache_clear()
+    try:
+        first = reduce_general(5, 0)
+        assert reduce_general(5, 0) is first
+        assert calls == [(5, 0)]
+    finally:
+        # drop the entry derived under the patch
+        reduce_general.cache_clear()
