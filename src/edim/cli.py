@@ -107,6 +107,8 @@ def parse_field(text):
             raise ParseError("%d is not a prime power" % q)
         try:
             return finite_field_from_q(q)
+        except TooLarge:
+            raise
         except EdimError:
             raise ParseError("%d is not a prime power" % q)
     if s.startswith("custom{") and s.endswith("}"):
@@ -434,7 +436,7 @@ def run(argv):
         try:
             text = (_plain(args.command, out) if getattr(args, "plain", False)
                     else json.dumps(out, sort_keys=True))
-        except ValueError:  # str() of an int, e.g. the hi = n! of R-REP
+        except ValueError:  # str() of an int past the digit limit
             raise TooLarge("an integer in the output exceeds Python's "
                            "int-to-str limit of %d digits"
                            % sys.get_int_max_str_digits())

@@ -26,14 +26,14 @@ from functools import reduce
 
 from .errors import (EdimError, Inconsistent, NotCentral, NotPrime,
                      NotPrimeOrder, TooLarge)
-from .exactfield import fq_context, is_prime
+from .exactfield import divisors, factorize, fq_context, is_prime
 from .fielddesc import (NO, UNKNOWN, YES, INF as FP_INF, FiniteField, char_of,
                         contains_real_zeta, contains_zeta, extend_with_zeta,
                         fp_dimension)
-from .groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, _prime_power_parts,
-                     center, character_exists, element_orders,
+from .groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, _partition_orders,
+                     _prime_power_parts, center, character_exists, degree,
                      embedding_certificate, expr_order, l_core, pident, pmul,
-                     porder, realize)
+                     porder)
 from . import pgl2 as _pgl2
 
 INF = math.inf
@@ -146,18 +146,18 @@ def _flatten(e):
 
 def canon(e):
     """Canonical representative of the isomorphism class, within the
-    rewrites the engine knows (trivial atoms, small renames, flat sorted
-    products with trivial factors dropped)."""
+    rewrites the engine knows (trivial atoms to C1, small renames, flat
+    sorted products with trivial factors dropped)."""
     if isinstance(e, Product):
         factors = [canon(f) for f in _flatten(e)]
-        factors = [f for f in factors if expr_order(f) > 1]
+        factors = [f for f in factors if f != Cyc(1)]
         if not factors:
             return Cyc(1)
         factors.sort(key=str)
         if len(factors) == 1:
             return factors[0]
         return reduce(Product, factors)
-    if expr_order(e) == 1:
+    if isinstance(e, Sym) and e.n <= 1 or isinstance(e, Alt) and e.n <= 2:
         return Cyc(1)
     if isinstance(e, Sym) and e.n == 2:
         return Cyc(2)
@@ -206,24 +206,6 @@ def product_views(e):
         if len(parts) >= 2:
             views.append(tuple(canon(Cyc(q)) for q in parts))
     return views
-
-
-def _prime_factors(n):
-    # the prime of a part q = p^a is its least divisor: below sqrt(q), or q
-    return {next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-            for q in _prime_power_parts(n)}
-
-
-def _divisors(n):
-    """The divisors of n, multiplied out from its prime factors."""
-    out = {1}
-    for p in _prime_factors(n):
-        powers, m = [1], n
-        while m % p == 0:
-            m //= p
-            powers.append(powers[-1] * p)
-        out = {d * e for d in out for e in powers}
-    return out
 
 
 def _product_of(factors):
@@ -295,12 +277,12 @@ def expr_element_orders(e):
         right = expr_element_orders(e.right)
         return {math.lcm(a, b) for a in left for b in right}
     if isinstance(e, Cyc):
-        return _divisors(e.n)
+        return set(divisors(e.n))
     if isinstance(e, Dih):
         return expr_element_orders(Cyc(e.n)) | {1, 2}
     if isinstance(e, ElemAb):
         return {1, e.p}
-    return element_orders(realize(e))  # Sym / Alt partition census
+    return set(_partition_orders(e.n, isinstance(e, Alt)))  # S_n, A_n
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +309,7 @@ def check_thm46(gprime, p, fd):
     if z is not YES:
         word = "unknown" if z is UNKNOWN else "absent"
         return Thm46Result(False, "(iii) zeta_%d %s" % (p, word))
-    for pp in sorted(_prime_factors(center_order(gprime))):
+    for pp, _ in factorize(center_order(gprime)):
         if pp == p:
             continue
         z2 = contains_zeta(fd, pp)
@@ -404,7 +386,7 @@ def _thm45_cyclic(n, p, fd):
         return False  # p^2 | n: (iii) and (iv) demand zeta_{p^a} both ways
     if contains_zeta(fd, p) is not YES:
         return False
-    for m in sorted(_divisors(n)):
+    for m in divisors(n):
         if m > p and m % p == 0 and contains_zeta(fd, m) is not NO:
             return False
     return True
@@ -489,13 +471,11 @@ def a_lower_recurrence(n, fd):
 # ---------------------------------------------------------------------------
 
 def _leaf_triv(a, fd):
-    yield (0, 0) if expr_order(a) == 1 else (1, None)
+    yield (0, 0) if a == Cyc(1) else (1, None)
 
 
 def _leaf_rep(a, fd):
-    yield None, expr_order(a)  # regular representation
-    if isinstance(a, Sym) and a.n >= 2 or isinstance(a, Alt) and a.n >= 3:
-        yield None, a.n
+    yield None, degree(a)
     if not isinstance(fd, FiniteField):
         return
     # D_n: a rotation of order n | q +- 1 (p does not divide n) and a
@@ -569,7 +549,7 @@ def _pgl2_spelling(a):
 
 
 def _leaf_pgl_obs(a, fd):
-    if expr_order(a) == 1:
+    if a == Cyc(1):
         return
     try:
         orders = sorted(expr_element_orders(a))
@@ -704,7 +684,7 @@ def edges_of(e, fd):
             if check_thm46(rest, f.n, fd).applicable:
                 out += _one_more("R-CE-SPLIT", q, (rest, fd))
     if isinstance(e, Cyc):
-        for p in sorted(_prime_factors(e.n)):
+        for p, _ in factorize(e.n):
             if e.n != p and _thm45_cyclic(e.n, p, fd):
                 out += _one_more("R-CE", q, (Cyc(e.n // p), fd))
     return out

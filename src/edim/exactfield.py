@@ -9,6 +9,7 @@ element interface with modulus X.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,21 +18,63 @@ from .errors import DegreeTooLarge, NotPrime, TooLarge, ZeroElement
 Rational = Fraction
 
 K_CAP = 12
+FACTOR_CAP = 10 ** 6  # the largest trial divisor: every n <= 10^12 factors
+
+
+def _least_factor(n, start=2):
+    """The least prime factor of n > 1, which has none below start, by trial
+    division; TooLarge when that needs a divisor above FACTOR_CAP."""
+    if start <= 2 and n % 2 == 0:
+        return 2
+    root = math.isqrt(n)
+    for d in range(max(3, start | 1), min(root, FACTOR_CAP) + 1, 2):
+        if n % d == 0:
+            return d
+    if root > FACTOR_CAP:
+        raise TooLarge("trial division capped at divisor %d" % FACTOR_CAP)
+    return n
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _least_factor(n) == n
+
+
+@lru_cache(maxsize=None)
+def factorize(n):
+    """((p, a), ...) with n = prod p^a, by ascending prime."""
+    out, p = [], 2
+    while n > 1:
+        p = _least_factor(n, p)
+        a = 0
+        while n % p == 0:
+            n //= p
+            a += 1
+        out.append((p, a))
+    return tuple(out)
+
+
+def divisors(n):
+    """The divisors of n in ascending order, from its factorization."""
+    out = [1]
+    for p, a in factorize(n):
+        out = [d * p ** i for d in out for i in range(a + 1)]
+    return sorted(out)
+
+
+def _order_dividing(n, is_one):
+    """The order dividing n of an element x, with is_one(e) for x^e = 1."""
+    for p, _ in factorize(n):
+        while n % p == 0 and is_one(n // p):
+            n //= p
+    return n
+
+
+def order_mod(a, m):
+    """The multiplicative order of a modulo m, for a prime to m."""
+    phi = 1
+    for p, k in factorize(m):
+        phi *= (p - 1) * p ** (k - 1)
+    return _order_dividing(phi, lambda e: pow(a, e, m) == 1 % m)
 
 
 # ---------------------------------------------------------------------------
@@ -405,25 +448,7 @@ def multiplicative_order(x: FqElement) -> int:
     """Smallest d >= 1 with x^d = 1; divides q - 1."""
     if x.is_zero():
         raise ZeroElement("order of zero is undefined")
-    n = x.ctx.q - 1
-    if n > 10 ** 13:
-        raise TooLarge("group order %d too large to factor" % n)
-    # factor q-1 by trial division, then strip primes
-    factors = {}
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-    order = n
-    for prime in factors:
-        while order % prime == 0 and (x ** (order // prime)) == x.ctx.one:
-            order //= prime
-    return order
+    return _order_dividing(x.ctx.q - 1, lambda e: x ** e == x.ctx.one)
 
 
 def has_zeta(ctx: FqContext, n: int) -> bool:

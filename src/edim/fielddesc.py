@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import CharDividesM, CharZero, InconsistentCustom, NotPrime
-from .exactfield import is_prime
+from .errors import (CharDividesM, CharZero, InconsistentCustom, NotPrime,
+                     TooLarge)
+from .exactfield import divisors, factorize, is_prime, order_mod
 
 INF = math.inf
 
@@ -31,11 +33,6 @@ class TriBool(enum.Enum):
 
 
 YES, NO, UNKNOWN = TriBool.YES, TriBool.NO, TriBool.UNKNOWN
-
-
-def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
 
 
 @dataclass(frozen=True)
@@ -183,15 +180,13 @@ class FiniteField(FieldDescriptor):
             raise CharDividesM("char %d divides %d" % (self.p, m))
         if self.contains_zeta(m) is YES:
             return self
-        d = 1
-        qk = self.q % m
-        acc = qk
-        while acc != 1 % m:
-            acc = acc * qk % m
-            d += 1
+        d = order_mod(pow(self.p, self.k, m), m)
         return FiniteField(self.p, self.k * d)
 
     def describe(self):
+        limit = sys.get_int_max_str_digits()
+        if limit and self.k * math.log10(self.p) >= limit:
+            raise TooLarge("F(q) has a q of more than %d digits" % limit)
         return "F(%d)" % self.q
 
     __str__ = describe
@@ -220,7 +215,7 @@ class Custom(FieldDescriptor):
         if self.zeta_yes & self.zeta_no or self.real_zeta_yes & self.real_zeta_no:
             raise InconsistentCustom("yes/no sets overlap")
         for n in self.zeta_yes:
-            for d in _divisors(n):
+            for d in divisors(n):
                 if d not in self.zeta_yes and self._zeta_universal(d) is None:
                     raise InconsistentCustom(
                         "zeta_yes not divisor-closed: %d in, %d out" % (n, d))
@@ -228,7 +223,7 @@ class Custom(FieldDescriptor):
                 raise InconsistentCustom(
                     "zeta_%d asserted without zeta_%d + inverse" % (n, n))
         for n in self.real_zeta_yes:
-            for d in _divisors(n):
+            for d in divisors(n):
                 if d not in self.real_zeta_yes and self._real_zeta_universal(d) is None:
                     raise InconsistentCustom(
                         "real_zeta_yes not divisor-closed: %d in, %d out" % (n, d))
@@ -294,7 +289,7 @@ class Custom(FieldDescriptor):
             return self
         new_zy = set(self.zeta_yes)
         new_ry = set(self.real_zeta_yes)
-        for d in _divisors(m):
+        for d in divisors(m):
             if self._zeta_universal(d) is None:
                 new_zy.add(d)
             if self._real_zeta_universal(d) is None:
@@ -305,13 +300,7 @@ class Custom(FieldDescriptor):
         dim = self.fp_dim
         if p > 0 and dim is not INF:
             # a field of finite dimension s over F_p is F_{p^s}
-            d = 1
-            qk = pow(p, dim, m)
-            acc = qk
-            while acc != 1 % m:
-                acc = acc * qk % m
-                d += 1
-            dim = dim * d
+            dim = dim * order_mod(pow(p, dim, m), m)
         return Custom(p, frozenset(new_zy), frozenset(new_zn),
                       frozenset(new_ry), frozenset(new_rn), dim)
 
@@ -351,13 +340,7 @@ def extend_with_zeta(fd, m):
 
 def finite_field_from_q(q):
     """Factor a prime power q into FiniteField(p, k)."""
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            while q % p == 0:
-                q //= p
-                k += 1
-            if q != 1:
-                raise NotPrime("not a prime power")
-            return FiniteField(p, k)
-    raise NotPrime("not a prime power")
+    parts = factorize(q) if q > 1 else ()
+    if len(parts) != 1:
+        raise NotPrime("not a prime power")
+    return FiniteField(*parts[0])

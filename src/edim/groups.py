@@ -17,11 +17,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotPrime, NotPrimeOrder, TooLarge
-from .exactfield import is_prime
+from .exactfield import factorize, is_prime
 from .fielddesc import NO, UNKNOWN, YES
 
 ORDER_CAP = 10 ** 6
 CORE_CAP = 10 ** 5
+POINT_CAP = 2 * 10 ** 6  # the largest degree a point-map certificate builds
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +103,19 @@ def expr_order(e):
     return expr_order(e.left) * expr_order(e.right)
 
 
+def degree(e):
+    """The degree of realize(e), in closed form."""
+    if isinstance(e, (Sym, Alt)):
+        return max(e.n, 1)
+    if isinstance(e, Dih):
+        return 2 * e.n if e.n <= 2 else e.n
+    if isinstance(e, Cyc):
+        return sum(_prime_power_parts(e.n)) or 1
+    if isinstance(e, ElemAb):
+        return e.p * e.r
+    return degree(e.left) + degree(e.right)
+
+
 def _validate(e):
     if isinstance(e, Product):
         _validate(e.left)
@@ -156,8 +170,8 @@ def porder(a):
 
 def _cycle(points, degree):
     a = list(range(degree))
-    for i, x in enumerate(points):
-        a[x] = points[(i + 1) % len(points)]
+    for x, y in zip(points, points[1:] + points[:1]):
+        a[x] = y
     return tuple(a)
 
 
@@ -172,20 +186,7 @@ def _rotations(lengths):
 
 def _prime_power_parts(n):
     """The prime powers exactly dividing n, by ascending prime."""
-    parts = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            q = 1
-            while m % p == 0:
-                m //= p
-                q *= p
-            parts.append(q)
-        p += 1
-    if m > 1:
-        parts.append(m)
-    return parts
+    return [p ** a for p, a in factorize(n)]
 
 
 def _shift(perm, offset, degree):
@@ -200,9 +201,10 @@ def _shift(perm, offset, degree):
 # ---------------------------------------------------------------------------
 
 class PermGroup:
-    """Immutable permutation group with a cached deterministic order."""
+    """Immutable permutation group; its order, unless given, is read off its
+    expression when first asked for."""
 
-    def __init__(self, degree, generators, order, expr=None):
+    def __init__(self, degree, generators, order=None, expr=None):
         self.degree = degree
         self.generators = tuple(tuple(g) for g in generators)
         for g in self.generators:
@@ -210,7 +212,13 @@ class PermGroup:
                 raise ValueError("generator is not a permutation of the degree")
         self.expr = expr
         self._elements = None
-        self.order = order
+        self._order = order
+
+    @property
+    def order(self):
+        if self._order is None:
+            self._order = expr_order(self.expr)
+        return self._order
 
     def elements(self, cap=ORDER_CAP):
         if self._elements is None:
@@ -236,53 +244,51 @@ def realize(expr):
     exactly dividing n, on sum(p^a) points (61 for C720720).
     """
     _validate(expr)
-    order = expr_order(expr)
     if isinstance(expr, Sym):
         n = expr.n
         if n <= 1:
-            return PermGroup(max(n, 1), [], order=1, expr=expr)
+            return PermGroup(max(n, 1), [], expr=expr)
         if n == 2:
-            return PermGroup(2, [(1, 0)], order=2, expr=expr)
+            return PermGroup(2, [(1, 0)], expr=expr)
         gens = [_cycle((0, 1), n), _cycle(tuple(range(n)), n)]
-        return PermGroup(n, gens, order=order, expr=expr)
+        return PermGroup(n, gens, expr=expr)
     if isinstance(expr, Alt):
         n = expr.n
         if n <= 2:
-            return PermGroup(max(n, 1), [], order=1, expr=expr)
+            return PermGroup(max(n, 1), [], expr=expr)
         if n == 3:
-            return PermGroup(3, [_cycle((0, 1, 2), 3)], order=3, expr=expr)
+            return PermGroup(3, [_cycle((0, 1, 2), 3)], expr=expr)
         if n % 2:
             gens = [_cycle((0, 1, 2), n), _cycle(tuple(range(n)), n)]
         else:
             gens = [_cycle((0, 1, 2), n), _cycle(tuple(range(1, n)), n)]
-        return PermGroup(n, gens, order=order, expr=expr)
+        return PermGroup(n, gens, expr=expr)
     if isinstance(expr, Dih):
         n = expr.n
         if n == 1:
-            return PermGroup(2, [(1, 0)], order=2, expr=expr)
+            return PermGroup(2, [(1, 0)], expr=expr)
         if n == 2:
-            return PermGroup(4, [(1, 0, 2, 3), (0, 1, 3, 2)], order=4, expr=expr)
+            return PermGroup(4, [(1, 0, 2, 3), (0, 1, 3, 2)], expr=expr)
         rot = _cycle(tuple(range(n)), n)
-        refl = tuple((n - j) % n for j in range(n))
-        return PermGroup(n, [rot, refl], order=order, expr=expr)
+        refl = (0,) + tuple(range(n - 1, 0, -1))  # j -> -j (mod n)
+        return PermGroup(n, [rot, refl], expr=expr)
     if isinstance(expr, Cyc):
-        n = expr.n
-        if n == 1:
-            return PermGroup(1, [], order=1, expr=expr)
-        gen = _rotations(_prime_power_parts(n))
-        return PermGroup(len(gen), [gen], order=order, expr=expr)
+        if expr.n == 1:
+            return PermGroup(1, [], expr=expr)
+        gen = _rotations(_prime_power_parts(expr.n))
+        return PermGroup(len(gen), [gen], expr=expr)
     if isinstance(expr, ElemAb):
         p, r = expr.p, expr.r
         deg = p * r
         gens = [_cycle(tuple(range(i * p, (i + 1) * p)), deg) for i in range(r)]
-        return PermGroup(deg, gens, order=order, expr=expr)
+        return PermGroup(deg, gens, expr=expr)
     if isinstance(expr, Product):
         gl = realize(expr.left)
         gr = realize(expr.right)
         deg = gl.degree + gr.degree
         gens = [_shift(g, 0, deg) for g in gl.generators]
         gens += [_shift(g, gl.degree, deg) for g in gr.generators]
-        return PermGroup(deg, gens, order=gl.order * gr.order, expr=expr)
+        return PermGroup(deg, gens, expr=expr)
     raise TypeError("unknown group expression %r" % (expr,))
 
 
@@ -302,6 +308,9 @@ def _partitions(n, most=None):
 
 @lru_cache(maxsize=None)
 def _partition_orders(n, even_only):
+    """The element orders of S_n, or of A_n when even_only."""
+    if n > 40:
+        raise TooLarge("symmetric/alternating order census capped at n = 40")
     out = set()
     for lam in _partitions(n):
         if even_only and (n - len(lam)) % 2:
@@ -313,10 +322,7 @@ def _partition_orders(n, even_only):
 def element_orders(g):
     """Exact set of element orders."""
     if isinstance(g.expr, (Sym, Alt)):
-        n = g.expr.n
-        if n > 40:
-            raise TooLarge("symmetric/alternating order census capped at n = 40")
-        return set(_partition_orders(n, isinstance(g.expr, Alt)))
+        return set(_partition_orders(g.expr.n, isinstance(g.expr, Alt)))
     return {porder(x) for x in g.elements(ORDER_CAP)}
 
 
@@ -514,15 +520,15 @@ def _transport(perm, points, degree):
     """perm carried along points (points[i] -> points[perm[i]]); every other
     point of the degree is fixed."""
     a = list(range(degree))
-    for i, x in enumerate(perm):
-        a[points[i]] = points[x]
+    for x, y in zip(points, map(points.__getitem__, perm)):
+        a[x] = y
     return tuple(a)
 
 
 def _contains(g, perm):
     """Whether realize(g) contains perm, a permutation of its degree."""
     if isinstance(g, Product):
-        dl = realize(g.left).degree
+        dl = degree(g.left)
         return (all(x < dl for x in perm[:dl]) and _contains(g.left, perm[:dl])
                 and _contains(g.right, tuple(x - dl for x in perm[dl:])))
     if isinstance(g, (Sym, Alt)):
@@ -544,21 +550,21 @@ def _contains(g, perm):
     return True
 
 
-def _verify_embedding(h_pg, g, points, images):
-    """Whether images are h_pg's generators carried along the point map
-    points into realize(g), each lying in realize(g); O(degree) each.
+def _carry(h_pg, g, points):
+    """h_pg's generators carried along the point map points into realize(g),
+    or None unless points is injective into g's points and every image lies
+    in realize(g); O(degree) each.
 
     Carrying along an injective point map is conjugation by a relabeling,
     so generator -> image extends to an injective homomorphism whatever the
     order of H.
     """
-    degree = realize(g).degree
+    deg = degree(g)
     if len(points) != h_pg.degree or len(set(points)) != len(points) \
-            or not all(0 <= x < degree for x in points):
-        return False
-    return len(images) == len(h_pg.generators) and all(
-        tuple(im) == _transport(gen, points, degree) and _contains(g, im)
-        for gen, im in zip(h_pg.generators, images))
+            or not 0 <= min(points) <= max(points) < deg:
+        return None
+    images = tuple(_transport(gen, points, deg) for gen in h_pg.generators)
+    return images if all(_contains(g, im) for im in images) else None
 
 
 def embedding_certificate(h, g):
@@ -570,27 +576,26 @@ def embedding_certificate(h, g):
     d | n coprime to n/d, onto C_n's CRT blocks for the primes dividing d;
     a product into a product factorwise; h into one factor of a product,
     on that factor's points.  Returns an Embedding or None; None is absence
-    of a certificate, not a proof of non-embeddability.
+    of a certificate, not a proof of non-embeddability.  Raises TooLarge
+    when g's degree is above POINT_CAP.
     """
+    if degree(g) > POINT_CAP:
+        raise TooLarge("point-map certificates capped at degree %d"
+                       % POINT_CAP)
     points = _find_points(h, g)
-    if points is None:
-        return None
-    h_pg, degree = realize(h), realize(g).degree
-    images = tuple(_transport(gen, points, degree) for gen in h_pg.generators)
-    if not _verify_embedding(h_pg, g, points, images):
-        return None
-    return Embedding(h, g, points, images)
+    images = None if points is None else _carry(realize(h), g, points)
+    return None if images is None else Embedding(h, g, points, images)
 
 
 def _find_points(h, g):
-    dl = realize(g.left).degree if isinstance(g, Product) else 0
+    dl = degree(g.left) if isinstance(g, Product) else 0
     if isinstance(h, Product) and isinstance(g, Product):
         li, ri = _find_points(h.left, g.left), _find_points(h.right, g.right)
         if li is not None and ri is not None:
             return li + tuple(dl + x for x in ri)
     if _on_own_points(h, g):
-        dh = realize(h).degree
-        return tuple(range(dh)) if dh <= realize(g).degree else None
+        dh = degree(h)
+        return tuple(range(dh)) if dh <= degree(g) else None
     if isinstance(h, Cyc) and isinstance(g, Cyc) and g.n % h.n == 0 \
             and math.gcd(h.n, g.n // h.n) == 1:
         starts, start = {}, 0

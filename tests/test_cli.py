@@ -8,7 +8,9 @@ import time
 
 import pytest
 
+from edim import cli
 from edim.cli import ParseError, parse_field, parse_group, run
+from edim.edengine import BoundInterval
 from edim.fielddesc import (INF, Custom, Cyclotomic, FiniteField,
                             RationalField)
 from edim.groups import Alt, Cyc, Dih, ElemAb, Product, Sym
@@ -231,23 +233,68 @@ def test_plain_renderer(capsys):
         json.loads(out)
 
 
-def test_integers_past_the_str_limit_are_a_capability_limit(capsys):
-    # R-REP's regular representation gives S1700 (and D1800 <= S1800) a
-    # hi = n! of more digits than Python writes by default
-    for group in ("S1700", "D1800"):
-        for extra in ([], ["--plain"]):
-            code, out = _capture(capsys, ["bound", "--group", group,
-                                          "--field", "Q"] + extra)
-            assert code == 3, (group, extra)
-            assert out.count("\n") == 1
-            doc = json.loads(out)
-            assert set(doc) == {"schema", "error"}
-            assert "int-to-str limit" in doc["error"]
-            assert str(sys.get_int_max_str_digits()) in doc["error"]
-    code, out = _capture(capsys, ["bound", "--group", "S1000",
-                                  "--field", "Q"])
+def test_integers_past_the_str_limit_are_a_capability_limit(capsys,
+                                                            monkeypatch):
+    # no trace holds |G| any more: R-REP's hi is the permutation degree
+    for group, want in (("S1700", [850, 1697]), ("D1800", [2, 1797])):
+        code, out = _capture(capsys, ["bound", "--group", group,
+                                      "--field", "Q"])
+        assert code == 0, group
+        assert json.loads(out)["interval"] == dict(zip(("lo", "hi"), want))
+    # an interval end past the digit limit still reaches the writer's guard
+    huge = BoundInterval(0, 10 ** (sys.get_int_max_str_digits() + 1))
+    monkeypatch.setattr(cli, "bound", lambda g, fd: (huge, []))
+    for extra in ([], ["--plain"]):
+        code, out = _capture(capsys, ["bound", "--group", "S1700",
+                                      "--field", "Q"] + extra)
+        assert code == 3, extra
+        assert out.count("\n") == 1
+        doc = json.loads(out)
+        assert set(doc) == {"schema", "error"}
+        assert "int-to-str limit" in doc["error"]
+        assert str(sys.get_int_max_str_digits()) in doc["error"]
+
+
+@pytest.mark.parametrize("argv,cap", [
+    # trial division past FACTOR_CAP
+    (["bound", "--group", "C100000000000000000039", "--field", "Q"],
+     "trial division"),
+    (["field", "--field", "F(100000000000000000039)", "--query", "char"],
+     "trial division"),
+    # a point-map certificate past POINT_CAP
+    (["bound", "--group", "C2000000000078", "--field", "Q"], "point-map"),
+    (["bound", "--group", "D1000000000039", "--field", "F(7)"], "point-map"),
+    # an F(q) whose q has more digits than Python writes
+    (["field", "--field", "F(2)", "--query", "extend", "--n", "1000003"],
+     "digits"),
+])
+def test_size_caps_exit_3_fast(capsys, argv, cap):
+    start = time.perf_counter()
+    code, out = _capture(capsys, argv)
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert cap in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("argv,key,answer", [
+    (["field", "--field", "F(1000000007)", "--query", "char"], "answer",
+     1000000007),
+    (["field", "--field", "F(2)", "--query", "extend", "--n", "1001"],
+     "answer", "F(%d)" % 2 ** 60),
+    (["field", "--field", "custom{char=2, fp_dim=3}", "--query", "extend",
+      "--n", "1000003"], "answer",
+     "custom{char=2, zeta_yes=[1000003], real_zeta_yes=[1000003], "
+     "fp_dim=1000002}"),
+    (["bound", "--group", "C5", "--field", "custom{char=0, "
+      "zeta_yes=[1000000007], real_zeta_yes=[1000000007]}"], "interval",
+     {"lo": 1, "hi": 5}),
+])
+def test_large_moduli_answer_by_factorization(capsys, argv, key, answer):
+    start = time.perf_counter()
+    code, out = _capture(capsys, argv)
+    assert time.perf_counter() - start < 5
     assert code == 0
-    assert json.loads(out)["interval"] == {"lo": 500, "hi": 997}
+    assert json.loads(out)[key] == answer
 
 
 def _edim(argv, stdout):
@@ -257,6 +304,17 @@ def _edim(argv, stdout):
                            "from edim.cli import main; main()", *argv],
                           stdout=stdout, stderr=subprocess.PIPE, env=env,
                           timeout=120)
+
+
+def test_python_m_edim_runs_the_cli(capsys):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    argv = ["bound", "--group", "S5", "--field", "Q"]
+    done = subprocess.run([sys.executable, "-m", "edim", *argv],
+                          capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    code, out = _capture(capsys, argv)
+    assert done.stderr == b""
+    assert (done.returncode, done.stdout.decode()) == (code, out) == (0, out)
 
 
 def test_broken_pipe_exits_quietly(capsys):

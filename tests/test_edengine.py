@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -440,7 +441,7 @@ def _independent_powers(ctx, r):
 
 
 def _rep_gives_two(a, fd):
-    # the first narrowing is the regular representation's |G|
+    # the first narrowing is the permutation degree, 2 for E(2,1)
     return (None, 2) in list(edengine._leaf_rep(a, fd))[1:]
 
 
@@ -457,6 +458,18 @@ def test_rep_facts_match_the_matrix_searches():
                     == (p == fd.p and _independent_powers(ctx, r)), (q, p, r)
 
 
+def test_huge_groups_are_sized_without_factorials(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the engine computed %d!" % n)
+
+    monkeypatch.setattr(math, "factorial", refuse)
+    cases = [("D100003/Q", (2, 100000)), ("S100000/Q", (50000, 99997)),
+             ("S1700/Q", (850, 1697)), ("C1000003/Q", (2, 1000003)),
+             ("C1999966/Q", (3, 999984))]
+    _bound_and_replay([(query, json.dumps({"lo": lo, "hi": hi}))
+                       for query, (lo, hi) in cases])
+
+
 def test_bound_builds_no_representation(monkeypatch):
     def refuse(*args):
         raise AssertionError("the engine built a matrix representation")
@@ -468,18 +481,6 @@ def test_bound_builds_no_representation(monkeypatch):
              and any(a in query for a in ("D", "E("))]
     assert len(cases) > 300
     _bound_and_replay(cases)
-
-
-def test_prime_factors_match_a_sieve():
-    # every prime d <= N marks itself on all its multiples
-    N = 10 ** 4
-    factors = [set() for _ in range(N + 1)]
-    for d in range(2, N + 1):
-        if not factors[d]:
-            for m in range(d, N + 1, d):
-                factors[m].add(d)
-    for n in range(1, N + 1):
-        assert edengine._prime_factors(n) == factors[n], n
 
 
 def test_trace_json_schema():

@@ -1,16 +1,56 @@
+import math
 import random
 
 import pytest
 
-from edim.errors import NotPrime
-from edim.exactfield import (FqContext, fq_context, has_zeta, is_prime,
-                             multiplicative_order)
+from edim.errors import NotPrime, TooLarge
+from edim.exactfield import (FACTOR_CAP, FqContext, divisors, factorize,
+                             fq_context, has_zeta, is_prime,
+                             multiplicative_order, order_mod)
 
 
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(-2, 50):
         assert is_prime(n) == (n in primes), n
+
+
+def test_prime_factors_match_a_sieve():
+    # every prime d <= N marks itself on all its multiples
+    N = 10 ** 4
+    factors = [set() for _ in range(N + 1)]
+    for d in range(2, N + 1):
+        if not factors[d]:
+            for m in range(d, N + 1, d):
+                factors[m].add(d)
+    for n in range(1, N + 1):
+        parts = factorize(n)
+        assert [p for p, _ in parts] == sorted(factors[n]), n
+        assert math.prod(p ** a for p, a in parts) == n
+        assert is_prime(n) == (factors[n] == {n})
+
+
+def test_divisors_and_orders_match_brute_force():
+    for n in range(1, 300):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+        for a in range(1, n):
+            if math.gcd(a, n) == 1:
+                want = next(d for d in range(1, n + 1) if pow(a, d, n) == 1)
+                assert order_mod(a, n) == want, (a, n)
+
+
+def test_factoring_is_capped():
+    # every n <= 10^12 factors: its second-largest prime is <= 10^6
+    big = 1000000000039  # prime, just above 10^12
+    assert FACTOR_CAP ** 2 < big < (FACTOR_CAP + 1) ** 2
+    assert factorize(2 * big) == ((2, 1), (big, 1)) and is_prime(big)
+    d = order_mod(2, big)  # 2 is a square mod big, so d | (big - 1) / 2
+    assert d == (big - 1) // 2 and pow(2, d, big) == 1
+    assert all(pow(2, d // p, big) != 1 for p, _ in factorize(d))
+    for n in (10 ** 20 + 39, 1000003 * 1000033, (FACTOR_CAP + 3) ** 2):
+        with pytest.raises(TooLarge):
+            factorize(n)
+    assert not is_prime(2 * (10 ** 20 + 39))  # a factor below the cap
 
 
 def test_context_rejects_composite_characteristic():

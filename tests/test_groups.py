@@ -5,9 +5,9 @@ import pytest
 
 from edim.fielddesc import (NO, UNKNOWN, YES, Cyclotomic, FiniteField,
                             RationalField)
-from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, _closure,
-                         _partition_orders, _partitions, _verify_embedding,
-                         center, character_exists, element_orders,
+from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, _carry,
+                         _closure, _partition_orders, _partitions,
+                         center, character_exists, degree, element_orders,
                          embedding_certificate, expr_order, l_core, pident,
                          pinv, pmul, porder, realize)
 
@@ -21,6 +21,15 @@ def test_expr_order():
     assert expr_order(Cyc(9)) == 9
     assert expr_order(ElemAb(3, 2)) == 9
     assert expr_order(Product(Sym(3), Cyc(4))) == 24
+
+
+def test_degree_is_the_realized_degree():
+    exprs = ([f(n) for f in (Sym, Alt) for n in range(9)]
+             + [Dih(n) for n in range(1, 12)] + [Cyc(n) for n in range(1, 81)]
+             + [ElemAb(p, r) for p in (2, 3, 5) for r in (1, 2, 3)]
+             + [Product(Product(Dih(2), Cyc(12)), Alt(5))])
+    for e in exprs:
+        assert degree(e) == realize(e).degree, e
 
 
 def test_str_forms():
@@ -192,6 +201,12 @@ def test_embedding_matches_enumeration_oracle():
         assert emb is not None, (h, g)
         assert all(len(im) == realize(g).degree for im in emb.images)
         assert _enumerated_embedding_ok(h, g, emb.images), (h, g)
+
+
+def _verify_embedding(h_pg, g, points, images):
+    """Whether images are h_pg's generators carried along the point map
+    points into realize(g), each lying in realize(g)."""
+    return _carry(h_pg, g, points) == tuple(map(tuple, images))
 
 
 def test_verify_rejects_forged_point_maps():
