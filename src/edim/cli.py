@@ -16,7 +16,7 @@ import sys
 
 from .errors import (DegreeTooLarge, EdimError, Inconsistent, ParseError,
                      PoleAtAssignment, TooLarge, Unsupported)
-from .exactfield import fq_context, is_prime
+from .exactfield import FqElement, fq_context, is_prime
 from .fielddesc import (INF, NO, UNKNOWN, YES, Custom, Cyclotomic,
                         RationalField, char_of, finite_field_from_q)
 from .groups import Alt, Cyc, Dih, ElemAb, Product, Sym
@@ -238,7 +238,8 @@ def _cmd_tschirnhaus(args):
            "reduced_coefficients": coeffs}
     if args.mode == "reduce":
         return out
-    # verify: randomized specialization oracle over small prime fields
+    # verify: randomized specialization oracle at points of F_p or F_{p^2},
+    # each coordinate drawn as a code
     rng = random.Random(args.seed)
     f = general_poly(args.n, args.char)
     passes = skips = trials = 0
@@ -248,8 +249,7 @@ def _cmd_tschirnhaus(args):
             ctx = fq_context(101, 1)
         else:
             ctx = fq_context(args.char, rng.choice([1, 1, 2]))
-        els = list(ctx.elements())
-        assignment = {"t%d" % (i + 1): rng.choice(els)
+        assignment = {"t%d" % (i + 1): FqElement(ctx, rng.randrange(ctx.q))
                       for i in range(args.n)}
         try:
             ok = verify_specialization(f, h, record, assignment, ctx)

@@ -4,7 +4,10 @@ Rational numbers are stdlib ``fractions.Fraction`` (re-exported as
 ``Rational``).  Finite fields are modelled as F_p[X]/(m(X)) where m is the
 lexicographically smallest monic irreducible of degree k, so serialized
 elements are reproducible across runs.  Prime fields (k = 1) use the same
-element interface with modulus X.
+element interface with modulus X.  An element is its integer code
+c_0 + c_1 p + ... + c_{k-1} p^{k-1}: prime fields compute with ints mod p,
+fields with q <= TABLE_CAP with log, antilog and Zech tables, built on the
+first operation, and larger fields with polynomial products mod m.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ Rational = Fraction
 
 K_CAP = 12
 FACTOR_CAP = 10 ** 6  # the largest trial divisor: every n <= 10^12 factors
+TABLE_CAP = 2 ** 10  # the largest q whose field operations are table lookups
 
 
 def _least_factor(n, start=2):
@@ -69,12 +73,14 @@ def _order_dividing(n, is_one):
     return n
 
 
+def totient(n):
+    """Euler's phi of n >= 1, from its factorization."""
+    return math.prod((p - 1) * p ** (a - 1) for p, a in factorize(n))
+
+
 def order_mod(a, m):
     """The multiplicative order of a modulo m, for a prime to m."""
-    phi = 1
-    for p, k in factorize(m):
-        phi *= (p - 1) * p ** (k - 1)
-    return _order_dividing(phi, lambda e: pow(a, e, m) == 1 % m)
+    return _order_dividing(totient(m), lambda e: pow(a, e, m) == 1 % m)
 
 
 # ---------------------------------------------------------------------------
@@ -98,33 +104,6 @@ def _pmul(a, b, p):
     return _trim(out)
 
 
-def _psub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _trim(out)
-
-
-def _pdivmod(a, b, p):
-    """Quotient and remainder of a by b over F_p (b nonzero)."""
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    quo = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        c = (a[-1] * inv) % p
-        d = len(a) - 1 - db
-        if c:
-            quo[d] = c
-            for i in range(db + 1):
-                a[d + i] = (a[d + i] - c * b[i]) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return _trim(quo), _trim(a)
-
-
 def _pmod(a, m, p):
     # m monic
     a = list(a)
@@ -139,17 +118,6 @@ def _pmod(a, m, p):
     return _trim(a)
 
 
-def _ppowmod(a, e, m, p):
-    result = [1]
-    base = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
 def _pgcd(a, b, p):
     a, b = list(a), list(b)
     while b:
@@ -162,89 +130,160 @@ def _pgcd(a, b, p):
     return a
 
 
-def _irreducible_trial(m, p):
-    """Trial division against every monic divisor candidate of degree <= k/2."""
-    k = len(m) - 1
-    for d in range(1, k // 2 + 1):
-        for idx in range(p ** d):
-            cand = []
-            v = idx
-            for _ in range(d):
-                cand.append(v % p)
-                v //= p
-            cand.append(1)
-            if not _pmod(m, cand, p):
-                return False
-    return True
+def _digits(code, p, k):
+    """The coefficients c_0..c_{k-1} of the element with this code."""
+    out = []
+    for _ in range(k):
+        code, c = divmod(code, p)
+        out.append(c)
+    return out
 
 
-def _irreducible_fast(m, p):
-    """Rabin test: X^{p^k} = X mod m and gcd(X^{p^{k/l}} - X, m) = 1."""
-    k = len(m) - 1
-    x = [0, 1]
-    if _pmod(x, m, p) != _ppowmod(x, p ** k, m, p):
+def _code(coeffs, p):
+    """The code sum c_i p^i of the coefficients c_0, c_1, ... (taken mod p)."""
+    v = 0
+    for c in reversed(coeffs):
+        v = v * p + c % p
+    return v
+
+
+def _power(mul, x, e):
+    """x^e for e >= 1 by repeated squaring, with mul the product."""
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if not e:
+            return result
+        x = mul(x, x)
+
+
+def _is_irreducible(m, p):
+    """Rabin's test of the monic m of degree k >= 2: X^{p^k} = X mod m, and
+    gcd(X^{p^{k/l}} - X, m) = 1 for each prime l dividing k."""
+    k, x = len(m) - 1, [0, 1]
+
+    def xpow(e):  # X^e mod m
+        return _power(lambda u, v: _pmod(_pmul(u, v, p), m, p), x, e)
+    if xpow(p ** k) != x:
         return False
-    ell = 2
-    kk = k
-    primes = set()
-    while kk > 1:
-        while kk % ell == 0:
-            primes.add(ell)
-            kk //= ell
-        ell += 1
-    for ell in sorted(primes):
-        t = _ppowmod(x, p ** (k // ell), m, p)
-        diff = list(t)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        _trim(diff)
-        if len(_pgcd(diff, m, p)) != 1:
+    for ell, _ in factorize(k):
+        diff = xpow(p ** (k // ell)) + [0, 0]
+        diff[1] -= 1
+        if len(_pgcd(_trim([c % p for c in diff]), m, p)) != 1:
             return False
     return True
 
 
-def _is_irreducible(m, p):
-    k = len(m) - 1
-    if k == 1:
-        return True
-    if p ** (k // 2) <= 4096:
-        return _irreducible_trial(m, p)
-    return _irreducible_fast(m, p)
+_OPS = frozenset(("add", "sub", "neg", "mul", "inv", "pow"))
 
 
 class FqContext:
     """The field F_{p^k} with a fixed, reproducible modulus.
 
-    Also serves as a coefficient domain for ratfunc (attributes ``char``,
-    ``zero``, ``one``, ``coerce``).
+    An element is its integer code c_0 + c_1 p + ... + c_{k-1} p^{k-1}.  The
+    operations on codes -- ``add``, ``sub``, ``neg``, ``mul``, ``inv`` (of a
+    nonzero code) and ``pow`` (e >= 0) -- are installed on first use, so a
+    context that is never computed in builds nothing.  Also serves as a
+    coefficient domain for ratfunc (attributes ``char``, ``zero``, ``one``,
+    ``coerce``).
     """
 
     def __init__(self, p: int, k: int, modulus):
-        self.p = p
+        self.p = self.char = p
         self.k = k
         self.q = p ** k
         # modulus: low-degree coefficients m_0..m_{k-1} of the monic modulus
         self.modulus = tuple(modulus)
-        self.zero = FqElement(self, (0,) * k)
-        self.one = FqElement(self, (1,) + (0,) * (k - 1))
-        self.char = p
+        self.zero = FqElement(self, 0)
+        self.one = FqElement(self, 1)
+
+    def __getattr__(self, name):
+        """Install all code operations when the first one is looked up."""
+        if name not in _OPS:
+            raise AttributeError(name)
+        self.__dict__.update(self._operations())
+        return self.__dict__[name]
+
+    def _operations(self):
+        """Int arithmetic mod p for k = 1; log, antilog and Zech lookups for
+        q <= TABLE_CAP; polynomial products and digit-wise sums above it."""
+        p, q = self.p, self.q
+        if self.k == 1:
+            return dict(add=lambda a, b: (a + b) % p,
+                        sub=lambda a, b: (a - b) % p, neg=lambda a: -a % p,
+                        mul=lambda a, b: a * b % p,
+                        inv=lambda a: pow(a, p - 2, p),
+                        pow=lambda a, e: pow(a, e, p))
+        mul, digitwise = self._poly_mul, self._digitwise
+        if q > TABLE_CAP:
+            return dict(add=lambda a, b: digitwise(a, b, 1),
+                        sub=lambda a, b: digitwise(a, b, -1),
+                        neg=lambda a: digitwise(0, a, -1), mul=mul,
+                        inv=lambda a: _power(mul, a, q - 2),
+                        pow=lambda a, e: _power(mul, a, e) if e else 1)
+        log, exp, zech = self._tables()
+        n, half = q - 1, (q - 1) // 2 if p > 2 else 0  # -1 = g^half
+
+        def add(a, b):  # g^i + g^j = g^i (1 + g^(j-i))
+            if not (a and b):
+                return a or b
+            z = zech[log[b] - log[a]]
+            return 0 if z is None else exp[log[a] + z]
+
+        def neg(a):
+            return exp[log[a] + half] if a else 0
+        return dict(add=add, sub=lambda a, b: add(a, neg(b)), neg=neg,
+                    mul=lambda a, b: exp[log[a] + log[b]] if a and b else 0,
+                    inv=lambda a: exp[n - log[a]],
+                    pow=lambda a, e: exp[log[a] * e % n] if a else int(not e))
+
+    def _poly_mul(self, a, b):
+        """The product of two codes as polynomials mod the modulus: the one
+        definition of the product, which also fills the tables."""
+        p, k = self.p, self.k
+        return _code(_pmod(_pmul(_digits(a, p, k), _digits(b, p, k), p),
+                           list(self.modulus) + [1], p), p)
+
+    def _digitwise(self, a, b, sign):
+        """The code of a + sign * b, digit by digit."""
+        p, out, scale = self.p, 0, 1
+        while a or b:
+            (a, x), (b, y) = divmod(a, p), divmod(b, p)
+            out += (x + sign * y) % p * scale
+            scale *= p
+        return out
+
+    def _tables(self):
+        """For the least primitive code g: log, antilog doubled (a sum of
+        two logs indexes it unreduced) and Zech logs, zech[d] = log(1 + g^d),
+        None where 1 + g^d = 0."""
+        q, mul = self.q, self._poly_mul
+        n = q - 1
+        g = next(c for c in range(2, q) if all(
+            _power(mul, c, n // r) != 1 for r, _ in factorize(n)))
+        exp = [1]
+        while len(exp) < n:
+            exp.append(mul(exp[-1], g))
+        log = [None] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        return log, exp + exp, [log[self._digitwise(x, 1, 1)] for x in exp]
 
     def element(self, coeffs) -> "FqElement":
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) != self.k:
-            coeffs = tuple(list(coeffs)[: self.k] + [0] * (self.k - len(coeffs)))
-        return FqElement(self, coeffs)
+        return FqElement(self, _code(list(coeffs)[: self.k], self.p))
 
     def from_int(self, n: int) -> "FqElement":
-        return self.element((n % self.p,) + (0,) * (self.k - 1))
+        return FqElement(self, n % self.p)
 
     def coerce(self, v) -> "FqElement":
         if isinstance(v, FqElement):
             if v.ctx is self:
                 return v
-            if v.ctx.p == self.p and v.ctx.k == 1:
-                return self.from_int(v.coeffs[0])
+            if v.ctx.p == self.p and (v.ctx.k == 1
+                                      or v.ctx.modulus == self.modulus):
+                return FqElement(self, v.code)  # F_p keeps its codes
             raise ValueError("cannot coerce element from %r" % (v.ctx,))
         if isinstance(v, int):
             return self.from_int(v)
@@ -256,61 +295,54 @@ class FqContext:
         raise TypeError("cannot coerce %r" % (v,))
 
     def elements(self):
-        """All q elements, ordered by integer encoding sum c_i p^i."""
-        for idx in range(self.q):
-            coeffs = []
-            v = idx
-            for _ in range(self.k):
-                coeffs.append(v % self.p)
-                v //= self.p
-            yield FqElement(self, tuple(coeffs))
+        """All q elements, ordered by code."""
+        return (FqElement(self, c) for c in range(self.q))
 
     def gen(self) -> "FqElement":
         """The class of X (a root of the modulus); for k=1 this is 0."""
-        if self.k == 1:
-            return self.zero
-        return self.element((0, 1) + (0,) * (self.k - 2))
+        return FqElement(self, self.p if self.k > 1 else 0)
 
     def __repr__(self):
         return "FqContext(p=%d, k=%d)" % (self.p, self.k)
 
 
 class FqElement:
-    __slots__ = ("ctx", "coeffs")
+    """An element of a context, held as its integer code."""
 
-    def __init__(self, ctx: FqContext, coeffs):
+    __slots__ = ("ctx", "code")
+
+    def __init__(self, ctx: FqContext, code: int):
         self.ctx = ctx
-        self.coeffs = tuple(coeffs)
+        self.code = code
 
     # -- ring structure -------------------------------------------------
 
     def _pair(self, other):
-        """Bring self and other into a common context, or None.  FqElement
-        is tested first: Fraction is an ABC, so its isinstance test is slow."""
+        """(context, code of self, code of other) in a common context, or
+        None.  FqElement is tested first: Fraction is an ABC, so its
+        isinstance test is slow."""
+        ctx = self.ctx
         if isinstance(other, FqElement):
-            if other.ctx is self.ctx or (other.ctx.p == self.ctx.p
-                                         and other.ctx.modulus == self.ctx.modulus):
-                return self, other
-            if other.ctx.p == self.ctx.p:
+            o = other.ctx
+            if o is ctx or o.p == ctx.p and (o.k == 1
+                                             or o.modulus == ctx.modulus):
+                return ctx, self.code, other.code
+            if o.p == ctx.p and ctx.k == 1:
                 # prime-field elements promote into any extension
-                if other.ctx.k == 1:
-                    return self, self.ctx.coerce(other)
-                if self.ctx.k == 1:
-                    return other.ctx.coerce(self), other
+                return o, self.code, other.code
             raise ValueError("mixed field contexts")
         if isinstance(other, int):
-            return self, self.ctx.from_int(other)
+            return ctx, self.code, other % ctx.p
         if isinstance(other, Fraction):
-            return self, self.ctx.coerce(other)
+            return ctx, self.code, ctx.coerce(other).code
         return None
 
     def __add__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        a, b = pair
-        p = a.ctx.p
-        return FqElement(a.ctx, tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs)))
+        ctx, a, b = pair
+        return FqElement(ctx, ctx.add(a, b))
 
     __radd__ = __add__
 
@@ -318,61 +350,37 @@ class FqElement:
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        a, b = pair
-        p = a.ctx.p
-        return FqElement(a.ctx, tuple((x - y) % p for x, y in zip(a.coeffs, b.coeffs)))
+        ctx, a, b = pair
+        return FqElement(ctx, ctx.sub(a, b))
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __neg__(self):
-        p = self.ctx.p
-        return FqElement(self.ctx, tuple((-a) % p for a in self.coeffs))
+        return FqElement(self.ctx, self.ctx.neg(self.code))
 
     def __mul__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        a, b = pair
-        ctx = a.ctx
-        p, k = ctx.p, ctx.k
-        if k == 1:
-            return FqElement(ctx, ((a.coeffs[0] * b.coeffs[0]) % p,))
-        prod = _pmul(list(a.coeffs), list(b.coeffs), p)
-        m = list(ctx.modulus) + [1]
-        prod = _pmod(prod, m, p)
-        prod += [0] * (k - len(prod))
-        return FqElement(ctx, tuple(prod))
+        ctx, a, b = pair
+        return FqElement(ctx, ctx.mul(a, b))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FqElement":
-        if self.is_zero():
+        if not self.code:
             raise ZeroElement("inverse of zero")
-        ctx = self.ctx
-        p, k = ctx.p, ctx.k
-        if k == 1:
-            return FqElement(ctx, (pow(self.coeffs[0], p - 2, p),))
-        # extended Euclid in F_p[X]: s*self = gcd (mod modulus)
-        m = list(ctx.modulus) + [1]
-        r0, r1 = m, _trim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while r1:
-            quo, rem = _pdivmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _psub(s0, _pmul(quo, s1, p), p)
-        # r0 = gcd, a nonzero constant
-        c = pow(r0[0], p - 2, p)
-        s0 = [(x * c) % p for x in _pmod(s0, m, p)]
-        s0 += [0] * (k - len(s0))
-        return FqElement(ctx, tuple(s0[:k]))
+        return FqElement(self.ctx, self.ctx.inv(self.code))
 
     def __truediv__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        a, b = pair
-        return a * b.inverse()
+        ctx, a, b = pair
+        if not b:
+            raise ZeroElement("inverse of zero")
+        return FqElement(ctx, ctx.mul(a, ctx.inv(b)))
 
     def __rtruediv__(self, other):
         return self.ctx.coerce(other) / self
@@ -380,40 +388,33 @@ class FqElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ctx.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FqElement(self.ctx, self.ctx.pow(self.code, e))
 
     # -- structure ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.code
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self == self.ctx.from_int(other)
-        return (isinstance(other, FqElement) and self.ctx.modulus == other.ctx.modulus
-                and self.ctx.p == other.ctx.p and self.coeffs == other.coeffs)
+            return self.code == other % self.ctx.p
+        return (isinstance(other, FqElement) and self.code == other.code
+                and self.ctx.p == other.ctx.p
+                and self.ctx.modulus == other.ctx.modulus)
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.modulus, self.coeffs))
+        return hash((self.ctx.p, self.ctx.modulus, self.code))
 
     def encode(self) -> int:
-        """Integer encoding sum c_i p^i (the deterministic element order)."""
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.ctx.p + c
-        return v
+        """The code sum c_i p^i (the deterministic element order)."""
+        return self.code
 
     def __repr__(self):
-        if self.ctx.k == 1:
-            return "Fq(%d; %d)" % (self.ctx.p, self.coeffs[0])
-        return "Fq(%d^%d; %s)" % (self.ctx.p, self.ctx.k, list(self.coeffs))
+        ctx = self.ctx
+        if ctx.k == 1:
+            return "Fq(%d; %d)" % (ctx.p, self.code)
+        return "Fq(%d^%d; %s)" % (ctx.p, ctx.k,
+                                  _digits(self.code, ctx.p, ctx.k))
 
 
 @lru_cache(maxsize=None)
@@ -429,18 +430,10 @@ def fq_context(p: int, k: int) -> FqContext:
         raise DegreeTooLarge("extension degree %d exceeds cap %d" % (k, K_CAP))
     if k == 1:
         return FqContext(p, 1, (0,))
-    for idx in range(p ** k):
-        # idx digits read as (c_{k-1}, ..., c_0), most significant first
-        word = []
-        v = idx
-        for _ in range(k):
-            word.append(v % p)
-            v //= p
-        word.reverse()  # now (c_{k-1}, ..., c_0)
-        low = list(reversed(word))  # (c_0, ..., c_{k-1})
-        m = low + [1]
-        if _is_irreducible(m, p):
-            return FqContext(p, k, tuple(low))
+    for idx in range(p ** k):  # codes ascend in that lexicographic order
+        low = _digits(idx, p, k)
+        if _is_irreducible(low + [1], p):
+            return FqContext(p, k, low)
     raise RuntimeError("no irreducible polynomial found (unreachable)")
 
 
@@ -448,7 +441,8 @@ def multiplicative_order(x: FqElement) -> int:
     """Smallest d >= 1 with x^d = 1; divides q - 1."""
     if x.is_zero():
         raise ZeroElement("order of zero is undefined")
-    return _order_dividing(x.ctx.q - 1, lambda e: x ** e == x.ctx.one)
+    ctx = x.ctx
+    return _order_dividing(ctx.q - 1, lambda e: ctx.pow(x.code, e) == 1)
 
 
 def has_zeta(ctx: FqContext, n: int) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import (CharDividesM, CharZero, InconsistentCustom, NotPrime,
                      TooLarge)
-from .exactfield import divisors, factorize, is_prime, order_mod
+from .exactfield import divisors, factorize, is_prime, order_mod, totient
 
 INF = math.inf
 
@@ -119,16 +119,13 @@ class Cyclotomic(FieldDescriptor):
         base = self._real_zeta_universal(n)
         if base is not None:
             return base
-        # Galois descent made finite: K = Q(zeta_m) sits inside Q(zeta_N),
-        # N = lcm(n, 2m); Gal fixing K is {a mod N : a = 1 mod lcm(2, m)} and
-        # it fixes zeta_n + zeta_n^{-1} exactly when each such a is +-1 mod n.
-        N = math.lcm(n, 2 * self.m)
-        fix = math.lcm(2, self.m)
-        for a in range(1, N + 1):
-            if math.gcd(a, N) == 1 and a % fix == 1:
-                if a % n not in (1 % n, (n - 1) % n):
-                    return NO
-        return YES
+        # Galois descent: Gal(K(zeta_n)/K), K = Q(zeta_m), acts on zeta_n as
+        # the units a = 1 mod g, g = gcd(n, lcm(2, m)), a group of order
+        # phi(n)/phi(g).  It fixes zeta_n + zeta_n^{-1} exactly when it lies
+        # in {1, -1}: it is trivial, or it has order 2 and -1 = 1 mod g.
+        g = math.gcd(n, math.lcm(2, self.m))
+        ratio = totient(n) // totient(g)
+        return YES if ratio == 1 or ratio == 2 and g <= 2 else NO
 
     def extend_with_zeta(self, m):
         if self.contains_zeta(m) is YES:

@@ -2,7 +2,7 @@
 orders, conjugacy classes by tr^2/det, exhaustive subgroup-embedding search,
 and the explicit dihedral / elementary-abelian matrix representations.
 
-The work runs on integer codes: an F_q element is its ``encode()``, a matrix
+The work runs on integer codes: an F_q element is its code, a matrix
 a 4-tuple of codes, a projective class the code a*q^3 + b*q^2 + c*q + d of
 its canonical representative.  Each field's ``_Kernel`` holds the F_q tables
 on codes, the order census with each conjugacy class's least code, and the
@@ -11,7 +11,6 @@ memoized ``pgl2_embeds`` verdicts; ``Mat2``, ``PGL2Element`` carry results.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -117,8 +116,9 @@ def _check_cap(ctx):
 
 
 class _Table(dict):
-    """An F_q operation on codes, filled from FqElement arithmetic on first
-    use; kept only for q <= Q_CAP, where the whole table fits in memory."""
+    """An F_q operation on codes, filled from the context's code arithmetic
+    on first use; kept only for q <= Q_CAP, where the whole table fits in
+    memory."""
 
     def __init__(self, fn, keep):
         super().__init__()
@@ -137,16 +137,13 @@ class _Kernel:
         self.q2, self.q3 = ctx.q ** 2, ctx.q ** 3
 
         def op(f):
-            return _Table(lambda x: _Table(lambda y, ex=self.fq(x): f(
-                ex, self.fq(y)).encode(), keep), keep)
-        self.add, self.mul = op(operator.add), op(operator.mul)
-        self.neg = _Table(lambda x: (-self.fq(x)).encode(), keep)
-        self.inv = _Table(lambda x: self.fq(x).inverse().encode(), keep)
+            return _Table(lambda x: _Table(lambda y: f(x, y), keep), keep)
+        self.add, self.mul = op(ctx.add), op(ctx.mul)
+        self.neg, self.inv = _Table(ctx.neg, keep), _Table(ctx.inv, keep)
         self.verdicts, self.orders = {}, None
 
     def fq(self, x):
-        p, k = self.ctx.p, self.ctx.k
-        return FqElement(self.ctx, [x // p ** i % p for i in range(k)])
+        return FqElement(self.ctx, x)
 
     def mat(self, x):
         q = self.q

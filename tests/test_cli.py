@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -295,6 +296,48 @@ def test_large_moduli_answer_by_factorization(capsys, argv, key, answer):
     assert time.perf_counter() - start < 5
     assert code == 0
     assert json.loads(out)[key] == answer
+
+
+@pytest.mark.parametrize("argv,key,answer", [
+    # the k = 2 trials compute in F_q with q = 1009^2 and 10007^2
+    (["tschirnhaus", "verify", "--n", "5", "--char", "1009"], "verified",
+     True),
+    (["tschirnhaus", "verify", "--n", "5", "--char", "10007"], "verified",
+     True),
+    (["field", "--field", "Qzeta(10000019)", "--query", "real_zeta", "--n",
+      "10000019"], "answer", "Yes"),
+])
+def test_large_fields_answer_without_enumeration(capsys, argv, key, answer):
+    start = time.perf_counter()
+    code, out = _capture(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert json.loads(out)[key] == answer
+
+
+# sha256 of the `tschirnhaus verify` outputs over n = 2..7, chars 0, 2, 3, 5,
+# 7 and seeds 0..2, each as "<exit code> <stdout>", recorded when F_q
+# elements were coefficient tuples and points were drawn with rng.choice
+# from the list of all q elements
+TSCHIRNHAUS_GRID_SHA256 = (
+    "87693ea0a825530f301b02b3a1e219db8116b7ad23bab395e92b158fbb962817")
+
+
+def _tschirnhaus_grid(capsys):
+    out = []
+    for n in range(2, 8):
+        for char in (0, 2, 3, 5, 7):
+            for seed in range(3):
+                code, text = _capture(capsys, [
+                    "tschirnhaus", "verify", "--n", str(n), "--char",
+                    str(char), "--seed", str(seed)])
+                out.append("%d %s" % (code, text))
+    return "".join(out)
+
+
+def test_tschirnhaus_verify_output_is_unchanged(capsys):
+    digest = hashlib.sha256(_tschirnhaus_grid(capsys).encode()).hexdigest()
+    assert digest == TSCHIRNHAUS_GRID_SHA256
 
 
 def _edim(argv, stdout):

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from edim.errors import NotPrime, TooLarge
-from edim.exactfield import (FACTOR_CAP, FqContext, divisors, factorize,
+from edim.errors import NotPrime, TooLarge, ZeroElement
+from edim.exactfield import (FACTOR_CAP, TABLE_CAP, FqContext, FqElement,
+                             _pmod, _pmul, _trim, divisors, factorize,
                              fq_context, has_zeta, is_prime,
-                             multiplicative_order, order_mod)
+                             multiplicative_order, order_mod, totient)
 
 
 def test_is_prime_small():
@@ -56,6 +57,29 @@ def test_factoring_is_capped():
 def test_context_rejects_composite_characteristic():
     with pytest.raises(NotPrime):
         fq_context(6, 1)
+
+
+def _has_factor(m, p):
+    """Whether some monic polynomial of degree 1..deg(m)/2 divides m, by
+    trial division against every candidate."""
+    k = len(m) - 1
+    for d in range(1, k // 2 + 1):
+        for code in range(p ** d):
+            cand = [code // p ** i % p for i in range(d)] + [1]
+            if not _pmod(m, cand, p):
+                return True
+    return False
+
+
+def test_moduli_are_the_least_irreducibles():
+    for p, kmax in [(2, 9), (3, 6), (5, 4), (7, 3), (11, 3), (13, 2)]:
+        for k in range(2, kmax + 1):
+            low = list(fq_context(p, k).modulus)
+            assert not _has_factor(low + [1], p), (p, k)
+            code = sum(c * p ** i for i, c in enumerate(low))
+            for smaller in range(code):  # ordered by (c_{k-1}, ..., c_0)
+                cand = [smaller // p ** i % p for i in range(k)] + [1]
+                assert _has_factor(cand, p), (p, k, smaller)
 
 
 def test_context_caching():
@@ -132,3 +156,191 @@ def test_coerce_between_contexts():
     assert f4.coerce(x) == f4.one
     with pytest.raises(Exception):
         fq_context(3, 1).coerce(f4.gen())
+
+
+def test_totient_counts_units():
+    for n in range(1, 300):
+        assert totient(n) == sum(math.gcd(a, n) == 1 for a in range(1, n + 1))
+
+
+# ---------------------------------------------------------------------------
+# the tuple oracle: an element as its coefficient tuple (c_0, ..., c_{k-1}),
+# with polynomial products mod the modulus, inverses by extended Euclid and
+# powers by repeated squaring from one -- the arithmetic integer codes replaced
+# ---------------------------------------------------------------------------
+
+def _psub(a, b, p):
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    return _trim(out)
+
+
+def _pdivmod(a, b, p):
+    """Quotient and remainder of a by b over F_p (b nonzero)."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    quo = [0] * max(0, len(a) - db)
+    while len(a) - 1 >= db and a:
+        c = (a[-1] * inv) % p
+        d = len(a) - 1 - db
+        if c:
+            quo[d] = c
+            for i in range(db + 1):
+                a[d + i] = (a[d + i] - c * b[i]) % p
+        while a and a[-1] == 0:
+            a.pop()
+    return _trim(quo), _trim(a)
+
+
+class _TupleOracle:
+    def __init__(self, ctx):
+        self.p, self.k = ctx.p, ctx.k
+        self.m = list(ctx.modulus) + [1]
+
+    def tup(self, x):
+        """The coefficient tuple of an element, read from its code."""
+        code, out = x.encode(), []
+        for _ in range(self.k):
+            code, c = divmod(code, self.p)
+            out.append(c)
+        return tuple(out)
+
+    def code(self, t):
+        return sum(c * self.p ** i for i, c in enumerate(t))
+
+    def _pad(self, c):
+        return tuple(c) + (0,) * (self.k - len(c))
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x % self.p for x in a)
+
+    def mul(self, a, b):
+        return self._pad(_pmod(_pmul(list(a), list(b), self.p), self.m,
+                               self.p))
+
+    def inverse(self, a):
+        p, m = self.p, self.m
+        r0, r1 = m, _trim(list(a))
+        s0, s1 = [], [1]
+        while r1:
+            quo, rem = _pdivmod(r0, r1, p)
+            r0, r1 = r1, rem
+            s0, s1 = s1, _psub(s0, _pmul(quo, s1, p), p)
+        c = pow(r0[0], p - 2, p)  # r0 is the gcd, a nonzero constant
+        return self._pad([(x * c) % p for x in _pmod(s0, m, p)])
+
+    def pow(self, a, e):
+        if e < 0:
+            a, e = self.inverse(a), -e
+        result = self._pad([1])
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+
+def _check_against_oracle(ctx, pairs, exponents):
+    o = _TupleOracle(ctx)
+    inv = {}
+    for a, b in pairs:
+        ta, tb = o.tup(a), o.tup(b)
+        assert (a + b).encode() == o.code(o.add(ta, tb)), (a, b)
+        assert (a - b).encode() == o.code(o.add(ta, o.neg(tb))), (a, b)
+        assert (a * b).encode() == o.code(o.mul(ta, tb)), (a, b)
+        assert (a == b) == (ta == tb) and (hash(a) == hash(b)) == (ta == tb)
+        if not b.is_zero():
+            if tb not in inv:
+                inv[tb] = o.inverse(tb)
+                assert b.inverse().encode() == o.code(inv[tb]), b
+            assert (a / b).encode() == o.code(o.mul(ta, inv[tb])), (a, b)
+    for a in {a for a, _ in pairs}:
+        for e in exponents:
+            if e < 0 and a.is_zero():
+                with pytest.raises(ZeroElement):
+                    a ** e
+            else:
+                assert (a ** e).encode() == o.code(o.pow(o.tup(a), e)), (a, e)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (7, 1), (2, 2), (2, 3), (3, 2),
+                                 (2, 4), (5, 2), (3, 3), (7, 2)])
+def test_every_pair_matches_the_tuple_oracle(p, k):
+    ctx = fq_context(p, k)
+    els = list(ctx.elements())
+    q = ctx.q
+    exponents = (-q - 1, -2, -1, 0, 1, 2, 3, q - 2, q - 1, q, 2 * q + 3)
+    _check_against_oracle(ctx, [(a, b) for a in els for b in els], exponents)
+
+
+@pytest.mark.parametrize("p,k", [(1009, 2), (2, 11), (3, 7), (10007, 1)])
+def test_sampled_pairs_above_the_table_cap_match_the_tuple_oracle(p, k):
+    ctx = fq_context(p, k)
+    rng = random.Random(p * 100 + k)
+    codes = [0, 1, p - 1, ctx.q - 1] + [rng.randrange(ctx.q)
+                                        for _ in range(40)]
+    els = [FqElement(ctx, c) for c in codes]
+    pairs = [(a, b) for a in els[:12] for b in els] + [
+        (rng.choice(els), rng.choice(els)) for _ in range(100)]
+    _check_against_oracle(ctx, pairs, (-5, -1, 0, 1, 2, 3, 17, ctx.q - 1,
+                                       rng.randrange(ctx.q)))
+
+
+def test_zero_powers_and_inverses():
+    for p, k in [(5, 1), (2, 3), (3, 2), (1009, 2)]:
+        ctx = fq_context(p, k)
+        assert ctx.zero ** 0 == ctx.one
+        assert ctx.zero ** 3 == ctx.zero
+        with pytest.raises(ZeroElement):
+            ctx.zero.inverse()
+        with pytest.raises(ZeroElement):
+            ctx.one / ctx.zero
+
+
+def test_prime_field_elements_promote_by_code():
+    for p in (2, 3, 5, 1009):
+        fp, fq = fq_context(p, 1), fq_context(p, 2)
+        rng = random.Random(p)
+        for _ in range(30):
+            a = fp.from_int(rng.randrange(p))
+            b = FqElement(fq, rng.randrange(fq.q))
+            up = fq.coerce(a)
+            assert up.encode() == a.encode() and up.ctx is fq
+            for got, want in ((a + b, up + b), (b + a, b + up),
+                              (a - b, up - b), (b - a, b - up),
+                              (a * b, up * b), (b * a, b * up)):
+                assert got.ctx is fq and got == want
+            if not a.is_zero():
+                assert b / a == b / up and (a / a).ctx is fp
+
+
+def test_equal_contexts_built_separately_agree():
+    for p, k in [(7, 1), (2, 3), (5, 2), (2, 11)]:
+        ctx = fq_context(p, k)
+        twin = FqContext(p, k, ctx.modulus)
+        rng = random.Random(p + k)
+        for _ in range(50):
+            x, y = rng.randrange(ctx.q), rng.randrange(ctx.q)
+            a, b = FqElement(ctx, x), FqElement(twin, y)
+            c = FqElement(twin, x)
+            assert c == a and hash(c) == hash(a)
+            assert b * a == FqElement(ctx, y) * a and a + b == b + a
+            assert twin.coerce(a).encode() == x
+
+
+def test_operations_are_installed_on_first_arithmetic():
+    assert 2 ** 10 <= TABLE_CAP < 2 ** 11  # tables for F_1024, none for F_2048
+    for p, k in [(7, 1), (3, 2), (2, 10), (2, 11)]:
+        ctx = FqContext(p, k, fq_context(p, k).modulus)
+        assert {"add", "mul", "inv"}.isdisjoint(vars(ctx))
+        x = ctx.gen()
+        assert x * x == fq_context(p, k).gen() ** 2
+        assert {"add", "sub", "neg", "mul", "inv", "pow"} <= set(vars(ctx))

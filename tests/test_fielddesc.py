@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from edim.errors import CharZero, InconsistentCustom
@@ -31,6 +33,23 @@ def test_cyclotomic():
     assert k.contains_real_zeta(5) is YES
     assert Cyclotomic(8).contains_zeta(4) is YES
     assert Cyclotomic(3).contains_real_zeta(5) is NO
+
+
+def _real_zeta_by_scan(m, n):
+    """zeta_n + zeta_n^-1 lies in Q(zeta_m) iff every a mod N = lcm(n, 2m)
+    prime to N with a = 1 mod lcm(2, m) is +-1 mod n (Galois descent)."""
+    N, fix = math.lcm(n, 2 * m), math.lcm(2, m)
+    return all(a % n in (1 % n, (n - 1) % n)
+               for a in range(1, N + 1, fix) if math.gcd(a, N) == 1)
+
+
+def test_cyclotomic_real_zeta_matches_the_galois_scan():
+    for m in range(1, 61):
+        k = Cyclotomic(m)
+        for n in range(1, 121):
+            if n not in (1, 2, 3, 4, 6):
+                want = YES if _real_zeta_by_scan(m, n) else NO
+                assert k.contains_real_zeta(n) is want, (m, n)
 
 
 def test_cyclotomic_extend():
