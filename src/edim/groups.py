@@ -6,8 +6,7 @@ Permutations are 0-based tuples; ``a * b`` composes as functions, so
 ``(pmul(a, b))[i] = a[b[i]]``.  C_n is realized on its CRT points: one
 cycle for each prime power exactly dividing n, on consecutive blocks, so its
 degree is the sum of those prime powers rather than n.  An embedding
-certificate is a point map: an injective map from H's points into G's
-points, carrying H's own generators into G.
+certificate gives H's own generators in G's blocks, and names no point.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .fielddesc import NO, UNKNOWN, YES
 
 ORDER_CAP = 10 ** 6
 CORE_CAP = 10 ** 5
-POINT_CAP = 2 * 10 ** 6  # the largest degree a point-map certificate builds
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +148,15 @@ def pident(n):
     return tuple(range(n))
 
 
-def _cycle_lengths(a):
-    seen = [False] * len(a)
-    lengths = []
-    for i in range(len(a)):
-        if not seen[i]:
-            ln, j = 0, i
-            while not seen[j]:
-                seen[j] = True
-                j = a[j]
-                ln += 1
-            lengths.append(ln)
-    return lengths
-
-
 def porder(a):
-    return math.lcm(*_cycle_lengths(a))
+    """The lcm of a's cycle lengths."""
+    seen, order = [False] * len(a), 1
+    for i in range(len(a)):
+        ln, j = 0, i
+        while not seen[j]:
+            seen[j], j, ln = True, a[j], ln + 1
+        order = math.lcm(order, max(ln, 1))
+    return order
 
 
 def _cycle(points, degree):
@@ -175,11 +166,12 @@ def _cycle(points, degree):
     return tuple(a)
 
 
-def _rotations(lengths):
-    """One cycle on each consecutive block of the given lengths."""
+def _turn(lengths, image):
+    """The permutation turning each consecutive block b of the given
+    lengths by image.get(b, 0)."""
     a, start = [], 0
-    for ln in lengths:
-        a += [start + (i + 1) % ln for i in range(ln)]
+    for b, ln in enumerate(lengths):
+        a += [start + (i + image.get(b, 0)) % ln for i in range(ln)]
         start += ln
     return tuple(a)
 
@@ -187,13 +179,6 @@ def _rotations(lengths):
 def _prime_power_parts(n):
     """The prime powers exactly dividing n, by ascending prime."""
     return [p ** a for p, a in factorize(n)]
-
-
-def _shift(perm, offset, degree):
-    a = list(range(degree))
-    for i, x in enumerate(perm):
-        a[i + offset] = x + offset
-    return tuple(a)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +212,6 @@ class PermGroup:
             raise TooLarge("group exceeds enumeration cap %d" % cap)
         return self._elements
 
-    def contains(self, perm):
-        return tuple(perm) in self.elements()
-
     def __repr__(self):
         return "PermGroup(degree=%d, order=%d)" % (self.degree, self.order)
 
@@ -237,57 +219,39 @@ class PermGroup:
 def realize(expr):
     """Faithful permutation realization with standard generators.
 
-    S_n, A_n and D_n (n >= 3) act on n points, E(p,r) on r blocks of p
-    points (one p-cycle generator per block), a product on the disjoint
-    union of its factors' points.  C_n acts on its CRT points: its one
-    generator is a product of disjoint cycles, one of each length p^a
-    exactly dividing n, on sum(p^a) points (61 for C720720).
+    S_n, A_n and D_n (n >= 3) act on n points, a product on the disjoint
+    union of its factors' points.  The others turn their blocks, as their
+    embedding certificates into themselves do: E(p,r) has one p-cycle per
+    block, D_1 and D_2 one 2-cycle; C_n's one generator is a product of
+    disjoint cycles, one of each length p^a exactly dividing n, on sum(p^a)
+    points (61 for C720720).
     """
     _validate(expr)
-    if isinstance(expr, Sym):
+    if isinstance(expr, (Sym, Alt)):
+        # (0 1) for S_n, (0 1 2) for A_n, then an n-cycle, or an (n - 1)-cycle
+        # fixing 0 for A_n with n even; _parities says how many there are
         n = expr.n
-        if n <= 1:
-            return PermGroup(max(n, 1), [], expr=expr)
-        if n == 2:
-            return PermGroup(2, [(1, 0)], expr=expr)
-        gens = [_cycle((0, 1), n), _cycle(tuple(range(n)), n)]
-        return PermGroup(n, gens, expr=expr)
-    if isinstance(expr, Alt):
+        first = (0, 1) if isinstance(expr, Sym) else (0, 1, 2)
+        last = range(1 - n % 2 if isinstance(expr, Alt) else 0, n)
+        gens = [_cycle(first, n), _cycle(tuple(last), n)] \
+            if n >= len(first) else []
+        return PermGroup(max(n, 1), gens[:len(_parities(expr))], expr=expr)
+    if isinstance(expr, Dih) and expr.n >= 3:
         n = expr.n
-        if n <= 2:
-            return PermGroup(max(n, 1), [], expr=expr)
-        if n == 3:
-            return PermGroup(3, [_cycle((0, 1, 2), 3)], expr=expr)
-        if n % 2:
-            gens = [_cycle((0, 1, 2), n), _cycle(tuple(range(n)), n)]
-        else:
-            gens = [_cycle((0, 1, 2), n), _cycle(tuple(range(1, n)), n)]
-        return PermGroup(n, gens, expr=expr)
-    if isinstance(expr, Dih):
-        n = expr.n
-        if n == 1:
-            return PermGroup(2, [(1, 0)], expr=expr)
-        if n == 2:
-            return PermGroup(4, [(1, 0, 2, 3), (0, 1, 3, 2)], expr=expr)
         rot = _cycle(tuple(range(n)), n)
         refl = (0,) + tuple(range(n - 1, 0, -1))  # j -> -j (mod n)
         return PermGroup(n, [rot, refl], expr=expr)
-    if isinstance(expr, Cyc):
-        if expr.n == 1:
-            return PermGroup(1, [], expr=expr)
-        gen = _rotations(_prime_power_parts(expr.n))
-        return PermGroup(len(gen), [gen], expr=expr)
-    if isinstance(expr, ElemAb):
-        p, r = expr.p, expr.r
-        deg = p * r
-        gens = [_cycle(tuple(range(i * p, (i + 1) * p)), deg) for i in range(r)]
-        return PermGroup(deg, gens, expr=expr)
+    if isinstance(expr, (Cyc, ElemAb, Dih)):
+        lengths = [ln for ln, _ in _blocks(expr)]
+        gens = [_turn(lengths, im) for im in _images(expr, expr)]
+        return PermGroup(degree(expr), gens, expr=expr)
     if isinstance(expr, Product):
         gl = realize(expr.left)
         gr = realize(expr.right)
         deg = gl.degree + gr.degree
-        gens = [_shift(g, 0, deg) for g in gl.generators]
-        gens += [_shift(g, gl.degree, deg) for g in gr.generators]
+        gens = [g + tuple(range(gl.degree, deg)) for g in gl.generators]
+        gens += [pident(gl.degree) + tuple(gl.degree + x for x in g)
+                 for g in gr.generators]
         return PermGroup(deg, gens, expr=expr)
     raise TypeError("unknown group expression %r" % (expr,))
 
@@ -512,104 +476,139 @@ def _pow(x, e):
 class Embedding:
     source: object
     target: object
-    points: tuple  # source point i goes to target point points[i]
-    images: tuple  # each source generator carried along points
+    images: tuple  # realize(source)'s generators in target's blocks
 
 
-def _transport(perm, points, degree):
-    """perm carried along points (points[i] -> points[perm[i]]); every other
-    point of the degree is fixed."""
-    a = list(range(degree))
-    for x, y in zip(points, map(points.__getitem__, perm)):
-        a[x] = y
-    return tuple(a)
+def _atoms(e):
+    return _atoms(e.left) + _atoms(e.right) if isinstance(e, Product) else [e]
 
 
-def _contains(g, perm):
-    """Whether realize(g) contains perm, a permutation of its degree."""
-    if isinstance(g, Product):
-        dl = degree(g.left)
-        return (all(x < dl for x in perm[:dl]) and _contains(g.left, perm[:dl])
-                and _contains(g.right, tuple(x - dl for x in perm[dl:])))
-    if isinstance(g, (Sym, Alt)):
-        return isinstance(g, Sym) or \
-            (len(perm) - len(_cycle_lengths(perm))) % 2 == 0
-    if isinstance(g, Dih) and g.n >= 3:  # i -> a + i or a - i (mod n)
-        step = (perm[1] - perm[0]) % g.n
-        return step in (1, g.n - 1) and all(
-            x == (perm[0] + i * step) % g.n for i, x in enumerate(perm))
-    # C_n, E(p,r), D_1 and D_2 are all the rotations of their blocks
-    blocks = (_prime_power_parts(g.n) if isinstance(g, Cyc)
-              else [g.p] * g.r if isinstance(g, ElemAb) else [2] * g.n)
-    start = 0
-    for ln in blocks:
-        k = perm[start] - start
-        if any(perm[start + i] != start + (i + k) % ln for i in range(ln)):
+def _on_points(a):
+    """Whether atom a is S_n, A_n or D_n (n >= 3); the elements of any
+    other atom are exactly the rotations of its blocks."""
+    return isinstance(a, (Sym, Alt)) or isinstance(a, Dih) and a.n >= 3
+
+
+def _blocks(g):
+    """g's blocks in point order: (length, None) for a rotation block,
+    (degree, atom) for all the points of an atom on points."""
+    out = []
+    for a in _atoms(g):
+        out += ([(degree(a), a)] if _on_points(a) else
+                [(ln, None) for ln in _prime_power_parts(a.n)]
+                if isinstance(a, Cyc) else
+                [(a.p, None)] * a.r if isinstance(a, ElemAb) else
+                [(2, None)] * a.n)  # D_1 or D_2
+    return out
+
+
+def _parities(a):
+    """1 or 0 for each generator of realize(a) as it is odd or even."""
+    if isinstance(a, Sym):  # (0 1), and from n = 3 the n-cycle
+        return () if a.n <= 1 else (1,) if a.n == 2 else (1, (a.n - 1) % 2)
+    if isinstance(a, Alt):  # a 3-cycle, and from n = 4 an odd-length cycle
+        return (0,) * min(max(a.n - 2, 0), 2)
+    if isinstance(a, Dih) and a.n >= 3:  # j -> -j is (n - 1) // 2 swaps
+        return ((a.n - 1) % 2, (a.n - 1) // 2 % 2)
+    if isinstance(a, Cyc):  # of its cycles only the one of length 2^k is odd
+        return ((a.n + 1) % 2,) * (a.n > 1)
+    return (int(a.p == 2),) * a.r if isinstance(a, ElemAb) else (1,) * a.n
+
+
+def _images(h, g, start=0):
+    """realize(h)'s generators in g's blocks, numbered from start, under a
+    built-in inclusion h <= g, or None: h on its own points of g (see
+    ``_on_own_points``); C_d in C_n for d | n coprime to n/d, onto C_n's
+    CRT blocks; a product factorwise; h into one factor of a product."""
+    mid = start + len(_blocks(g.left)) if isinstance(g, Product) else None
+    if isinstance(h, Product) and isinstance(g, Product):
+        left = _images(h.left, g.left, start)
+        right = _images(h.right, g.right, mid)
+        if left is not None and right is not None:
+            return left + right
+    if isinstance(h, Cyc) and isinstance(g, Cyc) and g.n % h.n == 0 \
+            and math.gcd(h.n, g.n // h.n) == 1:  # onto C_n's CRT blocks
+        at = {q: start + i for i, q in enumerate(_prime_power_parts(g.n))}
+        return ({at[q]: 1 for q in _prime_power_parts(h.n)},) * (h.n > 1)
+    if _on_own_points(h, g) and degree(h) <= degree(g):
+        if not _on_points(g):  # h = g, or E(p,s) in E(p,r)
+            return tuple({start + i: 1} for i in range(len(_blocks(h))))
+        images, offset = (), 0  # each atom of h on its own points
+        for a in _atoms(h):
+            images += ({start: offset},) * len(_parities(a))
+            offset += degree(a)
+        return images
+    if isinstance(g, Product):  # h inside one factor
+        left = _images(h, g.left, start)
+        return left if left is not None else _images(h, g.right, mid)
+    return None
+
+
+def _verify(h, g, images):
+    """Whether images give an injective homomorphism h -> realize(g), in
+    O(#blocks + #generators).  An image maps each block of g it moves to
+    the amount 0 < k < l it turns that block of length l by, or on a point
+    block to the offset it moves its own generator up by.  The atoms of h
+    take disjoint blocks, or ascending ranges of a point block, so their
+    images commute and the map is injective iff it is on each atom."""
+    blocks, used, pos = dict(enumerate(_blocks(g))), {}, 0
+    for a in filter(_parities, _atoms(h)):  # the atoms with generators
+        count = len(_parities(a))
+        ims, pos = images[pos:pos + count], pos + count
+        cells = [(b, k, blocks.get(b)) for im in ims for b, k in im.items()]
+        if len(ims) < count or not all(ims) or any(
+                block is None for _, _, block in cells):
             return False
-        start += ln
+        b, offset, (length, target) = cells[0]
+        if target is not None:  # a relabeling: in A_n if even, in D_n if D_n
+            if any(im != {b: offset} for im in ims) \
+                    or not used.get(b, 0) <= offset <= length - degree(a) \
+                    or isinstance(target, Alt) and any(_parities(a)) \
+                    or isinstance(target, Dih) and (a, offset) != (target, 0):
+                return False
+            used[b] = offset + degree(a)
+            continue
+        if _on_points(a) or any(b in used or t is not None or not 0 < k < ln
+                                for b, k, (ln, t) in cells):
+            return False
+        used.update((b, ln) for b, _, (ln, _) in cells)
+        if not (a.n == math.lcm(*(ln // math.gcd(k, ln)
+                                  for _, k, (ln, _) in cells))
+                if isinstance(a, Cyc) else  # D_1, D_2 are E(2,1), E(2,2)
+                _independent(ims, blocks, getattr(a, "p", 2))):
+            return False
+    return pos == len(images)
+
+
+def _independent(images, blocks, p):
+    """Whether rotation images have order p and are independent over F_p:
+    turning a block of length l by k has order p iff l divides kp, and kp / l
+    is its F_p coordinate.  Each, reduced by the earlier ones, must keep a
+    lowest block."""
+    basis = {}  # lowest block -> a vector that is 1 there
+    for im in images:
+        if any(k * p % blocks[b][0] for b, k in im.items()):
+            return False
+        v = {b: k * p // blocks[b][0] for b, k in im.items()}
+        while v and min(v) in basis:
+            c, w = v[min(v)], basis[min(v)]
+            v = {i: x for i in v.keys() | w.keys()
+                 if (x := (v.get(i, 0) - c * w.get(i, 0)) % p)}
+        if not v:
+            return False
+        inv = pow(v[min(v)], -1, p)
+        basis[min(v)] = {i: x * inv % p for i, x in v.items()}
     return True
 
 
-def _carry(h_pg, g, points):
-    """h_pg's generators carried along the point map points into realize(g),
-    or None unless points is injective into g's points and every image lies
-    in realize(g); O(degree) each.
-
-    Carrying along an injective point map is conjugation by a relabeling,
-    so generator -> image extends to an injective homomorphism whatever the
-    order of H.
-    """
-    deg = degree(g)
-    if len(points) != h_pg.degree or len(set(points)) != len(points) \
-            or not 0 <= min(points) <= max(points) < deg:
-        return None
-    images = tuple(_transport(gen, points, deg) for gen in h_pg.generators)
-    return images if all(_contains(g, im) for im in images) else None
-
-
 def embedding_certificate(h, g):
-    """A verified point-map certificate for a built-in inclusion h <= g.
-
-    Certified: h == g; S_m, A_m, D_m (m >= 3), E(p,r) (pr <= n) in S_n,
-    A_m in A_n, E(p,s) in E(p,r), E(3,2) in A_n (n >= 6), S_m x C_2 in
-    S_{m+2} and A_m x C_3 in A_{m+3}, all on h's own points; C_d in C_n for
-    d | n coprime to n/d, onto C_n's CRT blocks for the primes dividing d;
-    a product into a product factorwise; h into one factor of a product,
-    on that factor's points.  Returns an Embedding or None; None is absence
-    of a certificate, not a proof of non-embeddability.  Raises TooLarge
-    when g's degree is above POINT_CAP.
-    """
-    if degree(g) > POINT_CAP:
-        raise TooLarge("point-map certificates capped at degree %d"
-                       % POINT_CAP)
-    points = _find_points(h, g)
-    images = None if points is None else _carry(realize(h), g, points)
-    return None if images is None else Embedding(h, g, points, images)
-
-
-def _find_points(h, g):
-    dl = degree(g.left) if isinstance(g, Product) else 0
-    if isinstance(h, Product) and isinstance(g, Product):
-        li, ri = _find_points(h.left, g.left), _find_points(h.right, g.right)
-        if li is not None and ri is not None:
-            return li + tuple(dl + x for x in ri)
-    if _on_own_points(h, g):
-        dh = degree(h)
-        return tuple(range(dh)) if dh <= degree(g) else None
-    if isinstance(h, Cyc) and isinstance(g, Cyc) and g.n % h.n == 0 \
-            and math.gcd(h.n, g.n // h.n) == 1:
-        starts, start = {}, 0
-        for q in _prime_power_parts(g.n):
-            starts[q], start = start, start + q
-        return tuple(starts[q] + i for q in _prime_power_parts(h.n)
-                     for i in range(q)) or (0,)  # C_1 is one fixed point
-    if isinstance(g, Product):  # h inside one factor
-        li = _find_points(h, g.left)
-        if li is not None:
-            return li
-        ri = _find_points(h, g.right)
-        return None if ri is None else tuple(dl + x for x in ri)
-    return None
+    """A certificate for a built-in inclusion h <= g (see ``_images``):
+    realize(h)'s generators in g's blocks, checked by ``_verify`` with no
+    point of g built.  Returns an Embedding or None; None is absence of a
+    certificate, not a proof of non-embeddability."""
+    images = _images(h, g)
+    return None if images is None or not _verify(h, g, images) \
+        else Embedding(h, g, images)
 
 
 def _on_own_points(h, g):

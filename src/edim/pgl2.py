@@ -18,6 +18,7 @@ from itertools import chain
 from .errors import (DependentAlphas, EvenChar, RealZetaAbsent, TooLarge,
                      ZeroElement)
 from .exactfield import FqElement
+from .fielddesc import YES, FiniteField
 from .groups import Cyc, Dih, ElemAb
 
 Q_CAP = 27
@@ -328,14 +329,16 @@ def dn_representation(ctx, n):
         raise ValueError("n must be >= 3")
     if n % ctx.p == 0:
         raise RealZetaAbsent("n divisible by the characteristic")
-    k = _kernel(ctx)
-    for c in range(ctx.q):
-        if k.order((0, k.neg[1], 1, c), n, linear=True) == n:
-            s = Mat2(ctx, ctx.zero, -ctx.one, ctx.one, k.fq(c))
-            t = Mat2(ctx, ctx.one, k.fq(c), ctx.zero, -ctx.one)
-            _assert_dihedral(s, t, n)
-            return s, t
-    raise RealZetaAbsent("zeta_%d + zeta_%d^-1 is not in F_%d" % (n, n, ctx.q))
+    if FiniteField(ctx.p, ctx.k).contains_real_zeta(n) is not YES:
+        raise RealZetaAbsent("zeta_%d + zeta_%d^-1 is not in F_%d"
+                             % (n, n, ctx.q))
+    k = _kernel(ctx)  # the scan ends at c = zeta_n + zeta_n^-1 at the latest
+    c = next(c for c in range(ctx.q)
+             if k.order((0, k.neg[1], 1, c), n, linear=True) == n)
+    s = Mat2(ctx, ctx.zero, -ctx.one, ctx.one, k.fq(c))
+    t = Mat2(ctx, ctx.one, k.fq(c), ctx.zero, -ctx.one)
+    _assert_dihedral(s, t, n)
+    return s, t
 
 
 def elemab_representation(ctx, alphas):

@@ -262,9 +262,6 @@ def test_integers_past_the_str_limit_are_a_capability_limit(capsys,
      "trial division"),
     (["field", "--field", "F(100000000000000000039)", "--query", "char"],
      "trial division"),
-    # a point-map certificate past POINT_CAP
-    (["bound", "--group", "C2000000000078", "--field", "Q"], "point-map"),
-    (["bound", "--group", "D1000000000039", "--field", "F(7)"], "point-map"),
     # an F(q) whose q has more digits than Python writes
     (["field", "--field", "F(2)", "--query", "extend", "--n", "1000003"],
      "digits"),
@@ -275,6 +272,35 @@ def test_size_caps_exit_3_fast(capsys, argv, cap):
     assert time.perf_counter() - start < 5
     assert code == 3
     assert cap in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("group,field,lo,hi", [
+    # degrees up to 10^12: each embedding certificate is a few block
+    # coordinates, and no group is realized on its points
+    ("C2000000000078", "Q", 3, 1000000000040),
+    ("D1000000000039", "F(7)", 2, 1000000000036),
+    ("C1999966", "Q", 3, 999984),
+    ("D1000003", "Q", 2, 1000000),
+    ("D10000019", "Qzeta(10000019)", 1, 1),
+])
+def test_huge_groups_answer_within_a_second(capsys, group, field, lo, hi):
+    start = time.perf_counter()
+    code, out = _capture(capsys, ["bound", "--group", group, "--field", field])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert json.loads(out)["interval"] == {"lo": lo, "hi": hi}
+
+
+@pytest.mark.parametrize("q,group", [(3125, "D7"), (2048, "D5")])
+def test_pgl2_reps_without_real_zeta_exit_2_fast(capsys, q, group):
+    # zeta_n + zeta_n^-1 is not in F_q (n divides neither q - 1 nor q + 1):
+    # a field fact, decided before any matrix is built
+    start = time.perf_counter()
+    code, out = _capture(capsys, ["pgl2", "reps", "--q", str(q),
+                                  "--group", group])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert "is not in F_%d" % q in json.loads(out)["error"]
 
 
 @pytest.mark.parametrize("argv,key,answer", [

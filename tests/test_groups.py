@@ -1,13 +1,18 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+from edim import edengine, groups
+from edim.cli import parse_field, parse_group
 from edim.fielddesc import (NO, UNKNOWN, YES, Cyclotomic, FiniteField,
                             RationalField)
-from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, _carry,
-                         _closure, _partition_orders, _partitions,
-                         center, character_exists, degree, element_orders,
+from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, _atoms,
+                         _blocks, _closure, _on_own_points, _partition_orders,
+                         _partitions, _prime_power_parts, center,
+                         character_exists, degree, element_orders,
                          embedding_certificate, expr_order, l_core, pident,
                          pinv, pmul, porder, realize)
 
@@ -127,6 +132,142 @@ def test_character_witness_is_homomorphism():
     assert wit.value_of(g, sigma) != 0
 
 
+# --- the point-map oracle ----------------------------------------------------
+# The certificate the library used before block coordinates: an injective
+# map from h's points into g's points, with each generator of realize(h)
+# carried along it as a whole permutation and checked to lie in realize(g);
+# O(degree) per inclusion.
+
+def _transport(perm, points, deg):
+    """perm carried along points (points[i] -> points[perm[i]]); every other
+    point of the degree is fixed."""
+    a = list(range(deg))
+    for x, y in zip(points, map(points.__getitem__, perm)):
+        a[x] = y
+    return tuple(a)
+
+
+def _odd(perm):
+    return (len(perm) - len(_cycles(perm))) % 2
+
+
+def _cycles(perm):
+    seen, out = set(), []
+    for i in range(len(perm)):
+        cycle = []
+        while i not in seen:
+            seen.add(i)
+            cycle.append(i)
+            i = perm[i]
+        if cycle:
+            out.append(cycle)
+    return out
+
+
+def _contains(g, perm):
+    """Whether realize(g) contains perm, a permutation of its degree."""
+    if isinstance(g, Product):
+        dl = degree(g.left)
+        return (all(x < dl for x in perm[:dl]) and _contains(g.left, perm[:dl])
+                and _contains(g.right, tuple(x - dl for x in perm[dl:])))
+    if isinstance(g, (Sym, Alt)):
+        return isinstance(g, Sym) or not _odd(perm)
+    if isinstance(g, Dih) and g.n >= 3:  # i -> a + i or a - i (mod n)
+        step = (perm[1] - perm[0]) % g.n
+        return step in (1, g.n - 1) and all(
+            x == (perm[0] + i * step) % g.n for i, x in enumerate(perm))
+    # C_n, E(p,r), D_1 and D_2 are all the rotations of their blocks
+    blocks = (_prime_power_parts(g.n) if isinstance(g, Cyc)
+              else [g.p] * g.r if isinstance(g, ElemAb) else [2] * g.n)
+    start = 0
+    for ln in blocks:
+        k = perm[start] - start
+        if any(perm[start + i] != start + (i + k) % ln for i in range(ln)):
+            return False
+        start += ln
+    return True
+
+
+def _carry(h_pg, g, points):
+    """h_pg's generators carried along the point map points into realize(g),
+    or None unless points is injective into g's points and every image lies
+    in realize(g).  Carrying along an injective point map is conjugation by
+    a relabeling, so generator -> image extends to an injective
+    homomorphism whatever the order of H."""
+    deg = degree(g)
+    if len(points) != h_pg.degree or len(set(points)) != len(points) \
+            or not 0 <= min(points) <= max(points) < deg:
+        return None
+    images = tuple(_transport(gen, points, deg) for gen in h_pg.generators)
+    return images if all(_contains(g, im) for im in images) else None
+
+
+def _find_points(h, g):
+    dl = degree(g.left) if isinstance(g, Product) else 0
+    if isinstance(h, Product) and isinstance(g, Product):
+        li, ri = _find_points(h.left, g.left), _find_points(h.right, g.right)
+        if li is not None and ri is not None:
+            return li + tuple(dl + x for x in ri)
+    if _on_own_points(h, g):
+        dh = degree(h)
+        return tuple(range(dh)) if dh <= degree(g) else None
+    if isinstance(h, Cyc) and isinstance(g, Cyc) and g.n % h.n == 0 \
+            and math.gcd(h.n, g.n // h.n) == 1:
+        starts, start = {}, 0
+        for q in _prime_power_parts(g.n):
+            starts[q], start = start, start + q
+        return tuple(starts[q] + i for q in _prime_power_parts(h.n)
+                     for i in range(q)) or (0,)  # C_1 is one fixed point
+    if isinstance(g, Product):  # h inside one factor
+        li = _find_points(h, g.left)
+        if li is not None:
+            return li
+        ri = _find_points(h, g.right)
+        return None if ri is None else tuple(dl + x for x in ri)
+    return None
+
+
+def _point_map_certificate(h, g):
+    """(points, images) for the built-in inclusion h <= g, or None."""
+    points = _find_points(h, g)
+    images = None if points is None else _carry(realize(h), g, points)
+    return None if images is None else (points, images)
+
+
+def _expand(h, g, images):
+    """Block-coordinate images as permutations of realize(g)'s points: a
+    rotation block turned by its amount, or on a point block the image's
+    own generator of realize(h) moved up by the offset."""
+    blocks, starts, at = _blocks(g), [], 0
+    for a in _atoms(g):
+        for ln, _ in _blocks(a):
+            starts.append(at)
+            at += ln
+        at += degree(a) - sum(ln for ln, _ in _blocks(a))  # C_1's point
+    gens = [x for a in _atoms(h) for x in realize(a).generators]
+    out = []
+    for gen, im in zip(gens, images):
+        perm = list(range(degree(g)))
+        for b, value in im.items():
+            ln, target = blocks[b]
+            if target is None:  # a rotation block
+                base, moves = starts[b], [(i + value) % ln for i in range(ln)]
+            else:
+                base, moves = starts[b] + value, gen
+            for i, x in enumerate(moves):
+                perm[base + i] = base + x
+        out.append(tuple(perm))
+    return tuple(out)
+
+
+def _agrees_with_oracle(h, g):
+    emb, oracle = embedding_certificate(h, g), _point_map_certificate(h, g)
+    if (emb is None) != (oracle is None):
+        return False
+    return emb is None or degree(g) > 10 ** 4 \
+        or _expand(h, g, emb.images) == oracle[1]
+
+
 def test_embedding_certificates():
     for h, g in [(Alt(5), Sym(5)), (Dih(3), Sym(3)),
                  (Sym(3), Sym(4)), (ElemAb(2, 2), Sym(4)),
@@ -134,13 +275,10 @@ def test_embedding_certificates():
                  (Cyc(3), Product(Alt(5), Cyc(3)))]:
         emb = embedding_certificate(h, g)
         assert emb is not None, (h, g)
-        gr = realize(g)
-        hh = realize(h)
-        gens = hh.generators
-        images = emb.images
-        assert len(images) == len(gens)
-        for im in images:
-            assert gr.contains(im), (h, g)
+        elements = realize(g).elements()
+        images = _expand(h, g, emb.images)
+        assert len(images) == len(realize(h).generators)
+        assert all(im in elements for im in images), (h, g)
     assert embedding_certificate(Sym(4), Alt(5)) is None
     assert embedding_certificate(Cyc(7), Sym(5)) is None
     # cyclic-inside-dihedral is deliberately not a certified edge
@@ -173,7 +311,7 @@ def _enumerated_embedding_ok(h, g, images):
            for x, fx in items for y, fy in items):
         return False
     return len(set(phi.values())) == len(phi) and \
-        all(g_pg.contains(im) for im in images)
+        all(im in g_pg.elements() for im in images)
 
 
 # one or more small instances of every certified inclusion shape
@@ -199,8 +337,47 @@ def test_embedding_matches_enumeration_oracle():
     for h, g in CERTIFIED_SHAPES:
         emb = embedding_certificate(h, g)
         assert emb is not None, (h, g)
-        assert all(len(im) == realize(g).degree for im in emb.images)
-        assert _enumerated_embedding_ok(h, g, emb.images), (h, g)
+        images = _expand(h, g, emb.images)
+        assert all(len(im) == realize(g).degree for im in images)
+        assert _enumerated_embedding_ok(h, g, images), (h, g)
+
+
+def _catalog_pairs():
+    """Every (h, g) the engine asks for a certificate over the non-hang
+    bound queries of the benchmark catalog."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "catalog.json"
+    workloads = json.loads(path.read_text())["workloads"]
+    queries = {e["query"] for w in ("bound-structural", "bound-pgl2")
+               for stratum, entries in workloads[w].items()
+               if stratum != "hang" for e in entries}
+    pairs, engine = set(), edengine._Engine()  # one engine shares queries
+    certify = edengine.embedding_certificate
+    edengine.embedding_certificate = \
+        lambda h, g: pairs.add((h, g)) or certify(h, g)
+    try:
+        for query in sorted(queries):
+            group, field = query.split("/", 1)
+            engine.query(parse_group(group), parse_field(field))
+    finally:
+        edengine.embedding_certificate = certify
+    return pairs
+
+
+def test_block_certificates_match_the_point_map_oracle():
+    # the engine's own pairs, all certified; then every pair over small
+    # atoms and the products of two of every fifth atom, C_2 and C_3 (so
+    # S_m x C_2 and A_m x C_3 are there): 51,076 pairs, 1,986 certified
+    pairs = _catalog_pairs()
+    assert len(pairs) > 150
+    assert all(embedding_certificate(h, g) for h, g in pairs)
+    atoms = ([f(n) for f in (Sym, Alt) for n in range(8)]
+             + [Dih(n) for n in range(1, 9)] + [Cyc(n) for n in range(1, 25)]
+             + [ElemAb(p, r) for p in (2, 3, 5) for r in (1, 2, 3)])
+    factors = list(dict.fromkeys(atoms[::5] + [Cyc(2), Cyc(3)]))
+    exprs = atoms + [Product(a, b) for a in factors for b in factors]
+    pairs |= set(CERTIFIED_SHAPES) | set(itertools.product(exprs, repeat=2))
+    bad = [(str(h), str(g)) for h, g in pairs if not _agrees_with_oracle(h, g)]
+    assert bad == []
 
 
 def _verify_embedding(h_pg, g, points, images):
@@ -211,23 +388,23 @@ def _verify_embedding(h_pg, g, points, images):
 
 def test_verify_rejects_forged_point_maps():
     s6 = realize(Sym(6))  # |H| = 720
-    emb = embedding_certificate(Sym(6), Sym(6))
-    assert _verify_embedding(s6, Sym(6), emb.points, emb.images)
+    points, images = _point_map_certificate(Sym(6), Sym(6))
+    assert _verify_embedding(s6, Sym(6), points, images)
     # (0 1) -> (0 2) keeps both generator orders but breaks a relation: the
     # graph of the map generates 25,920 elements, not 720
-    swap, rot = emb.images
+    swap, rot = images
     forged = ((2, 1, 0, 3, 4, 5), rot)
     assert [porder(x) for x in forged] == [porder(swap), porder(rot)]
     graph = [a + tuple(6 + x for x in b) for a, b in zip(s6.generators, forged)]
     assert len(_closure(12, [], graph)) == 25920
-    assert not _verify_embedding(s6, Sym(6), emb.points, forged)
+    assert not _verify_embedding(s6, Sym(6), points, forged)
     # a point map that is not injective, out of range, or short; (0, 0)
     # carries C2's generator to the identity, which lies in every target
-    assert not _verify_embedding(s6, Sym(6), (0, 0, 2, 3, 4, 5), emb.images)
+    assert not _verify_embedding(s6, Sym(6), (0, 0, 2, 3, 4, 5), images)
     assert not _verify_embedding(realize(Cyc(2)), Sym(3), (0, 0),
                                  (pident(3),))
-    assert not _verify_embedding(s6, Sym(6), (0, 1, 2, 3, 4, 6), emb.images)
-    assert not _verify_embedding(s6, Sym(6), (0, 1, 2, 3, 4), emb.images)
+    assert not _verify_embedding(s6, Sym(6), (0, 1, 2, 3, 4, 6), images)
+    assert not _verify_embedding(s6, Sym(6), (0, 1, 2, 3, 4), images)
     # transported images outside the target: a transposition is odd, i -> 2i
     # (mod 5) is not in D5, and a 3-cycle on C12's 4-block is not in C12
     assert not _verify_embedding(realize(Cyc(2)), Alt(4), (0, 1),
@@ -238,6 +415,50 @@ def test_verify_rejects_forged_point_maps():
                                  ((1, 2, 0, 3, 4, 5, 6),))
 
 
+@pytest.mark.parametrize("h,g,images", [
+    # C4's image turns C4's block by 2: order 2, not 4
+    (Cyc(4), Cyc(4), ({0: 2},)),
+    # E(2,2)'s two images are the same involution
+    (ElemAb(2, 2), ElemAb(2, 2), ({0: 1}, {0: 1})),
+    (ElemAb(2, 2), ElemAb(2, 3), ({0: 1, 1: 1}, {0: 1, 1: 1})),
+    # an odd image in A_n: C2's generator is a transposition
+    (Cyc(2), Alt(4), ({0: 0},)),
+    (Sym(3), Alt(5), ({0: 0}, {0: 0})),
+    # a block index out of range: C12 has two blocks, 4 and 3 points
+    (Cyc(3), Cyc(12), ({2: 1},)),
+    (Cyc(3), Cyc(12), ({-1: 1},)),
+    # block maps that are not injective: both factors on one block, or on
+    # overlapping ranges of one point block
+    (Product(Cyc(2), Cyc(2)), Product(Cyc(2), Cyc(2)), ({0: 1}, {0: 1})),
+    (Product(Sym(3), Cyc(2)), Sym(5), ({0: 0}, {0: 0}, {0: 2})),
+    # a generator sent to the identity, a missing image, a spare one
+    (Cyc(3), Cyc(3), ({},)),
+    (Dih(2), Dih(2), ({0: 1},)),
+    (Cyc(3), Cyc(3), ({0: 1}, {0: 1})),
+    # rotations for an atom on points (S_3 is not V_4), a point offset past
+    # the block, a rotation amount outside the block, D_n's points for a
+    # subgroup
+    (Sym(3), ElemAb(2, 2), ({0: 1}, {1: 1})),
+    (Sym(3), Sym(4), ({0: 2}, {0: 2})),
+    (Cyc(3), Cyc(3), ({0: 3},)),
+    (Cyc(2), Dih(4), ({0: 0},)),
+])
+def test_forged_block_certificates_are_rejected(monkeypatch, h, g, images):
+    # the engine's own entry point, with the builder replaced by a forgery
+    monkeypatch.setattr(groups, "_images", lambda h, g: images)
+    assert embedding_certificate(h, g) is None
+
+
+def test_certificates_name_no_point():
+    # degree 10^7 + 19: each certificate is a few block coordinates
+    n = 10000019
+    assert embedding_certificate(Dih(n), Sym(n)).images == ({0: 0}, {0: 0})
+    emb = embedding_certificate(Cyc(999983), Cyc(1999966))
+    assert emb.images == ({1: 1},)
+    assert embedding_certificate(ElemAb(2, 3), ElemAb(2, 10 ** 6)).images \
+        == ({0: 1}, {1: 1}, {2: 1})
+
+
 def test_dropped_inclusions_are_not_certified():
     # only coprime cyclic pairs; no A_m x V_4 in A_{m+4}, V_4 x V_4 in A_8
     assert embedding_certificate(Cyc(2), Cyc(4)) is None
@@ -245,8 +466,9 @@ def test_dropped_inclusions_are_not_certified():
     assert embedding_certificate(Product(Alt(4), ElemAb(2, 2)), Alt(8)) is None
     assert embedding_certificate(Product(ElemAb(2, 2), ElemAb(2, 2)),
                                  Alt(8)) is None
+    # C16 turns the first of C720720's six CRT blocks, 16 + 9 + ... + 13
     emb = embedding_certificate(Cyc(16), Cyc(720720))
-    assert emb.points == tuple(range(16)) and len(emb.images[0]) == 61
+    assert emb.images == ({0: 1},) and len(_blocks(Cyc(720720))) == 6
 
 
 def test_product_factor_embeds():
