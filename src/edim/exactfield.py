@@ -306,6 +306,18 @@ class FqContext:
         return "FqContext(p=%d, k=%d)" % (self.p, self.k)
 
 
+def common_field(a: FqContext, b: FqContext) -> FqContext:
+    """The context that holds the elements of both: a when b is the same
+    field or its prime field, b when a is the prime field of b.  F_p keeps
+    its codes in every extension, so codes carry over unchanged.  Any other
+    pair (two characteristics, two extensions) raises ValueError."""
+    if b is a or b.p == a.p and (b.k == 1 or b.modulus == a.modulus):
+        return a
+    if b.p == a.p and a.k == 1:
+        return b
+    raise ValueError("mixed field contexts")
+
+
 class FqElement:
     """An element of a context, held as its integer code."""
 
@@ -324,13 +336,8 @@ class FqElement:
         ctx = self.ctx
         if isinstance(other, FqElement):
             o = other.ctx
-            if o is ctx or o.p == ctx.p and (o.k == 1
-                                             or o.modulus == ctx.modulus):
-                return ctx, self.code, other.code
-            if o.p == ctx.p and ctx.k == 1:
-                # prime-field elements promote into any extension
-                return o, self.code, other.code
-            raise ValueError("mixed field contexts")
+            return (ctx if o is ctx else common_field(ctx, o)), \
+                self.code, other.code
         if isinstance(other, int):
             return ctx, self.code, other % ctx.p
         if isinstance(other, Fraction):

@@ -520,12 +520,14 @@ def _images(h, g, start=0):
     built-in inclusion h <= g, or None: h on its own points of g (see
     ``_on_own_points``); C_d in C_n for d | n coprime to n/d, onto C_n's
     CRT blocks; a product factorwise; h into one factor of a product."""
-    mid = start + len(_blocks(g.left)) if isinstance(g, Product) else None
+    mid = None  # where g.right's blocks start, once a branch needs it
     if isinstance(h, Product) and isinstance(g, Product):
         left = _images(h.left, g.left, start)
-        right = _images(h.right, g.right, mid)
-        if left is not None and right is not None:
-            return left + right
+        if left is not None:
+            mid = start + len(_blocks(g.left))
+            right = _images(h.right, g.right, mid)
+            if right is not None:
+                return left + right
     if isinstance(h, Cyc) and isinstance(g, Cyc) and g.n % h.n == 0 \
             and math.gcd(h.n, g.n // h.n) == 1:  # onto C_n's CRT blocks
         at = {q: start + i for i, q in enumerate(_prime_power_parts(g.n))}
@@ -540,7 +542,10 @@ def _images(h, g, start=0):
         return images
     if isinstance(g, Product):  # h inside one factor
         left = _images(h, g.left, start)
-        return left if left is not None else _images(h, g.right, mid)
+        if left is not None:
+            return left
+        return _images(h, g.right, mid if mid is not None
+                       else start + len(_blocks(g.left)))
     return None
 
 
@@ -611,6 +616,9 @@ def embedding_certificate(h, g):
         else Embedding(h, g, images)
 
 
+_C2, _C3, _E32 = Cyc(2), Cyc(3), ElemAb(3, 2)  # built once: ElemAb checks p
+
+
 def _on_own_points(h, g):
     if h == g:
         return True
@@ -619,12 +627,12 @@ def _on_own_points(h, g):
                 or isinstance(h, Dih) and 3 <= h.n <= g.n
                 or isinstance(h, ElemAb) and h.p * h.r <= g.n
                 or isinstance(h, Product) and any(
-                    isinstance(a, Sym) and b == Cyc(2) and a.n + 2 <= g.n
+                    isinstance(a, Sym) and b == _C2 and a.n + 2 <= g.n
                     for a, b in ((h.left, h.right), (h.right, h.left))))
     if isinstance(g, Alt):
         return (isinstance(h, Alt) and h.n <= g.n
-                or h == ElemAb(3, 2) and g.n >= 6
+                or h == _E32 and g.n >= 6
                 or isinstance(h, Product) and isinstance(h.left, Alt)
-                and h.right == Cyc(3) and h.left.n + 3 <= g.n)
+                and h.right == _C3 and h.left.n + 3 <= g.n)
     return isinstance(h, ElemAb) and isinstance(g, ElemAb) \
         and h.p == g.p and h.r <= g.r

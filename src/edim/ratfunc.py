@@ -15,10 +15,11 @@ a private variable, and last the primitive PRS (pseudo-remainder sequence).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul
 
 from .errors import (DivisionByZero, DomainMismatch, IndeterminateForm,
                      PoleAtPoint, UnboundVariable)
-from .exactfield import FqContext, FqElement
+from .exactfield import FqContext, FqElement, common_field
 
 
 class RationalDomain:
@@ -150,12 +151,18 @@ class MultiPoly:
             return MultiPoly(self.domain, self.vars,
                              {e: x * c for e, x in self.terms.items()})
         self._check(other)
+        if _is_one(other):  # polynomials are immutable: no copy needed
+            return self
+        if _is_one(self):
+            return other
+        small, big = sorted((self.terms, other.terms), key=len)
+        items = list(big.items())
         t = {}
-        z = self.domain.zero
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                t[e] = t.get(e, z) + c1 * c2
+        get, z = t.get, self.domain.zero
+        for e1, c1 in small.items():
+            for e2, c2 in items:
+                e = tuple(map(add, e1, e2))
+                t[e] = get(e, z) + c1 * c2
         return MultiPoly(self.domain, self.vars, t)
 
     __rmul__ = __mul__
@@ -183,23 +190,25 @@ class MultiPoly:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, values):
-        """Evaluate at a dict {var name: element}; elements must share a field."""
-        missing = {self.vars[i] for i in self.occurring()} - set(values)
-        if missing:
-            raise UnboundVariable("unbound variables: %s" % sorted(missing))
-        some = next(iter(values.values()), None)
-        acc = _coerce_into(self.domain.zero, some)
-        cache = {}
-        for e, c in self.terms.items():
-            term = _coerce_into(c, some)
-            for i, d in enumerate(e):
-                if d:
-                    key = (i, d)
-                    if key not in cache:
-                        cache[key] = values[self.vars[i]] ** d
-                    term = term * cache[key]
-            acc = acc + term
-        return acc
+        """Evaluate at a dict {var name: element}.
+
+        At a point with F_q elements the loop runs on integer codes in the
+        field that holds the coefficients and every value (see
+        ``common_field``, which raises ValueError for a point that mixes
+        fields), and only the result is an FqElement; otherwise it runs on
+        the values themselves (int and Fraction at a rational point).
+        """
+        ctx, powers = _point(self, self.occurring(), values)
+        v = _term_sum(self.terms, ctx, powers)
+        return v if ctx is None else FqElement(ctx, v)
+
+
+def _is_one(p):
+    """Whether p is the constant 1."""
+    if len(p.terms) != 1:
+        return False
+    (e, c), = p.terms.items()
+    return c == 1 and not any(e)
 
 
 def _binary_pow(base, n):
@@ -240,22 +249,56 @@ def _div(a, b):
     return a / b
 
 
-def _coerce_into(coeff, sample):
-    """Map a domain coefficient into the field of the evaluation point."""
-    if sample is None or isinstance(coeff, type(sample)):
-        return coeff
-    if isinstance(coeff, (int, Fraction)):
-        field = getattr(sample, "field", None) or getattr(sample, "ctx", None)
-        if field is None:  # a rational point
-            return coeff
-        try:
-            return field.coerce(coeff)
-        except ZeroDivisionError:
-            raise PoleAtPoint("coefficient denominator vanishes in characteristic %d"
-                              % field.p)
-    if isinstance(coeff, FqElement) and hasattr(sample, "field"):
-        return sample.field.from_base(coeff)
-    return coeff
+def _point(p, occ, values):
+    """(ctx, powers) for evaluating polynomials of p's ring at values.  ctx
+    is the field of the code arithmetic, the common field of an F_q domain
+    and of the F_q values, or None at a rational point; powers maps (i, 1)
+    to the value of each variable index i in occ, as a code in ctx."""
+    missing = {p.vars[i] for i in occ} - set(values)
+    if missing:
+        raise UnboundVariable("unbound variables: %s" % sorted(missing))
+    ctx = p.domain if isinstance(p.domain, FqContext) else None
+    for v in values.values():
+        if isinstance(v, FqElement) and v.ctx is not ctx:
+            ctx = v.ctx if ctx is None else common_field(ctx, v.ctx)
+    if ctx is None:
+        return None, {(i, 1): values[p.vars[i]] for i in occ}
+    return ctx, {(i, 1): _code_in(values[p.vars[i]], ctx) for i in occ}
+
+
+def _term_sum(terms, ctx, powers):
+    """The sum of c * prod x_i^d over terms: on codes with ctx's operations,
+    or with ctx None on the values themselves.  powers holds each x_i^d
+    under (i, d), starting from the values under (i, 1), and grows."""
+    if ctx is None:
+        add_, mul_, pow_ = add, mul, pow
+    else:
+        add_, mul_, pow_ = ctx.add, ctx.mul, ctx.pow
+    acc = 0
+    for e, c in terms.items():
+        term = c if ctx is None else _code_in(c, ctx)
+        for i, d in enumerate(e):
+            if d:
+                v = powers.get((i, d))
+                if v is None:
+                    v = powers[i, d] = pow_(powers[i, 1], d)
+                term = mul_(term, v)
+        acc = add_(acc, term)
+    return acc
+
+
+def _code_in(x, ctx):
+    """The code in ctx of a coefficient or value: an int, an element of a
+    subfield of ctx, or a Fraction, whose denominator p must not divide."""
+    if type(x) is int:
+        return x % ctx.p
+    if isinstance(x, FqElement):
+        return x.code
+    try:
+        return ctx.coerce(x).code
+    except ZeroDivisionError:
+        raise PoleAtPoint("coefficient denominator vanishes in characteristic %d"
+                          % ctx.p)
 
 
 # ---------------------------------------------------------------------------
@@ -575,31 +618,38 @@ class RatFn:
         return RatFn(ncomp, dcomp)
 
     def evaluate(self, values):
-        """Exact evaluation at field elements keyed by variable name."""
-        d = self.den.evaluate(values)
-        if _czero(d):
+        """Exact evaluation at field elements keyed by variable name, in the
+        arithmetic of ``MultiPoly.evaluate``, with one table of powers for
+        both parts."""
+        ctx, powers = _point(self.num, self.occurring(), values)
+        d = _term_sum(self.den.terms, ctx, powers)
+        if d == 0:
             raise PoleAtPoint("denominator vanishes at the given point")
-        n = self.num.evaluate(values)
-        return _div(n, d)
+        n = _term_sum(self.num.terms, ctx, powers)
+        return _div(n, d) if ctx is None else \
+            FqElement(ctx, ctx.mul(n, ctx.inv(d)))
 
 
 def _compose_poly(p, bindings, maxdeg, sample):
     """p with vars replaced by bindings, cleared by prod den^maxdeg; a MultiPoly."""
     dom, vs = sample.domain, sample.vars
-    names = list(maxdeg)
-    numpow = {}
-    denpow = {}
-    for n in names:
-        numpow[n] = _pow_table(bindings[n].num, maxdeg[n])
-        denpow[n] = _pow_table(bindings[n].den, maxdeg[n])
-    acc = MultiPoly.zero(dom, vs)
+    slots = [(p.vars.index(n), top, _pow_table(bindings[n].num, top),
+              _pow_table(bindings[n].den, top)) for n, top in maxdeg.items()]
+    one = MultiPoly.const(dom, vs, dom.one)
+    acc = {}
+    get, z = acc.get, dom.zero
     for e, c in p.terms.items():
-        term = MultiPoly.const(dom, vs, _coerce_const(c, dom))
-        for n in names:
-            d = e[p.vars.index(n)]
-            term = term * numpow[n][d] * denpow[n][maxdeg[n] - d]
-        acc = acc + term
-    return acc
+        c = _coerce_const(c, dom)
+        term = one
+        for i, top, numpow, denpow in slots:
+            d = e[i]
+            if d:
+                term = term * numpow[d]
+            if d < top:
+                term = term * denpow[top - d]
+        for e2, c2 in term.terms.items():
+            acc[e2] = get(e2, z) + c2 * c
+    return MultiPoly(dom, vs, acc)
 
 
 def _coerce_const(c, dom):

@@ -126,6 +126,28 @@ def test_check_rewrite_random_sample():
             assert check_rewrite(CRSymbol(n, idx)), (n, idx)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_check_rewrite_rejects_forged_rewrites(n, monkeypatch):
+    # each forgery is the rewrite of a reordering of the same four indices
+    # that is a different function: a Mobius image of the true one
+    real = crossratio._rewrite
+    rng = random.Random(n)
+    idxs = list(itertools.permutations(range(1, n + 1), 4))
+    forged = 0
+    for idx in rng.sample(idxs, 5):
+        sym = CRSymbol(n, idx)
+        assert check_rewrite(sym), idx
+        for other in itertools.permutations(idx):
+            if real(n, other) == real(n, idx):
+                continue
+            monkeypatch.setattr(crossratio, "_rewrite",
+                                lambda n_, idx_, other=other: real(n_, other))
+            assert check_rewrite(sym) is False, (idx, other)
+            monkeypatch.setattr(crossratio, "_rewrite", real)
+            forged += 1
+    assert forged == 5 * 20
+
+
 def test_rewrite_specializes_to_definition():
     ctx = fq_context(101, 1)
     rng = random.Random(9)

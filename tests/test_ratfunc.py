@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from edim import ratfunc
 from edim.crossratio import CRSymbol, cr_define, cr_rewrite, generator_symbol
 from edim.errors import PoleAtPoint, UnboundVariable
-from edim.exactfield import fq_context
+from edim.exactfield import FqElement, common_field, fq_context
 from edim.ratfunc import (QQ, MultiPoly, RatFn, _gcd_prs, _normalize,
                           poly_divexact, poly_gcd, render)
 from edim.tschirnhaus import reduce_general
@@ -271,3 +272,191 @@ def test_evaluation_at_rational_points_is_exact():
     half = RatFn.const(QQ, _vars(), Fraction(1, 2))
     got = (half * t4).evaluate({"t4": Fraction(3, 5)})
     assert got == Fraction(3, 10) and type(got) is Fraction
+
+
+# -- the kernels against their slow oracles ------------------------------------
+#
+# _mul_oracle and _evaluate_oracle are MultiPoly.__mul__ and .evaluate as they
+# were before the kernels ran on bare values: a generator per exponent sum,
+# and an FqElement for every coefficient, power and partial sum.
+
+def _mul_oracle(f, g):
+    t = {}
+    z = f.domain.zero
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            t[e] = t.get(e, z) + c1 * c2
+    return MultiPoly(f.domain, f.vars, t)
+
+
+def _coerce_oracle(coeff, sample):
+    if sample is None or isinstance(coeff, type(sample)):
+        return coeff
+    if isinstance(coeff, (int, Fraction)):
+        field = getattr(sample, "ctx", None)
+        if field is None:  # a rational point
+            return coeff
+        try:
+            return field.coerce(coeff)
+        except ZeroDivisionError:
+            raise PoleAtPoint("coefficient denominator vanishes")
+    return coeff
+
+
+def _evaluate_oracle(p, values):
+    missing = {p.vars[i] for i in p.occurring()} - set(values)
+    if missing:
+        raise UnboundVariable("unbound variables: %s" % sorted(missing))
+    some = next(iter(values.values()), None)
+    acc = _coerce_oracle(p.domain.zero, some)
+    cache = {}
+    for e, c in p.terms.items():
+        term = _coerce_oracle(c, some)
+        for i, d in enumerate(e):
+            if d:
+                key = (i, d)
+                if key not in cache:
+                    cache[key] = values[p.vars[i]] ** d
+                term = term * cache[key]
+        acc = acc + term
+    return acc
+
+
+def _ratfn_oracle(r, values):
+    d = _evaluate_oracle(r.den, values)
+    if d == 0:
+        raise PoleAtPoint("denominator vanishes at the given point")
+    return ratfunc._div(_evaluate_oracle(r.num, values), d)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PoleAtPoint, UnboundVariable, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_same_value(got, want, field):
+    """The kernel's value is the oracle's.  Over F_q it lies in the field
+    of the coefficients and the point; the oracle may leave a constant in
+    F_p, which F_p's codes embed in every extension."""
+    if isinstance(want, type) or field is None:
+        assert got == want and type(got) is type(want), (got, want)
+    else:
+        assert isinstance(got, FqElement) and got.ctx is field, got
+        assert (got.code, got.ctx.p) == (want.code, want.ctx.p), (got, want)
+
+
+_QQ_COEFFS = [1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3),
+              Fraction(5, 7)]
+
+
+def _random_terms(rng, dom, vars, coeffs):
+    """A polynomial built from a term dict, not from the kernels: up to
+    five terms, or the constant 1, one of them with a zero exponent."""
+    if rng.random() < 0.1:
+        return MultiPoly(dom, vars, {(0,) * len(vars): dom.one})
+    terms = {}
+    for _ in range(rng.randrange(0, 6)):
+        e = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in vars)
+        terms[e] = rng.choice(coeffs)
+    return MultiPoly(dom, vars, terms)
+
+
+def _coeffs(dom):
+    if dom is QQ:
+        return _QQ_COEFFS
+    return [c for c in dom.elements() if not c.is_zero()]
+
+
+# (coefficient domain, field of the point) for the randomized comparisons:
+# Q at rational points and at F_p and F_{p^2} points, where Fraction
+# denominators can vanish (2 and 3 divide some above); F_p at F_p and at
+# F_{p^2} points; F_{p^2} at F_{p^2} and at F_p points
+_CASES = [(QQ, None), (QQ, (7, 1)), (QQ, (2, 1)), (QQ, (3, 2)),
+          ((5, 1), (5, 1)), ((3, 1), (3, 2)), ((2, 1), (2, 2)),
+          ((3, 2), (3, 2)), ((2, 2), (2, 1))]
+
+
+def _field(spec):
+    return QQ if spec is QQ else fq_context(*spec)
+
+
+def test_mul_matches_oracle():
+    vars = ("t1", "t2", "t3")
+    for seed, (dspec, _) in enumerate(_CASES):
+        rng = random.Random(300 + seed)
+        dom = _field(dspec)
+        coeffs = _coeffs(dom)
+        for _ in range(60):
+            f, g = (_random_terms(rng, dom, vars, coeffs) for _ in range(2))
+            want = _mul_oracle(f, g)
+            assert f * g == want == g * f, (f, g)
+
+
+def test_evaluate_matches_oracle():
+    vars = ("t1", "t2", "t3")
+    seen = Counter()
+    for seed, (dspec, pspec) in enumerate(_CASES):
+        rng = random.Random(400 + seed)
+        dom = _field(dspec)
+        coeffs = _coeffs(dom)
+        point = fq_context(*pspec) if pspec else None
+        field = point if dom is QQ else common_field(dom, point)
+        for _ in range(80):
+            p, q = (_random_terms(rng, dom, vars, coeffs) for _ in range(2))
+            names = vars if rng.random() < 0.9 else vars[:2]
+            if point is None:
+                values = {v: Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+                          for v in names}
+            else:
+                els = list(point.elements())
+                values = {v: rng.choice(els) for v in names}
+            want = _outcome(_evaluate_oracle, p, values)
+            _assert_same_value(_outcome(p.evaluate, values), want, field)
+            seen[want if isinstance(want, type) else "value"] += 1
+            if q.is_zero() or names != vars:
+                # the kernel reports a variable missing from either part
+                # first; the oracle could meet a pole of q before it
+                continue
+            r = RatFn(p, q, reduce=False)
+            want = _outcome(_ratfn_oracle, r, values)
+            _assert_same_value(_outcome(r.evaluate, values), want, field)
+            seen[want if isinstance(want, type) else "value"] += 1
+    assert min(seen[k] for k in ("value", PoleAtPoint, UnboundVariable)) \
+        >= 20, seen
+
+
+def test_evaluate_edge_cases():
+    vars = ("t1", "t2")
+    f5, f9, f7 = fq_context(5, 1), fq_context(3, 2), fq_context(7, 1)
+    t1, t2 = (MultiPoly.var(f5, vars, v) for v in vars)
+    # F_p coefficients at an F_{p^2} point: the value lies in F_{p^2}
+    f3 = fq_context(3, 1)
+    p = MultiPoly(f3, vars, {(2, 0): f3.from_int(2), (0, 1): f3.one})
+    x = {"t1": f9.gen(), "t2": f9.from_int(1)}
+    got = p.evaluate(x)
+    assert got.ctx is f9 and got == f9.gen() ** 2 * 2 + 1
+    assert (got.code, got.ctx) == (_evaluate_oracle(p, x).code, f9)
+    # a Fraction coefficient whose denominator vanishes mod p
+    half = MultiPoly(QQ, vars, {(1, 0): Fraction(1, 2), (0, 0): 1})
+    with pytest.raises(PoleAtPoint):
+        half.evaluate({"t1": fq_context(2, 2).gen(), "t2": 0})
+    with pytest.raises(PoleAtPoint):
+        _evaluate_oracle(half, {"t1": fq_context(2, 2).gen(), "t2": 0})
+    assert half.evaluate({"t1": f5.from_int(4)}) == f5.from_int(3)
+    # an unbound variable
+    with pytest.raises(UnboundVariable):
+        (t1 * t2).evaluate({"t1": f5.one})
+    with pytest.raises(UnboundVariable):
+        RatFn(t1, t2).evaluate({"t1": f5.one})
+    # a point that mixes characteristics, used or not
+    mixed = {"t1": f5.from_int(2), "t2": f7.from_int(3)}
+    for g in (t1 * t2 + 1, t1 + 1, RatFn(t1, t2 + 1)):
+        with pytest.raises(ValueError, match="mixed field contexts"):
+            g.evaluate(mixed)
+    with pytest.raises(ValueError):
+        _evaluate_oracle(t1 * t2 + 1, mixed)
+    with pytest.raises(ValueError, match="mixed field contexts"):
+        (t1 + 1).evaluate({"t1": f9.gen()})
