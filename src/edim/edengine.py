@@ -15,6 +15,15 @@ monotonically, so the propagation order does not change the final
 intervals.  Every narrowing emits a ``TraceNode``; the trace is a
 replayable certificate, never a case analysis: rules that depend on a
 three-valued field predicate simply do not fire on Unknown.
+
+Everything the engine derives about one query is a pure function of the
+canonical (expr, field) pair, and both are frozen, hashable dataclasses.
+So ``_key``, ``atom_aliases``, ``leaf_facts``, ``edges_of`` and
+``_leaf_phase`` (a new query's interval and trace nodes from its leaf facts)
+are memoized per process with unbounded ``lru_cache``s, as ``pgl2._kernel``
+and ``groups._partition_orders`` are: every ``bound`` call, ``edim table``
+cell and replayed node after the first to meet a query reuses its facts,
+edges and decided hypotheses.  A raised refusal is not memoized.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .errors import (EdimError, Inconsistent, NotCentral, NotPrime,
                      NotPrimeOrder, TooLarge)
@@ -175,6 +184,7 @@ def canon(e):
     return e
 
 
+@lru_cache(maxsize=None)
 def atom_aliases(a):
     """All isomorphic atom spellings of a canonical atom (itself included);
     rules fire on every alias so no family-specific rule is lost."""
@@ -611,6 +621,7 @@ LEAF_RULES = (
 # the hypotheses: leaf facts and constraint edges of one query, decided once
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _key(e, fd):
     return str(canon(e)), fd.describe()
 
@@ -640,12 +651,28 @@ def _sum_hi(*ivs):
     return None if INF in his else (None, sum(his))
 
 
+@lru_cache(maxsize=None)
 def leaf_facts(e, fd):
     """The (rule, lo, hi) narrowings of the canonical query (e, fd), in
     catalog order: every leaf rule fired on every alias of e."""
     aliases = atom_aliases(e)
-    return [(rule, lo, hi) for rule, fn in LEAF_RULES for a in aliases
-            for lo, hi in fn(a, fd)]
+    return tuple((rule, lo, hi) for rule, fn in LEAF_RULES for a in aliases
+                 for lo, hi in fn(a, fd))
+
+
+@lru_cache(maxsize=None)
+def _leaf_phase(e, fd):
+    """The interval and the trace nodes that the leaf facts of the new
+    canonical query (e, fd) give it, folded from TOP as ``_Engine.narrow``
+    would: no edge reads a query before its leaf facts are in."""
+    key, iv, nodes = _key(e, fd), TOP, []
+    for rule, lo, hi in leaf_facts(e, fd):
+        new = iv.meet(_interval(lo, hi))
+        if new != iv:
+            iv = new
+            nodes.append(TraceNode(rule, RuleCatalog.citation(rule), (),
+                                   (key, new)))
+    return iv, tuple(nodes)
 
 
 def _one_more(rule, q, qq):
@@ -653,6 +680,7 @@ def _one_more(rule, q, qq):
     return [(rule, (qq,), q, _plus_one), (rule, (q,), qq, _minus_one)]
 
 
+@lru_cache(maxsize=None)
 def edges_of(e, fd):
     """The constraint edges of the canonical query (e, fd), in catalog
     order, as (rule, sources, target, imap) with each source and the target
@@ -687,7 +715,7 @@ def edges_of(e, fd):
         for p, _ in factorize(e.n):
             if e.n != p and _thm45_cyclic(e.n, p, fd):
                 out += _one_more("R-CE", q, (Cyc(e.n // p), fd))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +723,9 @@ def edges_of(e, fd):
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    """Queries with intervals, narrowed by leaf facts once at creation and
-    then by constraint edges, propagated on a FIFO worklist."""
+    """Queries with intervals: a new query adopts its leaf phase (interval
+    and trace nodes), then constraint edges narrow it, propagated on a FIFO
+    worklist."""
 
     def __init__(self):
         self.intervals = {}
@@ -708,14 +737,11 @@ class _Engine:
     def query(self, expr, fd):
         key = _key(expr, fd)
         if key not in self.intervals:
-            self.intervals[key] = TOP
             expr = canon(expr)
-            for rule, lo, hi in leaf_facts(expr, fd):
-                self.narrow(key, rule, lo, hi)
-            keys = {(expr, fd): key}  # key each end once: _key canonicalizes
+            self.intervals[key], nodes = _leaf_phase(expr, fd)
+            self.trace += nodes
             for rule, sources, target, imap in edges_of(expr, fd):
-                ends = [keys[q] if q in keys else keys.setdefault(
-                    q, self.query(*q)) for q in sources + (target,)]
+                ends = [self.query(*q) for q in sources + (target,)]
                 self.link(rule, ends[:-1], ends[-1], imap)
         return key
 
@@ -771,7 +797,7 @@ def replay_trace(nodes):
     wrong citation, a stale premise, an underived claim or a node that does
     not narrow."""
     from .cli import parse_field, parse_group  # cli imports this module
-    state, queries, derived = {}, {}, {}
+    state, queries = {}, {}
 
     def of(fn, key):
         if key not in queries:
@@ -782,9 +808,7 @@ def replay_trace(nodes):
             if q is None or _key(*q) != key:
                 raise Inconsistent("trace key %s/%s is not canonical" % key)
             queries[key] = q
-        if (fn, key) not in derived:
-            derived[fn, key] = fn(*queries[key])
-        return derived[fn, key]
+        return fn(*queries[key])
 
     def candidates(rule, key, premises):
         if not premises:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import random
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from edim import edengine, pgl2
+from edim import cli, edengine, pgl2
 from edim.edengine import (INF, BoundInterval, RuleCatalog, Thm45Result,
                            Thm46Result, TooLarge, TraceNode,
                            a_lower_recurrence, atom_aliases, bound, canon,
@@ -332,7 +334,7 @@ def _premise(state, g, fd):
     return key, state[key]
 
 
-@pytest.mark.parametrize("rule,base,premises,target,claim", [
+_FALSE_EDGES = [
     # S3 x C3 is not a factorization of S4 x C3
     ("R-PROD", (Product(Sym(3), Cyc(3)), Q),
      [(Cyc(3), Q), (Sym(3), Q)], (Product(Sym(4), Cyc(3)), Q),
@@ -352,7 +354,13 @@ def _premise(state, g, fd):
     # Thm 4.6 needs zeta_3, which Q lacks
     ("R-CE-SPLIT", (Alt(5), Q), [(Alt(5), Q)], (Product(Alt(5), Cyc(3)), Q),
      lambda a5: BoundInterval(a5.lo + 1, INF if a5.hi is INF else a5.hi + 1)),
-], ids=["R-PROD", "R-SUB", "R-EXT", "R-EXT-field", "R-CE", "R-CE-SPLIT"])
+]
+_FALSE_EDGE_IDS = ["R-PROD", "R-SUB", "R-EXT", "R-EXT-field", "R-CE",
+                   "R-CE-SPLIT"]
+
+
+@pytest.mark.parametrize("rule,base,premises,target,claim", _FALSE_EDGES,
+                         ids=_FALSE_EDGE_IDS)
 def test_replay_rejects_false_edge_hypotheses(rule, base, premises, target,
                                               claim):
     nodes, state = _state_after(*base)
@@ -565,7 +573,128 @@ def test_oracles_called_once_per_key(monkeypatch):
                   (Product(Product(Sym(3), Cyc(4)), Cyc(5)), Q),
                   (Product(Alt(5), Cyc(3)), Cyclotomic(3))]:
         calls.clear()
-        bound(g, fd)
+        first = bound(g, fd)
         assert len(calls) == len(set(calls)), (g, fd, calls)
         seen |= {c[0] for c in calls}
+        # the same query again: every hypothesis comes from the memo
+        calls.clear()
+        assert bound(g, fd) == first and calls == [], (g, fd, calls)
     assert seen == {"cert", "pgl2"}
+
+
+# --- the engine memo ----------------------------------------------------------
+
+_MEMOS = (edengine._key, atom_aliases, edengine.leaf_facts,
+          edengine.edges_of, edengine._leaf_phase)
+
+
+def test_each_test_starts_on_an_empty_engine_memo():
+    memos = [fn for fn in vars(edengine).values()
+             if hasattr(fn, "cache_clear")
+             and fn.__module__ == edengine.__name__]
+    assert set(memos) == set(_MEMOS)
+    assert all(fn.cache_info().currsize == 0 for fn in memos)
+
+
+def _narrowed_from_top(e, fd):
+    """The leaf step the memoized phase replaces, as its oracle: a fresh
+    engine narrows the new query from TOP by each leaf fact in turn."""
+    eng = edengine._Engine()
+    key = edengine._key(e, fd)
+    eng.intervals[key] = edengine.TOP
+    for rule, lo, hi in edengine.leaf_facts(e, fd):
+        eng.narrow(key, rule, lo, hi)
+    return eng.intervals[key], tuple(eng.trace)
+
+
+def test_leaf_phase_matches_narrowing_from_top():
+    atoms = ([f(n) for f in (Sym, Alt) for n in range(1, 10)]
+             + [Dih(n) for n in range(1, 17)] + [Cyc(n) for n in range(1, 31)]
+             + [ElemAb(p, r) for p in (2, 3, 5, 7) for r in (1, 2, 3, 4)])
+    exprs = dict.fromkeys(canon(e) for e in atoms + [
+        Product(Sym(3), Cyc(4)), Product(Alt(5), Cyc(3)),
+        Product(Dih(5), Cyc(2)), Product(ElemAb(2, 2), Cyc(2)),
+        Product(Cyc(3), Cyc(3)), Product(Product(Sym(4), Cyc(5)), Dih(7))])
+    fields = ([Q] + [Cyclotomic(m) for m in (3, 4, 5, 7, 8, 12)]
+              + [finite_field_from_q(q) for q in (2, 3, 4, 5, 7, 8, 9, 16,
+                                                  25, 27, 29, 64)]
+              + [Custom(characteristic=0),
+                 Custom(characteristic=0, zeta_yes=frozenset({5}),
+                        real_zeta_yes=frozenset({5})),
+                 Custom(characteristic=2, fp_dim=INF),
+                 Custom(characteristic=3, fp_dim=1)])
+    for fd in fields:
+        for e in exprs:
+            assert edengine._leaf_phase(e, fd) == _narrowed_from_top(e, fd), \
+                (str(e), fd.describe())
+
+
+def _bound_documents(queries, cold):
+    """The ``edim bound`` stdout of each query, in order; cold clears the
+    engine memo before every query, warm keeps it across them."""
+    out = {}
+    for query in queries:
+        if cold:
+            for fn in _MEMOS:
+                fn.cache_clear()
+        group, field = query.split("/", 1)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.run(["bound", "--group", group, "--field", field]) == 0
+        out[query] = buf.getvalue()
+    return out
+
+
+def test_bound_documents_do_not_depend_on_the_memo():
+    # every 12th non-hang catalog query: Q, Qzeta(m), F(q) and custom fields
+    queries = [q for q, _ in _catalog_cases()][::12]
+    kinds = {q.split("/", 1)[1].split("(")[0].split("{")[0] for q in queries}
+    assert kinds == {"Q", "Qzeta", "F", "custom"}
+    cold = _bound_documents(queries, cold=True)
+    assert _bound_documents(queries, cold=False) == cold
+    assert _bound_documents(queries[::-1], cold=False) == cold
+
+
+def _warm_up(*queries):
+    """A bound of each query, then of every query its trace names, so the
+    memo holds their facts and edges before replay reads them."""
+    for g, fd in queries:
+        _, nodes = bound(g, fd)
+        for (grp, fld), _ in dict.fromkeys(n.conclusion for n in nodes):
+            bound(parse_group(grp), parse_field(fld))
+
+
+@pytest.mark.parametrize("rule,g,fd", _LEAF_QUERIES,
+                         ids=[r for r, _, _ in _LEAF_QUERIES])
+def test_forged_leaf_conclusions_fail_on_a_warm_memo(rule, g, fd):
+    _warm_up(*[(h, k) for _, h, k in _LEAF_QUERIES])
+    test_replay_rejects_forged_leaf_conclusions(rule, g, fd)
+
+
+@pytest.mark.parametrize("rule,base,premises,target,claim", _FALSE_EDGES,
+                         ids=_FALSE_EDGE_IDS)
+def test_false_edge_hypotheses_fail_on_a_warm_memo(rule, base, premises,
+                                                   target, claim):
+    _warm_up(base, target, *premises)
+    test_replay_rejects_false_edge_hypotheses(rule, base, premises, target,
+                                              claim)
+
+
+def test_replay_rejects_stale_premises():
+    _, nodes = bound(Product(Sym(5), Cyc(3)), Q)
+    i = next(i for i, n in enumerate(nodes) if n.premises)
+    (pk, piv), *rest = nodes[i].premises
+    assert piv != edengine.TOP
+    bad = replace(nodes[i], premises=((pk, edengine.TOP), *rest))
+    with pytest.raises(Inconsistent, match="stale premise"):
+        replay_trace(nodes[:i] + [bad])
+    replay_trace(nodes)
+
+
+def test_forged_nodes_fail_on_a_warm_memo():
+    _warm_up((Sym(5), Q), (Cyc(7), Q), (Alt(5), Q), (Dih(5), Q),
+             (Dih(5), F2), (Product(Sym(5), Cyc(3)), Q))
+    test_replay_rechecks_subgroup_certificates()
+    test_replay_rejects_stale_premises()
+    test_replay_rejects_non_canonical_keys()
+    test_trace_replay_and_tamper_detection()
