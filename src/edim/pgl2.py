@@ -5,8 +5,11 @@ and the explicit dihedral / elementary-abelian matrix representations.
 The work runs on integer codes: an F_q element is its code, a matrix
 a 4-tuple of codes, a projective class the code a*q^3 + b*q^2 + c*q + d of
 its canonical representative.  Each field's ``_Kernel`` holds the F_q tables
-on codes, the order census with each conjugacy class's least code, and the
-memoized ``pgl2_embeds`` verdicts; ``Mat2``, ``PGL2Element`` carry results.
+on codes; the class table, each conjugacy class's key, order and least code,
+read from the q^2 - q companion codes alone; the list of codes of each order,
+built only when a search or the census reads it, from tr^2 = u det in
+O(q^2) per u; and the memoized ``pgl2_embeds`` verdicts.  ``Mat2``,
+``PGL2Element`` carry results.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
+from math import gcd
 
 from .errors import (DependentAlphas, EvenChar, RealZetaAbsent, TooLarge,
                      ZeroElement)
-from .exactfield import FqElement
+from .exactfield import FqElement, factorize
 from .fielddesc import YES, FiniteField
 from .groups import Cyc, Dih, ElemAb
 
@@ -42,11 +46,11 @@ class Mat2:
                     self.a * o.a + self.b * o.c, self.a * o.b + self.b * o.d,
                     self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d)
 
-    def __pow__(self, n):  # n >= 1
-        acc = self
-        for _ in range(n - 1):
-            acc = acc * self
-        return acc
+    def __pow__(self, n):  # n >= 1, by squaring
+        if n == 1:
+            return self
+        half = self ** (n // 2)
+        return half * half * self if n % 2 else half * half
 
     def inverse(self):
         dt = self.det()
@@ -141,7 +145,7 @@ class _Kernel:
             return _Table(lambda x: _Table(lambda y: f(x, y), keep), keep)
         self.add, self.mul = op(ctx.add), op(ctx.mul)
         self.neg, self.inv = _Table(ctx.neg, keep), _Table(ctx.inv, keep)
-        self.verdicts, self.orders = {}, None
+        self.verdicts, self.order_lists = {}, {}
 
     def fq(self, x):
         return FqElement(self.ctx, x)
@@ -188,24 +192,62 @@ class _Kernel:
     def squares(self):
         return {self.mul[x][x] for x in range(self.q)}
 
+    @cached_property
+    def classes(self):
+        """Class key -> (order, least code), ascending.  Every non-scalar
+        matrix is conjugate to the companion matrix of its characteristic
+        polynomial (Dickson), so every class's least code is one of the
+        q^2 - q companion codes (0, 1, c != 0, d), the smallest canonical
+        codes.  The order is p for u = 4 (unipotent), else that of the
+        first class with its u."""
+        q, classes, by_u = self.q, {}, {4 % self.ctx.p: self.ctx.p}
+        for c in range(1, q):
+            for d in range(q):
+                m = 0, 1, c, d
+                key = self.key(m)
+                if key[0] not in by_u:
+                    by_u[key[0]] = self.order(m, q + 1)
+                classes.setdefault(key, (by_u[key[0]], self.q2 + c * q + d))
+        return classes
+
+    def codes(self, n):
+        """Ascending codes of the classes of order n, memoized: the identity
+        for n = 1, else the codes with tr^2 = u det for each u of order n."""
+        if n not in self.order_lists:
+            us = {key[0] for key, (order, _) in self.classes.items()
+                  if order == n}
+            self.order_lists[n] = [self.q3 + 1] if n == 1 else sorted(
+                chain.from_iterable(map(self._codes_with_u, us)))
+        return self.order_lists[n]
+
+    def _codes_with_u(self, u):
+        """The canonical non-identity codes with tr^2 = u det, unsorted."""
+        add, mul, neg, inv = self.add, self.mul, self.neg, self.inv
+        q, q2, q3, m1 = self.q, self.q2, self.q3, self.neg[1]
+        tr2 = [mul[x][x] for x in (add[1][d] for d in range(q))]  # (1+d)^2
+        if u:  # (0, 1, -d^2/u, d != 0); (1, b != 0, (d - (1+d)^2/u)/b, d)
+            iu = mul[inv[u]]
+            out = [q2 + neg[iu[mul[d][d]]] * q + d for d in range(1, q)]
+            for d in range(q):
+                if d != m1:  # det = (1+d)^2/u
+                    row = mul[add[d][neg[iu[tr2[d]]]]]
+                    out += [q3 + b * q2 + row[inv[b]] * q + d
+                            for b in range(1, q)]
+        else:  # (0, 1, c != 0, 0); (1, b != 0, c, -1) with bc != -1
+            out = [q2 + c * q for c in range(1, q)]
+            for b in range(1, q):
+                out += [q3 + b * q2 + c * q + m1
+                        for c in range(q) if mul[b][c] != m1]
+        for d in range(1, q):  # (1, 0, c, d) with u d = (1+d)^2
+            if mul[u][d] == tr2[d]:
+                out += [q3 + c * q + d for c in range(q) if c or d != 1]
+        return out
+
     def census(self):
-        """Map order -> ascending codes of the classes of that order; fills
-        ``classes``, key -> (order, least code), ascending.  The order is
-        p for u = 4 (unipotent), else that of the first class with its u."""
-        if self.orders is None:
-            q, q2, q3, p = self.q, self.q2, self.q3, self.ctx.p
-            self.orders, self.classes, by_u = {1: [q3 + 1]}, {}, {4 % p: p}
-            # canonical codes: (0, 1, c != 0, d), then (1, b, c, d != bc)
-            for x in chain(range(q2 + q, 2 * q2), range(q3 + 2, 2 * q3)):
-                # (1, 0, 0, 0) and the identity (1, 0, 0, 1) are skipped
-                m = self.mat(x)
-                if m[0] == 0 or m[3] != self.mul[m[1]][m[2]]:
-                    key = self.key(m)
-                    if key[0] not in by_u:
-                        by_u[key[0]] = self.order(m, q + 1)
-                    self.classes.setdefault(key, (by_u[key[0]], x))
-                    self.orders.setdefault(by_u[key[0]], []).append(x)
-        return self.orders
+        """Map order -> ascending codes of the classes of that order: the
+        identity, then each order by its least code."""
+        orders = dict.fromkeys(order for order, _ in self.classes.values())
+        return {n: self.codes(n) for n in chain((1,), orders)}
 
 
 _kernel = lru_cache(maxsize=None)(_Kernel)  # one per field context
@@ -268,24 +310,26 @@ def pgl2_embeds(h, ctx):
 def _search(k, h):
     """Generators of an embedding of h, as codes, or None.  Every embedding
     is conjugate to one whose first generator is a class's least code of
-    its order, so trying only those keeps a No exhaustive."""
-    census, ident = k.census(), k.q3 + 1
+    its order, so trying only those keeps a No exhaustive.  The order lists
+    are read only for the later generators: D_n's reflection and
+    E(l,r)'s second and later generators."""
+    ident = k.q3 + 1
     n = h.p if isinstance(h, ElemAb) else h.n
     reps = [x for order, x in k.classes.values() if order == n]
-    if isinstance(h, Cyc):
-        return () if n == 1 else (reps[0],) if reps else None
     if isinstance(h, Dih):
-        invol = census.get(2, [])
         if n == 1:  # D_1 = C_2
+            invol = k.codes(2)
             return (ident, invol[0]) if invol else None
         for s in reps:
             spowers = [s]  # s, s^2, ..., s^n = 1, so s^-1 = spowers[-2]
             while len(spowers) < n:
                 spowers.append(k.prod(spowers[-1], s))
-            for t in invol:
+            for t in k.codes(2):
                 if t not in spowers and k.prod(k.prod(t, s), t) == spowers[-2]:
                     return s, t
         return None
+    if isinstance(h, Cyc) or h.r == 1:  # C_n, and E(l,1) = C_l
+        return () if n == 1 else (reps[0],) if reps else None
 
     def extend(gens, subgroup, cands):
         if len(gens) == h.r:
@@ -298,8 +342,8 @@ def _search(k, h):
             while len(xpowers) < n - 1:
                 xpowers.append(k.prod(xpowers[-1], x))
             # the later generators lie in the first one's centralizer
-            later = cands[i + 1:] if gens else [y for y in census[n] if (
-                h.r > 1 and k.prod(y, x) == k.prod(x, y))]
+            later = cands[i + 1:] if gens else [
+                y for y in k.codes(n) if k.prod(y, x) == k.prod(x, y)]
             got = extend(gens + [x], subgroup | {
                 k.prod(a, y) for a in subgroup for y in xpowers}, later)
             if got is not None:
@@ -332,13 +376,41 @@ def dn_representation(ctx, n):
     if FiniteField(ctx.p, ctx.k).contains_real_zeta(n) is not YES:
         raise RealZetaAbsent("zeta_%d + zeta_%d^-1 is not in F_%d"
                              % (n, n, ctx.q))
-    k = _kernel(ctx)  # the scan ends at c = zeta_n + zeta_n^-1 at the latest
-    c = next(c for c in range(ctx.q)
-             if k.order((0, k.neg[1], 1, c), n, linear=True) == n)
-    s = Mat2(ctx, ctx.zero, -ctx.one, ctx.one, k.fq(c))
-    t = Mat2(ctx, ctx.one, k.fq(c), ctx.zero, -ctx.one)
+    c = FqElement(ctx, _rotation_trace(ctx, n))
+    s = Mat2(ctx, ctx.zero, -ctx.one, ctx.one, c)
+    t = Mat2(ctx, ctx.one, c, ctx.zero, -ctx.one)
     _assert_dihedral(s, t, n)
     return s, t
+
+
+def _rotation_trace(ctx, n):
+    """The least code among the traces c_j = zeta^j + zeta^-j, gcd(j, n) = 1,
+    of a primitive n-th root zeta (p not dividing n, n | q - 1 or n | q + 1):
+    the c whose companion matrix of X^2 - cX + 1 has linear order n.  c_1 is
+    tr M_t^e, e = (q -+ 1)/n, for the first companion matrix M_t of
+    X^2 - tX + 1 whose power has order n (a generator of F_q^* or of the
+    norm-1 elements of F_q^2 gives one); then c_{j+1} = c_1 c_j - c_{j-1}."""
+    sub, mul, two = ctx.sub, ctx.mul, 2 % ctx.p
+
+    def trace(t, e):  # tr M_t^e = V_e(t), by V_2j = V_j^2 - 2 and
+        v, w = two, t  # V_2j+1 = V_j V_j+1 - t; (v, w) = (V_j, V_j+1)
+        for bit in bin(e)[2:]:
+            if bit == "1":
+                v, w = sub(mul(v, w), t), sub(mul(w, w), two)
+            else:
+                v, w = sub(mul(v, v), two), sub(mul(v, w), t)
+        return v
+
+    e = (ctx.q - 1) // n if (ctx.q - 1) % n == 0 else (ctx.q + 1) // n
+    c1 = next(c for c in (trace(t, e) for t in range(ctx.q))
+              if trace(c, n) == two  # zeta^n = 1, and no smaller order
+              and all(trace(c, n // r) != two for r, _ in factorize(n)))
+    best, prev, cur = c1, two, c1
+    for j in range(2, n // 2 + 1):  # c_j = c_(n-j)
+        prev, cur = cur, sub(mul(c1, cur), prev)
+        if cur < best and gcd(j, n) == 1:
+            best = cur
+    return best
 
 
 def elemab_representation(ctx, alphas):

@@ -303,6 +303,22 @@ def test_pgl2_reps_without_real_zeta_exit_2_fast(capsys, q, group):
     assert "is not in F_%d" % q in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("q,group", [(1000003, "D3"), (1000033, "D8")])
+def test_pgl2_reps_on_large_fields_answer_fast(capsys, q, group):
+    # the rotation's trace comes from one power of a companion matrix and
+    # the Chebyshev recurrence, with no scan over F_q: zeta_3 + zeta_3^-1
+    # = -1 is the last code, and zeta_8 + zeta_8^-1 is a square root of 2
+    start = time.perf_counter()
+    code, out = _capture(capsys, ["pgl2", "reps", "--q", str(q),
+                                  "--group", group])
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    rot, refl = json.loads(out)["matrices"]
+    c = rot[1][1]
+    assert rot == [[0, q - 1], [1, c]] and refl == [[1, c], [0, q - 1]]
+    assert c == q - 1 if group == "D3" else c * c % q == 2
+
+
 @pytest.mark.parametrize("argv,key,answer", [
     (["field", "--field", "F(1000000007)", "--query", "char"], "answer",
      1000000007),

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 
 from edim import pgl2
@@ -157,6 +159,32 @@ def test_constructive_representations():
     assert len(els) == 2
 
 
+def _companion_scan(ctx, n):
+    """The least c in F_q whose companion matrix of X^2 - cX + 1 has linear
+    order exactly n, by scanning every c, or None."""
+    k = pgl2._kernel(ctx)
+    return next((c for c in range(ctx.q)
+                 if k.order((0, k.neg[1], 1, c), n, linear=True) == n), None)
+
+
+def test_dn_rotation_matches_the_companion_scan():
+    from edim.errors import RealZetaAbsent
+    for q in _PRIME_POWERS:
+        fd = finite_field_from_q(q)
+        ctx = fq_context(fd.p, fd.k)
+        for n in range(3, q + 2):
+            if n % fd.p == 0:
+                continue
+            c = _companion_scan(ctx, n)
+            if fd.contains_real_zeta(n) is not YES:
+                assert c is None, (q, n)
+                with pytest.raises(RealZetaAbsent):
+                    dn_representation(ctx, n)
+                continue
+            s, t = dn_representation(ctx, n)
+            assert s.d.encode() == t.b.encode() == c, (q, n)
+
+
 def _mat2_census(ctx):
     """Order census recomputed by powering Mat2 over FqElement."""
     els = list(ctx.elements())
@@ -179,6 +207,50 @@ def test_order_census_matches_mat2_oracle():
         got = {n: [e.encode() for e in lst]
                for n, lst in order_census(ctx).items()}
         assert got == _mat2_census(ctx), q
+
+
+def _census_oracle(k):
+    """The census by one pass over all q^3 - q canonical codes: (order ->
+    ascending codes, class key -> (order, least code)), both in order of
+    first appearance."""
+    q, q2, q3, p = k.q, k.q2, k.q3, k.ctx.p
+    orders, classes, by_u = {1: [q3 + 1]}, {}, {4 % p: p}
+    # canonical codes: (0, 1, c != 0, d), then (1, b, c, d != bc)
+    for x in chain(range(q2 + q, 2 * q2), range(q3 + 2, 2 * q3)):
+        # (1, 0, 0, 0) and the identity (1, 0, 0, 1) are skipped
+        m = k.mat(x)
+        if m[0] == 0 or m[3] != k.mul[m[1]][m[2]]:
+            key = k.key(m)
+            if key[0] not in by_u:
+                by_u[key[0]] = k.order(m, q + 1)
+            classes.setdefault(key, (by_u[key[0]], x))
+            orders.setdefault(by_u[key[0]], []).append(x)
+    return orders, classes
+
+
+def test_lazy_census_matches_the_full_pass():
+    for q in _PRIME_POWERS:
+        k = pgl2._Kernel(fq_context(*_pk(q)))
+        orders, classes = _census_oracle(k)
+        assert list(k.classes.items()) == list(classes.items()), q
+        for n in range(1, q + 2):
+            assert k.codes(n) == orders.get(n, []), (q, n)
+        assert list(k.census().items()) == list(orders.items()), q
+
+
+@pytest.mark.parametrize("h,built", [
+    (Cyc(13), set()), (Cyc(6), set()), (Cyc(7), set()), (ElemAb(13, 1), set()),
+    (Dih(13), {2}), (Dih(12), {2}), (Dih(1), {2}),
+    (ElemAb(3, 2), {3}), (ElemAb(2, 2), {2}), (ElemAb(5, 2), {5}),
+])
+def test_searches_build_only_the_order_lists_they_read(monkeypatch, h, built):
+    # C_n reads only the class table; D_n reads the involutions, and
+    # E(l,r) the codes of order l
+    ctx = fq_context(5, 2)
+    k = pgl2._Kernel(ctx)
+    monkeypatch.setattr(pgl2, "_kernel", lambda _: k)
+    assert (pgl2_embeds(h, ctx) is not None) == _dickson(h, 5, 2)
+    assert set(k.order_lists) == built
 
 
 def _primes(limit):
@@ -290,7 +362,7 @@ def test_elemab_no_search_is_linear_in_candidates(monkeypatch):
     # multiplies a bounded number of times per order-7 candidate
     ctx, h = fq_context(3, 3), ElemAb(7, 2)
     k = pgl2._kernel(ctx)
-    k.census()
+    k.codes(7)
     k.verdicts.pop(h, None)
     calls, prod = [0], pgl2._Kernel.prod
 
@@ -300,4 +372,4 @@ def test_elemab_no_search_is_linear_in_candidates(monkeypatch):
 
     monkeypatch.setattr(pgl2._Kernel, "prod", counted)
     assert pgl2_embeds(h, ctx) is None
-    assert 0 < calls[0] <= 8 * len(k.census()[7])
+    assert 0 < calls[0] <= 8 * len(k.codes(7))
