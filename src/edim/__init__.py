@@ -20,9 +20,8 @@ from .fielddesc import (INF, NO, UNKNOWN, YES, Custom, Cyclotomic,
                         contains_real_zeta, contains_zeta, extend_with_zeta,
                         finite_field_from_q, fp_dimension)
 from .groups import (Alt, Cyc, Dih, ElemAb, Embedding, GroupExpr, PermGroup,
-                     Product, Sym, center, character_exists,
-                     element_orders, embedding_certificate, expr_order,
-                     l_core, realize)
+                     Product, Sym, element_orders, embedding_certificate,
+                     expr_order, realize)
 from .ratfunc import QQ, MultiPoly, RatFn, render
 from .crossratio import (CRSymbol, apply_action, check_rewrite, cr_define,
                          cr_rewrite, generator_symbol, sn_action,
@@ -34,8 +33,7 @@ from .pgl2 import (Mat2, PGL2Element, dn_representation, dp_representation,
                    elemab_representation, order_census, pgl2_embeds,
                    pgl2_enumerate, pgl2_order, trace_invariant)
 from .edengine import (BoundInterval, RuleCatalog, TraceNode, bound,
-                       check_thm45, check_thm46, dn_criterion, replay_trace,
-                       trace_json)
+                       check_thm46, dn_criterion, replay_trace, trace_json)
 from .cli import parse_field, parse_group
 
 __version__ = "0.1.0"

@@ -229,6 +229,8 @@ def _cmd_crossratio(args):
 def _cmd_tschirnhaus(args):
     if args.char and not is_prime(args.char):
         raise ParseError("--char must be 0 or a prime")
+    if args.mode == "verify" and args.count < 1:
+        raise ParseError("--count must be at least 1")
     h, record = reduce_general(args.n, args.char)
     steps = [{"kind": step.kind(),
               "lambda": None if step.lam is None else render(step.lam)}

@@ -33,16 +33,14 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .errors import (EdimError, Inconsistent, NotCentral, NotPrime,
-                     NotPrimeOrder, TooLarge)
+from .errors import EdimError, Inconsistent, NotPrime, TooLarge
 from .exactfield import divisors, factorize, fq_context, is_prime
 from .fielddesc import (NO, UNKNOWN, YES, INF as FP_INF, FiniteField, char_of,
                         contains_real_zeta, contains_zeta, extend_with_zeta,
                         fp_dimension)
 from .groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, _partition_orders,
-                     _prime_power_parts, center, character_exists, degree,
-                     embedding_certificate, expr_order, l_core, pident, pmul,
-                     porder)
+                     _prime_power_parts, degree, embedding_certificate,
+                     expr_order)
 from . import pgl2 as _pgl2
 
 INF = math.inf
@@ -225,7 +223,8 @@ def _product_of(factors):
 
 
 # ---------------------------------------------------------------------------
-# structural group facts (center, normal l-subgroups, element orders)
+# structural group facts (center, normal l-subgroups, element orders); the
+# enumerating forms they replace are test oracles in tests/oracles.py
 # ---------------------------------------------------------------------------
 
 def center_order(e):
@@ -330,62 +329,14 @@ def check_thm46(gprime, p, fd):
     return Thm46Result(True)
 
 
-@dataclass(frozen=True)
-class Thm45Result:
-    applicable: bool
-    witness: object = None  # CharacterWitness when applicable
-    reason: str = ""
-
-
-def check_thm45(g, sigma, fd):
-    """Hypotheses (i)-(iv) for ed(G) = ed(G/<sigma>) + 1 on an explicit
-    permutation group with a chosen central element sigma."""
-    sigma = tuple(sigma)
-    if g.order > 10 ** 5:
-        raise TooLarge("check_thm45 capped at order 10^5")
-    p = porder(sigma)
-    if not is_prime(p):
-        raise NotPrimeOrder("sigma must have prime order, got %d" % p)
-    zc = center(g)
-    zelems = zc.elements()
-    if sigma not in zelems:
-        raise NotCentral("sigma is not central")
-    l = char_of(fd)
-    if l > 0 and l_core(g, l).order > 1:
-        return Thm45Result(False, reason="(i) nontrivial normal %d-subgroup"
-                                         % l)
-    ans, wit = character_exists(g, sigma, fd)
-    if ans is not YES:
-        word = "unknown" if ans is UNKNOWN else "no character"
-        return Thm45Result(False, reason="(iii) %s" % word)
-    sig_cyc = _cyclic_closure(sigma)
-    for tau in zelems:
-        tau_cyc = _cyclic_closure(tau)
-        if sig_cyc < tau_cyc:
-            m = porder(tau)
-            z = contains_zeta(fd, m)
-            if z is YES:
-                return Thm45Result(False, reason="(iv) zeta_%d present" % m)
-            if z is UNKNOWN:
-                return Thm45Result(False, reason="(iv) zeta_%d unknown" % m)
-    return Thm45Result(True, witness=wit)
-
-
-def _cyclic_closure(x):
-    out = {pident(len(x))}
-    acc = x
-    while acc not in out:
-        out.add(acc)
-        acc = pmul(acc, x)
-    return out
-
-
 def _thm45_cyclic(n, p, fd):
     """Structural Thm 4.5 check for G = C_n with sigma the order-p subgroup.
 
     The linear-character condition forces zeta_{p^a} in K with p^a the exact
     p-part of n, while (iv) forbids zeta_m for every divisor m of n with
     p | m and m > p; the two are compatible only when p exactly divides n.
+    The enumerating check of (i)-(iv) on the realized group is the test
+    oracle ``check_thm45`` in tests/oracles.py.
     """
     if n % p != 0:
         return False
@@ -423,57 +374,6 @@ def dn_criterion(n, fd):
             return UNKNOWN
         return YES if (s is FP_INF or s >= 2) else NO
     return NO  # char 2, even n > 2 cannot sit in PGL_2
-
-
-# ---------------------------------------------------------------------------
-# recurrence forms (never tighter than the closed forms; kept for audit)
-# ---------------------------------------------------------------------------
-
-def s_lower_recurrence(n, fd):
-    """Lower bound for ed(S_n) using only the raw Thm 5.4 recurrences over
-    the Thm 1.2 base values."""
-    base = {1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
-    lo = [0] * (n + 1)
-    for k, v in base.items():
-        if k <= n:
-            lo[k] = v
-    if char_of(fd) != 2:
-        if n >= 6:
-            lo[6] = max(lo[6], 3)
-        for m in range(3, n + 1):
-            lo[m] = max(lo[m], lo[m - 2] + 1)
-        return lo[n]
-    if contains_zeta(fd, 3) is YES:
-        for m in range(4, n + 1):
-            if m - 3 >= 1 and m - 3 != 4:
-                lo[m] = max(lo[m], lo[m - 3] + 1)
-        return lo[n]
-    return s_lower_recurrence(n, extend_with_zeta(fd, 3))
-
-
-def a_lower_recurrence(n, fd):
-    """Lower bound for ed(A_n) using only the raw Thm 5.6 recurrences."""
-    if n < 3:
-        return 0
-    lo = [0] * (n + 1)
-    if char_of(fd) != 2:
-        for k, v in ((3, 1), (4, 2), (5, 2)):
-            if k <= n:
-                lo[k] = v
-        for m in range(8, n + 1):
-            if m - 4 >= 4:
-                lo[m] = max(lo[m], lo[m - 4] + 2)
-        return lo[n]
-    if contains_zeta(fd, 3) is YES:
-        if n >= 3:
-            lo[3] = 1  # A_3 = C_3 and zeta_3 in K
-        if n >= 5:
-            lo[5] = 1  # Lemma 5.5(2)
-        for m in range(6, n + 1):
-            if m - 3 >= 3 and m - 3 != 4:
-                lo[m] = max(lo[m], lo[m - 3] + 1)
-        return lo[n]
-    return a_lower_recurrence(n, extend_with_zeta(fd, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +422,8 @@ def _leaf_elemab(a, fd):
         yield a.r, a.r
 
 
+# R-S-LB and R-A close the raw Thm 5.4 and 5.6 recurrences; those are the
+# test oracles s_lower_recurrence and a_lower_recurrence in tests/oracles.py
 def _leaf_s_lb(a, fd):
     if isinstance(a, Sym):
         yield (a.n // 2 if char_of(fd) != 2 else (a.n + 1) // 3), None

@@ -47,14 +47,6 @@ class TooLarge(EdimError, ValueError):
     pass
 
 
-class NotPrimeOrder(EdimError, ValueError):
-    pass
-
-
-class NotCentral(EdimError, ValueError):
-    pass
-
-
 # -- fielddesc ---------------------------------------------------------------
 
 class CharZero(EdimError, ValueError):

@@ -65,14 +65,6 @@ def divisors(n):
     return sorted(out)
 
 
-def _order_dividing(n, is_one):
-    """The order dividing n of an element x, with is_one(e) for x^e = 1."""
-    for p, _ in factorize(n):
-        while n % p == 0 and is_one(n // p):
-            n //= p
-    return n
-
-
 def totient(n):
     """Euler's phi of n >= 1, from its factorization."""
     return math.prod((p - 1) * p ** (a - 1) for p, a in factorize(n))
@@ -80,7 +72,11 @@ def totient(n):
 
 def order_mod(a, m):
     """The multiplicative order of a modulo m, for a prime to m."""
-    return _order_dividing(totient(m), lambda e: pow(a, e, m) == 1 % m)
+    n = totient(m)
+    for p, _ in factorize(n):
+        while n % p == 0 and pow(a, n // p, m) == 1 % m:
+            n //= p
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -443,19 +439,3 @@ def fq_context(p: int, k: int) -> FqContext:
             return FqContext(p, k, low)
     raise RuntimeError("no irreducible polynomial found (unreachable)")
 
-
-def multiplicative_order(x: FqElement) -> int:
-    """Smallest d >= 1 with x^d = 1; divides q - 1."""
-    if x.is_zero():
-        raise ZeroElement("order of zero is undefined")
-    ctx = x.ctx
-    return _order_dividing(ctx.q - 1, lambda e: ctx.pow(x.code, e) == 1)
-
-
-def has_zeta(ctx: FqContext, n: int) -> bool:
-    """True iff F_q contains a primitive n-th root of unity (char-coprime convention)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n % ctx.p == 0:
-        return False
-    return (ctx.q - 1) % n == 0

@@ -1,6 +1,6 @@
 """Finite group model: family expressions, permutation realizations, and the
-structural queries consumed by the bound engine (orders, centers, normal
-l-subgroups, linear characters, embedding certificates).
+structural queries consumed by the bound engine (element orders and
+embedding certificates).
 
 Permutations are 0-based tuples; ``a * b`` composes as functions, so
 ``(pmul(a, b))[i] = a[b[i]]``.  C_n is realized on its CRT points: one
@@ -15,12 +15,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotPrime, NotPrimeOrder, TooLarge
+from .errors import NotPrime, TooLarge
 from .exactfield import factorize, is_prime
-from .fielddesc import NO, UNKNOWN, YES
 
 ORDER_CAP = 10 ** 6
-CORE_CAP = 10 ** 5
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +135,6 @@ def pmul(a, b):
     return tuple(a[x] for x in b)
 
 
-def pinv(a):
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
-
-
 def pident(n):
     return tuple(range(n))
 
@@ -207,7 +198,7 @@ class PermGroup:
 
     def elements(self, cap=ORDER_CAP):
         if self._elements is None:
-            self._elements = _closure(self.degree, [], self.generators, cap)
+            self._elements = _closure(self.degree, self.generators, cap)
         if len(self._elements) > cap:
             raise TooLarge("group exceeds enumeration cap %d" % cap)
         return self._elements
@@ -290,17 +281,9 @@ def element_orders(g):
     return {porder(x) for x in g.elements(ORDER_CAP)}
 
 
-def center(g):
-    """Subgroup of elements commuting with every generator."""
-    cent = [x for x in g.elements(ORDER_CAP)
-            if all(pmul(x, gen) == pmul(gen, x) for gen in g.generators)]
-    return PermGroup(g.degree, cent, order=len(cent))
-
-
-def _closure(degree, base, extra, cap=ORDER_CAP):
-    seen = set(base)
-    seen.add(pident(degree))
-    gens = list(extra) + list(base)
+def _closure(degree, gens, cap=ORDER_CAP):
+    """The group the permutations gens generate, by breadth-first search."""
+    seen = {pident(degree)}
     frontier = list(seen)
     while frontier:
         nxt = []
@@ -315,157 +298,6 @@ def _closure(degree, base, extra, cap=ORDER_CAP):
                                        % cap)
         frontier = nxt
     return frozenset(seen)
-
-
-def l_core(g, l):
-    """The largest normal l-subgroup O_l(G)."""
-    if not is_prime(l):
-        raise NotPrime("%d is not prime" % l)
-    if g.order > CORE_CAP:
-        raise TooLarge("l_core capped at order %d" % CORE_CAP)
-    elems = g.elements(CORE_CAP)
-    m = 1
-    n = g.order
-    while n % l == 0:
-        n //= l
-        m *= l
-    # build one Sylow l-subgroup by normalizer extension
-    syl = {pident(g.degree)}
-    while len(syl) < m:
-        for x in elems:
-            o = porder(x)
-            if o == 1 or m % o or x in syl:
-                continue
-            xi = pinv(x)
-            if all(pmul(pmul(x, s), xi) in syl for s in syl):
-                syl = _closure(g.degree, syl, [x], cap=CORE_CAP)
-                break
-        else:
-            raise AssertionError("Sylow extension failed")  # unreachable
-    core = set(syl)
-    for h in elems:
-        hi = pinv(h)
-        core &= {pmul(pmul(h, s), hi) for s in syl}
-        if len(core) == 1:
-            break
-    return PermGroup(g.degree, sorted(core), order=len(core))
-
-
-# ---------------------------------------------------------------------------
-# linear characters
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CharacterWitness:
-    target_order: int
-    values: tuple  # residue mod target_order per generator
-
-    def value_of(self, group, perm):
-        """chi at an arbitrary element, by coset labeling."""
-        labels = _labels(group, self.target_order, self.values)
-        return labels[tuple(perm)]
-
-
-def _labels(group, m, values):
-    """Consistent Z/m labeling extending generator values, or None."""
-    ident = pident(group.degree)
-    labels = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, v in zip(group.generators, values):
-                y = pmul(g, x)
-                lab = (labels[x] + v) % m
-                if y in labels:
-                    if labels[y] != lab:
-                        return None
-                else:
-                    labels[y] = lab
-                    nxt.append(y)
-        frontier = nxt
-    return labels
-
-
-def character_exists(g, sigma, fd):
-    """Search for a linear character chi: G -> K^x with chi(sigma) != 1.
-
-    Returns (YES, CharacterWitness), (NO, None) or (UNKNOWN, None).  A
-    character with chi(sigma) a nontrivial p-power root of unity exists over
-    K iff zeta_{p^j} in K for the least j with the image of sigma outside the
-    p^j-th powers of G/[G,G]; both conditions are decided explicitly.
-    """
-    sigma = tuple(sigma)
-    if g.order > CORE_CAP:
-        raise TooLarge("character search capped at order %d" % CORE_CAP)
-    p = porder(sigma)
-    if not is_prime(p):
-        raise NotPrimeOrder("sigma must have prime order, got %d" % p)
-    elems = g.elements(CORE_CAP)
-    if sigma not in elems:
-        raise ValueError("sigma is not an element of the group")
-    comms = []
-    for a in g.generators:
-        for b in g.generators:
-            comms.append(pmul(pmul(a, b), pmul(pinv(a), pinv(b))))
-    conj = []
-    for h in elems:
-        hi = pinv(h)
-        conj.extend(pmul(pmul(h, c), hi) for c in comms)
-    derived = _closure(g.degree, [], conj, cap=CORE_CAP)
-    # N_j = <[G,G], p^j-th powers> descends and is constant once p^j reaches
-    # the p-part of the exponent; sigma in N_j for all such j means chi(sigma)
-    # = 1 for every linear character into a root-of-unity group.
-    expnt = 1
-    for x in elems:
-        expnt = math.lcm(expnt, porder(x))
-    big_e = 0
-    while expnt % p == 0:
-        expnt //= p
-        big_e += 1
-    j = None
-    for cand in range(1, big_e + 1):
-        powers = {_pow(x, p ** cand) for x in elems}
-        nj = _closure(g.degree, derived, powers, cap=CORE_CAP)
-        if sigma not in nj:
-            j = cand
-            break
-    if j is None:
-        return NO, None
-    m = p ** j
-    ans = fd.contains_zeta(m)
-    if ans is UNKNOWN:
-        return UNKNOWN, None
-    if ans is NO:
-        return NO, None
-    # exhaustive search over generator labelings in Z/m
-    k = len(g.generators)
-    if m ** k > 10 ** 6:
-        raise TooLarge("character search space too large")
-    best = None
-    for code in range(m ** k):
-        vals = []
-        c = code
-        for _ in range(k):
-            vals.append(c % m)
-            c //= m
-        labels = _labels(g, m, tuple(vals))
-        if labels is not None and labels[sigma] != 0:
-            best = CharacterWitness(m, tuple(vals))
-            break
-    assert best is not None, "witness guaranteed by the abelianization criterion"
-    return YES, best
-
-
-def _pow(x, e):
-    r = pident(len(x))
-    b = x
-    while e:
-        if e & 1:
-            r = pmul(r, b)
-        b = pmul(b, b)
-        e >>= 1
-    return r
 
 
 # ---------------------------------------------------------------------------

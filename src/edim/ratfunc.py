@@ -101,9 +101,6 @@ class MultiPoly:
     def degree_in(self, i):
         return max((e[i] for e in self.terms), default=-1) if self.terms else -1
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
-
     def occurring(self):
         out = set()
         for e in self.terms:

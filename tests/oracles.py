@@ -1,0 +1,320 @@
+"""Enumerating oracles for the structural facts the library decides in
+closed form.
+
+``edim`` decides Thm 4.5's hypotheses for C_n (``edengine._thm45_cyclic``),
+centres (``edengine.center_order``), l-cores (``edengine.l_core_trivial``),
+the R-S-LB and R-A lower bounds, zeta_n in F_q
+(``FiniteField.contains_zeta``) and multiplicative orders
+(``exactfield.order_mod``) without enumerating anything.  The functions
+here are the slow paths those replace: each one walks an explicit
+permutation group, or the elements of F_q, and the tests check the closed
+forms against them.
+"""
+
+import math
+from dataclasses import dataclass
+
+from edim.errors import NotPrime, TooLarge, ZeroElement
+from edim.exactfield import is_prime
+from edim.fielddesc import (NO, UNKNOWN, YES, char_of, contains_zeta,
+                            extend_with_zeta)
+from edim.groups import PermGroup, _closure, pident, pmul, porder
+
+CORE_CAP = 10 ** 5
+
+
+# ---------------------------------------------------------------------------
+# permutation groups
+# ---------------------------------------------------------------------------
+
+def pinv(a):
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        out[x] = i
+    return tuple(out)
+
+
+def _pow(x, e):
+    r = pident(len(x))
+    b = x
+    while e:
+        if e & 1:
+            r = pmul(r, b)
+        b = pmul(b, b)
+        e >>= 1
+    return r
+
+
+def center(g):
+    """Subgroup of elements commuting with every generator."""
+    cent = [x for x in g.elements()
+            if all(pmul(x, gen) == pmul(gen, x) for gen in g.generators)]
+    return PermGroup(g.degree, cent, order=len(cent))
+
+
+def l_core(g, l):
+    """The largest normal l-subgroup O_l(G)."""
+    if not is_prime(l):
+        raise NotPrime("%d is not prime" % l)
+    if g.order > CORE_CAP:
+        raise TooLarge("l_core capped at order %d" % CORE_CAP)
+    elems = g.elements(CORE_CAP)
+    m = 1
+    n = g.order
+    while n % l == 0:
+        n //= l
+        m *= l
+    # build one Sylow l-subgroup by normalizer extension
+    syl = {pident(g.degree)}
+    while len(syl) < m:
+        for x in elems:
+            o = porder(x)
+            if o == 1 or m % o or x in syl:
+                continue
+            xi = pinv(x)
+            if all(pmul(pmul(x, s), xi) in syl for s in syl):
+                syl = _closure(g.degree, [*syl, x], CORE_CAP)
+                break
+        else:
+            raise AssertionError("Sylow extension failed")  # unreachable
+    core = set(syl)
+    for h in elems:
+        hi = pinv(h)
+        core &= {pmul(pmul(h, s), hi) for s in syl}
+        if len(core) == 1:
+            break
+    return PermGroup(g.degree, sorted(core), order=len(core))
+
+
+# ---------------------------------------------------------------------------
+# linear characters
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CharacterWitness:
+    target_order: int
+    values: tuple  # residue mod target_order per generator
+
+    def value_of(self, group, perm):
+        """chi at an arbitrary element, by coset labeling."""
+        labels = _labels(group, self.target_order, self.values)
+        return labels[tuple(perm)]
+
+
+def _labels(group, m, values):
+    """Consistent Z/m labeling extending generator values, or None."""
+    ident = pident(group.degree)
+    labels = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g, v in zip(group.generators, values):
+                y = pmul(g, x)
+                lab = (labels[x] + v) % m
+                if y in labels:
+                    if labels[y] != lab:
+                        return None
+                else:
+                    labels[y] = lab
+                    nxt.append(y)
+        frontier = nxt
+    return labels
+
+
+def character_exists(g, sigma, fd):
+    """Search for a linear character chi: G -> K^x with chi(sigma) != 1.
+
+    Returns (YES, CharacterWitness), (NO, None) or (UNKNOWN, None).  A
+    character with chi(sigma) a nontrivial p-power root of unity exists over
+    K iff zeta_{p^j} in K for the least j with the image of sigma outside the
+    p^j-th powers of G/[G,G]; both conditions are decided explicitly.
+    """
+    sigma = tuple(sigma)
+    if g.order > CORE_CAP:
+        raise TooLarge("character search capped at order %d" % CORE_CAP)
+    p = porder(sigma)
+    if not is_prime(p):
+        raise ValueError("sigma must have prime order, got %d" % p)
+    elems = g.elements(CORE_CAP)
+    if sigma not in elems:
+        raise ValueError("sigma is not an element of the group")
+    comms = []
+    for a in g.generators:
+        for b in g.generators:
+            comms.append(pmul(pmul(a, b), pmul(pinv(a), pinv(b))))
+    conj = []
+    for h in elems:
+        hi = pinv(h)
+        conj.extend(pmul(pmul(h, c), hi) for c in comms)
+    derived = _closure(g.degree, conj, CORE_CAP)
+    # N_j = <[G,G], p^j-th powers> descends and is constant once p^j reaches
+    # the p-part of the exponent; sigma in N_j for all such j means chi(sigma)
+    # = 1 for every linear character into a root-of-unity group.
+    expnt = 1
+    for x in elems:
+        expnt = math.lcm(expnt, porder(x))
+    big_e = 0
+    while expnt % p == 0:
+        expnt //= p
+        big_e += 1
+    j = None
+    for cand in range(1, big_e + 1):
+        powers = {_pow(x, p ** cand) for x in elems}
+        nj = _closure(g.degree, [*derived, *powers], CORE_CAP)
+        if sigma not in nj:
+            j = cand
+            break
+    if j is None:
+        return NO, None
+    m = p ** j
+    ans = fd.contains_zeta(m)
+    if ans is UNKNOWN:
+        return UNKNOWN, None
+    if ans is NO:
+        return NO, None
+    # exhaustive search over generator labelings in Z/m
+    k = len(g.generators)
+    if m ** k > 10 ** 6:
+        raise TooLarge("character search space too large")
+    best = None
+    for code in range(m ** k):
+        vals = []
+        c = code
+        for _ in range(k):
+            vals.append(c % m)
+            c //= m
+        labels = _labels(g, m, tuple(vals))
+        if labels is not None and labels[sigma] != 0:
+            best = CharacterWitness(m, tuple(vals))
+            break
+    assert best is not None, "witness guaranteed by the abelianization criterion"
+    return YES, best
+
+
+# ---------------------------------------------------------------------------
+# Thm 4.5 on an explicit group
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Thm45Result:
+    applicable: bool
+    witness: object = None  # CharacterWitness when applicable
+    reason: str = ""
+
+
+def check_thm45(g, sigma, fd):
+    """Hypotheses (i)-(iv) for ed(G) = ed(G/<sigma>) + 1 on an explicit
+    permutation group with a chosen central element sigma."""
+    sigma = tuple(sigma)
+    if g.order > CORE_CAP:
+        raise TooLarge("check_thm45 capped at order %d" % CORE_CAP)
+    p = porder(sigma)
+    if not is_prime(p):
+        raise ValueError("sigma must have prime order, got %d" % p)
+    zc = center(g)
+    zelems = zc.elements()
+    if sigma not in zelems:
+        raise ValueError("sigma is not central")
+    l = char_of(fd)
+    if l > 0 and l_core(g, l).order > 1:
+        return Thm45Result(False, reason="(i) nontrivial normal %d-subgroup"
+                                         % l)
+    ans, wit = character_exists(g, sigma, fd)
+    if ans is not YES:
+        word = "unknown" if ans is UNKNOWN else "no character"
+        return Thm45Result(False, reason="(iii) %s" % word)
+    sig_cyc = _cyclic_closure(sigma)
+    for tau in zelems:
+        tau_cyc = _cyclic_closure(tau)
+        if sig_cyc < tau_cyc:
+            m = porder(tau)
+            z = contains_zeta(fd, m)
+            if z is YES:
+                return Thm45Result(False, reason="(iv) zeta_%d present" % m)
+            if z is UNKNOWN:
+                return Thm45Result(False, reason="(iv) zeta_%d unknown" % m)
+    return Thm45Result(True, witness=wit)
+
+
+def _cyclic_closure(x):
+    out = {pident(len(x))}
+    acc = x
+    while acc not in out:
+        out.add(acc)
+        acc = pmul(acc, x)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the raw recurrences behind R-S-LB and R-A
+# ---------------------------------------------------------------------------
+
+def s_lower_recurrence(n, fd):
+    """Lower bound for ed(S_n) using only the raw Thm 5.4 recurrences over
+    the Thm 1.2 base values."""
+    base = {1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
+    lo = [0] * (n + 1)
+    for k, v in base.items():
+        if k <= n:
+            lo[k] = v
+    if char_of(fd) != 2:
+        if n >= 6:
+            lo[6] = max(lo[6], 3)
+        for m in range(3, n + 1):
+            lo[m] = max(lo[m], lo[m - 2] + 1)
+        return lo[n]
+    if contains_zeta(fd, 3) is YES:
+        for m in range(4, n + 1):
+            if m - 3 >= 1 and m - 3 != 4:
+                lo[m] = max(lo[m], lo[m - 3] + 1)
+        return lo[n]
+    return s_lower_recurrence(n, extend_with_zeta(fd, 3))
+
+
+def a_lower_recurrence(n, fd):
+    """Lower bound for ed(A_n) using only the raw Thm 5.6 recurrences."""
+    if n < 3:
+        return 0
+    lo = [0] * (n + 1)
+    if char_of(fd) != 2:
+        for k, v in ((3, 1), (4, 2), (5, 2)):
+            if k <= n:
+                lo[k] = v
+        for m in range(8, n + 1):
+            if m - 4 >= 4:
+                lo[m] = max(lo[m], lo[m - 4] + 2)
+        return lo[n]
+    if contains_zeta(fd, 3) is YES:
+        if n >= 3:
+            lo[3] = 1  # A_3 = C_3 and zeta_3 in K
+        if n >= 5:
+            lo[5] = 1  # Lemma 5.5(2)
+        for m in range(6, n + 1):
+            if m - 3 >= 3 and m - 3 != 4:
+                lo[m] = max(lo[m], lo[m - 3] + 1)
+        return lo[n]
+    return a_lower_recurrence(n, extend_with_zeta(fd, 3))
+
+
+# ---------------------------------------------------------------------------
+# F_q
+# ---------------------------------------------------------------------------
+
+def multiplicative_order(x):
+    """Smallest d >= 1 with x^d = 1, by repeated multiplication."""
+    if x.is_zero():
+        raise ZeroElement("order of zero is undefined")
+    d, y = 1, x
+    while y != x.ctx.one:
+        d, y = d + 1, y * x
+    return d
+
+
+def has_zeta(ctx, n):
+    """True iff some element of F_q^x has order exactly n, found by
+    enumeration: a primitive n-th root of unity (none when p | n)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return any(multiplicative_order(x) == n for x in ctx.elements()
+               if not x.is_zero())

@@ -225,6 +225,16 @@ def test_exit_codes(capsys):
     assert code == 3  # over the search cap: capability, not usage
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_tschirnhaus_verify_needs_a_positive_count(capsys, count):
+    # a run that checks no specialization must not report "verified"
+    code, out = _capture(capsys, ["tschirnhaus", "verify", "--n", "5",
+                                  "--count", count])
+    assert code == 2
+    assert json.loads(out) == {"schema": cli.SCHEMA,
+                               "error": "--count must be at least 1"}
+
+
 def test_plain_renderer(capsys):
     code, out = _capture(capsys, ["bound", "--group", "S6", "--field", "Q",
                                   "--plain"])

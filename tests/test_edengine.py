@@ -9,19 +9,20 @@ from pathlib import Path
 import pytest
 
 from edim import cli, edengine, pgl2
-from edim.edengine import (INF, BoundInterval, RuleCatalog, Thm45Result,
-                           Thm46Result, TooLarge, TraceNode,
-                           a_lower_recurrence, atom_aliases, bound, canon,
-                           center_order, check_thm45, check_thm46, dn_criterion,
-                           expr_element_orders, l_core_trivial, product_views,
-                           replay_trace, s_lower_recurrence, trace_json)
+from edim.edengine import (INF, BoundInterval, RuleCatalog, Thm46Result,
+                           TooLarge, TraceNode, _thm45_cyclic, atom_aliases,
+                           bound, canon, center_order, check_thm46,
+                           dn_criterion, expr_element_orders, l_core_trivial,
+                           product_views, replay_trace, trace_json)
 from edim.cli import parse_field, parse_group
 from edim.errors import DependentAlphas, Inconsistent
-from edim.exactfield import fq_context
+from edim.exactfield import fq_context, is_prime
 from edim.fielddesc import (NO, UNKNOWN, YES, Custom, Cyclotomic, FiniteField,
                             RationalField, finite_field_from_q)
-from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, center,
-                         element_orders, expr_order, l_core, porder, realize)
+from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, element_orders,
+                         expr_order, pmul, porder, realize)
+from oracles import (_pow, a_lower_recurrence, center, check_thm45, l_core,
+                     s_lower_recurrence)
 
 Q = RationalField()
 F2 = FiniteField(2, 1)
@@ -117,8 +118,7 @@ def test_check_thm45_cases():
     g = realize(Sym(5))
     sigma = next(x for x in g.elements() if porder(x) == 2)
     # sigma not central in S_5: rejected outright
-    from edim.errors import NotCentral
-    with pytest.raises(NotCentral):
+    with pytest.raises(ValueError, match="not central"):
         check_thm45(g, sigma, Q)
 
     c2 = realize(Cyc(2))
@@ -138,9 +138,29 @@ def test_check_thm45_cases():
 
     # C_4 with sigma = square of a generator: every character kills sigma
     gen = next(x for x in c4.elements() if porder(x) == 4)
-    from edim.groups import pmul
     res = check_thm45(c4, pmul(gen, gen), Q)
     assert not res.applicable
+
+
+RCE_FIELDS = (["Q"] + ["Qzeta(%d)" % m for m in (3, 4, 5, 6, 8, 9, 12)]
+              + ["F(%d)" % q for q in (2, 3, 4, 5, 7, 9, 13, 16, 25)]
+              + ["custom{char=0}", "custom{char=0, zeta_yes=[2], zeta_no=[4]}",
+                 "custom{char=2, fp_dim=inf}", "custom{char=3, fp_dim=2}",
+                 "custom{char=5, zeta_yes=[4], fp_dim=1}"])
+
+
+@pytest.mark.parametrize("text", RCE_FIELDS)
+def test_thm45_cyclic_matches_the_enumerating_check(text):
+    # R-CE's hypothesis on C_n with sigma = g^(n/p), against Thm 4.5's
+    # (i)-(iv) checked on the permutation group itself
+    fd = parse_field(text)
+    for n in range(2, 31):
+        g = realize(Cyc(n))
+        (gen,) = g.generators
+        for p in (p for p in range(2, n) if n % p == 0 and is_prime(p)):
+            want = check_thm45(g, _pow(gen, n // p), fd)
+            assert _thm45_cyclic(n, p, fd) == want.applicable, \
+                (n, p, text, want.reason)
 
 
 def test_check_thm46_cases():

@@ -6,8 +6,8 @@ import pytest
 from edim.errors import NotPrime, TooLarge, ZeroElement
 from edim.exactfield import (FACTOR_CAP, TABLE_CAP, FqContext, FqElement,
                              _pmod, _pmul, _trim, divisors, factorize,
-                             fq_context, has_zeta, is_prime,
-                             multiplicative_order, order_mod, totient)
+                             fq_context, is_prime, order_mod, totient)
+from oracles import has_zeta, multiplicative_order
 
 
 def test_is_prime_small():
@@ -128,6 +128,13 @@ def test_orders_divide_group_order():
                   if not x.is_zero()}
         assert all((q - 1) % d == 0 for d in orders)
         assert q - 1 in orders  # F_q* is cyclic
+
+
+def test_order_mod_matches_the_enumerating_order():
+    for p in (2, 3, 13, 101):
+        for x in fq_context(p, 1).elements():
+            if not x.is_zero():
+                assert order_mod(x.code, p) == multiplicative_order(x)
 
 
 def test_multiplicative_order_of_zero_rejected():

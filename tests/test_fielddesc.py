@@ -3,7 +3,8 @@ import math
 import pytest
 
 from edim.errors import CharZero, InconsistentCustom
-from edim.exactfield import fq_context, has_zeta
+from edim.exactfield import fq_context
+from oracles import has_zeta
 from edim.fielddesc import (INF, NO, UNKNOWN, YES, Custom, Cyclotomic,
                             FiniteField, RationalField, finite_field_from_q)
 

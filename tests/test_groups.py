@@ -11,10 +11,10 @@ from edim.fielddesc import (NO, UNKNOWN, YES, Cyclotomic, FiniteField,
                             RationalField)
 from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, _atoms,
                          _blocks, _closure, _on_own_points, _partition_orders,
-                         _partitions, _prime_power_parts, center,
-                         character_exists, degree, element_orders,
-                         embedding_certificate, expr_order, l_core, pident,
-                         pinv, pmul, porder, realize)
+                         _partitions, _prime_power_parts, degree,
+                         element_orders, embedding_certificate, expr_order,
+                         pident, pmul, porder, realize)
+from oracles import center, character_exists, l_core, pinv
 
 Q = RationalField()
 
@@ -396,7 +396,7 @@ def test_verify_rejects_forged_point_maps():
     forged = ((2, 1, 0, 3, 4, 5), rot)
     assert [porder(x) for x in forged] == [porder(swap), porder(rot)]
     graph = [a + tuple(6 + x for x in b) for a, b in zip(s6.generators, forged)]
-    assert len(_closure(12, [], graph)) == 25920
+    assert len(_closure(12, graph)) == 25920
     assert not _verify_embedding(s6, Sym(6), points, forged)
     # a point map that is not injective, out of range, or short; (0, 0)
     # carries C2's generator to the identity, which lies in every target

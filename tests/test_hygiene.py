@@ -1,6 +1,7 @@
-"""Every name a module under ``src/edim`` imports is used in that module, and
+"""Every name a module under ``src/edim`` imports is used in that module,
 every module-level ``_private`` definition is referenced somewhere in the
-package besides its own definition."""
+package besides its own definition, and every function, class and method
+the package defines is referenced somewhere in the repository."""
 
 import ast
 import collections
@@ -8,7 +9,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "edim"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "edim"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -71,4 +73,32 @@ def test_no_unreferenced_private_definitions():
     unused = [(module, name) for module, tree in trees.items()
               for name, node in _private_definitions(tree)
               if total[name] == _references(node)[name]]
+    assert unused == []
+
+
+# argparse calls the override itself; nothing in the repository names it
+CALLED_BY_LIBRARIES = {("cli.py", "error")}
+
+
+def test_every_definition_is_referenced():
+    """A function, class or method defined under ``src/edim`` is read,
+    imported or used as an attribute in ``src/edim``, ``tests``, ``demos``
+    or ``perfbench``, outside its own body.  Dunder methods are exempt: the
+    interpreter calls them by protocol."""
+    def parse(path):
+        return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    trees = {p.name: parse(p) for p in sorted(SRC.glob("*.py"))}
+    total = collections.Counter()
+    for tree in trees.values():
+        total.update(_references(tree))
+    for folder in ("tests", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            total.update(_references(parse(path)))
+    unused = [(module, node.name) for module, tree in trees.items()
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not (node.name.startswith("__")
+                       and node.name.endswith("__"))
+              and (module, node.name) not in CALLED_BY_LIBRARIES
+              and total[node.name] == _references(node)[node.name]]
     assert unused == []
