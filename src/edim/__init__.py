@@ -2,8 +2,7 @@
 
 The package has three layers:
 
-- exact arithmetic: ``exactfield`` (Q and F_{p^k}), ``unipoly`` (univariate
-  polynomials and extension fields over finite fields), ``ratfunc``
+- exact arithmetic: ``exactfield`` (Q and F_{p^k}), ``ratfunc``
   (multivariate rational functions);
 - symbolic constructions: ``crossratio`` (the S_n action on cross-ratio
   fields), ``tschirnhaus`` (parameter-reducing polynomial transformations),
@@ -35,6 +34,10 @@ from .pgl2 import (Mat2, PGL2Element, dn_representation, dp_representation,
 from .edengine import (BoundInterval, RuleCatalog, TraceNode, bound,
                        check_thm46, dn_criterion, replay_trace, trace_json)
 from .cli import parse_field, parse_group
+# No module imports ``unipoly`` (univariate factoring over F_q, used by the
+# tests' oracles); perfbench/tracer.py looks up its factoring functions in
+# sys.modules and fails without it.  Delete with those tracer targets.
+from . import unipoly  # noqa: F401
 
 __version__ = "0.1.0"
 

@@ -28,6 +28,12 @@ from . import pgl2 as _pgl2
 
 SCHEMA = "edim/1"
 
+# `edim tschirnhaus` refuses larger inputs with exit 3.  A pass of `verify`
+# near n = 24 costs up to about 10 ms (over F_{p^2} with p near 10^12, the
+# dearest field it draws from), so the largest accepted run stays under 1 s.
+TSCHIRNHAUS_DEGREE_CAP = 24
+TSCHIRNHAUS_COUNT_CAP = 50
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -65,8 +71,6 @@ def parse_group(text):
                 fail("expected '(' after E", pos)
             pos += 1
             p = read_int("prime for E")
-            if not is_prime(p):
-                raise ValueError("%d is not prime" % p)
             if pos >= len(s) or s[pos] != ",":
                 fail("expected ',' in E(p,r)", pos)
             pos += 1
@@ -74,8 +78,6 @@ def parse_group(text):
             if pos >= len(s) or s[pos] != ")":
                 fail("expected ')' closing E(p,r)", pos)
             pos += 1
-            if r < 1:
-                raise ValueError("rank must be >= 1")
             return ElemAb(p, r)
         fail("unknown atom %r" % c, pos)
 
@@ -231,6 +233,12 @@ def _cmd_tschirnhaus(args):
         raise ParseError("--char must be 0 or a prime")
     if args.mode == "verify" and args.count < 1:
         raise ParseError("--count must be at least 1")
+    if args.n > TSCHIRNHAUS_DEGREE_CAP:
+        raise TooLarge("tschirnhaus degree capped at n = %d"
+                       % TSCHIRNHAUS_DEGREE_CAP)
+    if args.mode == "verify" and args.count > TSCHIRNHAUS_COUNT_CAP:
+        raise TooLarge("tschirnhaus verify capped at --count %d"
+                       % TSCHIRNHAUS_COUNT_CAP)
     h, record = reduce_general(args.n, args.char)
     steps = [{"kind": step.kind(),
               "lambda": None if step.lam is None else render(step.lam)}
@@ -255,7 +263,7 @@ def _cmd_tschirnhaus(args):
                       for i in range(args.n)}
         try:
             ok = verify_specialization(f, h, record, assignment, ctx)
-        except (PoleAtAssignment, TooLarge):
+        except PoleAtAssignment:
             skips += 1
             continue
         if not ok:

@@ -144,15 +144,16 @@ def _code(coeffs, p):
 
 
 def _power(mul, x, e):
-    """x^e for e >= 1 by repeated squaring, with mul the product."""
-    result = None
-    while True:
-        if e & 1:
-            result = x if result is None else mul(result, x)
-        e >>= 1
-        if not e:
-            return result
-        x = mul(x, x)
+    """x^e for e >= 1, with mul the product, left to right: a squaring per
+    bit after the first and a product with x per further set bit, none of
+    them with 1.  Each product with x keeps one factor small, which is what
+    sparse polynomials want."""
+    result = x
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
 
 
 def _is_irreducible(m, p):

@@ -32,35 +32,40 @@ class GroupExpr:
 
 
 @dataclass(frozen=True)
-class Sym(GroupExpr):
+class _Indexed(GroupExpr):
+    """S_n, A_n, D_n or C_n.  An index below ``least`` names no group, and
+    the constructor rejects it, so every expression names a group."""
+
     n: int
+    least = 1
+
+    def __post_init__(self):
+        if self.n < self.least:
+            raise ValueError("%s names no group: the index must be at least %d"
+                             % (self, self.least))
 
     def __str__(self):
-        return "S%d" % self.n
+        return "%s%d" % (self.letter, self.n)
 
 
 @dataclass(frozen=True)
-class Alt(GroupExpr):
-    n: int
-
-    def __str__(self):
-        return "A%d" % self.n
+class Sym(_Indexed):
+    letter, least = "S", 0
 
 
 @dataclass(frozen=True)
-class Dih(GroupExpr):
-    n: int
-
-    def __str__(self):
-        return "D%d" % self.n
+class Alt(_Indexed):
+    letter, least = "A", 0
 
 
 @dataclass(frozen=True)
-class Cyc(GroupExpr):
-    n: int
+class Dih(_Indexed):
+    letter = "D"
 
-    def __str__(self):
-        return "C%d" % self.n
+
+@dataclass(frozen=True)
+class Cyc(_Indexed):
+    letter = "C"
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,9 @@ class ElemAb(GroupExpr):
     def __post_init__(self):
         if not is_prime(self.p):
             raise NotPrime("%d is not prime" % self.p)
+        if self.r < 1:
+            raise ValueError("%s names no group: the rank must be at least 1"
+                             % self)
 
     def __str__(self):
         return "E(%d,%d)" % (self.p, self.r)
@@ -110,21 +118,6 @@ def degree(e):
     if isinstance(e, ElemAb):
         return e.p * e.r
     return degree(e.left) + degree(e.right)
-
-
-def _validate(e):
-    if isinstance(e, Product):
-        _validate(e.left)
-        _validate(e.right)
-        return
-    if isinstance(e, ElemAb):
-        if e.r < 1:
-            raise ValueError("rank must be >= 1")
-        return
-    if e.n < 1 and not isinstance(e, (Sym, Alt)):
-        raise ValueError("index must be >= 1")
-    if e.n < 0:
-        raise ValueError("index must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +210,6 @@ def realize(expr):
     disjoint cycles, one of each length p^a exactly dividing n, on sum(p^a)
     points (61 for C720720).
     """
-    _validate(expr)
     if isinstance(expr, (Sym, Alt)):
         # (0 1) for S_n, (0 1 2) for A_n, then an n-cycle, or an (n - 1)-cycle
         # fixing 0 for A_n with n even; _parities says how many there are

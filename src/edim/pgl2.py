@@ -21,7 +21,7 @@ from math import gcd
 
 from .errors import (DependentAlphas, EvenChar, RealZetaAbsent, TooLarge,
                      ZeroElement)
-from .exactfield import FqElement, factorize
+from .exactfield import FqElement, _power, factorize
 from .fielddesc import YES, FiniteField
 from .groups import Cyc, Dih, ElemAb
 
@@ -46,11 +46,8 @@ class Mat2:
                     self.a * o.a + self.b * o.c, self.a * o.b + self.b * o.d,
                     self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d)
 
-    def __pow__(self, n):  # n >= 1, by squaring
-        if n == 1:
-            return self
-        half = self ** (n // 2)
-        return half * half * self if n % 2 else half * half
+    def __pow__(self, n):  # n >= 1
+        return _power(Mat2.__mul__, self, n)
 
     def inverse(self):
         dt = self.det()

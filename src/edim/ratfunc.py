@@ -19,7 +19,7 @@ from operator import add, mul
 
 from .errors import (DivisionByZero, DomainMismatch, IndeterminateForm,
                      PoleAtPoint, UnboundVariable)
-from .exactfield import FqContext, FqElement, common_field
+from .exactfield import FqContext, FqElement, _power, common_field
 
 
 class RationalDomain:
@@ -167,7 +167,7 @@ class MultiPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return _binary_pow(self, n) if n else \
+        return _power(mul, self, n) if n else \
             MultiPoly.const(self.domain, self.vars, self.domain.one)
 
     def scale(self, c):
@@ -206,16 +206,6 @@ def _is_one(p):
         return False
     (e, c), = p.terms.items()
     return c == 1 and not any(e)
-
-
-def _binary_pow(base, n):
-    """base ** n for n >= 1, left to right: no product with 1, no spare square."""
-    res = base
-    for bit in bin(n)[3:]:
-        res = res * res
-        if bit == "1":
-            res = res * base
-    return res
 
 
 def _nonzero_terms(terms):
@@ -571,7 +561,7 @@ class RatFn:
             return RatFn.const(self.domain, self.vars, self.domain.one)
         if n < 0:
             return self.inverse() ** (-n)
-        return _binary_pow(self, n)
+        return _power(mul, self, n)
 
     # -- substitution and evaluation ----------------------------------------
 

@@ -18,7 +18,10 @@ base field F_q: for mu = (a, b; c, d) and f = sum f_i X^i,
 
 over the algebraic closure, where f = prod (X - r_i).  So h's roots are the
 images of f's roots exactly when monic(G) = h, and deg G < n exactly when
-some root is sent to infinity.  No factoring and no extension field.
+some root is sent to infinity.  No factoring and no extension field: the
+check runs on the integer codes of F_q (see ``exactfield.FqContext``), from
+the values of the coefficients' base RatFns to the comparison with h, with
+no arithmetic on field elements.
 
 ``general_poly`` and ``reduce_general`` are memoized per (n, char): their
 results are frozen records (tuples of PowerProducts over RatFns), so every
@@ -31,11 +34,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import unipoly
 from .errors import (CharDividesDegree, DegenerateTail, PoleAtAssignment,
                      PoleAtPoint, Unsupported)
-from .exactfield import fq_context
-from .ratfunc import QQ, RatFn, _pow_table
+from .exactfield import common_field, fq_context
+from .ratfunc import QQ, RatFn, _point, _pow_table, _term_sum
 
 
 def tvars(n):
@@ -49,7 +51,8 @@ def _domain(char):
 class PowerProduct:
     """A coefficient kept in factored form: prod base_i ^ exp_i over reduced
     RatFns.  Avoids expanding b_i = a_i (a_n/a_{n-1})^{-i}, which is huge for
-    n near 7, while staying exactly evaluable and comparably canonical."""
+    n near 7, while staying comparably canonical; ``verify_specialization``
+    evaluates it at a point from the values of its bases."""
 
     __slots__ = ("factors",)
 
@@ -88,23 +91,6 @@ class PowerProduct:
     def __pow__(self, e):
         return PowerProduct(tuple((b, x * e) for b, x in self.factors))
 
-    def evaluate(self, values, memo=None):
-        """The product at a point; ``memo`` (id(base) -> value) is shared by
-        callers that evaluate many products over the same bases there."""
-        acc = None
-        sample = next(iter(values.values()))
-        for base, exp in self.factors:
-            v = _base_value(base, values, memo)
-            if v.is_zero() and exp < 0:
-                raise PoleAtPoint("negative power of a vanishing factor")
-            v = v ** exp if exp >= 0 else (v.inverse()) ** (-exp)
-            acc = v if acc is None else acc * v
-        if acc is None:
-            one = sample - sample + 1 if not hasattr(sample, "ctx") else \
-                sample.ctx.one
-            return one
-        return acc
-
     def expand(self):
         if not self.factors:
             raise ValueError("expanding the empty product needs a ring context")
@@ -131,22 +117,13 @@ class PowerProduct:
         return self.render()
 
 
-def _base_value(base, values, memo):
-    if memo is None:
-        return base.evaluate(values)
-    v = memo.get(id(base))
-    if v is None:
-        v = memo[id(base)] = base.evaluate(values)
-    return v
-
-
 @dataclass(frozen=True)
 class Shift:
     lam: RatFn
 
-    def mobius(self, m, lam_value):
+    def mobius(self, m, lv, ctx):
         a, b, c, d = m
-        return a - lam_value * c, b - lam_value * d, c, d
+        return ctx.sub(a, ctx.mul(lv, c)), ctx.sub(b, ctx.mul(lv, d)), c, d
 
     def kind(self):
         return "Shift"
@@ -156,9 +133,9 @@ class Shift:
 class ScaleRoots:
     lam: RatFn
 
-    def mobius(self, m, lam_value):
+    def mobius(self, m, lv, ctx):
         a, b, c, d = m
-        return a, b, lam_value * c, lam_value * d
+        return a, b, ctx.mul(lv, c), ctx.mul(lv, d)
 
     def kind(self):
         return "ScaleRoots"
@@ -168,7 +145,7 @@ class ScaleRoots:
 class InvertRoot:
     lam = None
 
-    def mobius(self, m, lam_value):
+    def mobius(self, m, lv, ctx):
         a, b, c, d = m
         return c, d, a, b
 
@@ -348,53 +325,87 @@ def reduce_general(n, char):
 # specialization oracle
 # ---------------------------------------------------------------------------
 
-def _specialize_coeffs(gp, values, ctx, memo=None):
+def _codes_at(bases, values, ctx):
+    """{base: the code of its value at the point, None at a pole} for
+    distinct RatFns of one ring, with one table of powers for all."""
+    point = {name: ctx.coerce(v) for name, v in values.items()}
+    occ = set().union(*(b.occurring() for b in bases))
+    pctx, powers = _point(bases[0].num, occ, point)
+    if common_field(ctx, pctx) is not ctx:
+        raise ValueError("the coefficients do not lie in %r" % (ctx,))
+    out = dict.fromkeys(bases)
+    for b in bases:
+        try:
+            den = _term_sum(b.den.terms, ctx, powers)
+            if den:
+                num = _term_sum(b.num.terms, ctx, powers)
+                out[b] = num if den == 1 else ctx.mul(num, ctx.inv(den))
+        except PoleAtPoint:  # a rational coefficient's denominator is 0 mod p
+            pass
+    return out
+
+
+def _product_codes(gp, at, inverses, ctx):
+    """gp's coefficients as codes, from the base codes in at; inverses
+    holds the inverse of each base met with a negative exponent."""
     out = []
     for c in gp.coeffs:
-        if c.is_zero():
-            out.append(ctx.zero)
-            continue
-        try:
-            out.append(ctx.coerce(c.evaluate(values, memo)))
-        except (PoleAtPoint, ZeroDivisionError):
-            raise PoleAtAssignment("coefficient has a pole at the assignment")
+        acc = 0 if c.is_zero() else 1  # a zero product needs no factor
+        for base, e in c.factors if acc else ():
+            v = at[base]
+            if v is None or not v and e < 0:
+                raise PoleAtAssignment("coefficient has a pole at the "
+                                       "assignment")
+            if e < 0:
+                if base not in inverses:
+                    inverses[base] = ctx.inv(v)
+                v, e = inverses[base], -e
+            acc = ctx.mul(acc, ctx.pow(v, e))
+        out.append(acc)
+    return out
+
+
+def _mul(u, v, ctx):
+    """The product of two code lists, low degree first."""
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v, i):
+            out[j] = ctx.add(out[j], ctx.mul(x, y))
     return out
 
 
 def verify_specialization(f, h, record, assignment, ctx):
     """Specialize f and h at t-values in F_q and check that the recorded
     transformations carry the root multiset of f onto that of h, by the
-    Mobius identity of the module docstring."""
-    values = dict(assignment)
-    memo = {}  # each distinct base RatFn is evaluated once at the point
-    f_spec = _specialize_coeffs(f, values, ctx, memo)
-    h_spec = _specialize_coeffs(h, values, ctx, memo)
-    m = (ctx.one, ctx.zero, ctx.zero, ctx.one)
+    Mobius identity of the module docstring, on ctx's codes."""
+    bases = [b for gp in (f, h) for c in gp.coeffs if not c.is_zero()
+             for b, _ in c.factors]
+    bases += [step.lam for step in record.steps if step.lam is not None]
+    at, inverses = _codes_at(list(dict.fromkeys(bases)), assignment, ctx), {}
+    f_codes = _product_codes(f, at, inverses, ctx)
+    h_codes = _product_codes(h, at, inverses, ctx)
+    m = (1, 0, 0, 1)
     for step in record.steps:
-        lv = None
-        if step.lam is not None:
-            try:
-                lv = ctx.coerce(_base_value(step.lam, values, memo))
-            except (PoleAtPoint, ZeroDivisionError):
-                raise PoleAtAssignment(
-                    "step parameter has a pole at the assignment")
-            if isinstance(step, ScaleRoots) and lv.is_zero():
-                raise PoleAtAssignment("scaling parameter vanishes at the "
-                                       "assignment: a pole of its inverse")
-        m = step.mobius(m, lv)
+        lv = None if step.lam is None else at[step.lam]
+        if step.lam is not None and lv is None:
+            raise PoleAtAssignment("step parameter has a pole at the "
+                                   "assignment")
+        if isinstance(step, ScaleRoots) and not lv:
+            raise PoleAtAssignment("scaling parameter vanishes at the "
+                                   "assignment: a pole of its inverse")
+        m = step.mobius(m, lv, ctx)
     a, b, c, d = m
-    zero = ctx.zero
-    num = unipoly.trim([-b, d])  # dX - b, low-to-high
-    den = unipoly.trim([a, -c])  # -cX + a
-    den_pows = [[ctx.one]]
-    for _ in range(f.n):
-        den_pows.append(unipoly.mul(den_pows[-1], den, zero))
+    num = [ctx.neg(b), d] if d else [ctx.neg(b)]  # dX - b, low to high
+    den = [a, ctx.neg(c)] if c else [a]  # -cX + a
     # Horner in num, starting from f_n = 1; f_{n-i} comes with den^i
-    g = [ctx.one]
-    for i, fi in enumerate(f_spec, 1):
-        g = unipoly.add(unipoly.mul(g, num, zero),
-                        unipoly.scale(den_pows[i], fi), zero)
-    if len(g) <= f.n:
+    g, dp = [1], [1]
+    for fi in f_codes:
+        g, dp = _mul(g, num, ctx), _mul(dp, den, ctx)
+        g += [0] * (len(dp) - len(g))
+        for j, y in enumerate(dp):
+            g[j] = ctx.add(g[j], ctx.mul(fi, y))
+    if not g[-1]:  # g has n + 1 entries, as (c, d) != 0: deg G < n
         raise PoleAtAssignment("a root is sent to infinity: pole of the "
                                "composed Mobius map")
-    return unipoly.monic(g) == list(reversed([ctx.one] + h_spec))
+    inv = ctx.inv(g[-1])
+    return [ctx.mul(x, inv) for x in g] == h_codes[::-1] + [1]

@@ -1,11 +1,12 @@
-"""Univariate polynomial helpers over exact field elements.
+"""Univariate factorization over F_q: ``factor_monic`` and ``roots_in_field``,
+and the polynomial arithmetic they need.
 
-Coefficient lists are indexed by degree.  The functions are generic over any
-element type supporting +, -, *, / (Fraction, FqElement, ExtElement); the
-factorization routines additionally need an FqContext-like object carrying
-``p``, ``q``, ``zero``, ``one``.  No library path factors any more: the tests'
-root-based Tschirnhaus oracle does, and perfbench/tracer.py wraps
-``factor_monic`` and ``roots_in_field`` by name.
+Coefficient lists are indexed by degree, over elements with ``is_zero``,
+``inverse``, +, -, * and / (FqElement, or the tests' extension-field
+elements); the factorization routines also take the FqContext.  No library
+path imports this module: the tests' root-based Tschirnhaus oracle factors
+with it, and perfbench/tracer.py wraps ``factor_monic`` and
+``roots_in_field`` by name.
 """
 
 from __future__ import annotations
@@ -13,20 +14,13 @@ from __future__ import annotations
 import random
 
 from .errors import ZeroElement
+from .exactfield import _power
 
 
 def trim(c):
-    while c and (c[-1] == 0 if isinstance(c[-1], int) else c[-1].is_zero()):
+    while c and c[-1].is_zero():
         c.pop()
     return c
-
-
-def _is_zero_el(x):
-    return x == 0 if isinstance(x, int) else x.is_zero()
-
-
-def deg(a):
-    return len(a) - 1
 
 
 def add(a, b, zero):
@@ -39,12 +33,7 @@ def add(a, b, zero):
 
 
 def sub(a, b, zero):
-    out = []
-    for i in range(max(len(a), len(b))):
-        x = a[i] if i < len(a) else zero
-        y = b[i] if i < len(b) else zero
-        out.append(x - y)
-    return trim(out)
+    return add(a, [-y for y in b], zero)
 
 
 def mul(a, b, zero):
@@ -52,14 +41,10 @@ def mul(a, b, zero):
         return []
     out = [zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if not _is_zero_el(ai):
+        if not ai.is_zero():
             for j, bj in enumerate(b):
                 out[i + j] = out[i + j] + ai * bj
     return trim(out)
-
-
-def scale(a, c):
-    return trim([x * c for x in a])
 
 
 def divmod_poly(a, b, zero):
@@ -68,12 +53,12 @@ def divmod_poly(a, b, zero):
         raise ZeroElement("division by zero polynomial")
     a = list(a)
     db = len(b) - 1
-    inv = (b[-1] ** 0) / b[-1] if not isinstance(b[-1], int) else 1 // b[-1]
+    inv = b[-1].inverse()
     quo = [zero] * max(0, len(a) - db)
     while len(a) - 1 >= db and a:
         c = a[-1] * inv
         d = len(a) - 1 - db
-        if not _is_zero_el(c):
+        if not c.is_zero():
             quo[d] = c
             for i in range(db + 1):
                 a[d + i] = a[d + i] - c * b[i]
@@ -97,15 +82,11 @@ def gcd_monic(a, b, zero):
     return monic(a) if a else a
 
 
-def powmod(base, e, m, zero, one):
-    result = [one]
-    base = divmod_poly(base, m, zero)[1]
-    while e:
-        if e & 1:
-            result = divmod_poly(mul(result, base, zero), m, zero)[1]
-        base = divmod_poly(mul(base, base, zero), m, zero)[1]
-        e >>= 1
-    return result
+def powmod(base, e, m, zero):
+    """base^e mod m for e >= 1."""
+    def mulmod(a, b):
+        return divmod_poly(mul(a, b, zero), m, zero)[1]
+    return _power(mulmod, divmod_poly(base, m, zero)[1], e)
 
 
 def derivative(a, field):
@@ -113,143 +94,6 @@ def derivative(a, field):
     for i in range(1, len(a)):
         out.append(a[i] * field.from_int(i))
     return trim(out)
-
-
-# ---------------------------------------------------------------------------
-# extension fields F_q[X]/(P) on top of an FqContext base
-# ---------------------------------------------------------------------------
-
-class ExtField:
-    """Quotient field base[X]/(modulus); modulus irreducible over the base."""
-
-    def __init__(self, base, modulus):
-        self.base = base
-        self.modulus = tuple(monic(list(modulus)))
-        self.d = len(modulus) - 1
-        self.p = base.p
-        self.q = base.q ** self.d
-        self.zero = ExtElement(self, (base.zero,) * self.d)
-        one = [base.one] + [base.zero] * (self.d - 1)
-        self.one = ExtElement(self, tuple(one))
-
-    def element(self, coeffs):
-        coeffs = list(coeffs)[: self.d]
-        coeffs += [self.base.zero] * (self.d - len(coeffs))
-        return ExtElement(self, tuple(coeffs))
-
-    def from_int(self, n):
-        return self.element([self.base.from_int(n)])
-
-    def from_base(self, x):
-        return self.element([x])
-
-    def gen(self):
-        """The canonical root of the modulus (X reduced mod the modulus)."""
-        if self.d == 1:
-            return self.from_base(-self.modulus[0])
-        return self.element([self.base.zero, self.base.one])
-
-    def coerce(self, v):
-        if isinstance(v, ExtElement) and v.field is self:
-            return v
-        if isinstance(v, int):
-            return self.from_int(v)
-        return self.from_base(self.base.coerce(v))
-
-
-class ExtElement:
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = tuple(coeffs)
-
-    def _c(self, other):
-        if isinstance(other, ExtElement):
-            return other
-        return self.field.coerce(other)
-
-    def __add__(self, other):
-        o = self._c(other)
-        return ExtElement(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._c(other)
-        return ExtElement(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        return self._c(other) - self
-
-    def __neg__(self):
-        return ExtElement(self.field, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        o = self._c(other)
-        F = self.field
-        zero = F.base.zero
-        prod = mul(list(self.coeffs), list(o.coeffs), zero)
-        _, rem = divmod_poly(prod, list(F.modulus), zero)
-        rem += [zero] * (F.d - len(rem))
-        return ExtElement(F, tuple(rem[: F.d]))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroElement("inverse of zero")
-        F = self.field
-        zero = F.base.zero
-        r0, r1 = list(F.modulus), trim(list(self.coeffs))
-        s0, s1 = [], [F.base.one]
-        while r1:
-            q, r = divmod_poly(r0, r1, zero)
-            r0, r1 = r1, r
-            s0, s1 = s1, sub(s0, mul(q, s1, zero), zero)
-        inv_c = F.base.one / r0[0]
-        s0 = scale(s0, inv_c)
-        _, s0 = divmod_poly(s0, list(F.modulus), zero)
-        return F.element(s0)
-
-    def __truediv__(self, other):
-        return self * self._c(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._c(other) * self.inverse()
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self == self.field.from_int(other)
-        return (isinstance(other, ExtElement) and self.field.modulus == other.field.modulus
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def encode(self):
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.field.base.q + c.encode()
-        return v
-
-    def __repr__(self):
-        return "Ext(%s)" % (list(self.coeffs),)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +146,7 @@ def distinct_degree(f, ctx):
     d = 0
     while len(f) - 1 > 2 * d:
         d += 1
-        h = powmod(h, ctx.q, f, zero, one)
+        h = powmod(h, ctx.q, f, zero)
         g = gcd_monic(sub(h, x, zero), f, zero)
         if len(g) > 1:
             out.append((g, d))
@@ -330,11 +174,11 @@ def equal_degree_factor(f, d, ctx, rng):
             t = list(r)
             cur = list(r)
             for _ in range(bits - 1):
-                cur = powmod(cur, 2, f, zero, one)
+                cur = powmod(cur, 2, f, zero)
                 t = add(t, cur, zero)
             g = gcd_monic(t, f, zero)
         else:
-            t = powmod(r, (ctx.q ** d - 1) // 2, f, zero, one)
+            t = powmod(r, (ctx.q ** d - 1) // 2, f, zero)
             g = gcd_monic(sub(t, [one], zero), f, zero)
         if 1 < len(g) < len(f):
             left = divmod_poly(f, g, zero)[0]
@@ -342,10 +186,7 @@ def equal_degree_factor(f, d, ctx, rng):
 
 
 def _random_element(ctx, rng):
-    if hasattr(ctx, "k"):
-        return ctx.element(tuple(rng.randrange(ctx.p) for _ in range(ctx.k)))
-    return ctx.element([ctx.base.element(tuple(rng.randrange(ctx.p) for _ in range(ctx.base.k)))
-                        for _ in range(ctx.d)])
+    return ctx.element(tuple(rng.randrange(ctx.p) for _ in range(ctx.k)))
 
 
 def factor_monic(f, ctx, rng=None):

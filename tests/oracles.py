@@ -9,16 +9,20 @@ the R-S-LB and R-A lower bounds, zeta_n in F_q
 here are the slow paths those replace: each one walks an explicit
 permutation group, or the elements of F_q, and the tests check the closed
 forms against them.
+
+``ExtField`` is the extension-field arithmetic the Tschirnhaus root oracle
+and criterion 5 compute in; the library itself never leaves F_q.
 """
 
 import math
 from dataclasses import dataclass
 
 from edim.errors import NotPrime, TooLarge, ZeroElement
-from edim.exactfield import is_prime
+from edim.exactfield import _power, is_prime
 from edim.fielddesc import (NO, UNKNOWN, YES, char_of, contains_zeta,
                             extend_with_zeta)
 from edim.groups import PermGroup, _closure, pident, pmul, porder
+from edim.unipoly import divmod_poly, monic, mul, sub, trim
 
 CORE_CAP = 10 ** 5
 
@@ -298,7 +302,7 @@ def a_lower_recurrence(n, fd):
 
 
 # ---------------------------------------------------------------------------
-# F_q
+# F_q and its extensions
 # ---------------------------------------------------------------------------
 
 def multiplicative_order(x):
@@ -318,3 +322,105 @@ def has_zeta(ctx, n):
         raise ValueError("n must be positive")
     return any(multiplicative_order(x) == n for x in ctx.elements()
                if not x.is_zero())
+
+
+def scale(a, c):
+    return trim([x * c for x in a])
+
+
+class ExtField:
+    """The field base[X]/(modulus), for an FqContext base and a modulus
+    irreducible over it: the splitting fields the root-based Tschirnhaus
+    oracle and criterion 5 compute in."""
+
+    def __init__(self, base, modulus):
+        self.base = base
+        self.modulus = tuple(monic(list(modulus)))
+        self.d = len(modulus) - 1
+        self.zero = self.element([])
+        self.one = self.element([base.one])
+
+    def element(self, coeffs):
+        coeffs = list(coeffs)[: self.d]
+        coeffs += [self.base.zero] * (self.d - len(coeffs))
+        return ExtElement(self, coeffs)
+
+    def from_int(self, n):
+        return self.element([self.base.from_int(n)])
+
+    def from_base(self, x):
+        return self.element([x])
+
+    def gen(self):
+        """The canonical root of the modulus (X reduced mod the modulus)."""
+        if self.d == 1:
+            return self.from_base(-self.modulus[0])
+        return self.element([self.base.zero, self.base.one])
+
+
+class ExtElement:
+    """An element of an ExtField: its coefficients in the power basis."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs):
+        self.field = field
+        self.coeffs = tuple(coeffs)
+
+    def __add__(self, o):
+        return ExtElement(self.field,
+                          [a + b for a, b in zip(self.coeffs, o.coeffs)])
+
+    def __sub__(self, o):
+        return ExtElement(self.field,
+                          [a - b for a, b in zip(self.coeffs, o.coeffs)])
+
+    def __neg__(self):
+        return ExtElement(self.field, [-a for a in self.coeffs])
+
+    def __mul__(self, o):
+        F = self.field
+        zero = F.base.zero
+        prod = mul(list(self.coeffs), list(o.coeffs), zero)
+        return F.element(divmod_poly(prod, list(F.modulus), zero)[1])
+
+    def inverse(self):
+        """By the extended Euclidean algorithm against the modulus."""
+        if self.is_zero():
+            raise ZeroElement("inverse of zero")
+        F = self.field
+        zero = F.base.zero
+        r0, r1 = list(F.modulus), trim(list(self.coeffs))
+        s0, s1 = [], [F.base.one]
+        while r1:
+            q, r = divmod_poly(r0, r1, zero)
+            r0, r1 = r1, r
+            s0, s1 = s1, sub(s0, mul(q, s1, zero), zero)
+        s0 = scale(s0, F.base.one / r0[0])
+        return F.element(divmod_poly(s0, list(F.modulus), zero)[1])
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __pow__(self, e):  # e >= 1
+        return _power(ExtElement.__mul__, self, e)
+
+    def is_zero(self):
+        return all(c.is_zero() for c in self.coeffs)
+
+    def __eq__(self, other):
+        return (isinstance(other, ExtElement)
+                and self.field.modulus == other.field.modulus
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def encode(self):
+        v = 0
+        for c in reversed(self.coeffs):
+            v = v * self.field.base.q + c.encode()
+        return v
+
+    def __repr__(self):
+        return "Ext(%s)" % (list(self.coeffs),)

