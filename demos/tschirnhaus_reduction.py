@@ -21,7 +21,7 @@ from edim.tschirnhaus import (general_poly, parameter_count, reduce_general,
 def main():
     for n, char in [(2, 0), (3, 0), (5, 0), (5, 2), (7, 3), (2, 2), (3, 3)]:
         h, record = reduce_general(n, char)
-        steps = " , ".join(s.kind() for s in record.steps) or "(none)"
+        steps = " , ".join(type(s).__name__ for s in record.steps) or "(none)"
         print("degree %d, char %d:  %d -> %d parameters   via %s"
               % (n, char, n, parameter_count(h), steps))
 

@@ -39,6 +39,7 @@ def _least_factor(n, start=2):
     return n
 
 
+@lru_cache(maxsize=None)  # fq_context(p, k) asks again for every k
 def is_prime(n: int) -> bool:
     return n >= 2 and _least_factor(n) == n
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (CharDividesM, CharZero, InconsistentCustom, NotPrime,
                      TooLarge)
@@ -80,28 +80,6 @@ class FieldDescriptor:
 
 
 @dataclass(frozen=True)
-class RationalField(FieldDescriptor):
-    def char(self):
-        return 0
-
-    def contains_zeta(self, n):
-        return YES if n in (1, 2) else NO
-
-    def contains_real_zeta(self, n):
-        return YES if n in (1, 2, 3, 4, 6) else NO
-
-    def extend_with_zeta(self, m):
-        if m <= 2:
-            return self
-        return Cyclotomic(m)
-
-    def describe(self):
-        return "Q"
-
-    __str__ = describe
-
-
-@dataclass(frozen=True)
 class Cyclotomic(FieldDescriptor):
     m: int
 
@@ -139,6 +117,19 @@ class Cyclotomic(FieldDescriptor):
 
 
 @dataclass(frozen=True)
+class RationalField(Cyclotomic):
+    """Q, which is Q(zeta_1): every question is answered as for Cyclotomic(1).
+    The two still compare unequal, as dataclass equality checks the class."""
+
+    m: int = field(default=1, init=False, repr=False)
+
+    def describe(self):
+        return "Q"
+
+    __str__ = describe
+
+
+@dataclass(frozen=True)
 class FiniteField(FieldDescriptor):
     p: int
     k: int
@@ -157,16 +148,12 @@ class FiniteField(FieldDescriptor):
         return self.p
 
     def contains_zeta(self, n):
-        if n % self.p == 0 and n > 1:
-            return NO
         return YES if (self.q - 1) % n == 0 else NO
 
     def contains_real_zeta(self, n):
         base = self._real_zeta_universal(n)
         if base is not None:
             return base
-        if math.gcd(n, self.p) != 1:
-            return NO
         return YES if self.q % n in (1 % n, (n - 1) % n) else NO
 
     def fp_dimension(self):

@@ -4,12 +4,13 @@ and the explicit dihedral / elementary-abelian matrix representations.
 
 The work runs on integer codes: an F_q element is its code, a matrix
 a 4-tuple of codes, a projective class the code a*q^3 + b*q^2 + c*q + d of
-its canonical representative.  Each field's ``_Kernel`` holds the F_q tables
-on codes; the class table, each conjugacy class's key, order and least code,
-read from the q^2 - q companion codes alone; the list of codes of each order,
-built only when a search or the census reads it, from tr^2 = u det in
-O(q^2) per u; and the memoized ``pgl2_embeds`` verdicts.  ``Mat2``,
-``PGL2Element`` carry results.
+its canonical representative.  Each field's ``_Kernel``, for q <= Q_CAP
+only, holds the F_q tables on codes, filled once as plain lists; the class
+table, each conjugacy class's key, order and least code, read from the
+q^2 - q companion codes alone; the list of codes of each order, built only
+when a search or the census reads it, from tr^2 = u det in O(q^2) per u;
+and the memoized ``pgl2_embeds`` verdicts.  ``Mat2``, ``PGL2Element`` carry
+results.
 """
 
 from __future__ import annotations
@@ -21,11 +22,16 @@ from math import gcd
 
 from .errors import (DependentAlphas, EvenChar, RealZetaAbsent, TooLarge,
                      ZeroElement)
-from .exactfield import FqElement, _power, factorize
+from .exactfield import FqElement, _digits, _power, factorize
 from .fielddesc import YES, FiniteField
 from .groups import Cyc, Dih, ElemAb
 
 Q_CAP = 27
+# dn_representation walks n/2 traces, each a product and a difference in
+# F_q: up to about 70 us apiece over F_{p^12} with q above
+# exactfield.TABLE_CAP, the dearest fields, so the walk at n = DN_CAP costs
+# up to about 0.35 s there.
+DN_CAP = 10 ** 4
 
 
 class Mat2:
@@ -112,36 +118,16 @@ class PGL2Element:
         return "PGL2(%r)" % (self.rep,)
 
 
-def _check_cap(ctx):
-    if ctx.q > Q_CAP:
-        raise TooLarge("PGL_2 enumeration capped at q = %d" % Q_CAP)
-
-
-class _Table(dict):
-    """An F_q operation on codes, filled from the context's code arithmetic
-    on first use; kept only for q <= Q_CAP, where the whole table fits in
-    memory."""
-
-    def __init__(self, fn, keep):
-        super().__init__()
-        self.fn, self.keep = fn, keep
-
-    def __missing__(self, key):
-        val = self.fn(key)
-        if self.keep:
-            self[key] = val
-        return val
-
-
 class _Kernel:
     def __init__(self, ctx):
-        self.ctx, self.q, keep = ctx, ctx.q, ctx.q <= Q_CAP
+        if ctx.q > Q_CAP:
+            raise TooLarge("PGL_2 enumeration capped at q = %d" % Q_CAP)
+        self.ctx, self.q, els = ctx, ctx.q, range(ctx.q)
         self.q2, self.q3 = ctx.q ** 2, ctx.q ** 3
-
-        def op(f):
-            return _Table(lambda x: _Table(lambda y: f(x, y), keep), keep)
-        self.add, self.mul = op(ctx.add), op(ctx.mul)
-        self.neg, self.inv = _Table(ctx.neg, keep), _Table(ctx.inv, keep)
+        self.add = [[ctx.add(x, y) for y in els] for x in els]
+        self.mul = [[ctx.mul(x, y) for y in els] for x in els]
+        self.neg = [ctx.neg(x) for x in els]
+        self.inv = [0] + [ctx.inv(x) for x in els[1:]]  # inv[0] is never read
         self.verdicts, self.order_lists = {}, {}
 
     def fq(self, x):
@@ -252,7 +238,6 @@ _kernel = lru_cache(maxsize=None)(_Kernel)  # one per field context
 
 def pgl2_enumerate(ctx):
     """All q^3 - q projective classes, canonical, ascending by code."""
-    _check_cap(ctx)
     k = _kernel(ctx)
     return [k.element(x) for x in sorted(chain(*k.census().values()))]
 
@@ -272,7 +257,6 @@ def trace_invariant(e):
 
 def order_census(ctx):
     """Map order -> sorted list of PGL2Elements of that order."""
-    _check_cap(ctx)
     k = _kernel(ctx)
     return {n: [k.element(x) for x in codes]
             for n, codes in k.census().items()}
@@ -287,7 +271,7 @@ class PGL2Witness:
 def pgl2_embeds(h, ctx):
     """Exhaustive search for an embedding of h into PGL_2(F_q): a
     PGL2Witness, or None, a definite No.  Memoized per (group, field)."""
-    _check_cap(ctx)
+    k = _kernel(ctx)  # raises the q cap first
     if not isinstance(h, (Cyc, Dih, ElemAb)):
         raise TooLarge("unsupported family for PGL_2 search")
     if isinstance(h, Cyc) and h.n > 60:
@@ -296,7 +280,6 @@ def pgl2_embeds(h, ctx):
         raise TooLarge("dihedral search capped at n = 30")
     if isinstance(h, ElemAb) and h.p ** h.r > 64:
         raise TooLarge("elementary abelian search capped at order 64")
-    k = _kernel(ctx)
     if h not in k.verdicts:
         got = _search(k, h)
         k.verdicts[h] = None if got is None else PGL2Witness(
@@ -368,6 +351,8 @@ def dn_representation(ctx, n):
     order n, and the reflection [[1, c], [0, -1]]."""
     if n < 3:
         raise ValueError("n must be >= 3")
+    if n > DN_CAP:
+        raise TooLarge("dihedral representation capped at n = %d" % DN_CAP)
     if n % ctx.p == 0:
         raise RealZetaAbsent("n divisible by the characteristic")
     if FiniteField(ctx.p, ctx.k).contains_real_zeta(n) is not YES:
@@ -386,7 +371,13 @@ def _rotation_trace(ctx, n):
     the c whose companion matrix of X^2 - cX + 1 has linear order n.  c_1 is
     tr M_t^e, e = (q -+ 1)/n, for the first companion matrix M_t of
     X^2 - tX + 1 whose power has order n (a generator of F_q^* or of the
-    norm-1 elements of F_q^2 gives one); then c_{j+1} = c_1 c_j - c_{j-1}."""
+    norm-1 elements of F_q^2 gives one); then c_{j+1} = c_1 c_j - c_{j-1}.
+    t runs over F_q in the order i m mod q, m near 0.618 q, not in code
+    order: the first codes are F_p, whose roots have orders dividing p - 1
+    or p + 1 (for k = 2 none serves an n > 2 dividing q + 1), then the
+    a + bX, whose norms to F_p are (-b)^k f(-a/b) for the modulus f, so
+    the power characters that decide the order can fail on long runs of
+    them.  Which c_1 is found does not change the least c_j."""
     sub, mul, two = ctx.sub, ctx.mul, 2 % ctx.p
 
     def trace(t, e):  # tr M_t^e = V_e(t), by V_2j = V_j^2 - 2 and
@@ -399,7 +390,10 @@ def _rotation_trace(ctx, n):
         return v
 
     e = (ctx.q - 1) // n if (ctx.q - 1) % n == 0 else (ctx.q + 1) // n
-    c1 = next(c for c in (trace(t, e) for t in range(ctx.q))
+    m = ctx.q * 618 // 1000
+    m += m % ctx.p == 0  # prime to q, so i -> i m mod q permutes F_q
+    ts = (i * m % ctx.q for i in range(ctx.q))
+    c1 = next(c for c in (trace(t, e) for t in ts)
               if trace(c, n) == two  # zeta^n = 1, and no smaller order
               and all(trace(c, n // r) != two for r, _ in factorize(n)))
     best, prev, cur = c1, two, c1
@@ -413,15 +407,30 @@ def _rotation_trace(ctx, n):
 def elemab_representation(ctx, alphas):
     """(Z/pZ)^r inside GL_2 via [[1, alpha_i],[0,1]]; alphas F_p-independent."""
     alphas = [ctx.coerce(a) for a in alphas]
-    p, r = ctx.p, len(alphas)
-    span = {ctx.zero}  # every F_p-combination of the alphas
-    for a in alphas:
-        span = {s + a * i for s in span for i in range(p)}
-    if len(span) < p ** r:
+    if not _independent([a.code for a in alphas], ctx.p, ctx.k):
         raise DependentAlphas("alphas are F_p-dependent")
     mats = [Mat2(ctx, 1, a, 0, 1) for a in alphas]
-    assert all((m ** p).is_identity() for m in mats)
+    assert all((m ** ctx.p).is_identity() for m in mats)
     return mats
+
+
+def _independent(codes, p, k):
+    """Whether the codes' digit vectors in F_p^k are F_p-independent, by
+    Gaussian elimination mod p: each vector is reduced by the rows kept
+    before it, and kept, scaled to 1 at its pivot, unless it reduces to 0."""
+    rows = []  # (pivot, row)
+    for code in codes:
+        v = _digits(code, p, k)
+        for piv, row in rows:
+            f = v[piv]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        inv = pow(v[piv], -1, p)
+        rows.append((piv, [x * inv % p for x in v]))
+    return True
 
 
 def _assert_dihedral(s, t, n):

@@ -170,10 +170,6 @@ class MultiPoly:
         return _power(mul, self, n) if n else \
             MultiPoly.const(self.domain, self.vars, self.domain.one)
 
-    def scale(self, c):
-        c = self.domain.coerce(c)
-        return MultiPoly(self.domain, self.vars, {e: x * c for e, x in self.terms.items()})
-
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.vars == other.vars
                 and _same_domain(self.domain, other.domain) and self.terms == other.terms)
@@ -183,21 +179,6 @@ class MultiPoly:
 
     def __repr__(self):
         return render_poly(self)
-
-    # -- evaluation ---------------------------------------------------------
-
-    def evaluate(self, values):
-        """Evaluate at a dict {var name: element}.
-
-        At a point with F_q elements the loop runs on integer codes in the
-        field that holds the coefficients and every value (see
-        ``common_field``, which raises ValueError for a point that mixes
-        fields), and only the result is an FqElement; otherwise it runs on
-        the values themselves (int and Fraction at a rational point).
-        """
-        ctx, powers = _point(self, self.occurring(), values)
-        v = _term_sum(self.terms, ctx, powers)
-        return v if ctx is None else FqElement(ctx, v)
 
 
 def _is_one(p):
@@ -281,11 +262,17 @@ def _code_in(x, ctx):
         return x % ctx.p
     if isinstance(x, FqElement):
         return x.code
+    return _coerce(x, ctx).code
+
+
+def _coerce(c, dom):
+    """c in the domain dom: PoleAtPoint for a Fraction whose denominator
+    the characteristic of an F_q domain divides."""
     try:
-        return ctx.coerce(x).code
+        return dom.coerce(c)
     except ZeroDivisionError:
         raise PoleAtPoint("coefficient denominator vanishes in characteristic %d"
-                          % ctx.p)
+                          % dom.p)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +311,7 @@ def _normalize(f):
     if f.is_zero():
         return f
     _, lc = f.leading()
-    return f.scale(_div(f.domain.one, lc))
+    return f * _div(f.domain.one, lc)
 
 
 def poly_gcd(f, g):
@@ -455,8 +442,8 @@ class RatFn:
         _, lc = den.leading()
         if lc != den.domain.one:
             inv = _div(den.domain.one, lc)
-            num = num.scale(inv)
-            den = den.scale(inv)
+            num = num * inv
+            den = den * inv
         if num.is_zero():
             den = MultiPoly.const(den.domain, den.vars, den.domain.one)
         self.num = num
@@ -575,18 +562,8 @@ class RatFn:
         missing = occ - set(bindings)
         if missing:
             raise UnboundVariable("unbound variables: %s" % sorted(missing))
-        if not occ:
-            sample = next(iter(bindings.values()))
-            dom, vs = sample.domain, sample.vars
-            n = MultiPoly.zero(dom, vs)
-            for e, c in self.num.terms.items():
-                n = n + MultiPoly.const(dom, vs, _coerce_const(c, dom))
-            d = MultiPoly.zero(dom, vs)
-            for e, c in self.den.terms.items():
-                d = d + MultiPoly.const(dom, vs, _coerce_const(c, dom))
-            return n, d
         names = sorted(occ, key=self.vars.index)
-        sample = bindings[names[0]]
+        sample = bindings[names[0]] if names else next(iter(bindings.values()))
         maxdeg = {n: max(self.num.degree_in(self.vars.index(n)),
                          self.den.degree_in(self.vars.index(n)), 0)
                   for n in names}
@@ -605,9 +582,15 @@ class RatFn:
         return RatFn(ncomp, dcomp)
 
     def evaluate(self, values):
-        """Exact evaluation at field elements keyed by variable name, in the
-        arithmetic of ``MultiPoly.evaluate``, with one table of powers for
-        both parts."""
+        """Exact evaluation at field elements keyed by variable name, with one
+        table of powers for both parts.
+
+        At a point with F_q elements the sums run on integer codes in the
+        field that holds the coefficients and every value (see
+        ``common_field``, which raises ValueError for a point that mixes
+        fields), and only the result is an FqElement; otherwise they run on
+        the values themselves (int and Fraction at a rational point), and
+        the quotient goes through ``_div``."""
         ctx, powers = _point(self.num, self.occurring(), values)
         d = _term_sum(self.den.terms, ctx, powers)
         if d == 0:
@@ -626,7 +609,7 @@ def _compose_poly(p, bindings, maxdeg, sample):
     acc = {}
     get, z = acc.get, dom.zero
     for e, c in p.terms.items():
-        c = _coerce_const(c, dom)
+        c = _coerce(c, dom)
         term = one
         for i, top, numpow, denpow in slots:
             d = e[i]
@@ -637,13 +620,6 @@ def _compose_poly(p, bindings, maxdeg, sample):
         for e2, c2 in term.terms.items():
             acc[e2] = get(e2, z) + c2 * c
     return MultiPoly(dom, vs, acc)
-
-
-def _coerce_const(c, dom):
-    if isinstance(c, Fraction) and not isinstance(dom, RationalDomain):
-        if c.denominator % dom.p == 0:
-            raise PoleAtPoint("coefficient denominator vanishes in characteristic %d" % dom.p)
-    return dom.coerce(c)
 
 
 def _pow_table(p, n):

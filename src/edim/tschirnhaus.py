@@ -125,9 +125,6 @@ class Shift:
         a, b, c, d = m
         return ctx.sub(a, ctx.mul(lv, c)), ctx.sub(b, ctx.mul(lv, d)), c, d
 
-    def kind(self):
-        return "Shift"
-
 
 @dataclass(frozen=True)
 class ScaleRoots:
@@ -137,9 +134,6 @@ class ScaleRoots:
         a, b, c, d = m
         return a, b, ctx.mul(lv, c), ctx.mul(lv, d)
 
-    def kind(self):
-        return "ScaleRoots"
-
 
 @dataclass(frozen=True)
 class InvertRoot:
@@ -148,9 +142,6 @@ class InvertRoot:
     def mobius(self, m, lv, ctx):
         a, b, c, d = m
         return c, d, a, b
-
-    def kind(self):
-        return "InvertRoot"
 
 
 @dataclass(frozen=True)
@@ -221,18 +212,15 @@ def apply_shift(gp, lam):
     return GeneralPoly(n, gp.char, tuple(out))
 
 
-def apply_scale(gp, lam, tie_last=False):
-    """f(X) -> lam^{-n} f(lam X): coefficient j gets lam^{-j}.
-
-    With tie_last (used by rescale, where lam = a_n / a_{n-1}), the constant
-    term is emitted in the same factored form as the X-coefficient so their
-    designed equality is visible structurally.
-    """
+def apply_scale(gp, lam):
+    """f(X) -> lam^{-n} f(lam X) for lam = a_n / a_{n-1}: coefficient j gets
+    lam^{-j}, and the constant term a_n lam^{-n} = a_{n-1} lam^{1-n} is
+    emitted in the X-coefficient's factored form, so their designed equality
+    is visible structurally."""
     n = gp.n
     lampp = PowerProduct.of(lam)
-    out = [gp.coefficient(j) * lampp ** (-j) for j in range(1, n + 1)]
-    if tie_last:
-        out[n - 1] = gp.coefficient(n - 1) * lampp ** (1 - n)
+    out = [gp.coefficient(j) * lampp ** (-j) for j in range(1, n)]
+    out.append(gp.coefficient(n - 1) * lampp ** (1 - n))
     return GeneralPoly(n, gp.char, tuple(out))
 
 
@@ -277,7 +265,7 @@ def rescale(gp):
     lam = an.expand() / an1.expand()
     if lam.is_constant() and lam.num == lam.den:
         return gp, TransformRecord(())
-    out = apply_scale(gp, lam, tie_last=True)
+    out = apply_scale(gp, lam)
     assert out.coefficient(n - 1) == out.coefficient(n)
     return out, TransformRecord((ScaleRoots(lam),))
 
@@ -294,7 +282,7 @@ def reduce_char3_cubic():
     b1 = h.coefficient(2)
     b2 = h.coefficient(3)
     mu = b2.expand() / b1.expand()
-    out = apply_scale(h, mu, tie_last=True)
+    out = apply_scale(h, mu)
     assert out.coefficient(2) == out.coefficient(3)
     assert out.coefficient(1).is_zero()
     record = TransformRecord((Shift(lam), InvertRoot(), ScaleRoots(mu)))

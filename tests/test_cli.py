@@ -263,6 +263,71 @@ def test_tschirnhaus_at_the_caps_answers_within_a_second(capsys):
     assert json.loads(out)["verified"] is True
 
 
+def _perm(n, seed):
+    images = list(range(1, n + 1))
+    random.Random(seed).shuffle(images)
+    return ",".join(map(str, images))
+
+
+# (argv, exit code): each input exits 3 in under 0.5 s or answers in under
+# 1 s.  Before the crossratio and D_n caps, `crossratio action --n 800` took
+# 1.6 s in process and `rewrite` had no bound on n; D10000018/F(10000019)
+# took 1.9 s.  While the D_n trace search ran in code order, D5 over
+# F(999983^2) did not finish in 30 s and D9420 over F(13^12) took 1.1 s
+# in process.  Before the elimination,
+# E(3,12)/F(531441) took 13.7 s, E(1000003,1) 3.6 s, and E(999999999989,1)
+# did not finish.
+BUDGET = [
+    (["crossratio", "action", "--n", "800", "--perm", _perm(800, 1)], 3),
+    (["crossratio", "action", "--n", str(cli.CROSSRATIO_N_CAP + 1),
+      "--perm", _perm(cli.CROSSRATIO_N_CAP + 1, 2)], 3),
+    (["crossratio", "action", "--n", str(cli.CROSSRATIO_N_CAP),
+      "--perm", _perm(cli.CROSSRATIO_N_CAP, 3)], 0),
+    (["crossratio", "rewrite", "--n", "100000", "--symbol", "1,2,3,4"], 3),
+    (["crossratio", "rewrite", "--n", str(cli.CROSSRATIO_N_CAP),
+      "--symbol", "400,399,398,397"], 0),
+    (["pgl2", "reps", "--q", "10000019", "--group", "D10000018"], 3),
+    (["pgl2", "reps", "--q", "1000003", "--group", "D1000002"], 3),
+    (["pgl2", "reps", "--q", "19997", "--group", "D10001"], 3),
+    (["pgl2", "reps", "--q", "19997", "--group", "D9998"], 0),
+    (["pgl2", "reps", "--q", "999966000289", "--group", "D5"], 0),
+    (["pgl2", "reps", "--q", "999922001521", "--group", "D9106"], 0),
+    (["pgl2", "reps", "--q", "23298085122481", "--group", "D9420"], 0),
+    (["pgl2", "reps", "--q", "531441", "--group", "E(3,12)"], 0),
+    (["pgl2", "reps", "--q", "1000003", "--group", "E(1000003,1)"], 0),
+    (["pgl2", "reps", "--q", "999999999989", "--group",
+      "E(999999999989,1)"], 0),
+    (["tschirnhaus", "verify", "--n", "23", "--char", "999999999989",
+      "--count", "25"], 0),
+]
+
+
+@pytest.mark.parametrize("argv,want", BUDGET,
+                         ids=[" ".join(a)[:60] for a, _ in BUDGET])
+def test_large_inputs_exit_3_fast_or_answer_within_a_second(capsys, argv,
+                                                            want):
+    start = time.perf_counter()
+    code, out = _capture(capsys, argv)
+    took = time.perf_counter() - start
+    assert code == want, out
+    assert took < (0.5 if want == 3 else 1), took
+    if want == 3:
+        assert "capped at n = " in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_field_queries_need_a_positive_n(capsys, n):
+    # zeta_0 names nothing: Q(zeta_1) and F(7) used to raise
+    # ZeroDivisionError on it, and Q answered "No"
+    for fd in ("Q", "Qzeta(1)", "F(7)", "custom{char=0}"):
+        for query in ("zeta", "real_zeta", "extend"):
+            code, out = _capture(capsys, ["field", "--field", fd, "--query",
+                                          query, "--n", n])
+            assert code == 2
+            assert json.loads(out) == {"schema": cli.SCHEMA,
+                                       "error": "--n must be at least 1"}
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_tschirnhaus_verify_needs_a_positive_count(capsys, count):
     # a run that checks no specialization must not report "verified"

@@ -1,10 +1,10 @@
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 
 from edim import pgl2
 from edim.errors import TooLarge
-from edim.exactfield import fq_context
+from edim.exactfield import FqElement, fq_context
 from edim.fielddesc import YES, finite_field_from_q
 from edim.groups import Cyc, Dih, ElemAb, Sym
 from edim.pgl2 import (Mat2, PGL2Element, dn_representation,
@@ -120,6 +120,30 @@ def test_q_cap():
         pgl2_embeds(Cyc(3), fq_context(2, 6))  # q = 64 > 27
 
 
+@pytest.mark.parametrize("p,k", [(29, 1), (2, 5), (1000003, 1)])
+def test_element_queries_are_capped_like_the_census(p, k):
+    # the kernel's tables exist only for q <= Q_CAP, so every entry point
+    # that reads them refuses a larger field, as the census does
+    ctx = fq_context(p, k)
+    e = PGL2Element.of(Mat2(ctx, 1, 1, 0, 1))
+    for query in (pgl2_order, trace_invariant):
+        with pytest.raises(TooLarge, match="q = %d" % pgl2.Q_CAP):
+            query(e)
+    with pytest.raises(TooLarge, match="q = %d" % pgl2.Q_CAP):
+        order_census(ctx)
+
+
+def test_kernel_tables_are_the_field_operations():
+    for q in _PRIME_POWERS:
+        ctx = fq_context(*_pk(q))
+        k = pgl2._Kernel(ctx)
+        els = range(q)
+        assert k.add == [[ctx.add(x, y) for y in els] for x in els]
+        assert k.mul == [[ctx.mul(x, y) for y in els] for x in els]
+        assert k.neg == [ctx.neg(x) for x in els]
+        assert all(k.mul[x][k.inv[x]] == 1 for x in els[1:])
+
+
 _PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)
 
 
@@ -157,6 +181,51 @@ def test_constructive_representations():
     ctx2 = fq_context(2, 2)
     els = elemab_representation(ctx2, [ctx2.one, ctx2.gen()])
     assert len(els) == 2
+
+
+def _span_verdicts(ctx, r_max):
+    """{alpha code tuple: independent} for every tuple of length 1..r_max,
+    by listing the F_p-span, as elemab_representation once did: r alphas are
+    independent exactly when their span has p^r elements.  A tuple with a
+    dependent prefix is dependent, so only independent prefixes are spanned
+    further."""
+    p, verdicts, spans = ctx.p, {}, {(): {0}}
+    for r in range(1, r_max + 1):
+        grown = {}
+        for prefix in product(range(ctx.q), repeat=r - 1):
+            span = spans.get(prefix)
+            for a in range(ctx.q):
+                if span is None:
+                    verdicts[prefix + (a,)] = False
+                    continue
+                multiples = [ctx.mul(a, i) for i in range(p)]
+                new = {ctx.add(x, m) for x in span for m in multiples}
+                verdicts[prefix + (a,)] = independent = len(new) == p ** r
+                if independent:
+                    grown[prefix + (a,)] = new
+        spans = grown
+    return verdicts
+
+
+def test_independence_by_elimination_matches_the_span():
+    for q in _PRIME_POWERS:
+        ctx = fq_context(*_pk(q))
+        for alphas, want in _span_verdicts(ctx, 3).items():
+            assert pgl2._independent(alphas, ctx.p, ctx.k) == want, \
+                (q, alphas)
+
+
+def test_elemab_representation_refuses_exactly_the_dependent_alphas():
+    from edim.errors import DependentAlphas
+    for q in (4, 8, 9, 25, 27):
+        ctx = fq_context(*_pk(q))
+        for alphas, want in _span_verdicts(ctx, 2).items():
+            els = [FqElement(ctx, a) for a in alphas]
+            if want:
+                assert len(elemab_representation(ctx, els)) == len(alphas)
+            else:
+                with pytest.raises(DependentAlphas):
+                    elemab_representation(ctx, els)
 
 
 def _companion_scan(ctx, n):

@@ -138,7 +138,7 @@ def test_record_steps_are_transformations():
     _, record = reduce_general(5, 0)
     for step in record.steps:
         assert isinstance(step, (Shift, ScaleRoots, InvertRoot))
-        assert step.kind() in ("Shift", "ScaleRoots", "InvertRoot")
+        assert type(step).__name__ in ("Shift", "ScaleRoots", "InvertRoot")
 
 
 def test_specialization_oracle_accepts():
@@ -284,7 +284,7 @@ def test_large_degree_verifies_without_a_cap():
 def _rendered(n, char):
     h, record = reduce_general(n, char)
     return ([c.render() for c in h.coeffs],
-            [(s.kind(), None if s.lam is None else render(s.lam))
+            [(type(s).__name__, None if s.lam is None else render(s.lam))
              for s in record.steps])
 
 
@@ -397,7 +397,7 @@ def _render_poly(gp):
 def _render_reduction(result):
     h, record = result
     return (_render_poly(h),
-            [(s.kind(), None if s.lam is None else render(s.lam))
+            [(type(s).__name__, None if s.lam is None else render(s.lam))
              for s in record.steps])
 
 
