@@ -8,7 +8,6 @@ Exit codes: 0 success; 1 the reader closed stdout early (a broken pipe);
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
@@ -279,6 +278,8 @@ def _cmd_tschirnhaus(args):
 
 def _cmd_pgl2(args):
     fd = finite_field_from_q(args.q)
+    if args.mode != "reps":
+        _pgl2.check_q_cap(args.q)  # before fq_context, slow for large q
     ctx = fq_context(fd.p, fd.k)
     if args.mode == "orders":
         census = _pgl2.order_census(ctx)
@@ -379,12 +380,13 @@ def _iv_str(iv):
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ParseError(message)
-
-
 def build_parser():
+    import argparse  # here, not at the top: library importers never parse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ParseError(message)
+
     top = _Parser(prog="edim", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

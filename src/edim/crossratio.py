@@ -9,19 +9,17 @@ form; ``cr_define`` and the rewrite are both built reduced, with no gcd.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import AmbientOutOfRange, AmbientTooSmall
 from .ratfunc import QQ, MultiPoly, RatFn
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CRSymbol:
+class CRSymbol(Record):
     """The cross-ratio [i,j;k,l] of four of n ambient variables."""
 
-    n: int
-    indices: tuple  # (i, j, k, l), pairwise distinct, in [1, n]
+    __slots__ = ("n", "indices")  # indices: (i, j, k, l), distinct, in [1, n]
 
     def __post_init__(self):
         i, j, k, l = self.indices
@@ -127,12 +125,8 @@ def apply_action(action, expr):
     return expr.substitute(bindings)
 
 
-@dataclass(frozen=True)
-class FaithfulReport:
-    n: int
-    passed: bool
-    checked: int
-    details: tuple
+class FaithfulReport(Record):
+    __slots__ = ("n", "passed", "checked", "details")
 
 
 def verify_faithful(n):

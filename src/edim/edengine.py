@@ -17,7 +17,7 @@ replayable certificate, never a case analysis: rules that depend on a
 three-valued field predicate simply do not fire on Unknown.
 
 Everything the engine derives about one query is a pure function of the
-canonical (expr, field) pair, and both are frozen, hashable dataclasses.
+canonical (expr, field) pair, and both are immutable, hashable records.
 So ``_key``, ``atom_aliases``, ``leaf_facts``, ``edges_of`` and
 ``_leaf_phase`` (a new query's interval and trace nodes from its leaf facts)
 are memoized per process with unbounded ``lru_cache``s, as ``pgl2._kernel``
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .errors import EdimError, Inconsistent, NotPrime, TooLarge
@@ -42,24 +41,26 @@ from .groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, _partition_orders,
                      _prime_power_parts, degree, embedding_certificate,
                      expr_order)
 from . import pgl2 as _pgl2
+from .record import Record
 
 INF = math.inf
+TRIVIAL = Cyc(1)  # canon's spelling of the trivial group
 
 
 # ---------------------------------------------------------------------------
 # intervals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundInterval:
-    lo: int
-    hi: object  # non-negative int or math.inf
+class BoundInterval(Record):
+    __slots__ = ("lo", "hi")  # hi: a non-negative int or math.inf
 
-    def __post_init__(self):
-        if self.lo < 0:
+    def __init__(self, lo, hi):
+        if lo < 0:
             raise Inconsistent("negative lower bound")
-        if self.lo > self.hi:
-            raise Inconsistent("lo %s exceeds hi %s" % (self.lo, self.hi))
+        if lo > hi:
+            raise Inconsistent("lo %s exceeds hi %s" % (lo, hi))
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def meet(self, other):
         return BoundInterval(max(self.lo, other.lo), min(self.hi, other.hi))
@@ -79,10 +80,8 @@ TOP = BoundInterval(0, INF)
 # rule catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rule:
-    id: str
-    citation: str
+class Rule(Record):
+    __slots__ = ("id", "citation")
 
 
 class RuleCatalog:
@@ -125,12 +124,16 @@ class RuleCatalog:
         return cls.BY_ID[rule_id].citation
 
 
-@dataclass(frozen=True)
-class TraceNode:
-    rule: str
-    citation: str
-    premises: tuple   # of ((group_str, field_str), BoundInterval)
-    conclusion: tuple  # ((group_str, field_str), BoundInterval)
+class TraceNode(Record):
+    # premises: a tuple of ((group_str, field_str), BoundInterval);
+    # conclusion: one ((group_str, field_str), BoundInterval)
+    __slots__ = ("rule", "citation", "premises", "conclusion")
+
+    def __init__(self, rule, citation, premises, conclusion):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "citation", citation)
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "conclusion", conclusion)
 
     def json(self):
         def q(item):
@@ -157,15 +160,15 @@ def canon(e):
     sorted products with trivial factors dropped)."""
     if isinstance(e, Product):
         factors = [canon(f) for f in _flatten(e)]
-        factors = [f for f in factors if f != Cyc(1)]
+        factors = [f for f in factors if f != TRIVIAL]
         if not factors:
-            return Cyc(1)
+            return TRIVIAL
         factors.sort(key=str)
         if len(factors) == 1:
             return factors[0]
         return reduce(Product, factors)
     if isinstance(e, Sym) and e.n <= 1 or isinstance(e, Alt) and e.n <= 2:
-        return Cyc(1)
+        return TRIVIAL
     if isinstance(e, Sym) and e.n == 2:
         return Cyc(2)
     if isinstance(e, Alt) and e.n == 3:
@@ -218,7 +221,7 @@ def product_views(e):
 
 def _product_of(factors):
     if not factors:
-        return Cyc(1)
+        return TRIVIAL
     return canon(reduce(Product, factors))
 
 
@@ -298,10 +301,9 @@ def expr_element_orders(e):
 # hypothesis checkers for the central-extension rules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Thm46Result:
-    applicable: bool
-    reason: str = ""
+class Thm46Result(Record):
+    __slots__ = ("applicable", "reason")
+    _defaults = {"reason": ""}
 
 
 def check_thm46(gprime, p, fd):
@@ -381,7 +383,7 @@ def dn_criterion(n, fd):
 # ---------------------------------------------------------------------------
 
 def _leaf_triv(a, fd):
-    yield (0, 0) if a == Cyc(1) else (1, None)
+    yield (0, 0) if a == TRIVIAL else (1, None)
 
 
 def _leaf_rep(a, fd):
@@ -461,7 +463,7 @@ def _pgl2_spelling(a):
 
 
 def _leaf_pgl_obs(a, fd):
-    if a == Cyc(1):
+    if a == TRIVIAL:
         return
     try:
         orders = sorted(expr_element_orders(a))

@@ -11,11 +11,11 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
 
 from .errors import (CharDividesM, CharZero, InconsistentCustom, NotPrime,
                      TooLarge)
 from .exactfield import divisors, factorize, is_prime, order_mod, totient
+from .record import Record
 
 INF = math.inf
 
@@ -35,11 +35,12 @@ class TriBool(enum.Enum):
 YES, NO, UNKNOWN = TriBool.YES, TriBool.NO, TriBool.UNKNOWN
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(Record):
     """Base class; use the concrete constructors below.  ``describe()``
     (and ``str``) writes the grammar ``cli.parse_field`` reads back:
     ``Q``, ``Qzeta(m)``, ``F(q)``, ``custom{...}``."""
+
+    __slots__ = ()
 
     def char(self):
         raise NotImplementedError
@@ -79,9 +80,8 @@ class FieldDescriptor:
         return None
 
 
-@dataclass(frozen=True)
 class Cyclotomic(FieldDescriptor):
-    m: int
+    __slots__ = ("m",)
 
     def __post_init__(self):
         if self.m < 1:
@@ -116,12 +116,17 @@ class Cyclotomic(FieldDescriptor):
     __str__ = describe
 
 
-@dataclass(frozen=True)
 class RationalField(Cyclotomic):
     """Q, which is Q(zeta_1): every question is answered as for Cyclotomic(1).
-    The two still compare unequal, as dataclass equality checks the class."""
+    The two still compare unequal, as Record equality checks the class."""
 
-    m: int = field(default=1, init=False, repr=False)
+    __slots__ = ()
+
+    def __init__(self):
+        object.__setattr__(self, "m", 1)
+
+    def __repr__(self):
+        return "RationalField()"
 
     def describe(self):
         return "Q"
@@ -129,10 +134,8 @@ class RationalField(Cyclotomic):
     __str__ = describe
 
 
-@dataclass(frozen=True)
 class FiniteField(FieldDescriptor):
-    p: int
-    k: int
+    __slots__ = ("p", "k")
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -176,14 +179,13 @@ class FiniteField(FieldDescriptor):
     __str__ = describe
 
 
-@dataclass(frozen=True)
 class Custom(FieldDescriptor):
-    characteristic: int = 0
-    zeta_yes: frozenset = frozenset()
-    zeta_no: frozenset = frozenset()
-    real_zeta_yes: frozenset = frozenset()
-    real_zeta_no: frozenset = frozenset()
-    fp_dim: object = None  # positive int or math.inf; None when char = 0
+    # fp_dim: a positive int or math.inf; None when char = 0
+    __slots__ = ("characteristic", "zeta_yes", "zeta_no", "real_zeta_yes",
+                 "real_zeta_no", "fp_dim")
+    _defaults = {"characteristic": 0, "zeta_yes": frozenset(),
+                 "zeta_no": frozenset(), "real_zeta_yes": frozenset(),
+                 "real_zeta_no": frozenset(), "fp_dim": None}
 
     def __post_init__(self):
         p = self.characteristic

@@ -12,11 +12,11 @@ certificate gives H's own generators in G's blocks, and names no point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotPrime, TooLarge
 from .exactfield import factorize, is_prime
+from .record import Record
 
 ORDER_CAP = 10 ** 6
 
@@ -25,22 +25,23 @@ ORDER_CAP = 10 ** 6
 # group expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupExpr:
+class GroupExpr(Record):
+    __slots__ = ()
+
     def __mul__(self, other):
         return Product(self, other)
 
 
-@dataclass(frozen=True)
 class _Indexed(GroupExpr):
     """S_n, A_n, D_n or C_n.  An index below ``least`` names no group, and
     the constructor rejects it, so every expression names a group."""
 
-    n: int
+    __slots__ = ("n",)
     least = 1
 
-    def __post_init__(self):
-        if self.n < self.least:
+    def __init__(self, n):
+        object.__setattr__(self, "n", n)
+        if n < self.least:
             raise ValueError("%s names no group: the index must be at least %d"
                              % (self, self.least))
 
@@ -48,30 +49,28 @@ class _Indexed(GroupExpr):
         return "%s%d" % (self.letter, self.n)
 
 
-@dataclass(frozen=True)
 class Sym(_Indexed):
+    __slots__ = ()
     letter, least = "S", 0
 
 
-@dataclass(frozen=True)
 class Alt(_Indexed):
+    __slots__ = ()
     letter, least = "A", 0
 
 
-@dataclass(frozen=True)
 class Dih(_Indexed):
+    __slots__ = ()
     letter = "D"
 
 
-@dataclass(frozen=True)
 class Cyc(_Indexed):
+    __slots__ = ()
     letter = "C"
 
 
-@dataclass(frozen=True)
 class ElemAb(GroupExpr):
-    p: int
-    r: int
+    __slots__ = ("p", "r")
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -84,10 +83,12 @@ class ElemAb(GroupExpr):
         return "E(%d,%d)" % (self.p, self.r)
 
 
-@dataclass(frozen=True)
 class Product(GroupExpr):
-    left: GroupExpr
-    right: GroupExpr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def __str__(self):
         return "%s x %s" % (self.left, self.right)
@@ -296,11 +297,9 @@ def _closure(degree, gens, cap=ORDER_CAP):
 # embedding certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Embedding:
-    source: object
-    target: object
-    images: tuple  # realize(source)'s generators in target's blocks
+class Embedding(Record):
+    # images: realize(source)'s generators in target's blocks
+    __slots__ = ("source", "target", "images")
 
 
 def _atoms(e):

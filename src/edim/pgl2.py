@@ -15,7 +15,6 @@ results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd
@@ -25,6 +24,7 @@ from .errors import (DependentAlphas, EvenChar, RealZetaAbsent, TooLarge,
 from .exactfield import FqElement, _digits, _power, factorize
 from .fielddesc import YES, FiniteField
 from .groups import Cyc, Dih, ElemAb
+from .record import Record
 
 Q_CAP = 27
 # dn_representation walks n/2 traces, each a product and a difference in
@@ -81,12 +81,11 @@ class Mat2:
         return "[[%s,%s],[%s,%s]]" % tuple(x.encode() for x in self.entries())
 
 
-@dataclass(frozen=True)
-class PGL2Element:
+class PGL2Element(Record):
     """Scalar class of an invertible Mat2 in canonical form: the first nonzero
     entry in reading order (a, b, c, d) is scaled to 1."""
 
-    rep: Mat2
+    __slots__ = ("rep",)
 
     @staticmethod
     def of(m):
@@ -118,10 +117,16 @@ class PGL2Element:
         return "PGL2(%r)" % (self.rep,)
 
 
+def check_q_cap(q):
+    """Refuse PGL_2(F_q) enumeration past Q_CAP: the kernel's tables, the
+    census and the embedding search all grow with q^3."""
+    if q > Q_CAP:
+        raise TooLarge("PGL_2 enumeration capped at q = %d" % Q_CAP)
+
+
 class _Kernel:
     def __init__(self, ctx):
-        if ctx.q > Q_CAP:
-            raise TooLarge("PGL_2 enumeration capped at q = %d" % Q_CAP)
+        check_q_cap(ctx.q)
         self.ctx, self.q, els = ctx, ctx.q, range(ctx.q)
         self.q2, self.q3 = ctx.q ** 2, ctx.q ** 3
         self.add = [[ctx.add(x, y) for y in els] for x in els]
@@ -262,10 +267,8 @@ def order_census(ctx):
             for n, codes in k.census().items()}
 
 
-@dataclass(frozen=True)
-class PGL2Witness:
-    group: object
-    images: tuple  # one PGL2Element per standard generator
+class PGL2Witness(Record):
+    __slots__ = ("group", "images")  # images: a PGL2Element per generator
 
 
 def pgl2_embeds(h, ctx):

@@ -31,13 +31,13 @@ caller in a session shares one derivation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (CharDividesDegree, DegenerateTail, PoleAtAssignment,
                      PoleAtPoint, Unsupported)
 from .exactfield import common_field, fq_context
 from .ratfunc import QQ, RatFn, _point, _pow_table, _term_sum
+from .record import Record
 
 
 def tvars(n):
@@ -117,26 +117,24 @@ class PowerProduct:
         return self.render()
 
 
-@dataclass(frozen=True)
-class Shift:
-    lam: RatFn
+class Shift(Record):
+    __slots__ = ("lam",)
 
     def mobius(self, m, lv, ctx):
         a, b, c, d = m
         return ctx.sub(a, ctx.mul(lv, c)), ctx.sub(b, ctx.mul(lv, d)), c, d
 
 
-@dataclass(frozen=True)
-class ScaleRoots:
-    lam: RatFn
+class ScaleRoots(Record):
+    __slots__ = ("lam",)
 
     def mobius(self, m, lv, ctx):
         a, b, c, d = m
         return a, b, ctx.mul(lv, c), ctx.mul(lv, d)
 
 
-@dataclass(frozen=True)
-class InvertRoot:
+class InvertRoot(Record):
+    __slots__ = ()
     lam = None
 
     def mobius(self, m, lv, ctx):
@@ -144,19 +142,15 @@ class InvertRoot:
         return c, d, a, b
 
 
-@dataclass(frozen=True)
-class TransformRecord:
-    steps: tuple
+class TransformRecord(Record):
+    __slots__ = ("steps",)
 
 
-@dataclass(frozen=True)
-class GeneralPoly:
+class GeneralPoly(Record):
     """Monic X^n + c_1 X^{n-1} + ... + c_n with PowerProduct coefficients in
     t_1..t_n; coeffs[j-1] is the coefficient of X^{n-j}."""
 
-    n: int
-    char: int
-    coeffs: tuple
+    __slots__ = ("n", "char", "coeffs")
 
     def coefficient(self, j):
         return self.coeffs[j - 1]

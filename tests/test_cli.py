@@ -315,6 +315,21 @@ def test_large_inputs_exit_3_fast_or_answer_within_a_second(capsys, argv,
         assert "capped at n = " in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("mode,q", [(["orders"], 10007 ** 12),
+                                    (["embed", "--group", "C5"], 10037 ** 12)],
+                         ids=["orders", "embed"])
+def test_pgl2_refuses_q_past_the_cap_before_building_the_field(capsys, mode,
+                                                               q):
+    # finding the modulus of F(10007^12) or F(10037^12) alone takes about
+    # 10 s; fq_context is memoized, so each row takes a field of its own
+    start = time.perf_counter()
+    code, out = _capture(capsys, ["pgl2", *mode, "--q", str(q)])
+    took = time.perf_counter() - start
+    assert code == 3, out
+    assert took < 0.5, took
+    assert "capped at q = 27" in json.loads(out)["error"]
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_field_queries_need_a_positive_n(capsys, n):
     # zeta_0 names nothing: Q(zeta_1) and F(7) used to raise

@@ -3,7 +3,6 @@ import io
 import json
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -263,13 +262,16 @@ def test_trace_replay_and_tamper_detection():
     assert iv in state.values()
     # tamper with a conclusion: replay must fail
     assert nodes
-    key, concl = nodes[-1].conclusion
-    bad = replace(nodes[-1],
-                  conclusion=(key, BoundInterval(concl.lo, concl.hi + 1)))
+    last = nodes[-1]
+    key, concl = last.conclusion
+    bad = TraceNode(last.rule, last.citation, last.premises,
+                    (key, BoundInterval(concl.lo, concl.hi + 1)))
     with pytest.raises(Inconsistent):
         replay_trace(nodes[:-1] + [bad])
     # tamper with a citation: replay must fail
-    bad2 = replace(nodes[0], citation="Lemma 0.0")
+    first = nodes[0]
+    bad2 = TraceNode(first.rule, "Lemma 0.0", first.premises,
+                     first.conclusion)
     with pytest.raises(Inconsistent):
         replay_trace([bad2] + nodes[1:])
 
@@ -414,7 +416,8 @@ def test_replay_rejects_non_canonical_keys():
     assert key == ("S3", "Q")
     for alias in (("D3", "Q"), ("S3", " Q"), ("S3", "F_2"),
                   ("S3", "Q(zeta_1)")):
-        bad = replace(nodes[0], conclusion=(alias, iv))
+        bad = TraceNode(nodes[0].rule, nodes[0].citation, nodes[0].premises,
+                        (alias, iv))
         with pytest.raises(Inconsistent, match="not canonical"):
             replay_trace([bad] + nodes[1:])
 
@@ -705,7 +708,8 @@ def test_replay_rejects_stale_premises():
     i = next(i for i, n in enumerate(nodes) if n.premises)
     (pk, piv), *rest = nodes[i].premises
     assert piv != edengine.TOP
-    bad = replace(nodes[i], premises=((pk, edengine.TOP), *rest))
+    bad = TraceNode(nodes[i].rule, nodes[i].citation,
+                    ((pk, edengine.TOP), *rest), nodes[i].conclusion)
     with pytest.raises(Inconsistent, match="stale premise"):
         replay_trace(nodes[:i] + [bad])
     replay_trace(nodes)

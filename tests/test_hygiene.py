@@ -1,12 +1,15 @@
 """Every name a module under ``src/edim`` imports is used in that module,
 every module-level ``_private`` definition is referenced somewhere in the
 package besides its own definition, every function, class and method the
-package defines is referenced somewhere in the repository, and no library
-module imports ``unipoly``."""
+package defines is referenced somewhere in the repository, no library
+module imports ``unipoly`` or ``dataclasses``, and ``import edim`` loads
+none of the slow standard modules."""
 
 import ast
 import collections
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -36,25 +39,46 @@ def test_no_unused_imports(path):
     assert _unused_imports(tree) == []
 
 
-def _imports_unipoly(tree):
-    """Whether tree imports the module ``unipoly`` or a name from it."""
+def _imports(tree, module):
+    """Whether tree imports the module or a name from it."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [a.name for a in node.names]
             if isinstance(node, ast.ImportFrom):
                 names.append(node.module or "")
-            if any("unipoly" in name.split(".") for name in names):
+            if any(module in name.split(".") for name in names):
                 return True
     return False
+
+
+def _importers(module):
+    return sorted(p.name for p in SRC.glob("*.py") if _imports(
+        ast.parse(p.read_text(encoding="utf-8"), filename=str(p)), module))
 
 
 def test_no_library_module_imports_unipoly():
     """``unipoly`` is factoring for the tests' oracles.  Only the package
     ``__init__`` imports it, so that perfbench/tracer.py finds it in
     ``sys.modules``."""
-    importers = sorted(p.name for p in SRC.glob("*.py") if _imports_unipoly(
-        ast.parse(p.read_text(encoding="utf-8"), filename=str(p))))
-    assert importers == ["__init__.py"]
+    assert _importers("unipoly") == ["__init__.py"]
+
+
+def test_no_module_imports_dataclasses():
+    """The value classes are ``record.Record``s: ``dataclasses`` generates
+    and compiles source for each class at import."""
+    assert _importers("dataclasses") == []
+
+
+def test_import_edim_loads_no_slow_standard_module():
+    """``dataclasses`` and ``inspect`` cost a fresh ``import edim`` tens of
+    milliseconds; ``argparse`` (with ``gettext``) is only for the CLI, which
+    imports it in ``cli.build_parser``."""
+    code = ("import sys; sys.path.insert(0, %r); import edim; "
+            "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext'} "
+            "& set(sys.modules)))" % str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def _references(node):
@@ -98,7 +122,8 @@ def test_no_unreferenced_private_definitions():
     assert unused == []
 
 
-# argparse calls the override itself; nothing in the repository names it
+# argparse calls the override itself (``_Parser.error``, defined in
+# ``cli.build_parser``); nothing in the repository names it
 CALLED_BY_LIBRARIES = {("cli.py", "error")}
 
 
