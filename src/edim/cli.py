@@ -279,7 +279,7 @@ def _cmd_tschirnhaus(args):
 def _cmd_pgl2(args):
     fd = finite_field_from_q(args.q)
     if args.mode != "reps":
-        _pgl2.check_q_cap(args.q)  # before fq_context, slow for large q
+        _pgl2.check_q_cap(args.q)  # before fq_context builds the field
     ctx = fq_context(fd.p, fd.k)
     if args.mode == "orders":
         census = _pgl2.order_census(ctx)

@@ -20,10 +20,13 @@ Everything the engine derives about one query is a pure function of the
 canonical (expr, field) pair, and both are immutable, hashable records.
 So ``_key``, ``atom_aliases``, ``leaf_facts``, ``edges_of`` and
 ``_leaf_phase`` (a new query's interval and trace nodes from its leaf facts)
-are memoized per process with unbounded ``lru_cache``s, as ``pgl2._kernel``
-and ``groups._partition_orders`` are: every ``bound`` call, ``edim table``
-cell and replayed node after the first to meet a query reuses its facts,
-edges and decided hypotheses.  A raised refusal is not memoized.
+are memoized per process with unbounded ``lru_cache``s, as
+``groups._partition_orders`` is: every ``bound`` call, ``edim table`` cell
+and replayed node after the first to meet a query reuses its facts, edges
+and decided hypotheses.  A raised refusal is not memoized.  No rule builds
+a field or searches a group of matrices: R-PGL-OBS reads PGL_2(F_q)'s
+subgroups from Dickson's closed-form list, which the tests check against
+the exhaustive search in ``pgl2``.
 """
 
 from __future__ import annotations
@@ -33,14 +36,13 @@ from collections import deque
 from functools import lru_cache, reduce
 
 from .errors import EdimError, Inconsistent, NotPrime, TooLarge
-from .exactfield import divisors, factorize, fq_context, is_prime
+from .exactfield import divisors, factorize, is_prime
 from .fielddesc import (NO, UNKNOWN, YES, INF as FP_INF, FiniteField, char_of,
                         contains_real_zeta, contains_zeta, extend_with_zeta,
                         fp_dimension)
 from .groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, _partition_orders,
                      _prime_power_parts, degree, embedding_certificate,
                      expr_order)
-from . import pgl2 as _pgl2
 from .record import Record
 
 INF = math.inf
@@ -378,6 +380,28 @@ def dn_criterion(n, fd):
     return NO  # char 2, even n > 2 cannot sit in PGL_2
 
 
+def dickson_embeds(h, fd):
+    """Whether h, a C_n, D_n or E(l,r), embeds in PGL_2(F_q), q = p^k, by
+    Dickson's list of the subgroups of PGL_2(F_q) (L. E. Dickson, *Linear
+    Groups*, Teubner, 1901; a paraphrase): C_n for n = p or n | q +- 1;
+    D_n for n = p odd, for D_2 when q >= 4 is even, and for n | q +- 1
+    when p or n is odd; E(p,r) for r <= k, E(2,r) for r <= 2, and E(l,1)
+    for l | q +- 1."""
+    p, k, q = fd.p, fd.k, fd.q
+    n = h.p if isinstance(h, ElemAb) else h.n
+    cyclic = (q - 1) % n == 0 or (q + 1) % n == 0
+    if isinstance(h, Cyc):
+        return n == p or cyclic
+    if isinstance(h, Dih):
+        return (n == p and p != 2) or (n == p == 2 and k >= 2) \
+            or (cyclic and (p != 2 or n % 2 == 1))
+    if n == p:
+        return h.r <= k
+    if n == 2:
+        return h.r <= 2
+    return h.r == 1 and cyclic
+
+
 # ---------------------------------------------------------------------------
 # leaf rules: facts about one (G, K), applied once to each alias of a query
 # ---------------------------------------------------------------------------
@@ -453,9 +477,16 @@ def _leaf_a_ub(a, fd):
         yield 1, 1
 
 
+# R-PGL-OBS asks Dickson's list only where tests/test_pgl2.py checks it
+# against the exhaustive pgl2.pgl2_embeds: over F_q with q <= PGL_OBS_Q_CAP,
+# on the spellings _pgl2_spelling picks
+PGL_OBS_Q_CAP = 27
+
+
 def _pgl2_spelling(a):
-    """The one spelling of a's isomorphism class that R-PGL-OBS searches
-    for in PGL_2(F_q): its first alias within the search caps, or None."""
+    """The one spelling of a's isomorphism class that R-PGL-OBS looks up in
+    Dickson's list: its first alias within the caps of the exhaustive
+    search that certifies the list, or None."""
     return next((b for b in atom_aliases(canon(a))
                  if (isinstance(b, Cyc) and b.n <= 60)
                  or (isinstance(b, Dih) and b.n <= 30)
@@ -463,6 +494,13 @@ def _pgl2_spelling(a):
 
 
 def _leaf_pgl_obs(a, fd):
+    """Lemma 5.3 read backwards: a G that does not embed in PGL_2(K) has
+    ed_K(G) >= 2.  G does not embed when an element order is a multiple of
+    char K other than char K itself, or is prime to it with zeta + zeta^-1
+    not in K (Lemmas 5.2 and 5.7), or, over F_q with q <= PGL_OBS_Q_CAP,
+    when its ``_pgl2_spelling`` is missing from Dickson's list of the
+    subgroups of PGL_2(F_q) (Dickson, 1901, paraphrased; see
+    ``dickson_embeds``)."""
     if a == TRIVIAL:
         return
     try:
@@ -475,9 +513,8 @@ def _leaf_pgl_obs(a, fd):
     if any((l == 0 or o % l != 0) and contains_real_zeta(fd, o) is NO
            for o in orders):
         yield 2, None
-    if isinstance(fd, FiniteField) and fd.q <= _pgl2.Q_CAP \
-            and a == _pgl2_spelling(a) \
-            and _pgl2.pgl2_embeds(a, fq_context(fd.p, fd.k)) is None:
+    if isinstance(fd, FiniteField) and fd.q <= PGL_OBS_Q_CAP \
+            and a == _pgl2_spelling(a) and not dickson_embeds(a, fd):
         yield 2, None
 
 

@@ -435,7 +435,14 @@ def fq_context(p: int, k: int) -> FqContext:
         raise DegreeTooLarge("extension degree %d exceeds cap %d" % (k, K_CAP))
     if k == 1:
         return FqContext(p, 1, (0,))
-    for idx in range(p ** k):  # codes ascend in that lexicographic order
+    # Codes ascend in that lexicographic order, and the first p are the
+    # binomials X^k + c.  One of them is irreducible only when every prime
+    # dividing k divides p - 1, and p = 1 mod 4 if 4 | k (Lidl and
+    # Niederreiter, Finite Fields, Thm 3.75; a paraphrase): otherwise
+    # Rabin's test skips all p.
+    binomials = all((p - 1) % r == 0 for r, _ in factorize(k)) \
+        and (k % 4 or p % 4 == 1)
+    for idx in range(0 if binomials else p, p ** k):
         low = _digits(idx, p, k)
         if _is_irreducible(low + [1], p):
             return FqContext(p, k, low)

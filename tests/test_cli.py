@@ -276,7 +276,8 @@ def _perm(n, seed):
 # F(999983^2) did not finish in 30 s and D9420 over F(13^12) took 1.1 s
 # in process.  Before the elimination,
 # E(3,12)/F(531441) took 13.7 s, E(1000003,1) 3.6 s, and E(999999999989,1)
-# did not finish.
+# did not finish.  While the modulus search ran Rabin's test on every
+# binomial X^12 + c, finding the modulus of F(10037^12) took 10 s.
 BUDGET = [
     (["crossratio", "action", "--n", "800", "--perm", _perm(800, 1)], 3),
     (["crossratio", "action", "--n", str(cli.CROSSRATIO_N_CAP + 1),
@@ -291,6 +292,7 @@ BUDGET = [
     (["pgl2", "reps", "--q", "19997", "--group", "D10001"], 3),
     (["pgl2", "reps", "--q", "19997", "--group", "D9998"], 0),
     (["pgl2", "reps", "--q", "999966000289", "--group", "D5"], 0),
+    (["pgl2", "reps", "--q", str(10037 ** 12), "--group", "D5"], 0),
     (["pgl2", "reps", "--q", "999922001521", "--group", "D9106"], 0),
     (["pgl2", "reps", "--q", "23298085122481", "--group", "D9420"], 0),
     (["pgl2", "reps", "--q", "531441", "--group", "E(3,12)"], 0),
@@ -318,10 +320,13 @@ def test_large_inputs_exit_3_fast_or_answer_within_a_second(capsys, argv,
 @pytest.mark.parametrize("mode,q", [(["orders"], 10007 ** 12),
                                     (["embed", "--group", "C5"], 10037 ** 12)],
                          ids=["orders", "embed"])
-def test_pgl2_refuses_q_past_the_cap_before_building_the_field(capsys, mode,
-                                                               q):
-    # finding the modulus of F(10007^12) or F(10037^12) alone takes about
-    # 10 s; fq_context is memoized, so each row takes a field of its own
+def test_pgl2_refuses_q_past_the_cap_before_building_the_field(
+        capsys, monkeypatch, mode, q):
+    # the cap comes before the field is built; `reps` alone builds it
+    def refuse(p, k):
+        raise AssertionError("built F(%d^%d) before the cap" % (p, k))
+
+    monkeypatch.setattr(cli, "fq_context", refuse)
     start = time.perf_counter()
     code, out = _capture(capsys, ["pgl2", *mode, "--q", str(q)])
     took = time.perf_counter() - start

@@ -588,9 +588,6 @@ def test_oracles_called_once_per_key(monkeypatch):
     monkeypatch.setattr(edengine, "embedding_certificate",
                         counted(edengine.embedding_certificate, "cert",
                                 lambda h, g: (str(h), str(g))))
-    monkeypatch.setattr(edengine._pgl2, "pgl2_embeds",
-                        counted(edengine._pgl2.pgl2_embeds, "pgl2",
-                                lambda h, ctx: (str(h), ctx.p, ctx.k)))
     seen = set()
     for g, fd in [(Cyc(6006), Q), (ElemAb(5, 2), FiniteField(11, 1)),
                   (Product(Product(Sym(3), Cyc(4)), Cyc(5)), Q),
@@ -602,7 +599,28 @@ def test_oracles_called_once_per_key(monkeypatch):
         # the same query again: every hypothesis comes from the memo
         calls.clear()
         assert bound(g, fd) == first and calls == [], (g, fd, calls)
-    assert seen == {"cert", "pgl2"}
+    assert seen == {"cert"}
+
+
+def test_bound_builds_no_pgl2_kernel(monkeypatch):
+    # R-PGL-OBS reads Dickson's list: no bound over a field the exhaustive
+    # search covers builds or reads its tables
+    def refuse(*args):
+        raise AssertionError("the engine built a PGL_2 kernel")
+
+    monkeypatch.setattr(pgl2, "_Kernel", refuse)
+    monkeypatch.setattr(pgl2, "_kernel", refuse)
+    groups = [Cyc(n) for n in (2, 3, 4, 5, 6, 7, 9, 10, 12, 13, 15, 60)]
+    groups += [Dih(n) for n in (2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 30)]
+    groups += [ElemAb(2, 2), ElemAb(2, 3), ElemAb(3, 2), ElemAb(5, 2),
+               ElemAb(7, 2), ElemAb(2, 6), Product(Cyc(3), Cyc(5)),
+               Product(Dih(5), Cyc(2)), Sym(4), Alt(5)]
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27):
+        fd = finite_field_from_q(q)
+        assert fd.q <= edengine.PGL_OBS_Q_CAP
+        for g in groups:
+            iv, nodes = bound(g, fd)
+            assert iv in replay_trace(nodes).values(), (g, q)
 
 
 # --- the engine memo ----------------------------------------------------------

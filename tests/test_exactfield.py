@@ -5,8 +5,9 @@ import pytest
 
 from edim.errors import NotPrime, TooLarge, ZeroElement
 from edim.exactfield import (FACTOR_CAP, TABLE_CAP, FqContext, FqElement,
-                             _pmod, _pmul, _trim, divisors, factorize,
-                             fq_context, is_prime, order_mod, totient)
+                             _digits, _is_irreducible, _pmod, _pmul, _trim,
+                             divisors, factorize, fq_context, is_prime,
+                             order_mod, totient)
 from oracles import has_zeta, multiplicative_order
 
 
@@ -80,6 +81,17 @@ def test_moduli_are_the_least_irreducibles():
             for smaller in range(code):  # ordered by (c_{k-1}, ..., c_0)
                 cand = [smaller // p ** i % p for i in range(k)] + [1]
                 assert _has_factor(cand, p), (p, k, smaller)
+
+
+def test_binomial_skip_finds_the_same_modulus():
+    # Rabin's test on every code from 0, binomials X^k + c included, finds
+    # the modulus fq_context finds; the grid has p = 1 and 3 mod 4, and k
+    # with primes that do and do not divide p - 1
+    for p in (n for n in range(2, 44) if is_prime(n)):
+        for k in range(2, 7):
+            want = next(_digits(idx, p, k) for idx in range(p ** k)
+                        if _is_irreducible(_digits(idx, p, k) + [1], p))
+            assert list(fq_context(p, k).modulus) == want, (p, k)
 
 
 def test_context_caching():

@@ -2,8 +2,9 @@
 every module-level ``_private`` definition is referenced somewhere in the
 package besides its own definition, every function, class and method the
 package defines is referenced somewhere in the repository, no library
-module imports ``unipoly`` or ``dataclasses``, and ``import edim`` loads
-none of the slow standard modules."""
+module imports ``unipoly`` or ``dataclasses``, the engine imports nothing
+from ``pgl2``, and ``import edim`` loads none of the slow standard
+modules."""
 
 import ast
 import collections
@@ -61,6 +62,14 @@ def test_no_library_module_imports_unipoly():
     ``__init__`` imports it, so that perfbench/tracer.py finds it in
     ``sys.modules``."""
     assert _importers("unipoly") == ["__init__.py"]
+
+
+def test_engine_imports_nothing_from_pgl2():
+    """R-PGL-OBS reads Dickson's list of the subgroups of PGL_2(F_q), so
+    ``bound`` builds no field context and no PGL_2 kernel; ``pgl2``'s
+    search is the list's test oracle and the ``edim pgl2`` commands'."""
+    assert "edengine.py" not in _importers("pgl2")
+    assert "edengine.py" not in _importers("fq_context")
 
 
 def test_no_module_imports_dataclasses():

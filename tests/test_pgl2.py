@@ -3,9 +3,10 @@ from itertools import chain, product
 import pytest
 
 from edim import pgl2
+from edim.edengine import PGL_OBS_Q_CAP, dickson_embeds
 from edim.errors import TooLarge
 from edim.exactfield import FqElement, fq_context
-from edim.fielddesc import YES, finite_field_from_q
+from edim.fielddesc import YES, FiniteField, finite_field_from_q
 from edim.groups import Cyc, Dih, ElemAb, Sym
 from edim.pgl2 import (Mat2, PGL2Element, dn_representation,
                        dp_representation, elemab_representation, order_census,
@@ -318,31 +319,14 @@ def test_searches_build_only_the_order_lists_they_read(monkeypatch, h, built):
     ctx = fq_context(5, 2)
     k = pgl2._Kernel(ctx)
     monkeypatch.setattr(pgl2, "_kernel", lambda _: k)
-    assert (pgl2_embeds(h, ctx) is not None) == _dickson(h, 5, 2)
+    assert (pgl2_embeds(h, ctx) is not None) == \
+        dickson_embeds(h, FiniteField(5, 2))
     assert set(k.order_lists) == built
 
 
 def _primes(limit):
     return [n for n in range(2, limit + 1)
             if all(n % d for d in range(2, n))]
-
-
-def _dickson(h, p, k):
-    """Does h embed in PGL_2(F_q), q = p^k (Dickson's subgroup list)."""
-    q = p ** k
-    if isinstance(h, Cyc):
-        return h.n == 1 or (q - 1) % h.n == 0 or (q + 1) % h.n == 0 \
-            or h.n == p
-    if isinstance(h, Dih):
-        n = h.n
-        return n == 1 or (n == p and p != 2) or (p == 2 and n == 2 and k >= 2) \
-            or (((q - 1) % n == 0 or (q + 1) % n == 0)
-                and (p != 2 or n % 2 == 1))
-    if h.p == p:
-        return h.r <= k
-    if h.p == 2:
-        return h.r <= 2
-    return h.r == 1 and ((q - 1) % h.p == 0 or (q + 1) % h.p == 0)
 
 
 def _closure(images, ctx):
@@ -384,15 +368,18 @@ def _assert_witness(h, wit, ctx):
 
 
 def test_verdicts_match_dickson_and_witnesses_are_faithful():
+    # the engine's R-PGL-OBS reads Dickson's list in place of this search,
+    # on these groups (the search's caps) over these fields only
+    assert PGL_OBS_Q_CAP == max(_PRIME_POWERS)
     groups = [Cyc(n) for n in range(1, 61)] + [Dih(n) for n in range(1, 31)]
     groups += [ElemAb(ell, r) for ell in _primes(64) for r in range(1, 7)
                if ell ** r <= 64]
     for q in _PRIME_POWERS:
-        p, k = _pk(q)
-        ctx = fq_context(p, k)
+        fd = finite_field_from_q(q)
+        ctx = fq_context(fd.p, fd.k)
         for h in groups:
             wit = pgl2_embeds(h, ctx)
-            assert (wit is not None) == _dickson(h, p, k), (h, q)
+            assert (wit is not None) == dickson_embeds(h, fd), (h, q)
             if wit is not None:
                 _assert_witness(h, wit, ctx)
 
