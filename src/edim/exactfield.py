@@ -136,6 +136,25 @@ def _digits(code, p, k):
     return out
 
 
+def independent_mod_p(vectors, p):
+    """Whether the vectors over F_p, each a dict index -> coordinate, are
+    F_p-independent, by Gaussian elimination mod p: each is reduced by the
+    kept ones at their pivots (lowest indices), and kept, scaled to 1 at its
+    pivot, unless it reduces to 0."""
+    basis = {}  # pivot -> a kept vector that is 1 there
+    for v in vectors:
+        v = {i: x % p for i, x in v.items() if x % p}
+        while v and min(v) in basis:
+            c, w = v[min(v)], basis[min(v)]
+            v = {i: x for i in v.keys() | w.keys()
+                 if (x := (v.get(i, 0) - c * w.get(i, 0)) % p)}
+        if not v:
+            return False
+        inv = pow(v[min(v)], -1, p)
+        basis[min(v)] = {i: x * inv % p for i, x in v.items()}
+    return True
+
+
 def _code(coeffs, p):
     """The code sum c_i p^i of the coefficients c_0, c_1, ... (taken mod p)."""
     v = 0

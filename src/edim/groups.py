@@ -15,7 +15,7 @@ import math
 from functools import lru_cache
 
 from .errors import NotPrime, TooLarge
-from .exactfield import factorize, is_prime
+from .exactfield import factorize, independent_mod_p, is_prime
 from .record import Record
 
 ORDER_CAP = 10 ** 6
@@ -411,22 +411,11 @@ def _verify(h, g, images):
 def _independent(images, blocks, p):
     """Whether rotation images have order p and are independent over F_p:
     turning a block of length l by k has order p iff l divides kp, and kp / l
-    is its F_p coordinate.  Each, reduced by the earlier ones, must keep a
-    lowest block."""
-    basis = {}  # lowest block -> a vector that is 1 there
-    for im in images:
-        if any(k * p % blocks[b][0] for b, k in im.items()):
-            return False
-        v = {b: k * p // blocks[b][0] for b, k in im.items()}
-        while v and min(v) in basis:
-            c, w = v[min(v)], basis[min(v)]
-            v = {i: x for i in v.keys() | w.keys()
-                 if (x := (v.get(i, 0) - c * w.get(i, 0)) % p)}
-        if not v:
-            return False
-        inv = pow(v[min(v)], -1, p)
-        basis[min(v)] = {i: x * inv % p for i, x in v.items()}
-    return True
+    is its F_p coordinate."""
+    if any(k * p % blocks[b][0] for im in images for b, k in im.items()):
+        return False
+    return independent_mod_p(
+        ({b: k * p // blocks[b][0] for b, k in im.items()} for im in images), p)
 
 
 def embedding_certificate(h, g):

@@ -5,12 +5,12 @@ and the explicit dihedral / elementary-abelian matrix representations.
 The work runs on integer codes: an F_q element is its code, a matrix
 a 4-tuple of codes, a projective class the code a*q^3 + b*q^2 + c*q + d of
 its canonical representative.  Each field's ``_Kernel``, for q <= Q_CAP
-only, holds the F_q tables on codes, filled once as plain lists; the class
-table, each conjugacy class's key, order and least code, read from the
-q^2 - q companion codes alone; the list of codes of each order, built only
-when a search or the census reads it, from tr^2 = u det in O(q^2) per u;
-and the memoized ``pgl2_embeds`` verdicts.  ``Mat2``, ``PGL2Element`` carry
-results.
+only, holds the F_q tables on codes, filled once as plain lists, and the
+census, built once by one pass over the q^3 - q canonical codes: the codes
+of each order, and each conjugacy class's key, order and least code.
+``Mat2``, ``PGL2Element`` carry results.  The engine does not import this
+module: its R-PGL-OBS reads Dickson's closed form, which the tests check
+against ``pgl2_embeds``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from math import gcd
 
 from .errors import (DependentAlphas, EvenChar, RealZetaAbsent, TooLarge,
                      ZeroElement)
-from .exactfield import FqElement, _digits, _power, factorize
+from .exactfield import (FqElement, _digits, _power, factorize,
+                         independent_mod_p)
 from .fielddesc import YES, FiniteField
 from .groups import Cyc, Dih, ElemAb
 from .record import Record
@@ -133,7 +134,6 @@ class _Kernel:
         self.mul = [[ctx.mul(x, y) for y in els] for x in els]
         self.neg = [ctx.neg(x) for x in els]
         self.inv = [0] + [ctx.inv(x) for x in els[1:]]  # inv[0] is never read
-        self.verdicts, self.order_lists = {}, {}
 
     def fq(self, x):
         return FqElement(self.ctx, x)
@@ -181,61 +181,24 @@ class _Kernel:
         return {self.mul[x][x] for x in range(self.q)}
 
     @cached_property
-    def classes(self):
-        """Class key -> (order, least code), ascending.  Every non-scalar
-        matrix is conjugate to the companion matrix of its characteristic
-        polynomial (Dickson), so every class's least code is one of the
-        q^2 - q companion codes (0, 1, c != 0, d), the smallest canonical
-        codes.  The order is p for u = 4 (unipotent), else that of the
-        first class with its u."""
-        q, classes, by_u = self.q, {}, {4 % self.ctx.p: self.ctx.p}
-        for c in range(1, q):
-            for d in range(q):
-                m = 0, 1, c, d
+    def census(self):
+        """One pass over the q^3 - q canonical codes, ascending: (order ->
+        ascending codes, class key -> (order, least code)), both in order
+        of first appearance.  The order is p for u = 4 (unipotent), else
+        that of the first class met with its u."""
+        q, q2, q3, mul, p = self.q, self.q2, self.q3, self.mul, self.ctx.p
+        by_order, by_key, by_u = {1: [q3 + 1]}, {}, {4 % p: p}
+        # (0, 1, c != 0, d), then (1, b, c, d != bc) past (1, 0, 0, 0) and
+        # the identity (1, 0, 0, 1)
+        for x in chain(range(q2 + q, 2 * q2), range(q3 + 2, 2 * q3)):
+            m = self.mat(x)
+            if m[0] == 0 or m[3] != mul[m[1]][m[2]]:
                 key = self.key(m)
                 if key[0] not in by_u:
                     by_u[key[0]] = self.order(m, q + 1)
-                classes.setdefault(key, (by_u[key[0]], self.q2 + c * q + d))
-        return classes
-
-    def codes(self, n):
-        """Ascending codes of the classes of order n, memoized: the identity
-        for n = 1, else the codes with tr^2 = u det for each u of order n."""
-        if n not in self.order_lists:
-            us = {key[0] for key, (order, _) in self.classes.items()
-                  if order == n}
-            self.order_lists[n] = [self.q3 + 1] if n == 1 else sorted(
-                chain.from_iterable(map(self._codes_with_u, us)))
-        return self.order_lists[n]
-
-    def _codes_with_u(self, u):
-        """The canonical non-identity codes with tr^2 = u det, unsorted."""
-        add, mul, neg, inv = self.add, self.mul, self.neg, self.inv
-        q, q2, q3, m1 = self.q, self.q2, self.q3, self.neg[1]
-        tr2 = [mul[x][x] for x in (add[1][d] for d in range(q))]  # (1+d)^2
-        if u:  # (0, 1, -d^2/u, d != 0); (1, b != 0, (d - (1+d)^2/u)/b, d)
-            iu = mul[inv[u]]
-            out = [q2 + neg[iu[mul[d][d]]] * q + d for d in range(1, q)]
-            for d in range(q):
-                if d != m1:  # det = (1+d)^2/u
-                    row = mul[add[d][neg[iu[tr2[d]]]]]
-                    out += [q3 + b * q2 + row[inv[b]] * q + d
-                            for b in range(1, q)]
-        else:  # (0, 1, c != 0, 0); (1, b != 0, c, -1) with bc != -1
-            out = [q2 + c * q for c in range(1, q)]
-            for b in range(1, q):
-                out += [q3 + b * q2 + c * q + m1
-                        for c in range(q) if mul[b][c] != m1]
-        for d in range(1, q):  # (1, 0, c, d) with u d = (1+d)^2
-            if mul[u][d] == tr2[d]:
-                out += [q3 + c * q + d for c in range(q) if c or d != 1]
-        return out
-
-    def census(self):
-        """Map order -> ascending codes of the classes of that order: the
-        identity, then each order by its least code."""
-        orders = dict.fromkeys(order for order, _ in self.classes.values())
-        return {n: self.codes(n) for n in chain((1,), orders)}
+                by_key.setdefault(key, (by_u[key[0]], x))
+                by_order.setdefault(by_u[key[0]], []).append(x)
+        return by_order, by_key
 
 
 _kernel = lru_cache(maxsize=None)(_Kernel)  # one per field context
@@ -244,7 +207,7 @@ _kernel = lru_cache(maxsize=None)(_Kernel)  # one per field context
 def pgl2_enumerate(ctx):
     """All q^3 - q projective classes, canonical, ascending by code."""
     k = _kernel(ctx)
-    return [k.element(x) for x in sorted(chain(*k.census().values()))]
+    return [k.element(x) for x in sorted(chain(*k.census[0].values()))]
 
 
 def pgl2_order(e):
@@ -263,8 +226,8 @@ def trace_invariant(e):
 def order_census(ctx):
     """Map order -> sorted list of PGL2Elements of that order."""
     k = _kernel(ctx)
-    return {n: [k.element(x) for x in codes]
-            for n, codes in k.census().items()}
+    return {n: [k.element(x) for x in xs]
+            for n, xs in k.census[0].items()}
 
 
 class PGL2Witness(Record):
@@ -273,7 +236,7 @@ class PGL2Witness(Record):
 
 def pgl2_embeds(h, ctx):
     """Exhaustive search for an embedding of h into PGL_2(F_q): a
-    PGL2Witness, or None, a definite No.  Memoized per (group, field)."""
+    PGL2Witness, or None, a definite No."""
     k = _kernel(ctx)  # raises the q cap first
     if not isinstance(h, (Cyc, Dih, ElemAb)):
         raise TooLarge("unsupported family for PGL_2 search")
@@ -283,31 +246,28 @@ def pgl2_embeds(h, ctx):
         raise TooLarge("dihedral search capped at n = 30")
     if isinstance(h, ElemAb) and h.p ** h.r > 64:
         raise TooLarge("elementary abelian search capped at order 64")
-    if h not in k.verdicts:
-        got = _search(k, h)
-        k.verdicts[h] = None if got is None else PGL2Witness(
-            h, tuple(k.element(x) for x in got))
-    return k.verdicts[h]
+    got = _search(k, h)
+    return None if got is None else PGL2Witness(
+        h, tuple(k.element(x) for x in got))
 
 
 def _search(k, h):
     """Generators of an embedding of h, as codes, or None.  Every embedding
     is conjugate to one whose first generator is a class's least code of
-    its order, so trying only those keeps a No exhaustive.  The order lists
-    are read only for the later generators: D_n's reflection and
-    E(l,r)'s second and later generators."""
-    ident = k.q3 + 1
+    its order, so trying only those keeps a No exhaustive; the later
+    generators run over all the codes of their order."""
+    ident, (by_order, by_key) = k.q3 + 1, k.census
     n = h.p if isinstance(h, ElemAb) else h.n
-    reps = [x for order, x in k.classes.values() if order == n]
+    reps = [x for order, x in by_key.values() if order == n]
     if isinstance(h, Dih):
+        invol = by_order.get(2, [])
         if n == 1:  # D_1 = C_2
-            invol = k.codes(2)
             return (ident, invol[0]) if invol else None
         for s in reps:
             spowers = [s]  # s, s^2, ..., s^n = 1, so s^-1 = spowers[-2]
             while len(spowers) < n:
                 spowers.append(k.prod(spowers[-1], s))
-            for t in k.codes(2):
+            for t in invol:
                 if t not in spowers and k.prod(k.prod(t, s), t) == spowers[-2]:
                     return s, t
         return None
@@ -326,7 +286,7 @@ def _search(k, h):
                 xpowers.append(k.prod(xpowers[-1], x))
             # the later generators lie in the first one's centralizer
             later = cands[i + 1:] if gens else [
-                y for y in k.codes(n) if k.prod(y, x) == k.prod(x, y)]
+                y for y in by_order[n] if k.prod(y, x) == k.prod(x, y)]
             got = extend(gens + [x], subgroup | {
                 k.prod(a, y) for a in subgroup for y in xpowers}, later)
             if got is not None:
@@ -410,30 +370,12 @@ def _rotation_trace(ctx, n):
 def elemab_representation(ctx, alphas):
     """(Z/pZ)^r inside GL_2 via [[1, alpha_i],[0,1]]; alphas F_p-independent."""
     alphas = [ctx.coerce(a) for a in alphas]
-    if not _independent([a.code for a in alphas], ctx.p, ctx.k):
+    if not independent_mod_p((dict(enumerate(_digits(a.code, ctx.p, ctx.k)))
+                              for a in alphas), ctx.p):
         raise DependentAlphas("alphas are F_p-dependent")
     mats = [Mat2(ctx, 1, a, 0, 1) for a in alphas]
     assert all((m ** ctx.p).is_identity() for m in mats)
     return mats
-
-
-def _independent(codes, p, k):
-    """Whether the codes' digit vectors in F_p^k are F_p-independent, by
-    Gaussian elimination mod p: each vector is reduced by the rows kept
-    before it, and kept, scaled to 1 at its pivot, unless it reduces to 0."""
-    rows = []  # (pivot, row)
-    for code in codes:
-        v = _digits(code, p, k)
-        for piv, row in rows:
-            f = v[piv]
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        inv = pow(v[piv], -1, p)
-        rows.append((piv, [x * inv % p for x in v]))
-    return True
 
 
 def _assert_dihedral(s, t, n):

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from edim import cli
+from edim import cli, edengine
 from edim.cli import ParseError, parse_field, parse_group, run
 from edim.edengine import BoundInterval
 from edim.fielddesc import (INF, Custom, Cyclotomic, FiniteField,
@@ -277,8 +277,29 @@ def _perm(n, seed):
 # in process.  Before the elimination,
 # E(3,12)/F(531441) took 13.7 s, E(1000003,1) 3.6 s, and E(999999999989,1)
 # did not finish.  While the modulus search ran Rabin's test on every
-# binomial X^12 + c, finding the modulus of F(10037^12) took 10 s.
+# binomial X^12 + c, finding the modulus of F(10037^12) took 10 s.  Before
+# the bound caps, E(2,500)/Q, E(3,500)/F(4) and C2^400/Q failed with a
+# RecursionError, and C2^200/Q took 45 s.
+_ATOMS, _RANK = edengine.BOUND_ATOMS_CAP, edengine.BOUND_RANK_CAP
+
+
+def _c2s(n):
+    return "x".join(["C2"] * n)
+
+
 BUDGET = [
+    (["bound", "--field", "Q", "--group", _c2s(_ATOMS)], 0),
+    (["bound", "--field", "Q", "--group", _c2s(_ATOMS + 1)], 3),
+    (["bound", "--field", "Q", "--group", "E(2,%d)" % _RANK], 0),
+    (["bound", "--field", "Q", "--group", "E(2,%d)" % (_RANK + 1)], 3),
+    (["bound", "--field", "F(5)", "--group",
+      "E(3,%d)x%s" % (_RANK, _c2s(_ATOMS - 1))], 0),
+    (["bound", "--field", "Q", "--group",  # each atom below the rank cap
+      "E(2,{0})xE(3,{0})xE(5,{0})".format(_RANK // 3 + 1)], 3),
+    (["bound", "--field", "Q", "--group", "E(2,500)"], 3),
+    (["bound", "--field", "F(4)", "--group", "E(3,500)"], 3),
+    (["bound", "--field", "Q", "--group", _c2s(200)], 3),
+    (["bound", "--field", "Q", "--group", _c2s(400)], 3),
     (["crossratio", "action", "--n", "800", "--perm", _perm(800, 1)], 3),
     (["crossratio", "action", "--n", str(cli.CROSSRATIO_N_CAP + 1),
       "--perm", _perm(cli.CROSSRATIO_N_CAP + 1, 2)], 3),

@@ -67,8 +67,9 @@ def test_no_library_module_imports_unipoly():
 def test_engine_imports_nothing_from_pgl2():
     """R-PGL-OBS reads Dickson's list of the subgroups of PGL_2(F_q), so
     ``bound`` builds no field context and no PGL_2 kernel; ``pgl2``'s
-    search is the list's test oracle and the ``edim pgl2`` commands'."""
-    assert "edengine.py" not in _importers("pgl2")
+    search is the list's test oracle and the ``edim pgl2`` commands', and
+    no library module but the package ``__init__`` and the CLI imports it."""
+    assert _importers("pgl2") == ["__init__.py", "cli.py"]
     assert "edengine.py" not in _importers("fq_context")
 
 

@@ -1,12 +1,13 @@
-from itertools import chain, product
+from itertools import product
 
 import pytest
 
 from edim import pgl2
 from edim.edengine import PGL_OBS_Q_CAP, dickson_embeds
 from edim.errors import TooLarge
-from edim.exactfield import FqElement, fq_context
-from edim.fielddesc import YES, FiniteField, finite_field_from_q
+from edim.exactfield import (FqElement, _digits, fq_context,
+                             independent_mod_p, totient)
+from edim.fielddesc import YES, finite_field_from_q
 from edim.groups import Cyc, Dih, ElemAb, Sym
 from edim.pgl2 import (Mat2, PGL2Element, dn_representation,
                        dp_representation, elemab_representation, order_census,
@@ -212,8 +213,9 @@ def test_independence_by_elimination_matches_the_span():
     for q in _PRIME_POWERS:
         ctx = fq_context(*_pk(q))
         for alphas, want in _span_verdicts(ctx, 3).items():
-            assert pgl2._independent(alphas, ctx.p, ctx.k) == want, \
-                (q, alphas)
+            vectors = [dict(enumerate(_digits(a, ctx.p, ctx.k)))
+                       for a in alphas]
+            assert independent_mod_p(vectors, ctx.p) == want, (q, alphas)
 
 
 def test_elemab_representation_refuses_exactly_the_dependent_alphas():
@@ -279,49 +281,28 @@ def test_order_census_matches_mat2_oracle():
         assert got == _mat2_census(ctx), q
 
 
-def _census_oracle(k):
-    """The census by one pass over all q^3 - q canonical codes: (order ->
-    ascending codes, class key -> (order, least code)), both in order of
-    first appearance."""
-    q, q2, q3, p = k.q, k.q2, k.q3, k.ctx.p
-    orders, classes, by_u = {1: [q3 + 1]}, {}, {4 % p: p}
-    # canonical codes: (0, 1, c != 0, d), then (1, b, c, d != bc)
-    for x in chain(range(q2 + q, 2 * q2), range(q3 + 2, 2 * q3)):
-        # (1, 0, 0, 0) and the identity (1, 0, 0, 1) are skipped
-        m = k.mat(x)
-        if m[0] == 0 or m[3] != k.mul[m[1]][m[2]]:
-            key = k.key(m)
-            if key[0] not in by_u:
-                by_u[key[0]] = k.order(m, q + 1)
-            classes.setdefault(key, (by_u[key[0]], x))
-            orders.setdefault(by_u[key[0]], []).append(x)
-    return orders, classes
+def _closed_form_counts(q, p):
+    """Elements of each order in PGL_2(F_q): the identity, q^2 - 1 unipotent
+    ones of order p, and for each other d > 1, phi(d) q(q+1)/2 split
+    semisimple ones if d | q - 1 plus phi(d) q(q-1)/2 non-split ones if
+    d | q + 1."""
+    counts = {1: 1, p: q * q - 1}  # p divides neither q - 1 nor q + 1
+    for d in range(2, q + 2):
+        split = q * (q + 1) // 2 if (q - 1) % d == 0 else 0
+        nonsplit = q * (q - 1) // 2 if (q + 1) % d == 0 else 0
+        if split or nonsplit:
+            counts[d] = totient(d) * (split + nonsplit)
+    return counts
 
 
-def test_lazy_census_matches_the_full_pass():
+def test_census_order_counts_match_the_closed_form():
     for q in _PRIME_POWERS:
-        k = pgl2._Kernel(fq_context(*_pk(q)))
-        orders, classes = _census_oracle(k)
-        assert list(k.classes.items()) == list(classes.items()), q
-        for n in range(1, q + 2):
-            assert k.codes(n) == orders.get(n, []), (q, n)
-        assert list(k.census().items()) == list(orders.items()), q
-
-
-@pytest.mark.parametrize("h,built", [
-    (Cyc(13), set()), (Cyc(6), set()), (Cyc(7), set()), (ElemAb(13, 1), set()),
-    (Dih(13), {2}), (Dih(12), {2}), (Dih(1), {2}),
-    (ElemAb(3, 2), {3}), (ElemAb(2, 2), {2}), (ElemAb(5, 2), {5}),
-])
-def test_searches_build_only_the_order_lists_they_read(monkeypatch, h, built):
-    # C_n reads only the class table; D_n reads the involutions, and
-    # E(l,r) the codes of order l
-    ctx = fq_context(5, 2)
-    k = pgl2._Kernel(ctx)
-    monkeypatch.setattr(pgl2, "_kernel", lambda _: k)
-    assert (pgl2_embeds(h, ctx) is not None) == \
-        dickson_embeds(h, FiniteField(5, 2))
-    assert set(k.order_lists) == built
+        ctx = fq_context(*_pk(q))
+        by_order, by_key = pgl2._Kernel(ctx).census
+        assert {n: len(xs) for n, xs in by_order.items()} == \
+            _closed_form_counts(q, ctx.p), q
+        assert all(xs == sorted(xs) for xs in by_order.values()), q
+        assert {n for n, _ in by_key.values()} | {1} == set(by_order), q
 
 
 def _primes(limit):
@@ -406,10 +387,11 @@ def test_class_keys_are_the_conjugation_orbits():
         assert sorted(map(sorted, by_key.values())) == \
             sorted(map(sorted, orbits)), q
         # each class's recorded order and least code
-        assert set(k.classes) == set(by_key), q
-        for key, (n, least) in k.classes.items():
+        by_order, classes = k.census
+        assert set(classes) == set(by_key), q
+        for key, (n, least) in classes.items():
             assert least == min(by_key[key]), (q, key)
-            assert by_key[key] <= set(k.census()[n]), (q, key)
+            assert by_key[key] <= set(by_order[n]), (q, key)
 
 
 def test_elemab_no_search_is_linear_in_candidates(monkeypatch):
@@ -417,9 +399,7 @@ def test_elemab_no_search_is_linear_in_candidates(monkeypatch):
     # per class of order 7 and filters its centralizer once, so it
     # multiplies a bounded number of times per order-7 candidate
     ctx, h = fq_context(3, 3), ElemAb(7, 2)
-    k = pgl2._kernel(ctx)
-    k.codes(7)
-    k.verdicts.pop(h, None)
+    order7 = pgl2._kernel(ctx).census[0][7]  # the census is built first
     calls, prod = [0], pgl2._Kernel.prod
 
     def counted(self, x, y):
@@ -428,4 +408,4 @@ def test_elemab_no_search_is_linear_in_candidates(monkeypatch):
 
     monkeypatch.setattr(pgl2._Kernel, "prod", counted)
     assert pgl2_embeds(h, ctx) is None
-    assert 0 < calls[0] <= 8 * len(k.codes(7))
+    assert 0 < calls[0] <= 8 * len(order7)
