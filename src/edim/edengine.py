@@ -18,13 +18,16 @@ three-valued field predicate simply do not fire on Unknown.
 
 Everything the engine derives about one query is a pure function of the
 canonical (expr, field) pair, and both are immutable, hashable records.
-So ``_key``, ``atom_aliases``, ``leaf_facts``, ``edges_of`` and
-``_leaf_phase`` (a new query's interval and trace nodes from its leaf facts)
-are memoized per process with unbounded ``lru_cache``s, as
-``groups._partition_orders`` is: every ``bound`` call, ``edim table`` cell
-and replayed node after the first to meet a query reuses its facts, edges
-and decided hypotheses.  A raised refusal is not memoized.  No rule builds
-a field or searches a group of matrices: R-PGL-OBS reads PGL_2(F_q)'s
+So ``_key``, ``leaf_facts``, ``edges_of`` and ``_leaf_phase`` (a new
+query's interval and trace nodes from its leaf facts) are memoized per
+process with unbounded ``lru_cache``s: every ``bound`` call, ``edim table``
+cell and replayed node after the first to meet a query reuses its facts,
+edges and decided hypotheses.  The facts that ask nothing of the field are
+memoized per group, once for every field: ``atom_aliases``,
+``expr_element_orders`` (R-PGL-OBS's element orders) and ``_group_links``
+(the product views, the subgroup pairs R-SUB certifies, and the splittings
+R-CE-SPLIT checks).  A raised refusal is not memoized.  No rule builds a
+field or searches a group of matrices: R-PGL-OBS reads PGL_2(F_q)'s
 subgroups from Dickson's closed-form list, which the tests check against
 the exhaustive search in ``pgl2``.
 """
@@ -284,19 +287,22 @@ def l_core_trivial(e, l):
     raise TooLarge("unsupported expression")
 
 
+@lru_cache(maxsize=None)
 def expr_element_orders(e):
-    """Exact set of element orders, structurally where possible."""
+    """Exact set of element orders, structurally where possible.  It asks
+    nothing of the field, so it is memoized per group, a product's factors
+    included."""
     if isinstance(e, Product):
         left = expr_element_orders(e.left)
         right = expr_element_orders(e.right)
-        return {math.lcm(a, b) for a in left for b in right}
+        return frozenset(math.lcm(a, b) for a in left for b in right)
     if isinstance(e, Cyc):
-        return set(divisors(e.n))
+        return frozenset(divisors(e.n))
     if isinstance(e, Dih):
         return expr_element_orders(Cyc(e.n)) | {1, 2}
     if isinstance(e, ElemAb):
-        return {1, e.p}
-    return set(_partition_orders(e.n, isinstance(e, Alt)))  # S_n, A_n
+        return frozenset({1, e.p})
+    return _partition_orders(e.n, isinstance(e, Alt))  # S_n, A_n
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +510,9 @@ def _leaf_pgl_obs(a, fd):
     if a == TRIVIAL:
         return
     try:
-        orders = sorted(expr_element_orders(a))
+        orders = expr_element_orders(a)
     except TooLarge:
-        orders = []
+        orders = ()
     l = char_of(fd)
     if l > 0 and any(o % l == 0 and o != l for o in orders):
         yield 2, None
@@ -622,36 +628,49 @@ def _one_more(rule, q, qq):
 
 
 @lru_cache(maxsize=None)
-def edges_of(e, fd):
-    """The constraint edges of the canonical query (e, fd), in catalog
-    order, as (rule, sources, target, imap) with each source and the target
-    an (expr, field) pair; imap maps the source intervals to a (lo, hi)
-    narrowing of the target, or None.  Every hypothesis of an edge rule
-    (embedding certificate, Thm 4.5 or 4.6 check) is decided here."""
-    q = (e, fd)
+def _group_links(e):
+    """The field-free half of the edges of the canonical e: its product
+    views, the (sub, sup) pairs with an embedding certificate (Lemma 2.9(3)
+    asks nothing of K), and the distinct splittings (rest, p) of e as
+    rest x C_p that R-CE-SPLIT checks over each field."""
     views = product_views(e)
-    out = [("R-PROD", tuple((f, fd) for f in view), q, _sum_hi)
-           for view in views]
     pairs = [(a, Sym(a.n)) for a in atom_aliases(e)
              if isinstance(a, (Alt, Dih)) and a.n >= 3]
     pairs += [(ElemAb(e.p, 1) if isinstance(e, ElemAb)
                and isinstance(f, Cyc) else f, e)
               for view in views for f in view]
-    for sub, sup in dict.fromkeys(pairs):  # E(p,2) lists its pair twice
-        if canon(sub) != canon(sup) \
-                and embedding_certificate(sub, sup) is not None:
-            out += [("R-SUB", ((sub, fd),), (sup, fd), _lo_of),
-                    ("R-SUB", ((sup, fd),), (sub, fd), _hi_of)]
+    subs = tuple((sub, sup)  # E(p,2) lists its pair twice
+                 for sub, sup in dict.fromkeys(pairs)
+                 if canon(sub) != canon(sup)
+                 and embedding_certificate(sub, sup) is not None)
+    splits = tuple(dict.fromkeys(  # C2^32 splits off the same C2 32 times
+        (_product_of(view[:idx] + view[idx + 1:]), f.n)
+        for view in views for idx, f in enumerate(view)
+        if isinstance(f, Cyc) and is_prime(f.n)))
+    return tuple(views), subs, splits
+
+
+@lru_cache(maxsize=None)
+def edges_of(e, fd):
+    """The constraint edges of the canonical query (e, fd), in catalog
+    order, as (rule, sources, target, imap) with each source and the target
+    an (expr, field) pair; imap maps the source intervals to a (lo, hi)
+    narrowing of the target, or None.  Every hypothesis of an edge rule
+    (embedding certificate, Thm 4.5 or 4.6 check) is decided here, the
+    field-free ones once per group by ``_group_links``."""
+    q = (e, fd)
+    views, subs, splits = _group_links(e)
+    out = [("R-PROD", tuple((f, fd) for f in view), q, _sum_hi)
+           for view in views]
+    for sub, sup in subs:
+        out += [("R-SUB", ((sub, fd),), (sup, fd), _lo_of),
+                ("R-SUB", ((sup, fd),), (sub, fd), _hi_of)]
     if char_of(fd) == 2 and isinstance(e, (Sym, Alt)) \
             and contains_zeta(fd, 3) is not YES:
         out.append(("R-EXT", ((e, extend_with_zeta(fd, 3)),), q, _lo_of))
-    for view in views:
-        for idx, f in enumerate(view):
-            if not (isinstance(f, Cyc) and is_prime(f.n)):
-                continue
-            rest = _product_of(view[:idx] + view[idx + 1:])
-            if check_thm46(rest, f.n, fd).applicable:
-                out += _one_more("R-CE-SPLIT", q, (rest, fd))
+    for rest, p in splits:
+        if check_thm46(rest, p, fd).applicable:
+            out += _one_more("R-CE-SPLIT", q, (rest, fd))
     if isinstance(e, Cyc):
         for p, _ in factorize(e.n):
             if e.n != p and _thm45_cyclic(e.n, p, fd):

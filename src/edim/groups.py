@@ -244,27 +244,24 @@ def realize(expr):
 # structural queries
 # ---------------------------------------------------------------------------
 
-def _partitions(n, most=None):
-    """Partitions of n into parts <= most (default n), largest part first."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, most or n), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def _partition_orders(n, even_only):
-    """The element orders of S_n, or of A_n when even_only."""
+    """The element orders of S_n, or of A_n when even_only, by a walk over
+    prime powers.  m is the order of a permutation of n points iff the prime
+    powers exactly dividing m sum to at most n: one cycle of each, the other
+    points fixed.  That permutation is even when m is odd; an even m is the
+    order of an even permutation iff the sum plus 2 is at most n, since a
+    transposition on two more points evens out the odd cycle of length 2^a,
+    and two cycles of even length cost at least that much."""
     if n > 40:
         raise TooLarge("symmetric/alternating order census capped at n = 40")
-    out = set()
-    for lam in _partitions(n):
-        if even_only and (n - len(lam)) % 2:
-            continue
-        out.add(math.lcm(*lam) if lam else 1)
-    return frozenset(out)
+    found = [(1, 0)]  # (m, the sum of the prime powers exactly dividing m)
+    for p in filter(is_prime, range(2, n + 1)):
+        powers = [p ** a for a in range(1, n.bit_length()) if p ** a <= n]
+        found += [(m * q, s + q) for m, s in found for q in powers
+                  if s + q <= n]
+    return frozenset(m for m, s in found
+                     if not (even_only and m % 2 == 0 and s + 2 > n))
 
 
 def element_orders(g):

@@ -3,12 +3,12 @@ closed form.
 
 ``edim`` decides Thm 4.5's hypotheses for C_n (``edengine._thm45_cyclic``),
 centres (``edengine.center_order``), l-cores (``edengine.l_core_trivial``),
-the R-S-LB and R-A lower bounds, zeta_n in F_q
-(``FiniteField.contains_zeta``) and multiplicative orders
-(``exactfield.order_mod``) without enumerating anything.  The functions
-here are the slow paths those replace: each one walks an explicit
-permutation group, or the elements of F_q, and the tests check the closed
-forms against them.
+the element orders of S_n and A_n (``groups._partition_orders``), the
+R-S-LB and R-A lower bounds, zeta_n in F_q (``FiniteField.contains_zeta``)
+and multiplicative orders (``exactfield.order_mod``) without enumerating
+anything.  The functions here are the slow paths those replace: each one
+walks an explicit permutation group, the partitions of n, or the elements
+of F_q, and the tests check the closed forms against them.
 
 ``ExtField`` is the extension-field arithmetic the Tschirnhaus root oracle
 and criterion 5 compute in; the library itself never leaves F_q.
@@ -248,6 +248,33 @@ def _cyclic_closure(x):
         out.add(acc)
         acc = pmul(acc, x)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the element orders of S_n and A_n, by a walk over partitions
+# ---------------------------------------------------------------------------
+
+def partitions(n, most=None):
+    """Partitions of n into parts <= most (default n), largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def partition_orders(n):
+    """The element orders of S_n and of A_n: the lcm of the cycle type of
+    each permutation, an even one when n minus its number of cycles is
+    even."""
+    orders = {False: set(), True: set()}
+    for lam in partitions(n):
+        order = math.lcm(*lam) if lam else 1
+        orders[False].add(order)
+        if (n - len(lam)) % 2 == 0:
+            orders[True].add(order)
+    return orders
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,9 @@ def _perm(n, seed):
 # did not finish.  While the modulus search ran Rabin's test on every
 # binomial X^12 + c, finding the modulus of F(10037^12) took 10 s.  Before
 # the bound caps, E(2,500)/Q, E(3,500)/F(4) and C2^400/Q failed with a
-# RecursionError, and C2^200/Q took 45 s.
+# RecursionError, and C2^200/Q took 45 s.  While the S_n / A_n element
+# orders came from a walk over the partitions of n, A40/F(2) took 0.38-0.51 s
+# in process, and D30/F(25), which meets S30 through R-SUB, 0.03 s.
 _ATOMS, _RANK = edengine.BOUND_ATOMS_CAP, edengine.BOUND_RANK_CAP
 
 
@@ -300,6 +302,8 @@ BUDGET = [
     (["bound", "--field", "F(4)", "--group", "E(3,500)"], 3),
     (["bound", "--field", "Q", "--group", _c2s(200)], 3),
     (["bound", "--field", "Q", "--group", _c2s(400)], 3),
+    (["bound", "--group", "A40", "--field", "F(2)"], 0),
+    (["bound", "--group", "D30", "--field", "F(25)"], 0),
     (["crossratio", "action", "--n", "800", "--perm", _perm(800, 1)], 3),
     (["crossratio", "action", "--n", str(cli.CROSSRATIO_N_CAP + 1),
       "--perm", _perm(cli.CROSSRATIO_N_CAP + 1, 2)], 3),

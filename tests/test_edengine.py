@@ -600,6 +600,47 @@ def test_oracles_called_once_per_key(monkeypatch):
         calls.clear()
         assert bound(g, fd) == first and calls == [], (g, fd, calls)
     assert seen == {"cert"}
+    # one group over many fields: a certificate asks nothing of the field,
+    # so each (h, g) pair is certified once across all of them
+    for g in (Dih(13), Product(Product(Dih(5), Cyc(6)), Alt(4))):
+        calls.clear()
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+            bound(g, finite_field_from_q(q))
+        assert calls and len(calls) == len(set(calls)), (g, calls)
+
+
+def _closure_queries(g, fd):
+    """Every canonical query the engine reaches from (g, fd)."""
+    todo, seen = [(canon(g), fd)], set()
+    while todo:
+        q = todo.pop()
+        if q not in seen:
+            seen.add(q)
+            todo += [(canon(e), k) for _, sources, target, _ in
+                     edengine.edges_of(*q) for e, k in sources + (target,)]
+    return seen
+
+
+def test_edges_of_repeats_no_edge():
+    # a product with a repeated prime factor splits it off once: C2^32/Q
+    # linked 1,147 edges with one R-CE-SPLIT pair per equal factor
+    c2s = Cyc(2)
+    for _ in range(31):
+        c2s = Product(c2s, Cyc(2))
+    eng = edengine._Engine()
+    eng.query(c2s, Q)
+    assert len(eng.edges) <= 155
+    grid = [Product(Product(Cyc(2), Cyc(2)), Cyc(2)),
+            Product(Product(Cyc(3), Cyc(3)), Cyc(2)),
+            Product(Sym(3), Sym(3)), Product(Cyc(6), Cyc(6)),
+            Product(Product(Dih(5), Dih(5)), Cyc(2)),
+            Product(Product(ElemAb(2, 2), ElemAb(2, 2)), Cyc(2)),
+            Product(Product(Alt(4), Alt(4)), Cyc(3)), c2s]
+    for g in grid:
+        for fd in (Q, Cyclotomic(3), F2, F4, finite_field_from_q(7)):
+            for q in _closure_queries(g, fd):
+                edges = edengine.edges_of(*q)
+                assert len(set(edges)) == len(edges), (str(q[0]), fd)
 
 
 def test_bound_builds_no_pgl2_kernel(monkeypatch):
@@ -626,7 +667,8 @@ def test_bound_builds_no_pgl2_kernel(monkeypatch):
 # --- the engine memo ----------------------------------------------------------
 
 _MEMOS = (edengine._key, atom_aliases, edengine.leaf_facts,
-          edengine.edges_of, edengine._leaf_phase)
+          edengine.edges_of, edengine._leaf_phase, edengine._group_links,
+          expr_element_orders)
 
 
 def test_each_test_starts_on_an_empty_engine_memo():

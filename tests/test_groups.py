@@ -7,14 +7,16 @@ import pytest
 
 from edim import edengine, groups
 from edim.cli import parse_field, parse_group
+from edim.errors import TooLarge
 from edim.fielddesc import (NO, UNKNOWN, YES, Cyclotomic, FiniteField,
                             RationalField)
 from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, _atoms,
                          _blocks, _closure, _on_own_points, _partition_orders,
-                         _partitions, _prime_power_parts, degree,
+                         _prime_power_parts, degree,
                          element_orders, embedding_certificate, expr_order,
                          pident, pmul, porder, realize)
-from oracles import center, character_exists, l_core, pinv
+from oracles import (center, character_exists, l_core, partition_orders,
+                     partitions, pinv)
 
 Q = RationalField()
 
@@ -485,7 +487,7 @@ def test_partition_counts():
             ways[n] += ways[n - part]
     assert (ways[20], ways[30]) == (627, 5604)
     for n in range(31):
-        parts = list(_partitions(n))
+        parts = list(partitions(n))
         assert len(parts) == ways[n], n
         assert len(set(parts)) == len(parts)
         assert all(sum(lam) == n and list(lam) == sorted(lam, reverse=True)
@@ -508,9 +510,27 @@ def test_partition_orders_match_permutations():
             orders[False].add(order)
             if (n - len(lengths)) % 2 == 0:
                 orders[True].add(order)
+        assert partition_orders(n) == orders, n
         for even_only in (False, True):
             assert _partition_orders(n, even_only) == orders[even_only], \
                 (n, even_only)
+
+
+def test_prime_power_census_matches_the_partition_walk():
+    # m is an order of S_n iff its prime-power parts sum to at most n, and
+    # an even m is one of A_n iff that sum plus 2 is
+    for n in range(41):
+        walked = partition_orders(n)
+        for even_only in (False, True):
+            assert _partition_orders(n, even_only) == walked[even_only], \
+                (n, even_only)
+    assert {35, 60} <= _partition_orders(12, False)  # 5 + 7, 4 + 3 + 5
+    assert 420 not in _partition_orders(18, False)  # 4 + 3 + 5 + 7 = 19
+    assert 6 not in _partition_orders(6, True)  # (1 2 3)(4 5) is odd
+    assert 6 in _partition_orders(7, True)  # (1 2 3)(4 5)(6 7)
+    for even_only in (False, True):
+        with pytest.raises(TooLarge, match="capped at n = 40"):
+            _partition_orders(41, even_only)
 
 
 def test_constructors_reject_indices_that_name_no_group():
