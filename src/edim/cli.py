@@ -84,13 +84,13 @@ def parse_group(text):
             return ElemAb(p, r)
         fail("unknown atom %r" % c, pos)
 
-    expr = read_atom()
+    atoms = [read_atom()]
     while pos < len(s):
         if s[pos] != "x":
             fail("expected 'x' between factors", pos)
         pos += 1
-        expr = Product(expr, read_atom())
-    return expr
+        atoms.append(read_atom())
+    return Product(*atoms) if len(atoms) > 1 else atoms[0]
 
 
 def parse_field(text):

@@ -36,16 +36,16 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .errors import EdimError, Inconsistent, NotPrime, TooLarge
 from .exactfield import divisors, factorize, is_prime
 from .fielddesc import (NO, UNKNOWN, YES, INF as FP_INF, FiniteField, char_of,
                         contains_real_zeta, contains_zeta, extend_with_zeta,
                         fp_dimension)
-from .groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, _partition_orders,
-                     _prime_power_parts, degree, embedding_certificate,
-                     expr_order)
+from .groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, _atoms,
+                     _partition_orders, _prime_power_parts, degree,
+                     embedding_certificate, expr_order)
 from .record import Record
 
 INF = math.inf
@@ -153,25 +153,18 @@ class TraceNode(Record):
 # canonical forms and isomorphism aliases
 # ---------------------------------------------------------------------------
 
-def _flatten(e):
-    if isinstance(e, Product):
-        return _flatten(e.left) + _flatten(e.right)
-    return [e]
-
-
 def canon(e):
     """Canonical representative of the isomorphism class, within the
-    rewrites the engine knows (trivial atoms to C1, small renames, flat
-    sorted products with trivial factors dropped)."""
+    rewrites the engine knows: trivial atoms to C1 and small renames, on
+    each factor of a product; then the trivial factors dropped and the
+    rest sorted by their spelling, a product of one factor being that
+    factor and of none C1."""
     if isinstance(e, Product):
-        factors = [canon(f) for f in _flatten(e)]
-        factors = [f for f in factors if f != TRIVIAL]
-        if not factors:
-            return TRIVIAL
-        factors.sort(key=str)
-        if len(factors) == 1:
-            return factors[0]
-        return reduce(Product, factors)
+        factors = sorted((f for f in map(canon, e.factors) if f != TRIVIAL),
+                         key=str)
+        if len(factors) > 1:
+            return Product(*factors)
+        return factors[0] if factors else TRIVIAL
     if isinstance(e, Sym) and e.n <= 1 or isinstance(e, Alt) and e.n <= 2:
         return TRIVIAL
     if isinstance(e, Sym) and e.n == 2:
@@ -214,7 +207,7 @@ def product_views(e):
     coprime (CRT) splitting of a cyclic group."""
     views = []
     if isinstance(e, Product):
-        views.append(tuple(_flatten(e)))
+        views.append(e.factors)
     if isinstance(e, ElemAb) and e.r >= 2:
         views.append((canon(ElemAb(e.p, e.r - 1)), Cyc(e.p)))
     if isinstance(e, Cyc):
@@ -225,9 +218,7 @@ def product_views(e):
 
 
 def _product_of(factors):
-    if not factors:
-        return TRIVIAL
-    return canon(reduce(Product, factors))
+    return canon(Product(*factors))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +229,7 @@ def _product_of(factors):
 def center_order(e):
     """|Z(G)| computed from the family structure."""
     if isinstance(e, Product):
-        return center_order(e.left) * center_order(e.right)
+        return math.prod(map(center_order, e.factors))
     if isinstance(e, Sym):
         return 1 if e.n >= 3 else expr_order(e)
     if isinstance(e, Alt):
@@ -255,7 +246,7 @@ def l_core_trivial(e, l):
     if not is_prime(l):
         raise NotPrime("%d is not prime" % l)
     if isinstance(e, Product):
-        return l_core_trivial(e.left, l) and l_core_trivial(e.right, l)
+        return all(l_core_trivial(f, l) for f in e.factors)
     if isinstance(e, Sym):
         if e.n <= 1:
             return True
@@ -293,9 +284,11 @@ def expr_element_orders(e):
     nothing of the field, so it is memoized per group, a product's factors
     included."""
     if isinstance(e, Product):
-        left = expr_element_orders(e.left)
-        right = expr_element_orders(e.right)
-        return frozenset(math.lcm(a, b) for a in left for b in right)
+        orders = {1}
+        for f in e.factors:
+            orders = {math.lcm(a, b) for a in orders
+                      for b in expr_element_orders(f)}
+        return frozenset(orders)
     if isinstance(e, Cyc):
         return frozenset(divisors(e.n))
     if isinstance(e, Dih):
@@ -734,31 +727,25 @@ class _Engine:
             self.apply(self.queue.popleft())
 
 
-# The engine's work grows with the number of atoms of a product and with
-# the rank of each E(p,r), which it peels one C_p at a time, in a recursion
-# as deep as the rank.  The rank is summed over the expression: a product
-# of several E(p,r) is dearer than any one of them.  At the caps, E(3,200)
-# x C2^31 over F(5), the dearest accepted query found, answers in about
-# 0.35 s in process and 0.55 s from the shell on a 2-core x86 machine.
+# The engine's work grows with the number of atoms of a product, counted
+# with multiplicity, and with the rank of each E(p,r), which it peels one
+# C_p at a time, in a recursion as deep as the rank.  The rank is summed
+# over the atoms: a product of several E(p,r) is dearer than any one of
+# them.  At the caps, E(3,200) x C2^31 over F(5), the dearest accepted
+# query the caps were chosen by, answers in about 0.17 s in process and
+# 0.3 s from the shell on a 2-core x86 machine.
 BOUND_ATOMS_CAP = 32
 BOUND_RANK_CAP = 200
 
 
 def _check_size(g):
-    """Refuse g past the caps, by a walk that recurses on nothing: a deeper
-    product than Python's recursion limit must be refused, not crash."""
-    atoms, rank, todo = 0, 0, [g]
-    while todo:
-        e = todo.pop()
-        if isinstance(e, Product):
-            todo += (e.left, e.right)
-        else:
-            atoms += 1
-            rank += e.r if isinstance(e, ElemAb) else 0
-    if atoms > BOUND_ATOMS_CAP:
+    """Refuse g past the caps: more atoms than BOUND_ATOMS_CAP, or a rank
+    summed over its atoms above BOUND_RANK_CAP."""
+    atoms = _atoms(g)
+    if len(atoms) > BOUND_ATOMS_CAP:
         raise TooLarge("bound capped at n = %d product atoms"
                        % BOUND_ATOMS_CAP)
-    if rank > BOUND_RANK_CAP:
+    if sum(a.r for a in atoms if isinstance(a, ElemAb)) > BOUND_RANK_CAP:
         raise TooLarge("bound capped at n = %d for the E(p,r) rank summed "
                        "over the expression" % BOUND_RANK_CAP)
 

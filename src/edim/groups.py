@@ -15,7 +15,7 @@ import math
 from functools import lru_cache
 
 from .errors import NotPrime, TooLarge
-from .exactfield import factorize, independent_mod_p, is_prime
+from .exactfield import factorize, is_prime
 from .record import Record
 
 ORDER_CAP = 10 ** 6
@@ -84,14 +84,23 @@ class ElemAb(GroupExpr):
 
 
 class Product(GroupExpr):
-    __slots__ = ("left", "right")
+    """A direct product: one flat tuple of atoms in written order, a
+    Product argument giving its own factors."""
 
-    def __init__(self, left, right):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    __slots__ = ("factors",)
+
+    def __init__(self, *factors):
+        flat = []
+        for f in factors:
+            flat += _atoms(f)
+        object.__setattr__(self, "factors", tuple(flat))
 
     def __str__(self):
-        return "%s x %s" % (self.left, self.right)
+        return " x ".join(map(str, self.factors))
+
+
+def _atoms(e):
+    return e.factors if isinstance(e, Product) else (e,)
 
 
 def expr_order(e):
@@ -105,7 +114,7 @@ def expr_order(e):
         return e.n
     if isinstance(e, ElemAb):
         return e.p ** e.r
-    return expr_order(e.left) * expr_order(e.right)
+    return math.prod(map(expr_order, e.factors))
 
 
 def degree(e):
@@ -118,7 +127,7 @@ def degree(e):
         return sum(_prime_power_parts(e.n)) or 1
     if isinstance(e, ElemAb):
         return e.p * e.r
-    return degree(e.left) + degree(e.right)
+    return sum(map(degree, e.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +239,12 @@ def realize(expr):
         gens = [_turn(lengths, im) for im in _images(expr, expr)]
         return PermGroup(degree(expr), gens, expr=expr)
     if isinstance(expr, Product):
-        gl = realize(expr.left)
-        gr = realize(expr.right)
-        deg = gl.degree + gr.degree
-        gens = [g + tuple(range(gl.degree, deg)) for g in gl.generators]
-        gens += [pident(gl.degree) + tuple(gl.degree + x for x in g)
-                 for g in gr.generators]
+        deg, gens, start = degree(expr), [], 0
+        for f in map(realize, expr.factors):
+            end = start + f.degree
+            gens += [pident(start) + tuple(start + x for x in g)
+                     + tuple(range(end, deg)) for g in f.generators]
+            start = end
         return PermGroup(deg, gens, expr=expr)
     raise TypeError("unknown group expression %r" % (expr,))
 
@@ -299,10 +308,6 @@ class Embedding(Record):
     __slots__ = ("source", "target", "images")
 
 
-def _atoms(e):
-    return _atoms(e.left) + _atoms(e.right) if isinstance(e, Product) else [e]
-
-
 def _on_points(a):
     """Whether atom a is S_n, A_n or D_n (n >= 3); the elements of any
     other atom are exactly the rotations of its blocks."""
@@ -335,38 +340,42 @@ def _parities(a):
     return (int(a.p == 2),) * a.r if isinstance(a, ElemAb) else (1,) * a.n
 
 
-def _images(h, g, start=0):
-    """realize(h)'s generators in g's blocks, numbered from start, under a
-    built-in inclusion h <= g, or None: h on its own points of g (see
-    ``_on_own_points``); C_d in C_n for d | n coprime to n/d, onto C_n's
-    CRT blocks; a product factorwise; h into one factor of a product."""
-    mid = None  # where g.right's blocks start, once a branch needs it
-    if isinstance(h, Product) and isinstance(g, Product):
-        left = _images(h.left, g.left, start)
-        if left is not None:
-            mid = start + len(_blocks(g.left))
-            right = _images(h.right, g.right, mid)
-            if right is not None:
-                return left + right
-    if isinstance(h, Cyc) and isinstance(g, Cyc) and g.n % h.n == 0 \
-            and math.gcd(h.n, g.n // h.n) == 1:  # onto C_n's CRT blocks
-        at = {q: start + i for i, q in enumerate(_prime_power_parts(g.n))}
-        return ({at[q]: 1 for q in _prime_power_parts(h.n)},) * (h.n > 1)
-    if _on_own_points(h, g) and degree(h) <= degree(g):
-        if not _on_points(g):  # h = g, or E(p,s) in E(p,r)
-            return tuple({start + i: 1} for i in range(len(_blocks(h))))
-        images, offset = (), 0  # each atom of h on its own points
-        for a in _atoms(h):
-            images += ({start: offset},) * len(_parities(a))
-            offset += degree(a)
-        return images
-    if isinstance(g, Product):  # h inside one factor
-        left = _images(h, g.left, start)
-        if left is not None:
-            return left
-        return _images(h, g.right, mid if mid is not None
-                       else start + len(_blocks(g.left)))
+def _images(h, g):
+    """realize(h)'s generators in g's blocks under a built-in inclusion
+    h <= g, or None: the atoms of h factorwise, or else all of h in one
+    factor, each part in the first factor of g past the previous part's
+    that holds it (see ``_held``)."""
+    for parts in ([*h.factors], [h]) if isinstance(h, Product) else ([h],):
+        images, start, fs = (), 0, _atoms(g)
+        for i, f in enumerate(fs):
+            start += i and len(_blocks(fs[i - 1]))  # where f's blocks start
+            held = _held(parts[0], f, start)
+            if held is not None:
+                images += held
+                del parts[0]
+                if not parts:
+                    return images
     return None
+
+
+def _held(h, f, start):
+    """realize(h)'s generators in the blocks of the atom f, numbered from
+    start, under a built-in inclusion h <= f, or None: h on its own points
+    of f (see ``_on_own_points``), or C_d in C_n for d | n coprime to n/d,
+    onto C_n's CRT blocks."""
+    if isinstance(h, Cyc) and isinstance(f, Cyc) and f.n % h.n == 0 \
+            and math.gcd(h.n, f.n // h.n) == 1:  # onto C_n's CRT blocks
+        at = {q: start + i for i, q in enumerate(_prime_power_parts(f.n))}
+        return ({at[q]: 1 for q in _prime_power_parts(h.n)},) * (h.n > 1)
+    if not (_on_own_points(h, f) and degree(h) <= degree(f)):
+        return None
+    if not _on_points(f):  # h = f, or E(p,s) in E(p,r)
+        return tuple({start + i: 1} for i in range(len(_blocks(h))))
+    images, offset = (), 0  # each atom of h on its own points
+    for a in _atoms(h):
+        images += ({start: offset},) * len(_parities(a))
+        offset += degree(a)
+    return images
 
 
 def _verify(h, g, images):
@@ -397,22 +406,17 @@ def _verify(h, g, images):
                                 for b, k, (ln, t) in cells):
             return False
         used.update((b, ln) for b, _, (ln, _) in cells)
+        # C_d's image has order d; E(p,s)'s (D_1, D_2 are E(2,1), E(2,2))
+        # turn one block each, all distinct, by order p (l divides kp), so
+        # they are independent over F_p with no elimination
         if not (a.n == math.lcm(*(ln // math.gcd(k, ln)
                                   for _, k, (ln, _) in cells))
-                if isinstance(a, Cyc) else  # D_1, D_2 are E(2,1), E(2,2)
-                _independent(ims, blocks, getattr(a, "p", 2))):
+                if isinstance(a, Cyc) else
+                len(cells) == count == len({b for b, _, _ in cells})
+                and all(k * getattr(a, "p", 2) % ln == 0
+                        for _, k, (ln, _) in cells)):
             return False
     return pos == len(images)
-
-
-def _independent(images, blocks, p):
-    """Whether rotation images have order p and are independent over F_p:
-    turning a block of length l by k has order p iff l divides kp, and kp / l
-    is its F_p coordinate."""
-    if any(k * p % blocks[b][0] for im in images for b, k in im.items()):
-        return False
-    return independent_mod_p(
-        ({b: k * p // blocks[b][0] for b, k in im.items()} for im in images), p)
 
 
 def embedding_certificate(h, g):
@@ -429,19 +433,21 @@ _C2, _C3, _E32 = Cyc(2), Cyc(3), ElemAb(3, 2)  # built once: ElemAb checks p
 
 
 def _on_own_points(h, g):
+    """Whether h sits on its own points of the atom g: h = g; S_m, A_m,
+    D_m, E(p,r), S_m x C_2 in S_n; A_m, E(3,2), A_m x C_3 in A_n."""
     if h == g:
         return True
+    pair = getattr(h, "factors", ())  # S_m x C_2, A_m x C_3
     if isinstance(g, Sym):
         return (isinstance(h, (Sym, Alt)) and h.n <= g.n
                 or isinstance(h, Dih) and 3 <= h.n <= g.n
                 or isinstance(h, ElemAb) and h.p * h.r <= g.n
-                or isinstance(h, Product) and any(
-                    isinstance(a, Sym) and b == _C2 and a.n + 2 <= g.n
-                    for a, b in ((h.left, h.right), (h.right, h.left))))
+                or len(pair) == 2 and _C2 in pair and any(  # either order
+                    isinstance(a, Sym) and a.n + 2 <= g.n for a in pair))
     if isinstance(g, Alt):
         return (isinstance(h, Alt) and h.n <= g.n
                 or h == _E32 and g.n >= 6
-                or isinstance(h, Product) and isinstance(h.left, Alt)
-                and h.right == _C3 and h.left.n + 3 <= g.n)
+                or len(pair) == 2 and isinstance(pair[0], Alt)
+                and pair[1] == _C3 and pair[0].n + 3 <= g.n)
     return isinstance(h, ElemAb) and isinstance(g, ElemAb) \
         and h.p == g.p and h.r <= g.r

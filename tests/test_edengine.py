@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,8 @@ from edim.errors import DependentAlphas, Inconsistent
 from edim.exactfield import fq_context, is_prime
 from edim.fielddesc import (NO, UNKNOWN, YES, Custom, Cyclotomic, FiniteField,
                             RationalField, finite_field_from_q)
-from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, element_orders,
-                         expr_order, pmul, porder, realize)
+from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, degree,
+                         element_orders, expr_order, pmul, porder, realize)
 from oracles import (_pow, a_lower_recurrence, center, check_thm45, l_core,
                      s_lower_recurrence)
 
@@ -56,6 +57,27 @@ def test_canon_product_flatten_and_sort():
     e = Product(Product(Cyc(3), Sym(4)), Cyc(2))
     f = Product(Cyc(2), Product(Sym(4), Cyc(3)))
     assert canon(e) == canon(f)
+
+
+def test_deep_products_stay_flat():
+    # 3,000 atoms built one Product at a time: each structural function
+    # loops over the flat factors, so none meets the recursion limit, and
+    # bound refuses the product past its atom cap
+    atoms = [Sym(3), Cyc(2), ElemAb(3, 2), Dih(5), Alt(4)] * 600
+    e = atoms[0]
+    for a in atoms[1:]:
+        e = Product(e, a)
+    assert e == Product(*atoms) and e.factors == tuple(atoms)
+    assert sys.getrecursionlimit() < len(atoms)
+    assert str(e) == " x ".join(map(str, atoms))
+    assert hash(e) == hash(Product(*atoms))
+    assert parse_group(str(e)) == e
+    assert degree(e) == 600 * (3 + 2 + 6 + 5 + 4)
+    assert expr_order(e) == (6 * 2 * 9 * 10 * 12) ** 600
+    assert canon(e).factors == tuple(sorted(atoms, key=str))
+    assert center_order(e) == (2 * 9) ** 600
+    with pytest.raises(TooLarge):
+        bound(e, Q)
 
 
 def test_canon_preserves_order():

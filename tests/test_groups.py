@@ -168,10 +168,16 @@ def _cycles(perm):
 
 def _contains(g, perm):
     """Whether realize(g) contains perm, a permutation of its degree."""
-    if isinstance(g, Product):
-        dl = degree(g.left)
-        return (all(x < dl for x in perm[:dl]) and _contains(g.left, perm[:dl])
-                and _contains(g.right, tuple(x - dl for x in perm[dl:])))
+    if isinstance(g, Product):  # each factor's points onto themselves
+        start = 0
+        for f in g.factors:
+            end = start + degree(f)
+            part = perm[start:end]
+            if not all(start <= x < end for x in part) \
+                    or not _contains(f, tuple(x - start for x in part)):
+                return False
+            start = end
+        return True
     if isinstance(g, (Sym, Alt)):
         return isinstance(g, Sym) or not _odd(perm)
     if isinstance(g, Dih) and g.n >= 3:  # i -> a + i or a - i (mod n)
@@ -204,28 +210,39 @@ def _carry(h_pg, g, points):
     return images if all(_contains(g, im) for im in images) else None
 
 
-def _find_points(h, g):
-    dl = degree(g.left) if isinstance(g, Product) else 0
-    if isinstance(h, Product) and isinstance(g, Product):
-        li, ri = _find_points(h.left, g.left), _find_points(h.right, g.right)
-        if li is not None and ri is not None:
-            return li + tuple(dl + x for x in ri)
-    if _on_own_points(h, g):
+def _points_in(h, f):
+    """h's points among those of the atom f, for h an atom or S_m x C_2 or
+    A_m x C_3 on its own points, or None."""
+    if _on_own_points(h, f):
         dh = degree(h)
-        return tuple(range(dh)) if dh <= degree(g) else None
-    if isinstance(h, Cyc) and isinstance(g, Cyc) and g.n % h.n == 0 \
-            and math.gcd(h.n, g.n // h.n) == 1:
+        return tuple(range(dh)) if dh <= degree(f) else None
+    if isinstance(h, Cyc) and isinstance(f, Cyc) and f.n % h.n == 0 \
+            and math.gcd(h.n, f.n // h.n) == 1:
         starts, start = {}, 0
-        for q in _prime_power_parts(g.n):
+        for q in _prime_power_parts(f.n):
             starts[q], start = start, start + q
         return tuple(starts[q] + i for q in _prime_power_parts(h.n)
                      for i in range(q)) or (0,)  # C_1 is one fixed point
-    if isinstance(g, Product):  # h inside one factor
-        li = _find_points(h, g.left)
-        if li is not None:
-            return li
-        ri = _find_points(h, g.right)
-        return None if ri is None else tuple(dl + x for x in ri)
+    return None
+
+
+def _find_points(h, g):
+    """h's points among g's: h's factors in g's, or else all of h in one of
+    them, each part in the first factor of g past the previous part's that
+    holds it."""
+    factors, start = [], 0
+    for f in g.factors if isinstance(g, Product) else (g,):
+        factors.append((f, start))
+        start += degree(f)
+    for parts in ([*h.factors], [h]) if isinstance(h, Product) else ([h],):
+        points = ()
+        for f, start in factors:
+            held = _points_in(parts[0], f) if parts else None
+            if held is not None:
+                points += tuple(start + x for x in held)
+                parts.pop(0)
+        if not parts:
+            return points
     return None
 
 
@@ -377,7 +394,10 @@ def test_block_certificates_match_the_point_map_oracle():
              + [ElemAb(p, r) for p in (2, 3, 5) for r in (1, 2, 3)])
     factors = list(dict.fromkeys(atoms[::5] + [Cyc(2), Cyc(3)]))
     exprs = atoms + [Product(a, b) for a in factors for b in factors]
-    pairs |= set(CERTIFIED_SHAPES) | set(itertools.product(exprs, repeat=2))
+    grid = set(itertools.product(exprs, repeat=2))
+    assert (len(grid), sum(1 for h, g in grid
+                           if embedding_certificate(h, g))) == (51076, 1986)
+    pairs |= set(CERTIFIED_SHAPES) | grid
     bad = [(str(h), str(g)) for h, g in pairs if not _agrees_with_oracle(h, g)]
     assert bad == []
 
@@ -444,6 +464,8 @@ def test_verify_rejects_forged_point_maps():
     (Sym(3), Sym(4), ({0: 2}, {0: 2})),
     (Cyc(3), Cyc(3), ({0: 3},)),
     (Cyc(2), Dih(4), ({0: 0},)),
+    # E(2,1)'s image turns C4's block by 1: order 4, not 2
+    (ElemAb(2, 1), Cyc(4), ({0: 1},)),
 ])
 def test_forged_block_certificates_are_rejected(monkeypatch, h, g, images):
     # the engine's own entry point, with the builder replaced by a forgery

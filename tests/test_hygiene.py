@@ -3,8 +3,8 @@ every module-level ``_private`` definition is referenced somewhere in the
 package besides its own definition, every function, class and method the
 package defines is referenced somewhere in the repository, no library
 module imports ``unipoly`` or ``dataclasses``, the engine imports nothing
-from ``pgl2``, and ``import edim`` loads none of the slow standard
-modules."""
+from ``pgl2`` and no ``reduce``, no module reads the halves of a product,
+and ``import edim`` loads none of the slow standard modules."""
 
 import ast
 import collections
@@ -71,6 +71,24 @@ def test_engine_imports_nothing_from_pgl2():
     no library module but the package ``__init__`` and the CLI imports it."""
     assert _importers("pgl2") == ["__init__.py", "cli.py"]
     assert "edengine.py" not in _importers("fq_context")
+
+
+def _attribute_readers(*names):
+    return sorted(p.name for p in SRC.glob("*.py") if any(
+        isinstance(n, ast.Attribute) and n.attr in names
+        for n in ast.walk(ast.parse(p.read_text(encoding="utf-8"),
+                                    filename=str(p)))))
+
+
+def test_products_are_flat():
+    """A ``Product`` holds one flat tuple of factors: no module reads a
+    ``left`` or ``right`` half, and the engine folds no product tree with
+    ``functools.reduce``."""
+    assert _attribute_readers("left", "right") == []
+    engine = ast.parse((SRC / "edengine.py").read_text(encoding="utf-8"))
+    assert not any(isinstance(n, ast.ImportFrom) and n.module == "functools"
+                   and "reduce" in [a.name for a in n.names]
+                   for n in ast.walk(engine))
 
 
 def test_no_module_imports_dataclasses():

@@ -37,7 +37,7 @@ def _default(value):
 TWIN_FIELDS = {
     Sym: ["n"], Alt: ["n"], Dih: ["n"], Cyc: ["n"],
     ElemAb: ["p", "r"],
-    Product: ["left", "right"],
+    Product: ["factors"],
     Embedding: ["source", "target", "images"],
     Cyclotomic: ["m"],
     RationalField: [("m", int, field(default=1, init=False, repr=False))],
@@ -60,8 +60,13 @@ TWIN_FIELDS = {
     CRSymbol: ["n", "indices"],
     FaithfulReport: ["n", "passed", "checked", "details"],
 }
-# methods a value class writes itself, which its dataclass kept
-TWIN_METHODS = {PGL2Element: {"__repr__": lambda e: "PGL2(%r)" % (e.rep,)}}
+# methods a value class writes itself that its twin needs too: the repr
+# its dataclass kept, and Product's constructor over any number of factors
+TWIN_METHODS = {
+    PGL2Element: {"__repr__": lambda e: "PGL2(%r)" % (e.rep,)},
+    Product: {"__init__": lambda p, *factors:
+              object.__setattr__(p, "factors", factors)},
+}
 BASES = {GroupExpr, _Indexed, FieldDescriptor}
 
 
@@ -145,11 +150,14 @@ def test_equality_checks_the_exact_class():
     assert RationalField() != Cyclotomic(1)
     assert hash(RationalField()) == hash(Cyclotomic(1))
     assert len({Cyc(5), Sym(5), Cyc(5), RationalField(), Cyclotomic(1)}) == 4
+    nested = Product(Product(Cyc(5), Dih(3)), Sym(4))
+    assert nested == Product(Cyc(5), Product(Dih(3), Sym(4)))
+    assert hash(nested) == hash(Product(Cyc(5), Dih(3), Sym(4)))
 
 
 def test_keyword_and_default_construction():
     assert repr(Product(Cyc(5), Dih(3))) \
-        == "Product(left=Cyc(n=5), right=Dih(n=3))"
+        == "Product(factors=(Cyc(n=5), Dih(n=3)))"
     assert Thm46Result(True) == Thm46Result(applicable=True, reason="")
     assert Thm46Result(True).reason == ""
     assert check_thm46(Cyc(1), 3, Cyclotomic(3)) == Thm46Result(True)
