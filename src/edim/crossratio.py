@@ -3,7 +3,11 @@ of any cross-ratio in the generators t_i = [1,2;3,i], the induced S_n action,
 and faithfulness verification.  A rewrite is the symbol on the slice
 (x_1, x_2, x_3) = (inf, 0, 1), x_m = t_m, a product of linear forms in closed
 form; ``cr_define`` and the rewrite are both built reduced, with no gcd.
-``check_rewrite`` proves a rewrite independently, by exact composition.
+``check_rewrite`` proves a rewrite independently, by exact composition.  It
+reads the cleared products of the generators' numerators and denominators
+from a per-n table (``_generator_image``): each entry is the polynomial that
+``RatFn.compose_pair`` multiplies out for one monomial, so the check is as
+exact as composing afresh, and every check with the same n shares them.
 """
 
 from __future__ import annotations
@@ -177,10 +181,45 @@ def check_rewrite(sym):
     """Exact soundness of cr_rewrite(sym), independent of the slice argument:
     substituting t_i = [1,2;3,i] into the rewritten form returns
     cr_define(sym); checked by cross-multiplying the unreduced composition
-    against the definition (no gcd needed)."""
-    rewritten = cr_rewrite(sym)
-    bindings = {"t%d" % i: cr_define(generator_symbol(sym.n, i))
-                for i in range(4, sym.n + 1)}
-    ncomp, dcomp = rewritten.compose_pair(bindings)
+    against the definition (no gcd needed).  The composition reads the
+    cleared generator monomials from the per-n table ``_generator_image``;
+    each entry is the product ``RatFn.compose_pair`` would multiply out for
+    that monomial, so the check is exactly the one composing afresh."""
+    ncomp, dcomp = _composed(sym.n, cr_rewrite(sym))
     direct = cr_define(sym)
     return ncomp * direct.den == dcomp * direct.num
+
+
+def _composed(n, rewritten):
+    """The pair ``rewritten.compose_pair`` returns under t_m = [1,2;3,m]:
+    numerator and denominator of A/B, each cleared by prod_m den_m^top_m
+    with top_m = max(deg_m A, deg_m B).  A term c t^e clears to c M_e, with
+    M_e from ``_generator_image``, so each side is a sum of cached
+    polynomials times rational constants, with no polynomial products."""
+    num, den = rewritten.num, rewritten.den
+    tops = tuple(max(num.degree_in(i), den.degree_in(i), 0)
+                 for i in range(n - 3))
+
+    def cleared(p):
+        acc = {}
+        for e, c in p.terms.items():
+            for e2, c2 in _generator_image(n, e, tops).terms.items():
+                acc[e2] = acc.get(e2, 0) + c * c2
+        return MultiPoly(QQ, xvars(n), acc)
+
+    return cleared(num), cleared(den)
+
+
+@lru_cache(maxsize=None)
+def _generator_image(n, expo, tops):
+    """M_e = prod_m num_m^e_m den_m^(top_m - e_m), with (num_m, den_m) =
+    cr_define([1,2;3,m]), as a polynomial in x_1..x_n.  It depends on n,
+    e and the tops only, and a rewrite has degree at most 1 in each t_m
+    (every index occurs in one factor above and one below), so there are
+    at most 3^(n-3) keys per n."""
+    image = MultiPoly.const(QQ, xvars(n), 1)
+    for m, e, top in zip(range(4, n + 1), expo, tops):
+        if top:
+            gen = cr_define(generator_symbol(n, m))
+            image = image * gen.num ** e * gen.den ** (top - e)
+    return image

@@ -499,22 +499,39 @@ def _leaf_pgl_obs(a, fd):
     not in K (Lemmas 5.2 and 5.7), or, over F_q with q <= PGL_OBS_Q_CAP,
     when its ``_pgl2_spelling`` is missing from Dickson's list of the
     subgroups of PGL_2(F_q) (Dickson, 1901, paraphrased; see
-    ``dickson_embeds``)."""
+    ``dickson_embeds``).
+
+    Both element-order conditions ask for *some* qualifying order, and a
+    factor's orders are among its product's, so a product tries the union
+    of its factors' sets first and builds its own lcm set only when that
+    union does not decide.  A factor that raises TooLarge gives no
+    element-order fact."""
     if a == TRIVIAL:
         return
+    product = isinstance(a, Product)
     try:
-        orders = expr_element_orders(a)
+        orders = frozenset().union(*map(expr_element_orders, a.factors)) \
+            if product else expr_element_orders(a)
     except TooLarge:
         orders = ()
     l = char_of(fd)
-    if l > 0 and any(o % l == 0 and o != l for o in orders):
-        yield 2, None
-    if any((l == 0 or o % l != 0) and contains_real_zeta(fd, o) is NO
-           for o in orders):
-        yield 2, None
+    for found in (_multiple_of_char, _without_real_zeta) if l else \
+            (_without_real_zeta,):
+        if found(orders, l, fd) or (product and orders and
+                                    found(expr_element_orders(a), l, fd)):
+            yield 2, None
     if isinstance(fd, FiniteField) and fd.q <= PGL_OBS_Q_CAP \
             and a == _pgl2_spelling(a) and not dickson_embeds(a, fd):
         yield 2, None
+
+
+def _multiple_of_char(orders, l, fd):
+    return any(o % l == 0 and o != l for o in orders)
+
+
+def _without_real_zeta(orders, l, fd):
+    return any((l == 0 or o % l != 0) and contains_real_zeta(fd, o) is NO
+               for o in orders)
 
 
 def _leaf_dn(a, fd):

@@ -148,6 +148,38 @@ def test_check_rewrite_rejects_forged_rewrites(n, monkeypatch):
     assert forged == 5 * 20
 
 
+def test_generator_table_matches_compose_pair():
+    # RatFn.compose_pair is the oracle: the table only shares its products
+    crossratio._generator_image.cache_clear()
+    for n in (5, 6, 7):
+        bindings = {"t%d" % i: cr_define(generator_symbol(n, i))
+                    for i in range(4, n + 1)}
+        for idx in itertools.permutations(range(1, n + 1), 4):
+            rewritten = cr_rewrite(CRSymbol(n, idx))
+            got = crossratio._composed(n, rewritten)
+            want = rewritten.compose_pair(bindings)
+            assert [p.terms for p in got] == [p.terms for p in want], idx
+    # criterion 7's 1,320 symbols meet at most 3^(n-3) keys per n
+    assert crossratio._generator_image.cache_info().currsize <= 94
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_check_rewrite_rejects_a_forged_generator_image(n, monkeypatch):
+    # the forged table swaps num_m and den_m of one generator t_m, i.e.
+    # binds t_m to its inverse: every rewrite in t_m must then fail
+    real = crossratio._generator_image
+    for j in range(n - 3):
+        def forged(n_, expo, tops, j=j):
+            flipped = expo[:j] + (tops[j] - expo[j],) + expo[j + 1:]
+            return real(n_, flipped, tops)
+
+        monkeypatch.setattr(crossratio, "_generator_image", forged)
+        for idx in itertools.permutations(range(1, n + 1), 4):
+            sym = CRSymbol(n, idx)
+            uses = j in cr_rewrite(sym).occurring()
+            assert check_rewrite(sym) is not uses, (j, idx)
+
+
 def test_rewrite_specializes_to_definition():
     ctx = fq_context(101, 1)
     rng = random.Random(9)

@@ -18,7 +18,8 @@ from edim.cli import parse_field, parse_group
 from edim.errors import DependentAlphas, Inconsistent
 from edim.exactfield import fq_context, is_prime
 from edim.fielddesc import (NO, UNKNOWN, YES, Custom, Cyclotomic, FiniteField,
-                            RationalField, finite_field_from_q)
+                            RationalField, contains_real_zeta,
+                            finite_field_from_q)
 from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, degree,
                          element_orders, expr_order, pmul, porder, realize)
 from oracles import (_pow, a_lower_recurrence, center, check_thm45, l_core,
@@ -684,6 +685,76 @@ def test_bound_builds_no_pgl2_kernel(monkeypatch):
         for g in groups:
             iv, nodes = bound(g, fd)
             assert iv in replay_trace(nodes).values(), (g, q)
+
+
+def _pgl_obs_from_the_lcm_set(a, fd):
+    """R-PGL-OBS read off the product's whole lcm set, as the oracle for
+    trying its factors' orders first."""
+    try:
+        orders = expr_element_orders(a)
+    except TooLarge:
+        orders = ()
+    l = fd.char()
+    out = []
+    if l > 0 and any(o % l == 0 and o != l for o in orders):
+        out.append((2, None))
+    if any((l == 0 or o % l != 0) and contains_real_zeta(fd, o) is NO
+           for o in orders):
+        out.append((2, None))
+    if isinstance(fd, FiniteField) and fd.q <= edengine.PGL_OBS_Q_CAP \
+            and a == edengine._pgl2_spelling(a) \
+            and not edengine.dickson_embeds(a, fd):
+        out.append((2, None))
+    return out
+
+
+def test_pgl_obs_tries_factors_then_matches_the_lcm_set():
+    atoms = [Cyc(n) for n in (2, 3, 4, 5, 6, 7, 8, 12)]
+    atoms += [Dih(n) for n in (3, 4, 5, 6)] + [Sym(3), Sym(4), Alt(4),
+                                               Alt(5), ElemAb(2, 2),
+                                               ElemAb(3, 2)]
+    exprs = atoms + [Product(a, b) for i, a in enumerate(atoms)
+                     for b in atoms[i:]]
+    exprs += [Product(Cyc(4), Cyc(3), Cyc(5)), Product(Sym(4), Dih(5), Cyc(7))]
+    fields = [Q, Cyclotomic(3), Cyclotomic(5), Custom(0), F2, F4]
+    fields += [finite_field_from_q(q) for q in (5, 7, 11, 41)]
+    seen = {"factor": 0, "lcm only": 0, "none": 0}
+    for e in exprs:
+        for fd in fields:
+            want = _pgl_obs_from_the_lcm_set(e, fd)
+            assert list(edengine._leaf_pgl_obs(e, fd)) == want, (str(e), fd)
+            if isinstance(e, Product):
+                alone = [_pgl_obs_from_the_lcm_set(f, fd) for f in e.factors]
+                seen["factor" if any(alone) else
+                     "lcm only" if want else "none"] += 1
+    assert min(seen.values()) > 0, seen  # e.g. C4 x C3 over Q: order 12
+    # a factor whose divisors raise TooLarge leaves no element-order fact,
+    # though C5's order alone would decide over Q
+    huge = Cyc(1000003 * 1000033)
+    for e in (huge, Product(Cyc(5), huge), Product(huge, Sym(4), Cyc(7))):
+        for fd in (Q, finite_field_from_q(41)):
+            assert list(edengine._leaf_pgl_obs(e, fd)) == [] \
+                == _pgl_obs_from_the_lcm_set(e, fd), (str(e), fd)
+
+
+@pytest.mark.parametrize("text,fd", [
+    ("S40xS39xS38xS37xS36xS35", Q),
+    ("A40xA39xA38xA37xA36xA35", F2),
+    ("S40xS39xS38xS37", finite_field_from_q(5))])
+def test_pgl_obs_decides_big_products_from_a_factor(monkeypatch, text, fd):
+    # a factor's order decides each condition, so the product's lcm set,
+    # which took seconds to build for four to six S_n near n = 40, is not
+    # built at all
+    real = edengine.expr_element_orders
+
+    def atoms_only(e):
+        assert not isinstance(e, Product), "built the lcm set of %s" % e
+        return real(e)
+
+    monkeypatch.setattr(edengine, "expr_element_orders", atoms_only)
+    e = canon(parse_group(text))
+    assert list(edengine._leaf_pgl_obs(e, fd)) == [(2, None)] * (
+        1 + (fd.char() > 0))
 
 
 # --- the engine memo ----------------------------------------------------------
