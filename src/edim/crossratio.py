@@ -3,19 +3,22 @@ of any cross-ratio in the generators t_i = [1,2;3,i], the induced S_n action,
 and faithfulness verification.  A rewrite is the symbol on the slice
 (x_1, x_2, x_3) = (inf, 0, 1), x_m = t_m, a product of linear forms in closed
 form; ``cr_define`` and the rewrite are both built reduced, with no gcd.
-``check_rewrite`` proves a rewrite independently, by exact composition.  It
-reads the cleared products of the generators' numerators and denominators
-from a per-n table (``_generator_image``): each entry is the polynomial that
-``RatFn.compose_pair`` multiplies out for one monomial, so the check is as
-exact as composing afresh, and every check with the same n shares them.
+``check_rewrite`` proves a rewrite independently, by exact composition, with
+the generators' cleared products shared through a per-n table
+(``_generator_image``), on polynomials keyed by packed monomials: _FIELD bits
+per x_m, so a product of monomials is one int addition (Monagan and Pearce,
+CASC 2007).  A rewrite has degree <= 1 in at most four t_m, so no exponent
+passes 5 (4 in x_1, x_2, x_3 from the cleared generators, 1 from cr_define);
+a field holds 5 below a spare top bit, and a product that reaches one raises.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import lshift, or_
 
-from .errors import AmbientOutOfRange, AmbientTooSmall
+from .errors import AmbientOutOfRange, AmbientTooSmall, DegreeTooLarge
 from .ratfunc import QQ, MultiPoly, RatFn
 from .record import Record
 
@@ -144,10 +147,10 @@ def verify_faithful(n):
         raise AmbientOutOfRange("faithfulness verification supports 5 <= n <= 7")
     vs = tvars(n)
     gens = {i: RatFn.var(QQ, vs, "t%d" % i) for i in range(4, n + 1)}
-    if n == 7:
-        perms = [_transposition(7, 0, 1), _three_cycle(7)]
-    else:
-        perms = [p for p in _all_perms(n) if p != tuple(range(n))]
+    if n == 7:  # the transposition (1 2) and the 3-cycle (1 2 3)
+        perms = [(1, 0, 2, 3, 4, 5, 6), (1, 2, 0, 3, 4, 5, 6)]
+    else:  # all but the identity, which comes first
+        perms = list(itertools.permutations(range(n)))[1:]
     details = []
     passed = True
     for sigma in perms:
@@ -161,65 +164,69 @@ def verify_faithful(n):
     return FaithfulReport(n, passed, len(perms), tuple(details))
 
 
-def _transposition(n, a, b):
-    p = list(range(n))
-    p[a], p[b] = p[b], p[a]
-    return tuple(p)
-
-
-def _three_cycle(n):
-    p = list(range(n))
-    p[0], p[1], p[2] = 1, 2, 0
-    return tuple(p)
-
-
-def _all_perms(n):
-    return itertools.permutations(range(n))
-
-
 def check_rewrite(sym):
     """Exact soundness of cr_rewrite(sym), independent of the slice argument:
-    substituting t_i = [1,2;3,i] into the rewritten form returns
-    cr_define(sym); checked by cross-multiplying the unreduced composition
-    against the definition (no gcd needed).  The composition reads the
-    cleared generator monomials from the per-n table ``_generator_image``;
-    each entry is the product ``RatFn.compose_pair`` would multiply out for
-    that monomial, so the check is exactly the one composing afresh."""
+    substituting t_i = [1,2;3,i] into the rewrite returns cr_define(sym),
+    checked as ncomp * den == dcomp * num on the unreduced composition and
+    packed monomials, with no gcd (module docstring)."""
     ncomp, dcomp = _composed(sym.n, cr_rewrite(sym))
     direct = cr_define(sym)
-    return ncomp * direct.den == dcomp * direct.num
+    return not _product_sum(((ncomp, _packed(direct.den)),
+                             (dcomp, _packed(-direct.num))), sym.n)
 
 
 def _composed(n, rewritten):
-    """The pair ``rewritten.compose_pair`` returns under t_m = [1,2;3,m]:
-    numerator and denominator of A/B, each cleared by prod_m den_m^top_m
-    with top_m = max(deg_m A, deg_m B).  A term c t^e clears to c M_e, with
-    M_e from ``_generator_image``, so each side is a sum of cached
-    polynomials times rational constants, with no polynomial products."""
+    """The pair ``rewritten.compose_pair`` returns under t_m = [1,2;3,m],
+    packed: A/B cleared by prod_m den_m^top_m, top_m = max(deg_m A, deg_m B),
+    so that a term c t^e clears to c times ``_generator_image(n, e, tops)``."""
     num, den = rewritten.num, rewritten.den
     tops = tuple(max(num.degree_in(i), den.degree_in(i), 0)
                  for i in range(n - 3))
-
-    def cleared(p):
-        acc = {}
-        for e, c in p.terms.items():
-            for e2, c2 in _generator_image(n, e, tops).terms.items():
-                acc[e2] = acc.get(e2, 0) + c * c2
-        return MultiPoly(QQ, xvars(n), acc)
-
-    return cleared(num), cleared(den)
+    return tuple(_product_sum((({0: c}, _generator_image(n, e, tops))
+                               for e, c in p.terms.items()), n)
+                 for p in (num, den))
 
 
 @lru_cache(maxsize=None)
 def _generator_image(n, expo, tops):
     """M_e = prod_m num_m^e_m den_m^(top_m - e_m), with (num_m, den_m) =
-    cr_define([1,2;3,m]), as a polynomial in x_1..x_n.  It depends on n,
-    e and the tops only, and a rewrite has degree at most 1 in each t_m
-    (every index occurs in one factor above and one below), so there are
-    at most 3^(n-3) keys per n."""
-    image = MultiPoly.const(QQ, xvars(n), 1)
+    cr_define([1,2;3,m]), packed: the product ``RatFn.compose_pair`` would
+    multiply out.  A rewrite has degree <= 1 in each t_m (every index occurs
+    in one factor above and one below): at most 3^(n-3) keys per n."""
+    image = {0: 1}
     for m, e, top in zip(range(4, n + 1), expo, tops):
         if top:
             gen = cr_define(generator_symbol(n, m))
-            image = image * gen.num ** e * gen.den ** (top - e)
+            for side in [gen.num] * e + [gen.den] * (top - e):
+                image = _product_sum([(image, _packed(side))], n)
     return image
+
+
+_MAX_EXPONENT = 5  # the degree bound of the module docstring
+_FIELD = _MAX_EXPONENT.bit_length() + 1  # bits per variable, with a top bit
+_TOP = 1 << (_FIELD - 1)
+
+
+def _packed(p):
+    """A MultiPoly as {packed exponent: coefficient}."""
+    if max(map(max, p.terms), default=0) >= _TOP:
+        raise DegreeTooLarge("an exponent needs over %d bits" % (_FIELD - 1))
+    shifts = range(0, _FIELD * len(p.vars), _FIELD)
+    return {sum(map(lshift, e, shifts)): c for e, c in p.terms.items()}
+
+
+def _product_sum(pairs, n):
+    """The sum of p * q over pairs of packed polynomials in n variables,
+    without zero terms; DegreeTooLarge when an exponent reaches a top bit."""
+    out = {}
+    get = out.get
+    for p, q in pairs:
+        if len(p) > len(q):
+            p, q = q, p
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+    if reduce(or_, out, 0) & sum(_TOP << _FIELD * i for i in range(n)):
+        raise DegreeTooLarge("an exponent needs over %d bits" % (_FIELD - 1))
+    return {e: c for e, c in out.items() if c}

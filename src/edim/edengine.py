@@ -504,8 +504,9 @@ def _leaf_pgl_obs(a, fd):
     Both element-order conditions ask for *some* qualifying order, and a
     factor's orders are among its product's, so a product tries the union
     of its factors' sets first and builds its own lcm set only when that
-    union does not decide.  A factor that raises TooLarge gives no
-    element-order fact."""
+    union does not decide (for a multiple of the prime l = char K, only if l
+    is a factor order: l divides an lcm only through a factor order, and one
+    other than l decides).  A factor raising TooLarge gives no such fact."""
     if a == TRIVIAL:
         return
     product = isinstance(a, Product)
@@ -517,8 +518,9 @@ def _leaf_pgl_obs(a, fd):
     l = char_of(fd)
     for found in (_multiple_of_char, _without_real_zeta) if l else \
             (_without_real_zeta,):
-        if found(orders, l, fd) or (product and orders and
-                                    found(expr_element_orders(a), l, fd)):
+        if found(orders, l, fd) or (product and orders and (
+                l in orders or found is _without_real_zeta) and
+                found(expr_element_orders(a), l, fd)):
             yield 2, None
     if isinstance(fd, FiniteField) and fd.q <= PGL_OBS_Q_CAP \
             and a == _pgl2_spelling(a) and not dickson_embeds(a, fd):

@@ -217,52 +217,33 @@ def _div(a, b):
     return a / b
 
 
-def _point(p, occ, values):
-    """(ctx, powers) for evaluating polynomials of p's ring at values.  ctx
-    is the field of the code arithmetic, the common field of an F_q domain
-    and of the F_q values, or None at a rational point; powers maps (i, 1)
-    to the value of each variable index i in occ, as a code in ctx."""
-    missing = {p.vars[i] for i in occ} - set(values)
-    if missing:
-        raise UnboundVariable("unbound variables: %s" % sorted(missing))
-    ctx = p.domain if isinstance(p.domain, FqContext) else None
-    for v in values.values():
-        if isinstance(v, FqElement) and v.ctx is not ctx:
-            ctx = v.ctx if ctx is None else common_field(ctx, v.ctx)
-    if ctx is None:
-        return None, {(i, 1): values[p.vars[i]] for i in occ}
-    return ctx, {(i, 1): _code_in(values[p.vars[i]], ctx) for i in occ}
+def _coded(p, ctx):
+    """p's terms as (coefficient, ((variable index, degree), ...)) for
+    ``_term_sum``: each coefficient as its code in ctx, or as itself with
+    ctx None."""
+    return tuple((c if ctx is None else _coerce(c, ctx).code,
+                  tuple((i, d) for i, d in enumerate(e) if d))
+                 for e, c in p.terms.items())
 
 
 def _term_sum(terms, ctx, powers):
-    """The sum of c * prod x_i^d over terms: on codes with ctx's operations,
-    or with ctx None on the values themselves.  powers holds each x_i^d
-    under (i, d), starting from the values under (i, 1), and grows."""
+    """The sum of c * prod x_i^d over ``_coded`` terms: on codes with ctx's
+    operations, or with ctx None on the values themselves.  powers holds
+    each x_i^d under (i, d), starting from the values under (i, 1), and
+    grows."""
     if ctx is None:
         add_, mul_, pow_ = add, mul, pow
     else:
         add_, mul_, pow_ = ctx.add, ctx.mul, ctx.pow
     acc = 0
-    for e, c in terms.items():
-        term = c if ctx is None else _code_in(c, ctx)
-        for i, d in enumerate(e):
-            if d:
-                v = powers.get((i, d))
-                if v is None:
-                    v = powers[i, d] = pow_(powers[i, 1], d)
-                term = mul_(term, v)
-        acc = add_(acc, term)
+    for c, mono in terms:
+        for key in mono:
+            v = powers.get(key)
+            if v is None:
+                v = powers[key] = pow_(powers[key[0], 1], key[1])
+            c = mul_(c, v)
+        acc = add_(acc, c)
     return acc
-
-
-def _code_in(x, ctx):
-    """The code in ctx of a coefficient or value: an int, an element of a
-    subfield of ctx, or a Fraction, whose denominator p must not divide."""
-    if type(x) is int:
-        return x % ctx.p
-    if isinstance(x, FqElement):
-        return x.code
-    return _coerce(x, ctx).code
 
 
 def _coerce(c, dom):
@@ -591,11 +572,20 @@ class RatFn:
         fields), and only the result is an FqElement; otherwise they run on
         the values themselves (int and Fraction at a rational point), and
         the quotient goes through ``_div``."""
-        ctx, powers = _point(self.num, self.occurring(), values)
-        d = _term_sum(self.den.terms, ctx, powers)
+        vs, occ = self.vars, self.occurring()
+        missing = {vs[i] for i in occ} - set(values)
+        if missing:
+            raise UnboundVariable("unbound variables: %s" % sorted(missing))
+        ctx = self.domain if isinstance(self.domain, FqContext) else None
+        for v in values.values():
+            if isinstance(v, FqElement) and v.ctx is not ctx:
+                ctx = v.ctx if ctx is None else common_field(ctx, v.ctx)
+        powers = {(i, 1): values[vs[i]] if ctx is None else
+                  _coerce(values[vs[i]], ctx).code for i in occ}
+        d = _term_sum(_coded(self.den, ctx), ctx, powers)
         if d == 0:
             raise PoleAtPoint("denominator vanishes at the given point")
-        n = _term_sum(self.num.terms, ctx, powers)
+        n = _term_sum(_coded(self.num, ctx), ctx, powers)
         return _div(n, d) if ctx is None else \
             FqElement(ctx, ctx.mul(n, ctx.inv(d)))
 

@@ -19,9 +19,10 @@ base field F_q: for mu = (a, b; c, d) and f = sum f_i X^i,
 over the algebraic closure, where f = prod (X - r_i).  So h's roots are the
 images of f's roots exactly when monic(G) = h, and deg G < n exactly when
 some root is sent to infinity.  No factoring and no extension field: the
-check runs on the integer codes of F_q (see ``exactfield.FqContext``), from
-the values of the coefficients' base RatFns to the comparison with h, with
-no arithmetic on field elements.
+check runs on the integer codes of F_q (see ``exactfield.FqContext``), with
+no arithmetic on field elements, through a plan built once per (f, h,
+record, F_q) that codes the base RatFns' coefficients: a call codes the
+point, then sums terms and forms products, the Mobius matrix and G.
 
 ``general_poly`` and ``reduce_general`` are memoized per (n, char): their
 results are frozen records (tuples of PowerProducts over RatFns), so every
@@ -34,9 +35,9 @@ import math
 from functools import lru_cache
 
 from .errors import (CharDividesDegree, DegenerateTail, PoleAtAssignment,
-                     PoleAtPoint, Unsupported)
-from .exactfield import common_field, fq_context
-from .ratfunc import QQ, RatFn, _point, _pow_table, _term_sum
+                     PoleAtPoint, UnboundVariable, Unsupported)
+from .exactfield import FqContext, common_field, fq_context
+from .ratfunc import QQ, RatFn, _coded, _pow_table, _term_sum
 from .record import Record
 
 
@@ -54,7 +55,7 @@ class PowerProduct:
     n near 7, while staying comparably canonical; ``verify_specialization``
     evaluates it at a point from the values of its bases."""
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_hash")
 
     def __init__(self, factors):
         combined = {}
@@ -63,6 +64,8 @@ class PowerProduct:
                 combined[base] = combined.get(base, 0) + exp
         self.factors = tuple(sorted(((b, e) for b, e in combined.items() if e),
                                     key=lambda t: (repr(t[0]), t[1])))
+        # every zero product is equal to every other, whatever its factors
+        self._hash = hash(0) if self.is_zero() else hash(self.factors)
 
     @classmethod
     def of(cls, ratfn):
@@ -82,8 +85,7 @@ class PowerProduct:
         return self.factors == other.factors
 
     def __hash__(self):
-        # every zero product is equal to every other, whatever its factors
-        return hash(0) if self.is_zero() else hash(self.factors)
+        return self._hash
 
     def __mul__(self, other):
         return PowerProduct(self.factors + other.factors)
@@ -167,13 +169,7 @@ def general_poly(n, char):
 
 def parameter_count(gp):
     """Number of distinct non-constant coefficient entries."""
-    distinct = []
-    for c in gp.coeffs:
-        if c.is_constant():
-            continue
-        if all(c != d for d in distinct):
-            distinct.append(c)
-    return len(distinct)
+    return len({c for c in gp.coeffs if not c.is_constant()})
 
 
 # ---------------------------------------------------------------------------
@@ -307,44 +303,31 @@ def reduce_general(n, char):
 # specialization oracle
 # ---------------------------------------------------------------------------
 
-def _codes_at(bases, values, ctx):
-    """{base: the code of its value at the point, None at a pole} for
-    distinct RatFns of one ring, with one table of powers for all."""
-    point = {name: ctx.coerce(v) for name, v in values.items()}
-    occ = set().union(*(b.occurring() for b in bases))
-    pctx, powers = _point(bases[0].num, occ, point)
-    if common_field(ctx, pctx) is not ctx:
+@lru_cache(maxsize=None)
+def _plan(f, h, record, ctx):
+    """What ``verify_specialization`` reads of (f, h, record) over ctx, once
+    per key (compared by value): the (index, name) of each variable that
+    occurs; per distinct base RatFn, its denominator and numerator coded by
+    ``ratfunc._coded``, or None if p divides a coefficient's denominator;
+    f's and h's coefficients as ((base index, exponent), ...), None for the
+    zero product; each step's base index, None for InvertRoot."""
+    index, bases = {}, []
+    coeffs = tuple(tuple(None if c.is_zero() else tuple(
+        (index.setdefault(b, len(index)), e) for b, e in c.factors)
+        for c in gp.coeffs) for gp in (f, h))
+    steps = tuple(None if s.lam is None else
+                  index.setdefault(s.lam, len(index)) for s in record.steps)
+    dom = next(iter(index)).domain
+    if isinstance(dom, FqContext) and \
+            common_field(ctx, common_field(dom, ctx)) is not ctx:
         raise ValueError("the coefficients do not lie in %r" % (ctx,))
-    out = dict.fromkeys(bases)
-    for b in bases:
+    for b in index:
         try:
-            den = _term_sum(b.den.terms, ctx, powers)
-            if den:
-                num = _term_sum(b.num.terms, ctx, powers)
-                out[b] = num if den == 1 else ctx.mul(num, ctx.inv(den))
-        except PoleAtPoint:  # a rational coefficient's denominator is 0 mod p
-            pass
-    return out
-
-
-def _product_codes(gp, at, inverses, ctx):
-    """gp's coefficients as codes, from the base codes in at; inverses
-    holds the inverse of each base met with a negative exponent."""
-    out = []
-    for c in gp.coeffs:
-        acc = 0 if c.is_zero() else 1  # a zero product needs no factor
-        for base, e in c.factors if acc else ():
-            v = at[base]
-            if v is None or not v and e < 0:
-                raise PoleAtAssignment("coefficient has a pole at the "
-                                       "assignment")
-            if e < 0:
-                if base not in inverses:
-                    inverses[base] = ctx.inv(v)
-                v, e = inverses[base], -e
-            acc = ctx.mul(acc, ctx.pow(v, e))
-        out.append(acc)
-    return out
+            bases.append((_coded(b.den, ctx), _coded(b.num, ctx)))
+        except PoleAtPoint:
+            bases.append(None)
+    occ = {(i, b.vars[i]) for b in index for i in b.occurring()}
+    return occ, tuple(bases), coeffs, steps
 
 
 def _mul(u, v, ctx):
@@ -357,19 +340,37 @@ def _mul(u, v, ctx):
 
 
 def verify_specialization(f, h, record, assignment, ctx):
-    """Specialize f and h at t-values in F_q and check that the recorded
-    transformations carry the root multiset of f onto that of h, by the
-    Mobius identity of the module docstring, on ctx's codes."""
-    bases = [b for gp in (f, h) for c in gp.coeffs if not c.is_zero()
-             for b, _ in c.factors]
-    bases += [step.lam for step in record.steps if step.lam is not None]
-    at, inverses = _codes_at(list(dict.fromkeys(bases)), assignment, ctx), {}
-    f_codes = _product_codes(f, at, inverses, ctx)
-    h_codes = _product_codes(h, at, inverses, ctx)
+    """Specialize f and h at t-values in F_q and check that the record
+    carries the roots of f onto those of h, by the Mobius identity of the
+    module docstring, on ctx's codes and ``_plan(f, h, record, ctx)``."""
+    occ, bases, coeffs, steps = _plan(f, h, record, ctx)
+    point = {name: ctx.coerce(v).code for name, v in assignment.items()}
+    missing = {x for _, x in occ} - point.keys()
+    if missing:
+        raise UnboundVariable("unbound variables: %s" % sorted(missing))
+    mul, inv = ctx.mul, ctx.inv
+    powers = {(i, 1): point[x] for i, x in occ}
+    at = []
+    for terms in bases:
+        den = terms and _term_sum(terms[0], ctx, powers)
+        at.append(mul(_term_sum(terms[1], ctx, powers), inv(den))
+                  if den else None)
+
+    def product(c):
+        acc = 0 if c is None else 1  # a zero product needs no factor
+        for k, e in c or ():
+            v = at[k]
+            if v is None or not v and e < 0:
+                raise PoleAtAssignment("coefficient has a pole at the "
+                                       "assignment")
+            acc = mul(acc, ctx.pow(v if e > 0 else inv(v), abs(e)))
+        return acc
+
+    f_codes, h_codes = [[product(c) for c in gp] for gp in coeffs]
     m = (1, 0, 0, 1)
-    for step in record.steps:
-        lv = None if step.lam is None else at[step.lam]
-        if step.lam is not None and lv is None:
+    for step, k in zip(record.steps, steps):
+        lv = None if k is None else at[k]
+        if k is not None and lv is None:
             raise PoleAtAssignment("step parameter has a pole at the "
                                    "assignment")
         if isinstance(step, ScaleRoots) and not lv:

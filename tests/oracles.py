@@ -12,11 +12,14 @@ of F_q, and the tests check the closed forms against them.
 
 ``ExtField`` is the extension-field arithmetic the Tschirnhaus root oracle
 and criterion 5 compute in; the library itself never leaves F_q.
+``check_rewrite_by_products`` is the cross-ratio check on MultiPoly products,
+the path ``crossratio.check_rewrite``'s packed monomials replace.
 """
 
 import math
 from dataclasses import dataclass
 
+from edim.crossratio import cr_define, cr_rewrite, generator_symbol
 from edim.errors import NotPrime, TooLarge, ZeroElement
 from edim.exactfield import _power, is_prime
 from edim.fielddesc import (NO, UNKNOWN, YES, char_of, contains_zeta,
@@ -451,3 +454,19 @@ class ExtElement:
 
     def __repr__(self):
         return "Ext(%s)" % (list(self.coeffs),)
+
+
+# ---------------------------------------------------------------------------
+# cross-ratios
+# ---------------------------------------------------------------------------
+
+def check_rewrite_by_products(sym):
+    """``crossratio.check_rewrite`` without its table or packing: compose the
+    rewrite with t_m = [1,2;3,m] by ``RatFn.compose_pair`` and cross-multiply
+    the MultiPolys against ``cr_define(sym)``."""
+    n = sym.n
+    bindings = {"t%d" % i: cr_define(generator_symbol(n, i))
+                for i in range(4, n + 1)}
+    ncomp, dcomp = cr_rewrite(sym).compose_pair(bindings)
+    direct = cr_define(sym)
+    return ncomp * direct.den == dcomp * direct.num

@@ -305,6 +305,8 @@ BUDGET = [
     (["bound", "--group", "A40", "--field", "F(2)"], 0),
     (["bound", "--group", "S40xS39xS38xS37xS36xS35", "--field", "Q"], 0),
     (["bound", "--group", "A40xA39xA38xA37xA36xA35", "--field", "F(2)"], 0),
+    (["bound", "--group", "S40xS39xS38xS37", "--field", "F(41)"], 0),
+    (["bound", "--group", "S40xS39xS38xS37", "--field", "F(43)"], 0),
     (["bound", "--group", "D30", "--field", "F(25)"], 0),
     (["crossratio", "action", "--n", "800", "--perm", _perm(800, 1)], 3),
     (["crossratio", "action", "--n", str(cli.CROSSRATIO_N_CAP + 1),

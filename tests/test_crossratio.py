@@ -8,9 +8,10 @@ from edim import crossratio, ratfunc
 from edim.crossratio import (CRSymbol, apply_action, check_rewrite, cr_define,
                              cr_rewrite, generator_symbol, sn_action, tvars,
                              verify_faithful, xvars)
-from edim.errors import AmbientOutOfRange, AmbientTooSmall
+from edim.errors import AmbientOutOfRange, AmbientTooSmall, DegreeTooLarge
 from edim.exactfield import fq_context
 from edim.ratfunc import QQ, MultiPoly, RatFn, render
+from oracles import check_rewrite_by_products
 
 # the six Mobius images of a cross-ratio t under reordering its four points,
 # generated by the paper's Step-2 identities (12).t = (34).t = 1/t and
@@ -143,9 +144,17 @@ def test_check_rewrite_rejects_forged_rewrites(n, monkeypatch):
             monkeypatch.setattr(crossratio, "_rewrite",
                                 lambda n_, idx_, other=other: real(n_, other))
             assert check_rewrite(sym) is False, (idx, other)
+            assert check_rewrite_by_products(sym) is False, (idx, other)
             monkeypatch.setattr(crossratio, "_rewrite", real)
             forged += 1
     assert forged == 5 * 20
+
+
+def _unpacked(poly, n):
+    """A packed polynomial of ``crossratio`` as {exponent tuple: coeff}."""
+    width = crossratio._FIELD
+    return {tuple(e >> width * i & (1 << width) - 1 for i in range(n)): c
+            for e, c in poly.items()}
 
 
 def test_generator_table_matches_compose_pair():
@@ -158,9 +167,40 @@ def test_generator_table_matches_compose_pair():
             rewritten = cr_rewrite(CRSymbol(n, idx))
             got = crossratio._composed(n, rewritten)
             want = rewritten.compose_pair(bindings)
-            assert [p.terms for p in got] == [p.terms for p in want], idx
+            assert [_unpacked(p, n) for p in got] == \
+                [p.terms for p in want], idx
     # criterion 7's 1,320 symbols meet at most 3^(n-3) keys per n
     assert crossratio._generator_image.cache_info().currsize <= 94
+
+
+def test_packed_check_matches_the_product_oracle():
+    # every symbol with n = 5..7: the packed check and the MultiPoly
+    # cross-multiplication both accept
+    for n in (5, 6, 7):
+        for idx in itertools.permutations(range(1, n + 1), 4):
+            sym = CRSymbol(n, idx)
+            assert check_rewrite(sym) is check_rewrite_by_products(sym) \
+                is True, idx
+
+
+def test_packing_refuses_an_exponent_past_its_field():
+    # a field holds the degree bound below its top bit: packing an exponent
+    # that reaches the top bit raises, and so does a product whose exponent
+    # sum reaches it, before any sum could carry into the next field
+    n, top = 3, crossratio._TOP
+    assert crossratio._MAX_EXPONENT < top
+    x = [MultiPoly.var(QQ, xvars(n), v) for v in xvars(n)]
+    with pytest.raises(DegreeTooLarge):
+        crossratio._packed(x[0] ** top)
+    for v in (x[0], x[2]):  # the last field too: its carry has no neighbour
+        for a, b in ((top - 1, 1), (top // 2, top // 2), (top - 1, top - 1)):
+            p, q = crossratio._packed(v ** a), crossratio._packed(v ** b)
+            with pytest.raises(DegreeTooLarge):
+                crossratio._product_sum([(p, q)], n)
+    # below the top bit a product is exact
+    p, q = crossratio._packed(x[0] ** 3 * x[2]), crossratio._packed(x[0] ** 4)
+    assert _unpacked(crossratio._product_sum([(p, q)], n), n) == \
+        {(top - 1, 0, 1): 1}
 
 
 @pytest.mark.parametrize("n", [5, 6])

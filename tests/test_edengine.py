@@ -757,6 +757,26 @@ def test_pgl_obs_decides_big_products_from_a_factor(monkeypatch, text, fd):
         1 + (fd.char() > 0))
 
 
+@pytest.mark.parametrize("q", [41, 43])
+def test_pgl_obs_skips_the_lcm_set_when_no_factor_has_order_char(
+        monkeypatch, q):
+    # over F(l), l prime, l divides an lcm of orders only when it divides a
+    # factor's order; none of these factors has an order that l divides,
+    # so no lcm is a multiple of l and the lcm set is not built for that
+    # condition, while an order without zeta + zeta^-1 in F(l) decides the
+    # other from a factor
+    real = edengine.expr_element_orders
+
+    def atoms_only(e):
+        assert not isinstance(e, Product), "built the lcm set of %s" % e
+        return real(e)
+
+    monkeypatch.setattr(edengine, "expr_element_orders", atoms_only)
+    e = canon(parse_group("S40xS39xS38xS37"))
+    assert list(edengine._leaf_pgl_obs(e, finite_field_from_q(q))) == \
+        [(2, None)]
+
+
 # --- the engine memo ----------------------------------------------------------
 
 _MEMOS = (edengine._key, atom_aliases, edengine.leaf_facts,

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -220,12 +221,44 @@ def test_specialization_does_no_field_element_arithmetic(monkeypatch):
     for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
                  "__truediv__", "__pow__", "inverse"):
         monkeypatch.setattr(FqElement, name, forbidden)
+    tschirnhaus._plan.cache_clear()  # building the plans is covered too
     outcomes = set()
     for f, (h, record), ctx, points in cases:
         for point in points:
             outcomes.add(_outcome(verify_specialization, f, h, record, point,
                                   ctx))
     assert True in outcomes and outcomes <= {True, "pole"}, outcomes
+
+
+def test_one_plan_per_reduction_and_field():
+    # criterion 8's pairs: each (f, h, record, ctx) builds its plan once and
+    # every later point reuses it; the key is compared by value, so the
+    # rotated h is a key of its own (unless it equals h), and is rejected
+    rng = random.Random(29)
+    tschirnhaus._plan.cache_clear()
+    keys, calls, rejected, forged = set(), 0, set(), set()
+    for n, char in PAIRS:
+        f = general_poly(n, char)
+        h, record = reduce_general(n, char)
+        rotated = GeneralPoly(n, char, h.coeffs[1:] + h.coeffs[:1])
+        for target in (h, rotated) * 6:
+            ctx = fq_context(101, 1) if char == 0 else \
+                fq_context(char, rng.choice([1, 2]))
+            els = list(ctx.elements())
+            point = {"t%d" % (i + 1): rng.choice(els) for i in range(n)}
+            outcome = _outcome(verify_specialization, f, target, record,
+                               point, ctx)
+            if target == h:
+                assert outcome in (True, "pole"), (n, char, outcome)
+            else:
+                forged.add((n, char))
+            if outcome is False:
+                rejected.add((n, char))
+            keys.add((f, target, record, ctx))
+            calls += 1
+    info = tschirnhaus._plan.cache_info()
+    assert (info.misses, info.hits) == (len(keys), calls - len(keys))
+    assert rejected == forged, forged - rejected
 
 
 def test_mobius_check_finds_roots_sent_to_infinity():
@@ -262,6 +295,21 @@ def test_every_pole_message_says_pole():
         messages.add(str(exc.value))
     assert len(messages) == 4
     assert all("pole" in m.lower() for m in messages), messages
+
+
+def test_a_denominator_that_p_divides_is_a_pole_at_every_point():
+    # 1/101 has no code in F_101, so a base with that coefficient is a pole
+    # wherever the check looks, under both checks
+    f = general_poly(2, 0)
+    t1 = RatFn.var(QQ, ("t1", "t2"), "t1")
+    h = GeneralPoly(2, 0, (PowerProduct.of(t1 * Fraction(1, 101)),
+                           f.coeffs[1]))
+    ctx = fq_context(101, 1)
+    for point in ({"t1": ctx.from_int(3), "t2": ctx.one},
+                  {"t1": ctx.zero, "t2": ctx.from_int(7)}):
+        for check in (verify_specialization, _verify_by_roots):
+            assert _outcome(check, f, h, TransformRecord(()), point, ctx) \
+                == "pole", (check, point)
 
 
 def test_large_degree_verifies_without_a_cap():
