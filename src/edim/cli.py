@@ -179,12 +179,8 @@ def _split_top(text):
 # ---------------------------------------------------------------------------
 
 def _cmd_bound(args):
-    g = parse_group(args.group)
-    fd = parse_field(args.field)
-    interval, nodes = bound(g, fd)
-    out = trace_json(g, fd, interval, nodes)
-    out["interval"] = interval.json()
-    return out
+    g, fd = parse_group(args.group), parse_field(args.field)
+    return trace_json(g, fd, *bound(g, fd))
 
 
 def _cmd_table(args):
@@ -322,29 +318,25 @@ def _mat_json(m):
 
 def _cmd_field(args):
     fd = parse_field(args.field)
+    out = {"field": fd.describe(), "query": args.query}
     if args.query == "char":
-        return {"field": fd.describe(), "query": "char",
-                "answer": char_of(fd)}
+        return {**out, "answer": char_of(fd)}
     if args.query == "fp_dim":
         if char_of(fd) == 0:
             raise ParseError("fp_dim is meaningless in characteristic 0")
         d = fd.fp_dimension()
-        return {"field": fd.describe(), "query": "fp_dim",
-                "answer": "inf" if d is INF else d}
+        return {**out, "answer": "inf" if d is INF else d}
     if args.n is None:
         raise ParseError("--n is required for query %r" % args.query)
     if args.n < 1:
         raise ParseError("--n must be at least 1")
+    out["n"] = args.n
     if args.query == "zeta":
-        return {"field": fd.describe(), "query": "zeta", "n": args.n,
-                "answer": str(fd.contains_zeta(args.n))}
+        return {**out, "answer": str(fd.contains_zeta(args.n))}
     if args.query == "real_zeta":
-        return {"field": fd.describe(), "query": "real_zeta", "n": args.n,
-                "answer": str(fd.contains_real_zeta(args.n))}
+        return {**out, "answer": str(fd.contains_real_zeta(args.n))}
     if args.query == "extend":
-        new = fd.extend_with_zeta(args.n)
-        return {"field": fd.describe(), "query": "extend", "n": args.n,
-                "answer": new.describe()}
+        return {**out, "answer": fd.extend_with_zeta(args.n).describe()}
     raise ParseError("unknown field query %r" % args.query)
 
 
@@ -430,6 +422,9 @@ def build_parser():
     return top
 
 
+# the option each (command, mode) needs that the parser cannot demand
+_NEEDS = {("crossratio", "rewrite"): "symbol", ("pgl2", "embed"): "group",
+          ("crossratio", "action"): "perm", ("pgl2", "reps"): "group"}
 _BODIES = {"bound": _cmd_bound, "table": _cmd_table,
            "crossratio": _cmd_crossratio, "tschirnhaus": _cmd_tschirnhaus,
            "pgl2": _cmd_pgl2, "field": _cmd_field}
@@ -439,15 +434,10 @@ def run(argv):
     """Execute one command; returns the process exit code."""
     try:
         args = build_parser().parse_args(argv)
-        if args.command in ("crossratio",) and args.mode == "rewrite" \
-                and args.symbol is None:
-            raise ParseError("crossratio rewrite needs --symbol")
-        if args.command in ("crossratio",) and args.mode == "action" \
-                and args.perm is None:
-            raise ParseError("crossratio action needs --perm")
-        if args.command == "pgl2" and args.mode in ("embed", "reps") \
-                and args.group is None:
-            raise ParseError("pgl2 %s needs --group" % args.mode)
+        need = _NEEDS.get((args.command, getattr(args, "mode", None)))
+        if need and getattr(args, need) is None:
+            raise ParseError("%s %s needs --%s"
+                             % (args.command, args.mode, need))
         out = {"schema": SCHEMA, "command": args.command,
                **_BODIES[args.command](args)}
         try:

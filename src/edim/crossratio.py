@@ -49,15 +49,15 @@ def tvars(n):
     return tuple("t%d" % i for i in range(4, n + 1))
 
 
-def _cross_product(n, a, b, c, d):
-    """(x_a - x_c)(x_b - x_d) = x_a x_b - x_a x_d - x_c x_b + x_c x_d, built
-    as its four terms; for distinct a, b, c, d the four monomials differ."""
+def _cross_product(vs, a, b, c, d):
+    """(x_a - x_c)(x_b - x_d) = x_a x_b - x_a x_d - x_c x_b + x_c x_d in vs,
+    built as its four terms; for distinct a, b, c, d its monomials differ."""
     def mono(p, q):
-        e = [0] * n
+        e = [0] * len(vs)
         e[p - 1] = e[q - 1] = 1
         return tuple(e)
-    return MultiPoly(QQ, xvars(n), {mono(a, b): 1, mono(a, d): -1,
-                                    mono(c, b): -1, mono(c, d): 1})
+    return MultiPoly(QQ, vs, {mono(a, b): 1, mono(a, d): -1,
+                              mono(c, b): -1, mono(c, d): 1})
 
 
 def cr_define(sym):
@@ -65,8 +65,9 @@ def cr_define(sym):
     the four linear factors join distinct pairs of variables.  Each side is
     one four-term polynomial, with no products of MultiPolys."""
     i, j, k, l = sym.indices
-    return RatFn(_cross_product(sym.n, i, j, k, l),
-                 _cross_product(sym.n, i, j, l, k), reduce=False)
+    vs = xvars(sym.n)
+    return RatFn(_cross_product(vs, i, j, k, l),
+                 _cross_product(vs, i, j, l, k), reduce=False)
 
 
 def generator_symbol(n, i):

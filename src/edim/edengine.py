@@ -17,7 +17,8 @@ replayable certificate, never a case analysis: rules that depend on a
 three-valued field predicate simply do not fire on Unknown.
 
 Everything the engine derives about one query is a pure function of the
-canonical (expr, field) pair, and both are immutable, hashable records.
+canonical (expr, field) pair, and both are interned records (see
+``record``), compared and hashed by identity.
 So ``_key``, ``leaf_facts``, ``edges_of`` and ``_leaf_phase`` (a new
 query's interval and trace nodes from its leaf facts) are memoized per
 process with unbounded ``lru_cache``s: every ``bound`` call, ``edim table``
@@ -67,8 +68,18 @@ class BoundInterval(Record):
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
+    def narrowed(self, lo, hi):
+        """The meet with [lo, hi], None meaning no bound on that side; self
+        when it narrows nothing.  Raises Inconsistent as the meet would."""
+        lo, hi = 0 if lo is None else lo, INF if hi is None else hi
+        if not 0 <= lo <= hi:
+            BoundInterval(lo, hi)  # raises
+        if lo <= self.lo and hi >= self.hi:
+            return self
+        return BoundInterval(max(self.lo, lo), min(self.hi, hi))
+
     def meet(self, other):
-        return BoundInterval(max(self.lo, other.lo), min(self.hi, other.hi))
+        return self.narrowed(other.lo, other.hi)
 
     def json(self):
         return {"lo": self.lo,
@@ -153,6 +164,12 @@ class TraceNode(Record):
 # canonical forms and isomorphism aliases
 # ---------------------------------------------------------------------------
 
+# canon's renames of small atoms to another non-trivial spelling, besides
+# E(p,1) to C_p
+_RENAMES = {Sym(2): Cyc(2), Dih(1): Cyc(2), Alt(3): Cyc(3),
+            Dih(2): ElemAb(2, 2), Dih(3): Sym(3)}
+
+
 def canon(e):
     """Canonical representative of the isomorphism class, within the
     rewrites the engine knows: trivial atoms to C1 and small renames, on
@@ -167,37 +184,18 @@ def canon(e):
         return factors[0] if factors else TRIVIAL
     if isinstance(e, Sym) and e.n <= 1 or isinstance(e, Alt) and e.n <= 2:
         return TRIVIAL
-    if isinstance(e, Sym) and e.n == 2:
-        return Cyc(2)
-    if isinstance(e, Alt) and e.n == 3:
-        return Cyc(3)
-    if isinstance(e, Dih):
-        if e.n == 1:
-            return Cyc(2)
-        if e.n == 2:
-            return ElemAb(2, 2)
-        if e.n == 3:
-            return Sym(3)
     if isinstance(e, ElemAb) and e.r == 1:
         return Cyc(e.p)
-    return e
+    return _RENAMES.get(e, e)
 
 
 @lru_cache(maxsize=None)
 def atom_aliases(a):
-    """All isomorphic atom spellings of a canonical atom (itself included);
-    rules fire on every alias so no family-specific rule is lost."""
-    out = {a}
-    if a == Cyc(2):
-        out |= {Sym(2), Dih(1), ElemAb(2, 1)}
-    elif a == Cyc(3):
-        out |= {Alt(3), ElemAb(3, 1)}
-    elif a == Sym(3):
-        out |= {Dih(3)}
-    elif a == ElemAb(2, 2):
-        out |= {Dih(2)}
-    elif isinstance(a, Cyc) and is_prime(a.n):
-        out |= {ElemAb(a.n, 1)}
+    """All isomorphic atom spellings of a canonical atom, itself included,
+    sorted by spelling; rules fire on each, so no family rule is lost."""
+    out = {a}.union(b for b, c in _RENAMES.items() if c is a)
+    if isinstance(a, Cyc) and is_prime(a.n):
+        out.add(ElemAb(a.n, 1))
     return tuple(sorted(out, key=str))
 
 
@@ -429,7 +427,7 @@ def _leaf_rep(a, fd):
 
 
 def _leaf_s_ub(a, fd):
-    if isinstance(a, Sym) and a.n >= 5:
+    if a.n >= 5:
         yield None, a.n - 3
 
 
@@ -437,25 +435,23 @@ _S_SMALL = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3}  # Thm 1.2; S_6 outside char 2
 
 
 def _leaf_s_small(a, fd):
-    if isinstance(a, Sym) and a.n in _S_SMALL \
-            and (a.n < 6 or char_of(fd) != 2):
+    if a.n in _S_SMALL and (a.n < 6 or char_of(fd) != 2):
         yield _S_SMALL[a.n], _S_SMALL[a.n]
 
 
 def _leaf_elemab(a, fd):
-    if isinstance(a, ElemAb) and contains_zeta(fd, a.p) is YES:
+    if contains_zeta(fd, a.p) is YES:
         yield a.r, a.r
 
 
 # R-S-LB and R-A close the raw Thm 5.4 and 5.6 recurrences; those are the
 # test oracles s_lower_recurrence and a_lower_recurrence in tests/oracles.py
 def _leaf_s_lb(a, fd):
-    if isinstance(a, Sym):
-        yield (a.n // 2 if char_of(fd) != 2 else (a.n + 1) // 3), None
+    yield (a.n // 2 if char_of(fd) != 2 else (a.n + 1) // 3), None
 
 
 def _leaf_a(a, fd):
-    if not (isinstance(a, Alt) and a.n >= 3):
+    if a.n < 3:
         return
     if char_of(fd) == 2:
         yield a.n // 3, None
@@ -468,7 +464,7 @@ def _leaf_a(a, fd):
 
 
 def _leaf_a_ub(a, fd):
-    if char_of(fd) != 2 or not isinstance(a, Alt):
+    if char_of(fd) != 2:
         return
     if a.n == 8:
         yield None, 3
@@ -537,13 +533,13 @@ def _without_real_zeta(orders, l, fd):
 
 
 def _leaf_dn(a, fd):
-    crit = dn_criterion(a.n, fd) if isinstance(a, Dih) else UNKNOWN
+    crit = dn_criterion(a.n, fd)
     if crit is not UNKNOWN:
         yield (1, 1) if crit is YES else (2, None)
 
 
 def _leaf_e22(a, fd):
-    if char_of(fd) != 2 or a != ElemAb(2, 2):
+    if char_of(fd) != 2 or a.p != 2 or a.r != 2:
         return
     s = fp_dimension(fd)
     if s == 1:
@@ -553,7 +549,7 @@ def _leaf_e22(a, fd):
 
 
 def _leaf_epr_charp(a, fd):
-    if not (isinstance(a, ElemAb) and char_of(fd) == a.p):
+    if char_of(fd) != a.p:
         return
     s = fp_dimension(fd)
     if s is not None:
@@ -561,18 +557,20 @@ def _leaf_epr_charp(a, fd):
 
 
 def _leaf_cyc(a, fd):
-    if isinstance(a, Cyc) and contains_zeta(fd, a.n) is YES:
+    if contains_zeta(fd, a.n) is YES:
         yield None, 1
 
 
-# in catalog order; each fn(alias, fd) yields (lo, hi) narrowings, None
-# meaning no bound on that side
+# in catalog order: (rule, the atom class fn reads or None for any, fn);
+# fn(alias, fd) yields (lo, hi) narrowings, None meaning no bound there
 LEAF_RULES = (
-    ("R-TRIV", _leaf_triv), ("R-REP", _leaf_rep), ("R-S-UB", _leaf_s_ub),
-    ("R-S-SMALL", _leaf_s_small), ("R-ELEMAB", _leaf_elemab),
-    ("R-S-LB", _leaf_s_lb), ("R-A", _leaf_a), ("R-A-UB", _leaf_a_ub),
-    ("R-PGL-OBS", _leaf_pgl_obs), ("R-DN", _leaf_dn), ("R-E22", _leaf_e22),
-    ("R-EPR-CHARP", _leaf_epr_charp), ("R-CYC", _leaf_cyc),
+    ("R-TRIV", None, _leaf_triv), ("R-REP", None, _leaf_rep),
+    ("R-S-UB", Sym, _leaf_s_ub), ("R-S-SMALL", Sym, _leaf_s_small),
+    ("R-ELEMAB", ElemAb, _leaf_elemab), ("R-S-LB", Sym, _leaf_s_lb),
+    ("R-A", Alt, _leaf_a), ("R-A-UB", Alt, _leaf_a_ub),
+    ("R-PGL-OBS", None, _leaf_pgl_obs), ("R-DN", Dih, _leaf_dn),
+    ("R-E22", ElemAb, _leaf_e22), ("R-EPR-CHARP", ElemAb, _leaf_epr_charp),
+    ("R-CYC", Cyc, _leaf_cyc),
 )
 
 
@@ -583,10 +581,6 @@ LEAF_RULES = (
 @lru_cache(maxsize=None)
 def _key(e, fd):
     return str(canon(e)), fd.describe()
-
-
-def _interval(lo, hi):
-    return BoundInterval(0 if lo is None else lo, INF if hi is None else hi)
 
 
 def _lo_of(iv):
@@ -613,9 +607,10 @@ def _sum_hi(*ivs):
 @lru_cache(maxsize=None)
 def leaf_facts(e, fd):
     """The (rule, lo, hi) narrowings of the canonical query (e, fd), in
-    catalog order: every leaf rule fired on every alias of e."""
+    catalog order: every leaf rule fired on every alias of e of its kind."""
     aliases = atom_aliases(e)
-    return tuple((rule, lo, hi) for rule, fn in LEAF_RULES for a in aliases
+    return tuple((rule, lo, hi) for rule, kind, fn in LEAF_RULES
+                 for a in aliases if kind is None or a.__class__ is kind
                  for lo, hi in fn(a, fd))
 
 
@@ -626,8 +621,8 @@ def _leaf_phase(e, fd):
     would: no edge reads a query before its leaf facts are in."""
     key, iv, nodes = _key(e, fd), TOP, []
     for rule, lo, hi in leaf_facts(e, fd):
-        new = iv.meet(_interval(lo, hi))
-        if new != iv:
+        new = iv.narrowed(lo, hi)
+        if new is not iv:
             iv = new
             nodes.append(TraceNode(rule, RuleCatalog.citation(rule), (),
                                    (key, new)))
@@ -719,8 +714,8 @@ class _Engine:
 
     def narrow(self, key, rule, lo=None, hi=None, premises=()):
         cur = self.intervals[key]
-        new = cur.meet(_interval(lo, hi))
-        if new == cur:
+        new = cur.narrowed(lo, hi)
+        if new is cur:
             return
         self.intervals[key] = new
         self.trace.append(TraceNode(rule, RuleCatalog.citation(rule),
@@ -821,7 +816,7 @@ def replay_trace(nodes):
 
     def gives(cur, bounds, claimed):
         try:
-            return cur.meet(_interval(*bounds)) == claimed
+            return cur.narrowed(*bounds) == claimed
         except Inconsistent:
             return False
 

@@ -35,27 +35,17 @@ class TriBool(enum.Enum):
 YES, NO, UNKNOWN = TriBool.YES, TriBool.NO, TriBool.UNKNOWN
 
 
-class FieldDescriptor(Record):
-    """Base class; use the concrete constructors below.  ``describe()``
-    (and ``str``) writes the grammar ``cli.parse_field`` reads back:
-    ``Q``, ``Qzeta(m)``, ``F(q)``, ``custom{...}``."""
+class FieldDescriptor(Record, interned=True):
+    """Base class; use the concrete constructors below.  Each answers
+    ``char()``, ``contains_zeta(n)``, ``contains_real_zeta(n)``,
+    ``fp_dimension()`` and ``extend_with_zeta(m)``.  ``describe()`` (and
+    ``str``) writes the grammar ``cli.parse_field`` reads back: ``Q``,
+    ``Qzeta(m)``, ``F(q)``, ``custom{...}``."""
 
     __slots__ = ()
 
-    def char(self):
-        raise NotImplementedError
-
-    def contains_zeta(self, n):
-        raise NotImplementedError
-
-    def contains_real_zeta(self, n):
-        raise NotImplementedError
-
     def fp_dimension(self):
         raise CharZero("field has characteristic 0")
-
-    def extend_with_zeta(self, m):
-        raise NotImplementedError
 
     # shared preambles ------------------------------------------------------
 
@@ -118,7 +108,7 @@ class Cyclotomic(FieldDescriptor):
 
 class RationalField(Cyclotomic):
     """Q, which is Q(zeta_1): every question is answered as for Cyclotomic(1).
-    The two still compare unequal, as Record equality checks the class."""
+    The two are distinct records, as interning keeps one per exact class."""
 
     __slots__ = ()
 

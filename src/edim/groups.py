@@ -25,7 +25,7 @@ ORDER_CAP = 10 ** 6
 # group expressions
 # ---------------------------------------------------------------------------
 
-class GroupExpr(Record):
+class GroupExpr(Record, interned=True):
     __slots__ = ()
 
     def __mul__(self, other):

@@ -2,25 +2,20 @@
 classes rely on, built without generating source text at import.
 
 A subclass names its own fields in ``__slots__`` (after those of its bases)
-and the defaults of any of them in ``_defaults``.  For each subclass,
-``__init_subclass__`` builds, from closures over ``operator.attrgetter`` and
-the slots' setters:
+and the defaults of any of them in ``_defaults``.  ``__init_subclass__``
+builds from closures over ``operator.attrgetter`` and the slots' setters:
 
 - ``__eq__``: the same class exactly, and equal field values;
 - ``__hash__``: the hash of the tuple of field values;
 - ``__init__``: the fields by position or keyword, the defaults filling in
   the rest, then ``__post_init__`` if the class has one to validate them.
 
-A class on a hot path writes its own ``__init__``, setting its fields with
-``object.__setattr__``, and its subclasses inherit that one.  ``repr``
-reads ``Name(field=value, ...)`` and assignment is refused.
-"""
+A class on a hot path writes its own ``__init__`` (with
+``object.__setattr__``), which its subclasses inherit.  Classes declared
+``interned=True`` keep ``object``'s ``__eq__`` and ``__hash__``.  ``repr``
+reads ``Name(field=value, ...)``; assignment is refused."""
 
 from operator import attrgetter
-
-
-def _no_fields(record):
-    return ()
 
 
 def _arguments(cls, args, kwargs):
@@ -66,38 +61,67 @@ def _built_init(cls):
     return __init__
 
 
+def _interned_new(cls, *args, **kwargs):
+    """``__new__`` of an interned class: one record per (exact class, field
+    values), so ``object``'s ``__eq__`` and ``__hash__`` serve (hash-consing:
+    Filliâtre and Conchon, ML Workshop 2006).  A call looks its arguments up
+    in ``_calls``, filled only by calls ``_build`` accepted, or builds and
+    validates a record and keeps the first with its values in ``_values``."""
+    if not kwargs:
+        try:
+            return cls._calls[args]
+        except (KeyError, TypeError):  # TypeError: an unhashable argument
+            pass
+    new = object.__new__(cls)
+    cls._build(new, *args, **kwargs)
+    record = cls._values.setdefault(cls._get(new), new)
+    if not kwargs:
+        try:
+            cls._calls[args] = record
+        except TypeError:
+            pass
+    return record
+
+
 class Record:
     __slots__ = ()
     _fields = ()
     _defaults = {}
     _init_is_built = True  # False from the first class that writes its own
+    _interned = False  # True from a class declared with interned=True
 
-    def __init_subclass__(cls, **kwargs):
+    def __init_subclass__(cls, interned=False, **kwargs):
         super().__init_subclass__(**kwargs)
         if "__slots__" not in vars(cls):
             raise TypeError("%s must declare __slots__" % cls.__name__)
         fields = cls._fields = tuple(
             name for klass in reversed(cls.__mro__)
             for name in vars(klass).get("__slots__", ()))
-        get = attrgetter(*fields) if fields else _no_fields
-
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return get(self) == get(other)
-            return NotImplemented
-
-        if len(fields) == 1:
-            def __hash__(self):
-                return hash((get(self),))
+        get = attrgetter(*fields) if fields else lambda record: ()
+        if interned or cls._interned:
+            cls._interned, cls.__new__ = True, _interned_new
+            cls._get, cls._calls, cls._values = get, {}, {}
         else:
-            def __hash__(self):
-                return hash(get(self))
+            def __eq__(self, other):
+                if other.__class__ is self.__class__:
+                    return get(self) == get(other)
+                return NotImplemented
 
-        cls.__eq__, cls.__hash__ = __eq__, __hash__
+            if len(fields) == 1:
+                def __hash__(self):
+                    return hash((get(self),))
+            else:
+                def __hash__(self):
+                    return hash(get(self))
+
+            cls.__eq__, cls.__hash__ = __eq__, __hash__
         if "__init__" in vars(cls):
             cls._init_is_built = False
         elif cls._init_is_built:
             cls.__init__ = _built_init(cls)
+        if cls._interned and cls.__init__ is not object.__init__:
+            # _interned_new builds, and a hit must not run __init__ again
+            cls._build, cls.__init__ = cls.__init__, object.__init__
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(

@@ -1,8 +1,12 @@
 import contextlib
+import functools
+import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -335,7 +339,7 @@ _LEAF_QUERIES = [
 
 def test_leaf_queries_cover_every_leaf_rule():
     assert sorted(r for r, _, _ in _LEAF_QUERIES) \
-        == sorted(r for r, _ in edengine.LEAF_RULES)
+        == sorted(r for r, _, _ in edengine.LEAF_RULES)
 
 
 @pytest.mark.parametrize("rule,g,fd", _LEAF_QUERIES,
@@ -456,20 +460,59 @@ def _catalog_cases():
                    if stratum != "hang" for e in entries})
 
 
+def _document(g, fd, iv, nodes):
+    """What ``edim bound`` prints for g over fd, whose bound is iv, nodes."""
+    out = {"schema": cli.SCHEMA, "command": "bound",
+           **trace_json(g, fd, iv, nodes)}
+    return json.dumps(out, sort_keys=True) + "\n"
+
+
 def _bound_and_replay(cases):
+    """Bound each query, check its interval and replay its trace; returns
+    the sha256 of their ``edim bound`` documents, in the order given."""
+    digest = hashlib.sha256()
     for query, expect in cases:
         group, field = query.split("/", 1)
-        iv, nodes = bound(parse_group(group), parse_field(field))
+        g, fd = parse_group(group), parse_field(field)
+        iv, nodes = bound(g, fd)
         assert iv.json() == json.loads(expect), query
         assert not nodes or iv in replay_trace(nodes).values(), query
+        digest.update(_document(g, fd, iv, nodes).encode())
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_sweep():
+    """One bound, replay and document of every non-hang catalog query,
+    shared by the two tests that read them."""
+    cases = _catalog_cases()
+    assert len({q for q, _ in cases}) == len(cases) > 2700
+    return _bound_and_replay(cases)
 
 
 def test_catalog_traces_replay():
     # every non-hang bound query of the benchmark catalog reaches its
     # reference interval, and replay re-derives every node of its trace
-    cases = _catalog_cases()
-    assert len({q for q, _ in cases}) == len(cases) > 2700
-    _bound_and_replay(cases)
+    _catalog_sweep()
+
+
+# sha256 of the ``edim bound`` stdout of the 2,738 non-hang catalog queries,
+# sorted by query string, each document as printed (ending in a newline),
+# concatenated with no separator
+CATALOG_DIGEST = \
+    "0e85914b5cbb0806a74f74519a0a7f877771420b571accd0b71448b1d019530b"
+
+
+def test_catalog_bound_documents_keep_their_digest(capsys):
+    """No catalog answer or trace changes by a byte.  A change that
+    regenerates perfbench/catalog.json, or changes a bound document on
+    purpose, updates CATALOG_DIGEST and says why."""
+    for query, _ in _catalog_cases()[::250]:  # _document is what it prints
+        group, field = query.split("/", 1)
+        g, fd = parse_group(group), parse_field(field)
+        assert cli.run(["bound", "--group", group, "--field", field]) == 0
+        assert capsys.readouterr().out == _document(g, fd, *bound(g, fd))
+    assert _catalog_sweep() == CATALOG_DIGEST
 
 
 # --- R-REP from field arithmetic --------------------------------------------
@@ -849,6 +892,38 @@ def test_bound_documents_do_not_depend_on_the_memo():
     cold = _bound_documents(queries, cold=True)
     assert _bound_documents(queries, cold=False) == cold
     assert _bound_documents(queries[::-1], cold=False) == cold
+
+
+# run in a fresh interpreter: churn=1 first builds 6,500 records and drops
+# the list (the interned ones stay in their tables), so the records the
+# queries build sit at other addresses, with other identity hashes
+_PRINT_DOCUMENTS = """
+import sys
+from edim import cli, edengine, fielddesc, groups
+if sys.argv[1] == "1":
+    junk = [groups.Cyc(n) for n in range(10 ** 6, 10 ** 6 + 3000)]
+    junk += [fielddesc.Cyclotomic(m) for m in range(10 ** 6, 10 ** 6 + 500)]
+    junk += [edengine.BoundInterval(i, i + 1) for i in range(3000)]
+    del junk
+for query in sys.stdin.read().splitlines():
+    group, field = query.split("/", 1)
+    assert cli.run(["bound", "--group", group, "--field", field]) == 0
+"""
+
+
+def test_bound_documents_do_not_depend_on_record_addresses():
+    # identity hashes follow memory addresses, and str hashes the process's
+    # hash seed, so two interpreters must print the same documents
+    queries = "\n".join(q for q, _ in _catalog_cases()[::12])
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = [subprocess.Popen(
+        [sys.executable, "-c", _PRINT_DOCUMENTS, churn],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=churn))
+        for churn in ("0", "1")]
+    outs = [run.communicate(queries.encode(), timeout=120)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outs[0] == outs[1] and outs[0].count(b"\n") == 229
 
 
 def _warm_up(*queries):

@@ -1,7 +1,9 @@
 """Each value class behaves as the ``@dataclass(frozen=True)`` it replaces:
 equality by exact class and field values, hashing by field values, the
 dataclass ``repr``, keyword and default construction, refused assignment
-and validation in the constructor."""
+and validation in the constructor.  The interned classes, the group
+expressions and field descriptors, give one object for equal values, so
+they compare and hash by identity."""
 
 from dataclasses import field, make_dataclass
 
@@ -133,8 +135,11 @@ def test_records_behave_as_frozen_dataclasses(cls, args, other):
     assert (a == b, a != b, a == c, a != c) \
         == (ta == tb, ta != tb, ta == tc, ta != tc)
     assert a != ta and ta != a  # a twin is another class
-    assert hash(a) == hash(b) == hash(ta)
-    assert hash(c) == hash(tc)
+    if cls._interned:
+        assert a is b and hash(a) == hash(b)
+    else:
+        assert hash(a) == hash(b) == hash(ta)
+        assert hash(c) == hash(tc)
     assert repr(a) == repr(ta) and repr(c) == repr(tc)
     for name in cls._fields + ("extra",):
         with pytest.raises(AttributeError):
@@ -148,11 +153,32 @@ def test_equality_checks_the_exact_class():
     assert Cyc(5) != Sym(5) and Sym(5) != Cyc(5)
     assert Cyc(5) == Cyc(n=5) and hash(Cyc(5)) == hash(Cyc(n=5))
     assert RationalField() != Cyclotomic(1)
-    assert hash(RationalField()) == hash(Cyclotomic(1))
+    assert RationalField() is not Cyclotomic(1)
     assert len({Cyc(5), Sym(5), Cyc(5), RationalField(), Cyclotomic(1)}) == 4
     nested = Product(Product(Cyc(5), Dih(3)), Sym(4))
     assert nested == Product(Cyc(5), Product(Dih(3), Sym(4)))
     assert hash(nested) == hash(Product(Cyc(5), Dih(3), Sym(4)))
+
+
+def test_interned_classes_keep_one_object_per_value():
+    interned = {c for c, _, _ in CASES if c._interned}
+    assert interned == {c for c in TWIN_FIELDS
+                        if issubclass(c, (GroupExpr, FieldDescriptor))}
+    for cls in interned:
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    assert Cyc(5) is Cyc(n=5) and ElemAb(3, 2) is ElemAb(r=2, p=3)
+    assert Custom() is Custom(0) is Custom(characteristic=0, fp_dim=None)
+    assert Custom(0, {5}, real_zeta_yes={5}) \
+        is Custom(0, frozenset({5}), frozenset(), frozenset({5}))
+    a, b, c = Cyc(5), Dih(3), Sym(4)
+    assert Product(Product(a, b), c) is Product(a, b, c) \
+        is Product(a, Product(b, c))
+    assert RationalField() is RationalField() is not Cyclotomic(1)
+    for _ in range(2):  # a refused call is not remembered as a spelling
+        with pytest.raises(TypeError):
+            RationalField(1)
+        with pytest.raises(ValueError):
+            Cyc(0)
 
 
 def test_keyword_and_default_construction():
