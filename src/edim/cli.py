@@ -12,6 +12,7 @@ import json
 import os
 import random
 import sys
+from functools import lru_cache
 
 from .errors import (DegreeTooLarge, EdimError, Inconsistent, ParseError,
                      PoleAtAssignment, TooLarge, Unsupported)
@@ -372,6 +373,7 @@ def _iv_str(iv):
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)  # once per process: in-process loops call run
 def build_parser():
     import argparse  # here, not at the top: library importers never parse
 

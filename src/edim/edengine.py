@@ -201,13 +201,14 @@ def atom_aliases(a):
 
 def product_views(e):
     """Direct-product decompositions of a canonical expression the engine is
-    allowed to use: the literal factors, E(p,r) = E(p,r-1) x C_p, and the
-    coprime (CRT) splitting of a cyclic group."""
+    allowed to use: the literal factors, E(p,r) in halves (ElemAb records,
+    E(p,1) too: the engine canonicalizes each query), and the coprime (CRT)
+    splitting of a cyclic group."""
     views = []
     if isinstance(e, Product):
         views.append(e.factors)
     if isinstance(e, ElemAb) and e.r >= 2:
-        views.append((canon(ElemAb(e.p, e.r - 1)), Cyc(e.p)))
+        views.append((ElemAb(e.p, (e.r + 1) // 2), ElemAb(e.p, e.r // 2)))
     if isinstance(e, Cyc):
         parts = _prime_power_parts(e.n)
         if len(parts) >= 2:
@@ -309,9 +310,8 @@ def check_thm46(gprime, p, fd):
     """Hypotheses (i)-(iv) for ed(G' x C_p) = ed(G') + 1."""
     if not is_prime(p):
         raise NotPrime("%d is not prime" % p)
-    whole = Product(gprime, Cyc(p))
     l = char_of(fd)
-    if l > 0 and not l_core_trivial(whole, l):
+    if l > 0 and not l_core_trivial(Product(gprime, Cyc(p)), l):
         return Thm46Result(False,
                            "(i) nontrivial normal %d-subgroup in char %d"
                            % (l, l))
@@ -319,14 +319,15 @@ def check_thm46(gprime, p, fd):
     if z is not YES:
         word = "unknown" if z is UNKNOWN else "absent"
         return Thm46Result(False, "(iii) zeta_%d %s" % (p, word))
-    for pp, _ in factorize(center_order(gprime)):
-        if pp == p:
-            continue
+    # the primes of |Z(G')|, atom by atom: E(p,r)'s p^r needs no factoring
+    center = {pp for a in _atoms(gprime) for pp, _ in (
+        ((a.p, a.r),) if isinstance(a, ElemAb)
+        else factorize(center_order(a)))}
+    for pp in sorted(center - {p}):
         z2 = contains_zeta(fd, pp)
-        if z2 is YES:
-            return Thm46Result(False, "(iv) zeta_%d present" % pp)
-        if z2 is UNKNOWN:
-            return Thm46Result(False, "(iv) zeta_%d unknown" % pp)
+        if z2 is not NO:
+            word = "present" if z2 is YES else "unknown"
+            return Thm46Result(False, "(iv) zeta_%d %s" % (pp, word))
     return Thm46Result(True)
 
 
@@ -643,10 +644,8 @@ def _group_links(e):
     views = product_views(e)
     pairs = [(a, Sym(a.n)) for a in atom_aliases(e)
              if isinstance(a, (Alt, Dih)) and a.n >= 3]
-    pairs += [(ElemAb(e.p, 1) if isinstance(e, ElemAb)
-               and isinstance(f, Cyc) else f, e)
-              for view in views for f in view]
-    subs = tuple((sub, sup)  # E(p,2) lists its pair twice
+    pairs += [(f, e) for view in views for f in view]
+    subs = tuple((sub, sup)  # E(p,2r) lists its pair twice
                  for sub, sup in dict.fromkeys(pairs)
                  if canon(sub) != canon(sup)
                  and embedding_certificate(sub, sup) is not None)
@@ -742,14 +741,14 @@ class _Engine:
 
 
 # The engine's work grows with the number of atoms of a product, counted
-# with multiplicity, and with the rank of each E(p,r), which it peels one
-# C_p at a time, in a recursion as deep as the rank.  The rank is summed
-# over the atoms: a product of several E(p,r) is dearer than any one of
-# them.  At the caps, E(3,200) x C2^31 over F(5), the dearest accepted
-# query the caps were chosen by, answers in about 0.17 s in process and
-# 0.3 s from the shell on a 2-core x86 machine.
+# with multiplicity, and with the rank summed over its E(p,r) atoms: an
+# E(p,r) splits in halves, a closure about log2 r queries deep, but each
+# R-SUB embedding certificate reads a block per unit of rank, and a
+# product of n atoms checks about 3n of them.  At the caps, E(p,10^4) x
+# C2^31, the dearest shape swept, answers in 0.4-0.5 s from the shell on
+# a 2-core x86 machine, and in 0.8-1.0 s at rank 2 x 10^4.
 BOUND_ATOMS_CAP = 32
-BOUND_RANK_CAP = 200
+BOUND_RANK_CAP = 10 ** 4
 
 
 def _check_size(g):

@@ -116,15 +116,25 @@ def _pmod(a, m, p):
 
 
 def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = [(c * inv) % p for c in b]
-        a, b = b, _pmod(a, bm, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
+    """(g, s) for a, b in F_p[X], not both 0: g their monic gcd and s with
+    s a = g mod b, by the extended Euclidean algorithm."""
+    r0, r1, s0, s1 = _trim(list(a)), _trim(list(b)), [1], []
+    while r1:
+        inv = pow(r1[-1], p - 2, p)
+        quot = [0] * max(len(r0) - len(r1) + 1, 0)
+        while len(r0) >= len(r1):  # r0 <- r0 mod r1, keeping the quotient
+            off = len(r0) - len(r1)
+            quot[off] = c = r0[-1] * inv % p
+            for i, x in enumerate(r1):
+                r0[off + i] = (r0[off + i] - c * x) % p
+            _trim(r0)
+        prod = _pmul(quot, s1, p)
+        s = s0 + [0] * (len(prod) - len(s0))
+        for i, x in enumerate(prod):
+            s[i] = (s[i] - x) % p
+        r0, r1, s0, s1 = r1, r0, s1, _trim(s)
+    inv = pow(r0[-1], p - 2, p)
+    return [c * inv % p for c in r0], [c * inv % p for c in s0]
 
 
 def _digits(code, p, k):
@@ -188,7 +198,7 @@ def _is_irreducible(m, p):
     for ell, _ in factorize(k):
         diff = xpow(p ** (k // ell)) + [0, 0]
         diff[1] -= 1
-        if len(_pgcd(_trim([c % p for c in diff]), m, p)) != 1:
+        if len(_pgcd([c % p for c in diff], m, p)[0]) != 1:
             return False
     return True
 
@@ -225,7 +235,8 @@ class FqContext:
 
     def _operations(self):
         """Int arithmetic mod p for k = 1; log, antilog and Zech lookups for
-        q <= TABLE_CAP; polynomial products and digit-wise sums above it."""
+        q <= TABLE_CAP; polynomial products, digit-wise sums and
+        extended-Euclid inverses above it."""
         p, q = self.p, self.q
         if self.k == 1:
             return dict(add=lambda a, b: (a + b) % p,
@@ -235,10 +246,13 @@ class FqContext:
                         pow=lambda a, e: pow(a, e, p))
         mul, digitwise = self._poly_mul, self._digitwise
         if q > TABLE_CAP:
+            k, m = self.k, list(self.modulus) + [1]
+
+            def inv(a):  # s with s a = 1 mod m
+                return _code(_pgcd(_digits(a, p, k), m, p)[1], p)
             return dict(add=lambda a, b: digitwise(a, b, 1),
                         sub=lambda a, b: digitwise(a, b, -1),
-                        neg=lambda a: digitwise(0, a, -1), mul=mul,
-                        inv=lambda a: _power(mul, a, q - 2),
+                        neg=lambda a: digitwise(0, a, -1), mul=mul, inv=inv,
                         pow=lambda a, e: _power(mul, a, e) if e else 1)
         log, exp, zech = self._tables()
         n, half = q - 1, (q - 1) // 2 if p > 2 else 0  # -1 = g^half

@@ -279,9 +279,14 @@ def _perm(n, seed):
 # did not finish.  While the modulus search ran Rabin's test on every
 # binomial X^12 + c, finding the modulus of F(10037^12) took 10 s.  Before
 # the bound caps, E(2,500)/Q, E(3,500)/F(4) and C2^400/Q failed with a
-# RecursionError, and C2^200/Q took 45 s.  While the S_n / A_n element
-# orders came from a walk over the partitions of n, A40/F(2) took 0.38-0.51 s
-# in process, and D30/F(25), which meets S30 through R-SUB, 0.03 s.
+# RecursionError, and C2^200/Q took 45 s; under the rank cap of 200 those
+# two E(p,500) exited 3 while E(p,r) was peeled one C_p at a time.  While
+# Thm 4.6's (iv) factored |Z(G')| whole, E(1000003,2)xC2/Q exited 3 at the
+# trial-division cap.  While F(p^2) inverted by Fermat powers, the n = 23,
+# count 50 `tschirnhaus verify` took 0.9-1.3 s from the shell.  While the
+# S_n / A_n element orders came from a walk over the partitions of n,
+# A40/F(2) took 0.38-0.51 s in process, and D30/F(25), which meets S30
+# through R-SUB, 0.03 s.
 _ATOMS, _RANK = edengine.BOUND_ATOMS_CAP, edengine.BOUND_RANK_CAP
 
 
@@ -298,8 +303,9 @@ BUDGET = [
       "E(3,%d)x%s" % (_RANK, _c2s(_ATOMS - 1))], 0),
     (["bound", "--field", "Q", "--group",  # each atom below the rank cap
       "E(2,{0})xE(3,{0})xE(5,{0})".format(_RANK // 3 + 1)], 3),
-    (["bound", "--field", "Q", "--group", "E(2,500)"], 3),
-    (["bound", "--field", "F(4)", "--group", "E(3,500)"], 3),
+    (["bound", "--field", "Q", "--group", "E(2,500)"], 0),
+    (["bound", "--field", "F(4)", "--group", "E(3,500)"], 0),
+    (["bound", "--field", "Q", "--group", "E(1000003,2)xC2"], 0),
     (["bound", "--field", "Q", "--group", _c2s(200)], 3),
     (["bound", "--field", "Q", "--group", _c2s(400)], 3),
     (["bound", "--group", "A40", "--field", "F(2)"], 0),
@@ -330,6 +336,8 @@ BUDGET = [
       "E(999999999989,1)"], 0),
     (["tschirnhaus", "verify", "--n", "23", "--char", "999999999989",
       "--count", "25"], 0),
+    (["tschirnhaus", "verify", "--n", "23", "--char", "999999999989",
+      "--count", "50"], 0),
 ]
 
 

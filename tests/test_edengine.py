@@ -198,6 +198,10 @@ def test_check_thm46_cases():
     assert check_thm46(Cyc(3), 2, Q).applicable
     # condition (i): char l with nontrivial O_l(G')
     assert not check_thm46(Cyc(4), 3, FiniteField(2, 1)).applicable
+    # |Z(G')| is read atom by atom: E(p,r) gives p, with p^r never factored
+    assert check_thm46(ElemAb(1000003, 2), 2, Q).applicable
+    assert check_thm46(Product(ElemAb(3, 10 ** 4), Cyc(2)), 2,
+                       Cyclotomic(3)).reason == "(iv) zeta_3 present"
 
 
 def test_dn_criterion_table():
@@ -449,6 +453,41 @@ def test_replay_rejects_non_canonical_keys():
             replay_trace([bad] + nodes[1:])
 
 
+def test_elemab_closure_is_logarithmic_in_rank():
+    # E(p,r) splits in halves, so its closure does not grow with r
+    for r in (4, 100, 10 ** 4):
+        eng = edengine._Engine()
+        eng.query(ElemAb(2, r), Q)
+        assert len(eng.intervals) <= 4 * math.ceil(math.log2(r)), r
+
+
+def test_halves_narrow_elemab_in_its_characteristic():
+    # E(2,2)/F(4) is 1 (Prop 5.10), so the halves give E(2,4)/F(4) <= 2,
+    # where E(2,3) x C2 gave 3
+    assert bound(ElemAb(2, 4), F4)[0] == BoundInterval(2, 2)
+
+
+def test_replay_rejects_the_one_c_p_at_a_time_view():
+    # E(3,4) = E(3,3) x C3 is true, but the engine's R-PROD view of E(3,4)
+    # is its halves; for r <= 3 the two views have the same keys
+    _, below = bound(ElemAb(3, 3), Q)
+    _, nodes = bound(ElemAb(3, 4), Q)
+    key = ("E(3,4)", "Q")
+    trace = below + [n for n in nodes
+                     if n.conclusion[0] == key and not n.premises]
+    state = replay_trace(trace)
+
+    def prod(*factors):
+        keys = [(f, "Q") for f in factors]
+        hi = sum(state[k].hi for k in keys)
+        return TraceNode("R-PROD", RuleCatalog.citation("R-PROD"),
+                         tuple((k, state[k]) for k in keys),
+                         (key, state[key].narrowed(None, hi)))
+    assert replay_trace(trace + [prod("E(3,2)", "E(3,2)")])[key].hi == 4
+    with pytest.raises(Inconsistent, match="does not derive"):
+        replay_trace(trace + [prod("E(3,3)", "C3")])
+
+
 def _catalog_cases():
     """(query, expected interval JSON) for every non-hang bound query of
     the benchmark catalog."""
@@ -500,7 +539,7 @@ def test_catalog_traces_replay():
 # sorted by query string, each document as printed (ending in a newline),
 # concatenated with no separator
 CATALOG_DIGEST = \
-    "0e85914b5cbb0806a74f74519a0a7f877771420b571accd0b71448b1d019530b"
+    "af7be55ba5d2bdb48f61faeacf38088505d9cfb13b08f4db393edbcc03472be2"
 
 
 def test_catalog_bound_documents_keep_their_digest(capsys):

@@ -5,9 +5,9 @@ import pytest
 
 from edim.errors import NotPrime, TooLarge, ZeroElement
 from edim.exactfield import (FACTOR_CAP, TABLE_CAP, FqContext, FqElement,
-                             _digits, _is_irreducible, _pmod, _pmul, _trim,
-                             divisors, factorize, fq_context, is_prime,
-                             order_mod, totient)
+                             _digits, _is_irreducible, _pmod, _pmul, _power,
+                             _trim, divisors, factorize, fq_context,
+                             is_prime, order_mod, totient)
 from oracles import has_zeta, multiplicative_order
 
 
@@ -311,6 +311,15 @@ def test_sampled_pairs_above_the_table_cap_match_the_tuple_oracle(p, k):
         (rng.choice(els), rng.choice(els)) for _ in range(100)]
     _check_against_oracle(ctx, pairs, (-5, -1, 0, 1, 2, 3, 17, ctx.q - 1,
                                        rng.randrange(ctx.q)))
+
+
+def test_inverses_above_the_table_cap_are_fermat_powers():
+    # the extended-Euclid inverse against a^(q-2)
+    for p, k in ((999999999989, 2), (1031, 3), (2, 11), (3, 7)):
+        ctx = fq_context(p, k)
+        rng = random.Random(p + k)
+        for a in [1, ctx.q - 1] + [rng.randrange(1, ctx.q) for _ in range(30)]:
+            assert ctx.inv(a) == _power(ctx.mul, a, ctx.q - 2), (p, k, a)
 
 
 def test_zero_powers_and_inverses():
