@@ -23,7 +23,7 @@ from .groups import Alt, Cyc, Dih, ElemAb, Product, Sym
 from .crossratio import CRSymbol, cr_rewrite, sn_action, verify_faithful
 from .ratfunc import render
 from .tschirnhaus import (general_poly, reduce_general, verify_specialization)
-from .edengine import bound, trace_json
+from .edengine import bound, check_grid, trace_json
 from . import pgl2 as _pgl2
 
 SCHEMA = "edim/1"
@@ -187,6 +187,7 @@ def _cmd_bound(args):
 def _cmd_table(args):
     groups = [parse_group(t) for t in _split_top(args.groups)]
     fields = [parse_field(t) for t in _split_top(args.fields)]
+    check_grid(groups, fields)
     rows = []
     for g in groups:
         for fd in fields:

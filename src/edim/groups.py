@@ -15,7 +15,7 @@ import math
 from functools import lru_cache
 
 from .errors import NotPrime, TooLarge
-from .exactfield import factorize, is_prime
+from .exactfield import divisors, factorize, is_prime
 from .record import Record
 
 ORDER_CAP = 10 ** 6
@@ -142,17 +142,6 @@ def pident(n):
     return tuple(range(n))
 
 
-def porder(a):
-    """The lcm of a's cycle lengths."""
-    seen, order = [False] * len(a), 1
-    for i in range(len(a)):
-        ln, j = 0, i
-        while not seen[j]:
-            seen[j], j, ln = True, a[j], ln + 1
-        order = math.lcm(order, max(ln, 1))
-    return order
-
-
 def _cycle(points, degree):
     a = list(range(degree))
     for x, y in zip(points, points[1:] + points[:1]):
@@ -273,11 +262,24 @@ def _partition_orders(n, even_only):
                      if not (even_only and m % 2 == 0 and s + 2 > n))
 
 
-def element_orders(g):
-    """Exact set of element orders."""
-    if isinstance(g.expr, (Sym, Alt)):
-        return set(_partition_orders(g.expr.n, isinstance(g.expr, Alt)))
-    return {porder(x) for x in g.elements(ORDER_CAP)}
+@lru_cache(maxsize=None)
+def element_orders(e):
+    """The exact set of element orders of the expression e, from its family
+    structure, with no element enumerated; memoized per group, a product's
+    factors included.  The enumerating form is a test oracle."""
+    if isinstance(e, Product):
+        orders = {1}
+        for f in e.factors:
+            orders = {math.lcm(a, b) for a in orders
+                      for b in element_orders(f)}
+        return frozenset(orders)
+    if isinstance(e, Cyc):
+        return frozenset(divisors(e.n))
+    if isinstance(e, Dih):
+        return element_orders(Cyc(e.n)) | {1, 2}
+    if isinstance(e, ElemAb):
+        return frozenset({1, e.p})
+    return _partition_orders(e.n, isinstance(e, Alt))  # S_n, A_n
 
 
 def _closure(degree, gens, cap=ORDER_CAP):

@@ -3,10 +3,9 @@ closed form.
 
 ``edim`` decides Thm 4.5's hypotheses for C_n (``edengine._thm45_cyclic``),
 centres (``edengine.center_order``), l-cores (``edengine.l_core_trivial``),
-the element orders of S_n and A_n (``groups._partition_orders``), the
-R-S-LB and R-A lower bounds, zeta_n in F_q (``FiniteField.contains_zeta``)
-and multiplicative orders (``exactfield.order_mod``) without enumerating
-anything.  The functions here are the slow paths those replace: each one
+element orders (``groups.element_orders``), the R-S-LB and R-A lower
+bounds, zeta_n in F_q (``FiniteField.contains_zeta``) and multiplicative
+orders (``exactfield.order_mod``) without enumerating anything.  The functions here are the slow paths those replace: each one
 walks an explicit permutation group, the partitions of n, or the elements
 of F_q, and the tests check the closed forms against them.
 
@@ -24,7 +23,7 @@ from edim.errors import NotPrime, TooLarge, ZeroElement
 from edim.exactfield import _power, is_prime
 from edim.fielddesc import (NO, UNKNOWN, YES, char_of, contains_zeta,
                             extend_with_zeta)
-from edim.groups import PermGroup, _closure, pident, pmul, porder
+from edim.groups import PermGroup, _closure, pident, pmul
 from edim.unipoly import divmod_poly, monic, mul, sub, trim
 
 CORE_CAP = 10 ** 5
@@ -33,6 +32,23 @@ CORE_CAP = 10 ** 5
 # ---------------------------------------------------------------------------
 # permutation groups
 # ---------------------------------------------------------------------------
+
+def porder(a):
+    """The lcm of a's cycle lengths."""
+    seen, order = [False] * len(a), 1
+    for i in range(len(a)):
+        ln, j = 0, i
+        while not seen[j]:
+            seen[j], j, ln = True, a[j], ln + 1
+        order = math.lcm(order, max(ln, 1))
+    return order
+
+
+def enumerated_orders(g):
+    """The element orders of the permutation group g, one element at a
+    time: the oracle for ``groups.element_orders``."""
+    return {porder(x) for x in g.elements()}
+
 
 def pinv(a):
     out = [0] * len(a)

@@ -283,7 +283,9 @@ def _perm(n, seed):
 # two E(p,500) exited 3 while E(p,r) was peeled one C_p at a time.  While
 # Thm 4.6's (iv) factored |Z(G')| whole, E(1000003,2)xC2/Q exited 3 at the
 # trial-division cap.  While F(p^2) inverted by Fermat powers, the n = 23,
-# count 50 `tschirnhaus verify` took 0.9-1.3 s from the shell.  While the
+# count 50 `tschirnhaus verify` took 0.9-1.3 s from the shell.  While a
+# table's cells had no shared budget, two groups at the caps over three
+# fields took 1.02 s from the shell.  While the
 # S_n / A_n element orders came from a walk over the partitions of n,
 # A40/F(2) took 0.38-0.51 s in process, and D30/F(25), which meets S30
 # through R-SUB, 0.03 s.
@@ -303,6 +305,14 @@ BUDGET = [
       "E(3,%d)x%s" % (_RANK, _c2s(_ATOMS - 1))], 0),
     (["bound", "--field", "Q", "--group",  # each atom below the rank cap
       "E(2,{0})xE(3,{0})xE(5,{0})".format(_RANK // 3 + 1)], 3),
+    (["table", "--fields", "F(5),Q,F(3)", "--groups",  # each cell within
+      ",".join("E(%d,%d)x%s" % (p, _RANK, _c2s(_ATOMS - 1)) for p in (3, 2))],
+     3),
+    (["table", "--fields", "F(5),Q", "--groups",  # 2 x (R/4 + R/4) = R
+      "E(2,%d),E(3,%d)x%s" % (_RANK // 4, _RANK // 4, _c2s(_ATOMS - 1))], 0),
+    (["table", "--fields", "F(5),Q", "--groups",
+      "E(2,%d),E(3,%d)x%s" % (_RANK // 4 + 1, _RANK // 4, _c2s(_ATOMS - 1))],
+     3),
     (["bound", "--field", "Q", "--group", "E(2,500)"], 0),
     (["bound", "--field", "F(4)", "--group", "E(3,500)"], 0),
     (["bound", "--field", "Q", "--group", "E(1000003,2)xC2"], 0),

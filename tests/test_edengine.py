@@ -2,6 +2,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -16,18 +17,19 @@ from edim import cli, edengine, pgl2
 from edim.edengine import (INF, BoundInterval, RuleCatalog, Thm46Result,
                            TooLarge, TraceNode, _thm45_cyclic, atom_aliases,
                            bound, canon, center_order, check_thm46,
-                           dn_criterion, expr_element_orders, l_core_trivial,
-                           product_views, replay_trace, trace_json)
+                           dn_criterion, l_core_trivial, product_views,
+                           replay_trace, trace_json)
 from edim.cli import parse_field, parse_group
 from edim.errors import DependentAlphas, Inconsistent
 from edim.exactfield import fq_context, is_prime
 from edim.fielddesc import (NO, UNKNOWN, YES, Custom, Cyclotomic, FiniteField,
                             RationalField, contains_real_zeta,
                             finite_field_from_q)
+from edim import groups
 from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, degree,
-                         element_orders, expr_order, pmul, porder, realize)
-from oracles import (_pow, a_lower_recurrence, center, check_thm45, l_core,
-                     s_lower_recurrence)
+                         element_orders, expr_order, pmul, realize)
+from oracles import (_pow, a_lower_recurrence, center, check_thm45,
+                     enumerated_orders, l_core, porder, s_lower_recurrence)
 
 Q = RationalField()
 F2 = FiniteField(2, 1)
@@ -100,7 +102,8 @@ def test_atom_aliases_are_isomorphic():
     for a in (Cyc(2), Cyc(3), Sym(3), ElemAb(2, 2), Cyc(5)):
         for b in atom_aliases(a):
             assert expr_order(b) == expr_order(a)
-            assert element_orders(realize(b)) == element_orders(realize(a))
+            assert enumerated_orders(realize(b)) \
+                == enumerated_orders(realize(a))
 
 
 def test_product_views_preserve_order():
@@ -133,9 +136,7 @@ def test_l_core_trivial_matches_enumeration(e, l):
 @pytest.mark.parametrize("e", [Sym(5), Alt(6), Dih(7), Cyc(12),
                                ElemAb(2, 3), Product(Dih(5), Cyc(3))])
 def test_expr_element_orders_matches_enumeration(e):
-    got = expr_element_orders(e)
-    want = {porder(x) for x in realize(e).elements()}
-    assert got == want
+    assert element_orders(e) == enumerated_orders(realize(e))
 
 
 # --- theorem predicate checks ----------------------------------------------
@@ -255,25 +256,73 @@ def test_engine_deterministic():
         assert [n.json() for n in r1[1]] == [n.json() for n in r2[1]]
 
 
+# spellings of one group that canon keeps apart, so the engine bounds
+# each on its own
+_ISOMORPHIC = [(Cyc(6), Product(Cyc(2), Cyc(3))),
+               (ElemAb(2, 2), Product(Cyc(2), Cyc(2)), Dih(2)),
+               (Sym(3), Dih(3)), (Dih(6), Product(Sym(3), Cyc(2)))]
+# each tower K_0 <= K_1 <= ...: F(p^a) <= F(p^ab), Q <= Qzeta(m) <= Qzeta(mk)
+_TOWERS = [[finite_field_from_q(q) for q in qs]
+           for qs in ((2, 4, 16), (2, 8), (3, 9, 81), (3, 27), (5, 25),
+                      (7, 49))]
+_TOWERS += [[Q, Cyclotomic(m), Cyclotomic(m * k)]
+            for m, k in ((3, 4), (4, 2), (5, 3), (3, 3))]
+
+
 def test_consistency_under_field_extension():
-    # enlarging K can only shrink ed; derived intervals over K and over the
-    # extension must both contain their true values, so the extension's
-    # lower bound can never exceed the base field's upper bound
+    # Lemma 2.9 as an oracle: each derived interval holds its true ed, so
+    # no two intervals may contradict what the lemma says of the true
+    # values.  On a fixed, seeded grid, the laws checked are:
+    # (a) isomorphic spellings give intervals that intersect;
+    # (b) enlarging K only shrinks ed, so lo(G/K') <= hi(G/K) for K <= K';
+    # (c) lo(H) <= hi(G) for every pair with an embedding certificate;
+    # (d) lo(G1 x G2) <= hi(G1) + hi(G2), and lo(Gi) <= hi(G1 x G2).
     rng = random.Random(12)
-    pool = ([Sym(n) for n in range(2, 10)] + [Alt(n) for n in range(3, 10)]
-            + [Dih(n) for n in range(1, 12)] + [Cyc(n) for n in range(1, 16)]
-            + [ElemAb(2, 2), ElemAb(2, 3), ElemAb(3, 2), ElemAb(5, 2)])
-    for _ in range(100):
-        g = rng.choice(pool)
-        m = rng.choice([3, 4, 5, 7, 8, 9])
+    pool = ([Sym(n) for n in range(2, 8)] + [Alt(n) for n in range(3, 8)]
+            + [Dih(n) for n in range(1, 13)] + [Cyc(n) for n in range(1, 16)]
+            + [ElemAb(2, 2), ElemAb(2, 3), ElemAb(3, 2), ElemAb(3, 3),
+               ElemAb(5, 2), ElemAb(7, 2)])
+    fields = list(dict.fromkeys(fd for tower in _TOWERS for fd in tower))
+    fields += [Custom(characteristic=0), Custom(characteristic=2, fp_dim=INF)]
+    ivs, bad = {}, []
+
+    def iv(g, fd):
+        if (g, fd) not in ivs:
+            ivs[g, fd] = bound(g, fd)[0]
+        return ivs[g, fd]
+
+    for fd in fields:  # (a)
+        for spellings in _ISOMORPHIC:
+            got = [iv(g, fd) for g in spellings]
+            if max(i.lo for i in got) > min(i.hi for i in got):
+                bad.append(("a", spellings, fd, got))
+    for tower in _TOWERS:  # (b)
+        for i, j in itertools.combinations(range(len(tower)), 2):
+            for g in pool:
+                if iv(g, tower[j]).lo > iv(g, tower[i]).hi:
+                    bad.append(("b", g, tower[i], tower[j]))
+    for _ in range(100):  # (b), K' = K(zeta_m)
+        g, m = rng.choice(pool), rng.choice([3, 4, 5, 7, 8, 9])
         base = rng.choice([Q, Cyclotomic(3), F2, FiniteField(3, 1)])
-        try:
-            bigger = base.extend_with_zeta(m)
-        except Exception:
+        if base.char() and m % base.char() == 0:
             continue
-        iv1, _ = bound(g, base)
-        iv2, _ = bound(g, bigger)
-        assert iv2.lo <= iv1.hi, (g, base, m, iv1, iv2)
+        if iv(g, base.extend_with_zeta(m)).lo > iv(g, base).hi:
+            bad.append(("b", g, base, m))
+    exprs = pool + [Product(Sym(3), Cyc(2)), Product(Alt(4), Cyc(3)),
+                    Product(Cyc(2), Cyc(3)), Product(Cyc(3), Cyc(5))]
+    pairs = [(h, g) for h in exprs for g in exprs if h != g
+             and edengine.embedding_certificate(h, g) is not None]
+    assert len(pairs) > 100
+    for h, g in pairs:  # (c)
+        for fd in rng.sample(fields, 3):
+            if iv(h, fd).lo > iv(g, fd).hi:
+                bad.append(("c", h, g, fd))
+    for _ in range(300):  # (d)
+        g1, g2, fd = rng.choice(pool), rng.choice(pool), rng.choice(fields)
+        whole, a, b = iv(Product(g1, g2), fd), iv(g1, fd), iv(g2, fd)
+        if whole.lo > a.hi + b.hi or max(a.lo, b.lo) > whole.hi:
+            bad.append(("d", g1, g2, fd))
+    assert bad == []
 
 
 def test_recurrences_never_beat_closed_forms():
@@ -539,7 +588,7 @@ def test_catalog_traces_replay():
 # sorted by query string, each document as printed (ending in a newline),
 # concatenated with no separator
 CATALOG_DIGEST = \
-    "af7be55ba5d2bdb48f61faeacf38088505d9cfb13b08f4db393edbcc03472be2"
+    "b4518515522a8866d422a55e0d3a4661e332f12316387fc938e0b5158d14e318"
 
 
 def test_catalog_bound_documents_keep_their_digest(capsys):
@@ -565,9 +614,9 @@ def _companion_search(ctx, n):
 
 
 def _independent_powers(ctx, r):
-    """The construction R-REP's E(p,r) fact replaces: 1, g, ..., g^(r-1)
-    for g the generator of F_q over F_p pass the F_p-independence scan of
-    ``elemab_representation``."""
+    """The unipotent model of E(p,r) in PGL_2(F_q) that R-EPR-CHARP's
+    [1, 1] stands for: 1, g, ..., g^(r-1) for g the generator of F_q over
+    F_p pass the F_p-independence scan of ``elemab_representation``."""
     gen = ctx.gen() if ctx.k > 1 else ctx.one
     try:
         pgl2.elemab_representation(ctx, [gen ** i for i in range(r)])
@@ -588,9 +637,12 @@ def test_rep_facts_match_the_matrix_searches():
         for n in range(3, 41):
             assert _rep_gives_two(Dih(n), fd) \
                 == _companion_search(ctx, n), (q, n)
+        # R-REP has no E(p,r) model: Prop 5.10 decides exactly its cases
         for p in sorted({2, 3, 5, 7, fd.p}):
             for r in range(1, 7):
-                assert _rep_gives_two(ElemAb(p, r), fd) \
+                a = ElemAb(p, r)
+                assert list(edengine._leaf_rep(a, fd)) == [(None, degree(a))]
+                assert (list(edengine._leaf_epr_charp(a, fd)) == [(1, 1)]) \
                     == (p == fd.p and _independent_powers(ctx, r)), (q, p, r)
 
 
@@ -749,8 +801,9 @@ def test_edges_of_repeats_no_edge():
 
 
 def test_bound_builds_no_pgl2_kernel(monkeypatch):
-    # R-PGL-OBS reads Dickson's list: no bound over a field the exhaustive
-    # search covers builds or reads its tables
+    # R-PGL-OBS reads element orders and one fact of Dickson's list: no
+    # bound over a field the exhaustive search covers builds or reads its
+    # tables
     def refuse(*args):
         raise AssertionError("the engine built a PGL_2 kernel")
 
@@ -773,7 +826,7 @@ def _pgl_obs_from_the_lcm_set(a, fd):
     """R-PGL-OBS read off the product's whole lcm set, as the oracle for
     trying its factors' orders first."""
     try:
-        orders = expr_element_orders(a)
+        orders = element_orders(a)
     except TooLarge:
         orders = ()
     l = fd.char()
@@ -784,8 +837,7 @@ def _pgl_obs_from_the_lcm_set(a, fd):
            for o in orders):
         out.append((2, None))
     if isinstance(fd, FiniteField) and fd.q <= edengine.PGL_OBS_Q_CAP \
-            and a == edengine._pgl2_spelling(a) \
-            and not edengine.dickson_embeds(a, fd):
+            and isinstance(a, ElemAb) and a.r >= 2 and a.p not in (2, l):
         out.append((2, None))
     return out
 
@@ -827,13 +879,13 @@ def test_pgl_obs_decides_big_products_from_a_factor(monkeypatch, text, fd):
     # a factor's order decides each condition, so the product's lcm set,
     # which took seconds to build for four to six S_n near n = 40, is not
     # built at all
-    real = edengine.expr_element_orders
+    real = edengine.element_orders
 
     def atoms_only(e):
         assert not isinstance(e, Product), "built the lcm set of %s" % e
         return real(e)
 
-    monkeypatch.setattr(edengine, "expr_element_orders", atoms_only)
+    monkeypatch.setattr(edengine, "element_orders", atoms_only)
     e = canon(parse_group(text))
     assert list(edengine._leaf_pgl_obs(e, fd)) == [(2, None)] * (
         1 + (fd.char() > 0))
@@ -847,13 +899,13 @@ def test_pgl_obs_skips_the_lcm_set_when_no_factor_has_order_char(
     # so no lcm is a multiple of l and the lcm set is not built for that
     # condition, while an order without zeta + zeta^-1 in F(l) decides the
     # other from a factor
-    real = edengine.expr_element_orders
+    real = edengine.element_orders
 
     def atoms_only(e):
         assert not isinstance(e, Product), "built the lcm set of %s" % e
         return real(e)
 
-    monkeypatch.setattr(edengine, "expr_element_orders", atoms_only)
+    monkeypatch.setattr(edengine, "element_orders", atoms_only)
     e = canon(parse_group("S40xS39xS38xS37"))
     assert list(edengine._leaf_pgl_obs(e, finite_field_from_q(q))) == \
         [(2, None)]
@@ -863,13 +915,12 @@ def test_pgl_obs_skips_the_lcm_set_when_no_factor_has_order_char(
 
 _MEMOS = (edengine._key, atom_aliases, edengine.leaf_facts,
           edengine.edges_of, edengine._leaf_phase, edengine._group_links,
-          expr_element_orders)
+          groups.element_orders, groups._partition_orders)
 
 
 def test_each_test_starts_on_an_empty_engine_memo():
-    memos = [fn for fn in vars(edengine).values()
-             if hasattr(fn, "cache_clear")
-             and fn.__module__ == edengine.__name__]
+    memos = [fn for mod in (edengine, groups) for fn in vars(mod).values()
+             if hasattr(fn, "cache_clear") and fn.__module__ == mod.__name__]
     assert set(memos) == set(_MEMOS)
     assert all(fn.cache_info().currsize == 0 for fn in memos)
 

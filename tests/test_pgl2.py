@@ -3,7 +3,8 @@ from itertools import product
 import pytest
 
 from edim import pgl2
-from edim.edengine import PGL_OBS_Q_CAP, dickson_embeds
+from edim import edengine
+from edim.edengine import PGL_OBS_Q_CAP, bound, canon
 from edim.errors import TooLarge
 from edim.exactfield import (FqElement, _digits, fq_context,
                              independent_mod_p, totient)
@@ -348,9 +349,11 @@ def _assert_witness(h, wit, ctx):
     assert len(_closure(imgs, ctx)) == size, (h, ctx.q)
 
 
-def test_verdicts_match_dickson_and_witnesses_are_faithful():
-    # the engine's R-PGL-OBS reads Dickson's list in place of this search,
-    # on these groups (the search's caps) over these fields only
+def test_non_embeddings_bound_ed_below_by_two_and_witnesses_are_faithful():
+    # Lemma 5.3 end to end: whenever the search finds no embedding in
+    # PGL_2(F_q), the engine proves ed >= 2 without it, over every field
+    # where R-PGL-OBS's E(l,r) fact fires; and no R-PGL-OBS fact fires on
+    # a group the search embeds
     assert PGL_OBS_Q_CAP == max(_PRIME_POWERS)
     groups = [Cyc(n) for n in range(1, 61)] + [Dih(n) for n in range(1, 31)]
     groups += [ElemAb(ell, r) for ell in _primes(64) for r in range(1, 7)
@@ -360,9 +363,14 @@ def test_verdicts_match_dickson_and_witnesses_are_faithful():
         ctx = fq_context(fd.p, fd.k)
         for h in groups:
             wit = pgl2_embeds(h, ctx)
-            assert (wit is not None) == dickson_embeds(h, fd), (h, q)
-            if wit is not None:
+            if isinstance(h, ElemAb) and h.r >= 2 and h.p not in (2, fd.p):
+                assert wit is None, (h, q)  # the E(l,r) fact's own cases
+            if wit is None:
+                assert bound(h, fd)[0].lo >= 2, (h, q)
+            else:
                 _assert_witness(h, wit, ctx)
+                assert all(rule != "R-PGL-OBS" for rule, _, _ in
+                           edengine.leaf_facts(canon(h), fd)), (h, q)
 
 
 def test_class_keys_are_the_conjugation_orbits():
