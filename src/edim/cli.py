@@ -187,7 +187,7 @@ def _cmd_bound(args):
 def _cmd_table(args):
     groups = [parse_group(t) for t in _split_top(args.groups)]
     fields = [parse_field(t) for t in _split_top(args.fields)]
-    check_grid(groups, fields)
+    check_grid(groups)
     rows = []
     for g in groups:
         for fd in fields:

@@ -702,13 +702,18 @@ def _check_size(g):
                        "over the expression" % BOUND_RANK_CAP)
 
 
-def check_grid(gs, fds):
-    """Refuse a grid of bounds, each of gs over each of fds, before any
-    cell runs: its cells share one budget, so the E(p,r) rank summed over
-    all of them may not exceed BOUND_RANK_CAP."""
-    if len(fds) * sum(map(_rank, gs)) > BOUND_RANK_CAP:
+def check_grid(gs):
+    """Refuse a grid of bounds over the groups gs before any cell runs:
+    each group must pass bound's caps, and the grid's cells share one
+    budget.  A group's rank-bound work (its views and R-SUB certificates)
+    is memoized once for every field, so each distinct group is charged
+    its E(p,r) rank once, and the sum may not exceed BOUND_RANK_CAP."""
+    for g in gs:
+        _check_size(g)
+    ranks = {canon(g): _rank(g) for g in gs}
+    if sum(ranks.values()) > BOUND_RANK_CAP:
         raise TooLarge("table capped at n = %d for the E(p,r) rank summed "
-                       "over its cells" % BOUND_RANK_CAP)
+                       "over its distinct groups" % BOUND_RANK_CAP)
 
 
 def bound(g, fd):

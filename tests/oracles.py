@@ -5,9 +5,10 @@ closed form.
 centres (``edengine.center_order``), l-cores (``edengine.l_core_trivial``),
 element orders (``groups.element_orders``), the R-S-LB and R-A lower
 bounds, zeta_n in F_q (``FiniteField.contains_zeta``) and multiplicative
-orders (``exactfield.order_mod``) without enumerating anything.  The functions here are the slow paths those replace: each one
-walks an explicit permutation group, the partitions of n, or the elements
-of F_q, and the tests check the closed forms against them.
+orders (``exactfield.order_mod``) without enumerating anything.  The
+functions here are the slow paths those replace: each one walks an
+explicit permutation group, the partitions of n, or the elements of F_q,
+and the tests check the closed forms against them.
 
 ``ExtField`` is the extension-field arithmetic the Tschirnhaus root oracle
 and criterion 5 compute in; the library itself never leaves F_q.

@@ -308,10 +308,12 @@ BUDGET = [
     (["table", "--fields", "F(5),Q,F(3)", "--groups",  # each cell within
       ",".join("E(%d,%d)x%s" % (p, _RANK, _c2s(_ATOMS - 1)) for p in (3, 2))],
      3),
-    (["table", "--fields", "F(5),Q", "--groups",  # 2 x (R/4 + R/4) = R
-      "E(2,%d),E(3,%d)x%s" % (_RANK // 4, _RANK // 4, _c2s(_ATOMS - 1))], 0),
+    (["table", "--fields", "F(5),Q", "--groups",  # a group's rank counts once
+      "E(3,%d)x%s" % (_RANK, _c2s(_ATOMS - 1))], 0),
+    (["table", "--fields", "Q,Q", "--groups",
+      "E(2,{0}),E(2,{0})".format(_RANK)], 0),
     (["table", "--fields", "F(5),Q", "--groups",
-      "E(2,%d),E(3,%d)x%s" % (_RANK // 4 + 1, _RANK // 4, _c2s(_ATOMS - 1))],
+      "E(2,%d),E(3,%d)x%s" % (_RANK // 2, _RANK // 2 + 1, _c2s(_ATOMS - 1))],
      3),
     (["bound", "--field", "Q", "--group", "E(2,500)"], 0),
     (["bound", "--field", "F(4)", "--group", "E(3,500)"], 0),
