@@ -40,9 +40,9 @@ from functools import lru_cache
 
 from .errors import EdimError, Inconsistent, NotPrime, TooLarge
 from .exactfield import divisors, factorize, is_prime
-from .fielddesc import (NO, UNKNOWN, YES, INF as FP_INF, FiniteField, char_of,
-                        contains_real_zeta, contains_zeta, extend_with_zeta,
-                        fp_dimension)
+from .fielddesc import (NO, UNKNOWN, YES, INF as FP_INF, Custom, FiniteField,
+                        char_of, contains_real_zeta, contains_zeta,
+                        extend_with_zeta, fp_dimension)
 from .groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, _atoms,
                      _prime_power_parts, degree, element_orders,
                      embedding_certificate, expr_order)
@@ -417,56 +417,58 @@ def _leaf_a_ub(a, fd):
         yield 1, 1
 
 
-# R-PGL-OBS's E(l,r) fact fires over F_q with q <= PGL_OBS_Q_CAP, the
-# fields where tests/test_pgl2.py checks the rule against the exhaustive
-# pgl2.pgl2_embeds.  Above it the fact would narrow E(3,3)/F(29) and
-# E(3,2) x C2/F(29), which the benchmark's reference intervals count as
-# wrong until they are regenerated.
+# R-PGL-OBS's E(p,r) fact fires over F_q with q <= PGL_OBS_Q_CAP, where
+# tests/test_pgl2.py checks the rule against pgl2.pgl2_embeds.  Above it,
+# it would narrow E(3,3)/F(29) and E(3,2) x C2/F(29), which the benchmark's
+# reference intervals count as wrong until they are regenerated.
 PGL_OBS_Q_CAP = 27
 
 
 def _leaf_pgl_obs(a, fd):
     """Lemma 5.3 read backwards: a G that does not embed in PGL_2(K) has
     ed_K(G) >= 2.  G does not embed when an element order is a multiple of
-    char K other than char K itself, or is prime to it with zeta + zeta^-1
-    not in K (Lemmas 5.2 and 5.7), or, over F_q with q <= PGL_OBS_Q_CAP,
-    when G is E(l,r) with r >= 2 and l an odd prime other than char K: the
-    Sylow l-subgroups of PGL_2(F_q) are cyclic (L. E. Dickson, *Linear
-    Groups*, Teubner, 1901; a paraphrase).
-
-    Both element-order conditions ask for *some* qualifying order, and a
-    factor's orders are among its product's, so a product tries the union
-    of its factors' sets first and builds its own lcm set only when that
-    union does not decide (for a multiple of the prime l = char K, only if l
-    is a factor order: l divides an lcm only through a factor order, and one
-    other than l decides).  A factor raising TooLarge gives no such fact."""
-    if a == TRIVIAL:
-        return
-    product = isinstance(a, Product)
+    l = char K other than l, or is prime to l with zeta + zeta^-1 not in K
+    (Lemmas 5.2 and 5.7), or, over F_q with q <= PGL_OBS_Q_CAP, when G is
+    E(p,r), r >= 2, p an odd prime other than l: the Sylow p-subgroups of
+    PGL_2(F_q) are cyclic (L. E. Dickson, *Linear Groups*, Teubner, 1901;
+    a paraphrase).  A product's orders are the lcms of one order per factor,
+    so l divides one other than l iff a factor's order does, or a factor
+    has order l and another one other than 1 and l.  A No for zeta_d +
+    zeta_d^-1, a polynomial in zeta_o + zeta_o^-1 for d | o, holds for every
+    multiple of d (``Custom`` refuses sets that break this), so a fold over
+    the factors' orders prime to l keeps maximal lcms, over ``Custom`` cut
+    to their gcd with lcm(real_zeta_no), and stops at a No.  No fact comes
+    from a factor that raises TooLarge."""
     try:
-        orders = frozenset().union(*map(element_orders, a.factors)) \
-            if product else element_orders(a)
+        sets = list(map(element_orders, _atoms(a)))
     except TooLarge:
-        orders = ()
+        sets = []
     l = char_of(fd)
-    for found in (_multiple_of_char, _without_real_zeta) if l else \
-            (_without_real_zeta,):
-        if found(orders, l, fd) or (product and orders and (
-                l in orders or found is _without_real_zeta) and
-                found(element_orders(a), l, fd)):
+    if l and (any(o % l == 0 and o != l for s in sets for o in s) or any(
+            l in s and sum(not t <= {1, l} for t in sets) > (not s <= {1, l})
+            for s in sets)):
+        yield 2, None
+    d = math.lcm(*fd.real_zeta_no) if isinstance(fd, Custom) else 0
+    found = [1]
+    for s in sets:
+        if len(sets) > 1:
+            s = _maximal({math.gcd(o, d) for o in s if l == 0 or o % l})
+            found = s = _maximal({math.lcm(f, o) for f in found for o in s})
+        if any((l == 0 or o % l) and contains_real_zeta(fd, o) is NO
+               for o in s):
             yield 2, None
+            break
     if isinstance(fd, FiniteField) and fd.q <= PGL_OBS_Q_CAP \
             and isinstance(a, ElemAb) and a.r >= 2 and a.p not in (2, fd.p):
         yield 2, None
 
 
-def _multiple_of_char(orders, l, fd):
-    return any(o % l == 0 and o != l for o in orders)
-
-
-def _without_real_zeta(orders, l, fd):
-    return any((l == 0 or o % l != 0) and contains_real_zeta(fd, o) is NO
-               for o in orders)
+def _maximal(values):  # the members of values that divide no other member
+    kept = []
+    for v in sorted(values, reverse=True):
+        if not any(k % v == 0 for k in kept):
+            kept.append(v)
+    return kept
 
 
 def _leaf_dn(a, fd):

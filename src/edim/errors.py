@@ -120,6 +120,4 @@ class Inconsistent(EdimError, RuntimeError):
 # -- cli ---------------------------------------------------------------------
 
 class ParseError(EdimError, ValueError):
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
+    pass

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import random
@@ -288,13 +289,52 @@ def _perm(n, seed):
 # fields took 1.02 s from the shell.  While the
 # S_n / A_n element orders came from a walk over the partitions of n,
 # A40/F(2) took 0.38-0.51 s in process, and D30/F(25), which meets S30
-# through R-SUB, 0.03 s.
+# through R-SUB, 0.03 s.  While R-PGL-OBS built a product's whole lcm set
+# of element orders when no factor's orders decided, these took, from the
+# shell: S40xS39xS38xS37/custom{char=0} 1.95 s, with S36 added 4.38 s, and
+# with real_zeta_no=[1009] 2.12 s; C2x...xC71 (20 primes)/F(2) 1.73 s;
+# D3x...xD73 (20 odd primes)/custom{char=0} 8.45 s; S40x...xS33 over
+# custom{char=0, real_zeta_no=[963761198400]} 15.7 s (3.6 s when its
+# search kept every lcm, not only the maximal ones); C2x...xC131 (32
+# primes)/custom{char=0}, a set of 2^32 orders, had not finished at 20 s.
 _ATOMS, _RANK = edengine.BOUND_ATOMS_CAP, edengine.BOUND_RANK_CAP
 
 
 def _c2s(n):
     return "x".join(["C2"] * n)
 
+
+def _product(letter, ns):
+    return "x".join("%s%d" % (letter, n) for n in ns)
+
+
+_PRIMES = [p for p in range(2, 132) if all(p % d for d in range(2, p))]
+
+# large products whose element-order conditions R-PGL-OBS decides from its
+# factors' orders alone; each answers within the budget
+PRODUCT_ROWS = [
+    ["bound", "--group", "S40xS39xS38xS37xS36xS35", "--field", "Q"],
+    ["bound", "--group", "A40xA39xA38xA37xA36xA35", "--field", "F(2)"],
+    ["bound", "--group", "S40xS39xS38xS37", "--field", "F(41)"],
+    ["bound", "--group", "S40xS39xS38xS37", "--field", "F(43)"],
+    ["bound", "--field", "F(5)", "--group", "S40xS39xS38xS37"],
+    ["bound", "--field", "custom{char=0}", "--group", "S40xS39xS38xS37"],
+    ["bound", "--field", "custom{char=0}", "--group",
+     "S40xS39xS38xS37xS36"],
+    ["bound", "--field", "custom{char=0, real_zeta_no=[1009]}", "--group",
+     "S40xS39xS38xS37"],
+    ["bound", "--field", "F(3)", "--group", "A40xA40xA40"],
+    ["bound", "--field", "custom{char=0}", "--group",
+     _product("C", _PRIMES)],
+    ["bound", "--field", "F(2)", "--group", _product("C", _PRIMES[:20])],
+    ["bound", "--field", "custom{char=0}", "--group",
+     _product("D", _PRIMES[1:21])],
+    ["bound", "--field", "custom{char=0, real_zeta_no=[963761198400]}",
+     "--group", _product("S", range(40, 32, -1))],
+    # no lcm reaches 41 x lcm(1..40), so the search runs over all 32 atoms
+    ["bound", "--field", "custom{char=0, real_zeta_no=[%d]}"
+     % (41 * math.lcm(*range(1, 41))), "--group", _product("A", [40] * 32)],
+]
 
 BUDGET = [
     (["bound", "--field", "Q", "--group", _c2s(_ATOMS)], 0),
@@ -321,10 +361,7 @@ BUDGET = [
     (["bound", "--field", "Q", "--group", _c2s(200)], 3),
     (["bound", "--field", "Q", "--group", _c2s(400)], 3),
     (["bound", "--group", "A40", "--field", "F(2)"], 0),
-    (["bound", "--group", "S40xS39xS38xS37xS36xS35", "--field", "Q"], 0),
-    (["bound", "--group", "A40xA39xA38xA37xA36xA35", "--field", "F(2)"], 0),
-    (["bound", "--group", "S40xS39xS38xS37", "--field", "F(41)"], 0),
-    (["bound", "--group", "S40xS39xS38xS37", "--field", "F(43)"], 0),
+    *[(argv, 0) for argv in PRODUCT_ROWS],
     (["bound", "--group", "D30", "--field", "F(25)"], 0),
     (["crossratio", "action", "--n", "800", "--perm", _perm(800, 1)], 3),
     (["crossratio", "action", "--n", str(cli.CROSSRATIO_N_CAP + 1),

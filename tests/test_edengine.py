@@ -30,6 +30,7 @@ from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, degree,
                          element_orders, expr_order, pmul, realize)
 from oracles import (_pow, a_lower_recurrence, center, check_thm45,
                      enumerated_orders, l_core, porder, s_lower_recurrence)
+from test_cli import PRODUCT_ROWS
 
 Q = RationalField()
 F2 = FiniteField(2, 1)
@@ -260,6 +261,9 @@ def test_engine_deterministic():
 # each on its own
 _ISOMORPHIC = [(Cyc(6), Product(Cyc(2), Cyc(3))),
                (ElemAb(2, 2), Product(Cyc(2), Cyc(2)), Dih(2)),
+               (ElemAb(5, 2), Product(Cyc(5), Cyc(5))),
+               (Product(Cyc(6), Cyc(10)), Product(Cyc(2), Cyc(30))),
+               (Product(ElemAb(2, 2), Cyc(3)), Product(Cyc(2), Cyc(6))),
                (Sym(3), Dih(3)), (Dih(6), Product(Sym(3), Cyc(2)))]
 # each tower K_0 <= K_1 <= ...: F(p^a) <= F(p^ab), Q <= Qzeta(m) <= Qzeta(mk)
 _TOWERS = [[finite_field_from_q(q) for q in qs]
@@ -824,7 +828,7 @@ def test_bound_builds_no_pgl2_kernel(monkeypatch):
 
 def _pgl_obs_from_the_lcm_set(a, fd):
     """R-PGL-OBS read off the product's whole lcm set, as the oracle for
-    trying its factors' orders first."""
+    the one search over its factors' orders."""
     try:
         orders = element_orders(a)
     except TooLarge:
@@ -842,16 +846,33 @@ def _pgl_obs_from_the_lcm_set(a, fd):
     return out
 
 
-def test_pgl_obs_tries_factors_then_matches_the_lcm_set():
-    atoms = [Cyc(n) for n in (2, 3, 4, 5, 6, 7, 8, 12)]
-    atoms += [Dih(n) for n in (3, 4, 5, 6)] + [Sym(3), Sym(4), Alt(4),
-                                               Alt(5), ElemAb(2, 2),
-                                               ElemAb(3, 2)]
+def test_pgl_obs_one_search_matches_the_lcm_set():
+    atoms = [Cyc(n) for n in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 21)]
+    atoms += [Dih(n) for n in (3, 4, 5, 6, 7)] + [Sym(3), Sym(4), Sym(5),
+                                                  Alt(4), Alt(5),
+                                                  ElemAb(2, 2), ElemAb(3, 2)]
     exprs = atoms + [Product(a, b) for i, a in enumerate(atoms)
                      for b in atoms[i:]]
-    exprs += [Product(Cyc(4), Cyc(3), Cyc(5)), Product(Sym(4), Dih(5), Cyc(7))]
-    fields = [Q, Cyclotomic(3), Cyclotomic(5), Custom(0), F2, F4]
-    fields += [finite_field_from_q(q) for q in (5, 7, 11, 41)]
+    rng = random.Random(33)
+    exprs += [Product(*rng.choices(atoms, k=rng.randint(3, 5)))
+              for _ in range(300)]
+    exprs += [Product(Cyc(4), Cyc(3), Cyc(5)), Product(Sym(4), Dih(5), Cyc(7)),
+              Product(Cyc(3), Cyc(3), Cyc(3)), Product(Cyc(2), Cyc(3), Cyc(7))]
+    fields = [Q, Cyclotomic(3), Cyclotomic(5), Cyclotomic(12), Custom(0), F2,
+              F4]
+    fields += [finite_field_from_q(q) for q in (3, 5, 7, 9, 11, 25, 41)]
+    # Custom fields with yes and no sets, in characteristics 0, 2, 3 and 5:
+    # over these a No is a multiple of a real_zeta_no member
+    fields += [Custom(0, real_zeta_no={12}),
+               Custom(0, zeta_yes={4, 8}, real_zeta_yes={7, 8},
+                      real_zeta_no={10, 21}),
+               Custom(0, real_zeta_no={5, 7, 9}),
+               Custom(2, fp_dim=INF), Custom(2, fp_dim=3, real_zeta_no={5, 9}),
+               Custom(3, fp_dim=INF, real_zeta_no={7, 10}),
+               Custom(3, fp_dim=1, zeta_yes={5}, real_zeta_yes={5},
+                      real_zeta_no={7, 8}),
+               Custom(5, fp_dim=2, real_zeta_yes={3, 7},
+                      real_zeta_no={9, 14})]
     seen = {"factor": 0, "lcm only": 0, "none": 0}
     for e in exprs:
         for fd in fields:
@@ -871,14 +892,11 @@ def test_pgl_obs_tries_factors_then_matches_the_lcm_set():
                 == _pgl_obs_from_the_lcm_set(e, fd), (str(e), fd)
 
 
-@pytest.mark.parametrize("text,fd", [
-    ("S40xS39xS38xS37xS36xS35", Q),
-    ("A40xA39xA38xA37xA36xA35", F2),
-    ("S40xS39xS38xS37", finite_field_from_q(5))])
-def test_pgl_obs_decides_big_products_from_a_factor(monkeypatch, text, fd):
-    # a factor's order decides each condition, so the product's lcm set,
-    # which took seconds to build for four to six S_n near n = 40, is not
-    # built at all
+def test_bound_reads_no_product_element_orders(monkeypatch):
+    # R-PGL-OBS searches its factors' order sets and never builds a
+    # product's lcm set, which grows as the product of their sizes: no
+    # catalog query and no large product of the budget table asks
+    # element_orders for a product
     real = edengine.element_orders
 
     def atoms_only(e):
@@ -886,29 +904,16 @@ def test_pgl_obs_decides_big_products_from_a_factor(monkeypatch, text, fd):
         return real(e)
 
     monkeypatch.setattr(edengine, "element_orders", atoms_only)
-    e = canon(parse_group(text))
-    assert list(edengine._leaf_pgl_obs(e, fd)) == [(2, None)] * (
-        1 + (fd.char() > 0))
-
-
-@pytest.mark.parametrize("q", [41, 43])
-def test_pgl_obs_skips_the_lcm_set_when_no_factor_has_order_char(
-        monkeypatch, q):
-    # over F(l), l prime, l divides an lcm of orders only when it divides a
-    # factor's order; none of these factors has an order that l divides,
-    # so no lcm is a multiple of l and the lcm set is not built for that
-    # condition, while an order without zeta + zeta^-1 in F(l) decides the
-    # other from a factor
-    real = edengine.element_orders
-
-    def atoms_only(e):
-        assert not isinstance(e, Product), "built the lcm set of %s" % e
-        return real(e)
-
-    monkeypatch.setattr(edengine, "element_orders", atoms_only)
-    e = canon(parse_group("S40xS39xS38xS37"))
-    assert list(edengine._leaf_pgl_obs(e, finite_field_from_q(q))) == \
-        [(2, None)]
+    rows = [(argv[argv.index("--group") + 1], argv[argv.index("--field") + 1])
+            for argv in PRODUCT_ROWS]
+    for group, field in [q.split("/", 1) for q, _ in _catalog_cases()] + rows:
+        bound(parse_group(group), parse_field(field))
+    # how many of the two element-order facts fire on each row, as
+    # _pgl_obs_from_the_lcm_set gives them on every row whose lcm set it can
+    # build (all but C2x...xC131 and A40^32, where no lcm meets a No)
+    assert [len(list(edengine._leaf_pgl_obs(canon(parse_group(g)),
+                                            parse_field(f))))
+            for g, f in rows] == [1, 2, 1, 1, 2, 0, 0, 0, 2, 0, 2, 0, 0, 0]
 
 
 # --- the engine memo ----------------------------------------------------------
