@@ -19,17 +19,20 @@ three-valued field predicate simply do not fire on Unknown.
 Everything the engine derives about one query is a pure function of the
 canonical (expr, field) pair, and both are interned records (see
 ``record``), compared and hashed by identity.
-So ``_key``, ``leaf_facts``, ``edges_of`` and ``_leaf_phase`` (a new
-query's interval and trace nodes from its leaf facts) are memoized per
+So ``canon``, ``_key``, ``leaf_facts``, ``edges_of`` and ``_leaf_phase`` (a
+new query's interval and trace nodes from its leaf facts) are memoized per
 process with unbounded ``lru_cache``s: every ``bound`` call, ``edim table``
 cell and replayed node after the first to meet a query reuses its facts,
 edges and decided hypotheses.  The facts that ask nothing of the field are
-memoized per group, once for every field: ``atom_aliases``,
-``groups.element_orders`` (R-PGL-OBS's element orders) and ``_group_links``
-(the product views, the subgroup pairs R-SUB certifies, and the splittings
-R-CE-SPLIT checks).  A raised refusal is not memoized.  No rule builds a
-field or searches a group of matrices; the tests check R-PGL-OBS against
-the exhaustive search in ``pgl2``.
+memoized per group, once for every field: ``atom_aliases``, ``_leaf_plan``
+(the leaf calls that ``leaf_facts`` and ``_leaf_phase`` both run),
+``order_summary`` (R-PGL-OBS's reading of an atom's element orders, per
+characteristic) and ``_group_links`` (the product views, the subgroup pairs
+R-SUB certifies, and the splittings R-CE-SPLIT checks).  ``_leaf_phase``
+skips R-PGL-OBS past lo >= 2, where its facts, all (2, None), narrow
+nothing; ``leaf_facts``, which replay reads, lists them.  A raised refusal
+is not memoized.  No rule builds a field or searches a group of matrices;
+the tests check R-PGL-OBS against the exhaustive search in ``pgl2``.
 """
 
 from __future__ import annotations
@@ -169,6 +172,7 @@ _RENAMES = {Sym(2): Cyc(2), Dih(1): Cyc(2), Alt(3): Cyc(3),
             Dih(2): ElemAb(2, 2), Dih(3): Sym(3)}
 
 
+@lru_cache(maxsize=None)
 def canon(e):
     """Canonical representative of the isomorphism class, within the
     rewrites the engine knows: trivial atoms to C1 and small renames, on
@@ -431,36 +435,47 @@ def _leaf_pgl_obs(a, fd):
     (Lemmas 5.2 and 5.7), or, over F_q with q <= PGL_OBS_Q_CAP, when G is
     E(p,r), r >= 2, p an odd prime other than l: the Sylow p-subgroups of
     PGL_2(F_q) are cyclic (L. E. Dickson, *Linear Groups*, Teubner, 1901;
-    a paraphrase).  A product's orders are the lcms of one order per factor,
-    so l divides one other than l iff a factor's order does, or a factor
-    has order l and another one other than 1 and l.  A No for zeta_d +
-    zeta_d^-1, a polynomial in zeta_o + zeta_o^-1 for d | o, holds for every
-    multiple of d (``Custom`` refuses sets that break this), so a fold over
-    the factors' orders prime to l keeps maximal lcms, over ``Custom`` cut
-    to their gcd with lcm(real_zeta_no), and stops at a No.  No fact comes
-    from a factor that raises TooLarge."""
-    try:
-        sets = list(map(element_orders, _atoms(a)))
-    except TooLarge:
-        sets = []
+    a paraphrase).  A product's orders are the lcms of one order per
+    factor, so l divides one other than l iff a factor's order does, or a
+    factor has order l and another one other than 1 and l.  A No for zeta_d
+    + zeta_d^-1, a polynomial in zeta_o + zeta_o^-1 for d | o, holds for
+    every multiple of d (``Custom`` refuses sets that break this), so each
+    atom's ``order_summary`` keeps its maximal orders prime to l, and a fold
+    over a product's keeps maximal lcms, over ``Custom`` cut to their gcd
+    with lcm(real_zeta_no), and stops at a No.  No fact comes from a factor
+    that raises TooLarge."""
     l = char_of(fd)
-    if l and (any(o % l == 0 and o != l for s in sets for o in s) or any(
-            l in s and sum(not t <= {1, l} for t in sets) > (not s <= {1, l})
-            for s in sets)):
+    try:
+        sums = [order_summary(f, l) for f in _atoms(a)]
+    except TooLarge:
+        sums = []
+    others = sum(other for _, _, other, _ in sums)
+    if any(multiple or has_l and others > other
+           for multiple, has_l, other, _ in sums):
         yield 2, None
     d = math.lcm(*fd.real_zeta_no) if isinstance(fd, Custom) else 0
     found = [1]
-    for s in sets:
-        if len(sets) > 1:
-            s = _maximal({math.gcd(o, d) for o in s if l == 0 or o % l})
+    for *_, s in sums:
+        if len(sums) > 1:
+            s = _maximal({math.gcd(o, d) for o in s})
             found = s = _maximal({math.lcm(f, o) for f in found for o in s})
-        if any((l == 0 or o % l) and contains_real_zeta(fd, o) is NO
-               for o in s):
+        if any(contains_real_zeta(fd, o) is NO for o in s):
             yield 2, None
             break
     if isinstance(fd, FiniteField) and fd.q <= PGL_OBS_Q_CAP \
             and isinstance(a, ElemAb) and a.r >= 2 and a.p not in (2, fd.p):
         yield 2, None
+
+
+@lru_cache(maxsize=None)
+def order_summary(a, l):
+    """What R-PGL-OBS reads of the atom a's element orders in char K = l: (an
+    order is a multiple of l other than l, l is an order, an order is not 1
+    or l, the maximal orders prime to l), the first two False if l = 0."""
+    orders = element_orders(a)
+    return (l > 0 and any(o % l == 0 and o != l for o in orders),
+            l in orders, not orders <= {1, l},
+            tuple(_maximal(o for o in orders if l == 0 or o % l)))
 
 
 def _maximal(values):  # the members of values that divide no other member
@@ -544,12 +559,18 @@ def _sum_hi(*ivs):
 
 
 @lru_cache(maxsize=None)
+def _leaf_plan(e):
+    """(rule, fn, alias): each leaf rule on each alias of e of its kind."""
+    return tuple((rule, fn, a) for rule, kind, fn in LEAF_RULES
+                 for a in atom_aliases(e)
+                 if kind is None or a.__class__ is kind)
+
+
+@lru_cache(maxsize=None)
 def leaf_facts(e, fd):
     """The (rule, lo, hi) narrowings of the canonical query (e, fd), in
-    catalog order: every leaf rule fired on every alias of e of its kind."""
-    aliases = atom_aliases(e)
-    return tuple((rule, lo, hi) for rule, kind, fn in LEAF_RULES
-                 for a in aliases if kind is None or a.__class__ is kind
+    catalog order: every leaf call of ``_leaf_plan`` and all it yields."""
+    return tuple((rule, lo, hi) for rule, fn, a in _leaf_plan(e)
                  for lo, hi in fn(a, fd))
 
 
@@ -557,14 +578,18 @@ def leaf_facts(e, fd):
 def _leaf_phase(e, fd):
     """The interval and the trace nodes that the leaf facts of the new
     canonical query (e, fd) give it, folded from TOP as ``_Engine.narrow``
-    would: no edge reads a query before its leaf facts are in."""
+    would: no edge reads a query before its leaf facts are in.  Past lo >= 2
+    R-PGL-OBS is not asked: its facts, all (2, None), narrow nothing."""
     key, iv, nodes = _key(e, fd), TOP, []
-    for rule, lo, hi in leaf_facts(e, fd):
-        new = iv.narrowed(lo, hi)
-        if new is not iv:
-            iv = new
-            nodes.append(TraceNode(rule, RuleCatalog.citation(rule), (),
-                                   (key, new)))
+    for rule, fn, a in _leaf_plan(e):
+        if fn is _leaf_pgl_obs and iv.lo >= 2:
+            continue
+        for lo, hi in fn(a, fd):
+            new = iv.narrowed(lo, hi)
+            if new is not iv:
+                iv = new
+                nodes.append(TraceNode(rule, RuleCatalog.citation(rule), (),
+                                       (key, new)))
     return iv, tuple(nodes)
 
 

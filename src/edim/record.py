@@ -66,7 +66,11 @@ def _interned_new(cls, *args, **kwargs):
     values), so ``object``'s ``__eq__`` and ``__hash__`` serve (hash-consing:
     Filliâtre and Conchon, ML Workshop 2006).  A call looks its arguments up
     in ``_calls``, filled only by calls ``_build`` accepted, or builds and
-    validates a record and keeps the first with its values in ``_values``."""
+    validates a record and keeps the first with its values in ``_values``.
+    A keyword call of a class with the built ``__init__`` is looked up by
+    its field values in order, as a positional call."""
+    if kwargs and cls._init_is_built:
+        args, kwargs = tuple(_arguments(cls, args, kwargs)), {}
     if not kwargs:
         try:
             return cls._calls[args]

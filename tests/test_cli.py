@@ -73,6 +73,28 @@ def test_parse_field_forms():
     assert isinstance(fd, Custom)
 
 
+def test_a_repeated_custom_parse_builds_nothing(monkeypatch):
+    # the parser calls Custom with keywords; a keyword call is looked up by
+    # its field values, so a spelling parsed before runs no __post_init__
+    # (divisor closures and conflict checks) again
+    text = "custom{char=3, zeta_yes=[4], real_zeta_no=[7,10], fp_dim=inf}"
+    first = parse_field(text)
+    builds = []
+    real = Custom._build
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(Custom, "_build", counted)
+    assert parse_field(text) is first
+    assert parse_field(text.replace("[7,10]", "[10,7]")) is first
+    assert builds == []
+    assert parse_field("custom{char=3, real_zeta_no=[11], fp_dim=2}") \
+        is parse_field("custom{fp_dim=2, char=3, real_zeta_no=[11]}")
+    assert len(builds) == 1
+
+
 def test_field_describe_round_trips():
     # describe() is the CLI grammar, so every trace key parses back
     custom = Custom(characteristic=2, fp_dim=INF)

@@ -892,6 +892,24 @@ def test_pgl_obs_one_search_matches_the_lcm_set():
                 == _pgl_obs_from_the_lcm_set(e, fd), (str(e), fd)
 
 
+def test_order_summary_matches_a_scan_of_the_element_orders():
+    atoms = ([f(n) for f in (Sym, Alt) for n in range(41)]
+             + [f(n) for f in (Dih, Cyc) for n in range(1, 61)]
+             + [ElemAb(p, r) for p in (2, 3, 5, 7, 11, 13)
+                for r in range(1, 5)])
+    for a in atoms:
+        orders = element_orders(a)
+        for l in (0, 2, 3, 5, 7, 11, 13):
+            prime = [o for o in orders if l == 0 or o % l != 0]
+            maximal = sorted((o for o in prime
+                              if not any(m > o and m % o == 0
+                                         for m in prime)), reverse=True)
+            assert edengine.order_summary(a, l) == (
+                l > 0 and any(o % l == 0 and o != l for o in orders),
+                l in orders, any(o not in (1, l) for o in orders),
+                tuple(maximal)), (str(a), l)
+
+
 def test_bound_reads_no_product_element_orders(monkeypatch):
     # R-PGL-OBS searches its factors' order sets and never builds a
     # product's lcm set, which grows as the product of their sizes: no
@@ -920,6 +938,7 @@ def test_bound_reads_no_product_element_orders(monkeypatch):
 
 _MEMOS = (edengine._key, atom_aliases, edengine.leaf_facts,
           edengine.edges_of, edengine._leaf_phase, edengine._group_links,
+          edengine.canon, edengine.order_summary, edengine._leaf_plan,
           groups.element_orders, groups._partition_orders)
 
 
@@ -942,13 +961,18 @@ def _narrowed_from_top(e, fd):
 
 
 def test_leaf_phase_matches_narrowing_from_top():
-    atoms = ([f(n) for f in (Sym, Alt) for n in range(1, 10)]
+    # the phase skips R-PGL-OBS once lo >= 2, as on S_n and A_n past R-S-LB
+    # and R-A (a product holding them still asks it); the fold of every
+    # leaf fact must give the same interval and nodes
+    atoms = ([f(n) for f in (Sym, Alt) for n in range(1, 13)]
              + [Dih(n) for n in range(1, 17)] + [Cyc(n) for n in range(1, 31)]
              + [ElemAb(p, r) for p in (2, 3, 5, 7) for r in (1, 2, 3, 4)])
     exprs = dict.fromkeys(canon(e) for e in atoms + [
         Product(Sym(3), Cyc(4)), Product(Alt(5), Cyc(3)),
         Product(Dih(5), Cyc(2)), Product(ElemAb(2, 2), Cyc(2)),
-        Product(Cyc(3), Cyc(3)), Product(Product(Sym(4), Cyc(5)), Dih(7))])
+        Product(Cyc(3), Cyc(3)), Product(Product(Sym(4), Cyc(5)), Dih(7)),
+        Product(Sym(12), Cyc(7)), Product(Alt(11), Alt(12)),
+        Product(Sym(8), Dih(9), Cyc(5)), Product(Alt(12), ElemAb(3, 2))])
     fields = ([Q] + [Cyclotomic(m) for m in (3, 4, 5, 7, 8, 12)]
               + [finite_field_from_q(q) for q in (2, 3, 4, 5, 7, 8, 9, 16,
                                                   25, 27, 29, 64)]
@@ -956,11 +980,21 @@ def test_leaf_phase_matches_narrowing_from_top():
                  Custom(characteristic=0, zeta_yes=frozenset({5}),
                         real_zeta_yes=frozenset({5})),
                  Custom(characteristic=2, fp_dim=INF),
-                 Custom(characteristic=3, fp_dim=1)])
+                 Custom(characteristic=3, fp_dim=1),
+                 Custom(characteristic=0, real_zeta_no=frozenset({7, 9})),
+                 Custom(characteristic=5, fp_dim=2,
+                        real_zeta_no=frozenset({9, 14}))])
+    skipped = 0
     for fd in fields:
         for e in exprs:
             assert edengine._leaf_phase(e, fd) == _narrowed_from_top(e, fd), \
                 (str(e), fd.describe())
+            facts = edengine.leaf_facts(e, fd)
+            first = next((i for i, (r, _, _) in enumerate(facts)
+                          if r == "R-PGL-OBS"), None)
+            skipped += first is not None and max(
+                [lo or 0 for _, lo, _ in facts[:first]], default=0) >= 2
+    assert skipped > 100, skipped  # R-PGL-OBS would fire, but is not asked
 
 
 def _bound_documents(queries, cold):

@@ -181,6 +181,31 @@ def test_interned_classes_keep_one_object_per_value():
             Cyc(0)
 
 
+def test_keyword_calls_hit_the_call_cache(monkeypatch):
+    # a keyword call of a class with the built __init__ is looked up by its
+    # field values in order, as the positional call of every field with the
+    # same values, so once either has been made the other builds and
+    # validates nothing; a shorter positional call gives the same record
+    no = frozenset({977})
+    known = [Custom(0, frozenset(), frozenset(), frozenset(), no, None),
+             ElemAb(3, 2), FiniteField(5, 2)]
+    builds = []
+
+    def counted(real):
+        def build(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+        return build
+
+    for cls in (Custom, ElemAb, FiniteField):
+        monkeypatch.setattr(cls, "_build", counted(cls._build))
+    assert [Custom(real_zeta_no=no, characteristic=0),
+            ElemAb(r=2, p=3), FiniteField(k=2, p=5)] == known
+    assert Custom(0, real_zeta_no=no, fp_dim=None) is known[0]
+    assert ElemAb(3, r=2) is known[1] and builds == []
+    assert Custom(0, frozenset(), frozenset(), frozenset(), no) is known[0]
+
+
 def test_keyword_and_default_construction():
     assert repr(Product(Cyc(5), Dih(3))) \
         == "Product(factors=(Cyc(n=5), Dih(n=3)))"
