@@ -1,22 +1,22 @@
 """The field of cross-ratios: symbolic [i,j;k,l] in K(x_1..x_n), the rewriting
 of any cross-ratio in the generators t_i = [1,2;3,i], the induced S_n action,
-and faithfulness verification.  A rewrite is the symbol on the slice
-(x_1, x_2, x_3) = (inf, 0, 1), x_m = t_m, a product of linear forms in closed
-form; ``cr_define`` and the rewrite are both built reduced, with no gcd.
-``check_rewrite`` proves a rewrite independently, by exact composition, with
-the generators' cleared products shared through a per-n table
-(``_generator_image``), on polynomials keyed by packed monomials: _FIELD bits
-per x_m, so a product of monomials is one int addition (Monagan and Pearce,
-CASC 2007).  A rewrite has degree <= 1 in at most four t_m, so no exponent
-passes 5 (4 in x_1, x_2, x_3 from the cleared generators, 1 from cr_define);
-a field holds 5 below a spare top bit, and a product that reaches one raises.
+and faithfulness verification.  ``cr_define``'s sides and a rewrite's, the
+same four-term products (``_cross_product``) on the slice (x_1, x_2, x_3) =
+(inf, 0, 1), x_m = t_m, are built reduced, with no gcd.  ``check_rewrite``
+proves a rewrite independently, by exact composition, with the generators'
+cleared products shared through a per-n table (``_generator_image``), on
+polynomials keyed by packed monomials: _FIELD bits per x_m, so a product of
+monomials is one int addition (Monagan and Pearce, CASC 2007).  A rewrite has
+degree <= 1 in at most four t_m, so no exponent passes 5 (4 in x_1, x_2, x_3
+from the cleared generators, 1 from cr_define); a field holds 5 below a
+spare top bit, and a product that reaches one raises.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache, reduce
-from operator import lshift, or_
+from operator import or_
 
 from .errors import AmbientOutOfRange, AmbientTooSmall, DegreeTooLarge
 from .ratfunc import QQ, MultiPoly, RatFn
@@ -49,25 +49,30 @@ def tvars(n):
     return tuple("t%d" % i for i in range(4, n + 1))
 
 
-def _cross_product(vs, a, b, c, d):
-    """(x_a - x_c)(x_b - x_d) = x_a x_b - x_a x_d - x_c x_b + x_c x_d in vs,
-    built as its four terms; for distinct a, b, c, d its monomials differ."""
+def _cross_product(mono, a, b, c, d):
+    """(x_a - x_c)(x_b - x_d) = x_a x_b - x_a x_d - x_c x_b + x_c x_d as its
+    four terms {mono(p, q): coefficient}, ``mono`` spelling x_p x_q; for
+    distinct a, b, c, d the monomials differ."""
+    return {mono(a, b): 1, mono(a, d): -1, mono(c, b): -1, mono(c, d): 1}
+
+
+def _exponents(n, first):
+    """x_p x_q as an exponent tuple over x_first..x_n, dropping x_m < first."""
     def mono(p, q):
-        e = [0] * len(vs)
-        e[p - 1] = e[q - 1] = 1
-        return tuple(e)
-    return MultiPoly(QQ, vs, {mono(a, b): 1, mono(a, d): -1,
-                              mono(c, b): -1, mono(c, d): 1})
+        e = [0] * (n + 1)
+        e[p] = e[q] = 1
+        return tuple(e[first:])
+    return mono
 
 
 def cr_define(sym):
     """[i,j;k,l] = (x_i-x_k)(x_j-x_l) / ((x_i-x_l)(x_j-x_k)), built reduced:
-    the four linear factors join distinct pairs of variables.  Each side is
-    one four-term polynomial, with no products of MultiPolys."""
+    the four linear factors join distinct pairs of variables."""
     i, j, k, l = sym.indices
-    vs = xvars(sym.n)
-    return RatFn(_cross_product(vs, i, j, k, l),
-                 _cross_product(vs, i, j, l, k), reduce=False)
+    vs, mono = xvars(sym.n), _exponents(sym.n, 1)
+    return RatFn(MultiPoly(QQ, vs, _cross_product(mono, i, j, k, l)),
+                 MultiPoly(QQ, vs, _cross_product(mono, i, j, l, k)),
+                 reduce=False)
 
 
 def generator_symbol(n, i):
@@ -77,19 +82,18 @@ def generator_symbol(n, i):
 # perfbench/make_catalog.py clears this cache to time a cold rewrite
 @lru_cache(maxsize=None)
 def _rewrite(n, indices):
-    vs = tvars(n)
-    zero, one = MultiPoly.zero(QQ, vs), MultiPoly.const(QQ, vs, 1)
+    """cr_define's four-term sides on the slice: x_2 = 0 drops a term, x_3 = 1
+    and x_m = t_m respell one, and x_1 = inf keeps, when 1 is an index, only
+    the terms in x_1 (a side's leading coefficient in x_1)."""
+    vs, mono, at_inf = tvars(n), _exponents(n, 4), 1 in indices
 
-    def x(m):  # the slice value of x_m for m >= 2
-        return zero if m == 2 else one if m == 3 else \
-            MultiPoly.var(QQ, vs, "t%d" % m)
-
-    def diff(a, b):  # x_a - x_b, with the factors that contain x_1 cancelled
-        return one if 1 in (a, b) else x(a) - x(b)
+    def side(*abcd):
+        terms = _cross_product(lambda *pq: pq, *abcd)
+        return MultiPoly(QQ, vs, {mono(*pq): c for pq, c in terms.items()
+                                  if 2 not in pq and (1 in pq) == at_inf})
 
     i, j, k, l = indices
-    return RatFn(diff(i, k) * diff(j, l), diff(i, l) * diff(j, k),
-                 reduce=False)
+    return RatFn(side(i, j, k, l), side(i, j, l, k), reduce=False)
 
 
 def cr_rewrite(sym):
@@ -169,11 +173,13 @@ def check_rewrite(sym):
     """Exact soundness of cr_rewrite(sym), independent of the slice argument:
     substituting t_i = [1,2;3,i] into the rewrite returns cr_define(sym),
     checked as ncomp * den == dcomp * num on the unreduced composition and
-    packed monomials, with no gcd (module docstring)."""
+    packed monomials, with no gcd (module docstring), num and den built as by
+    cr_define, whose monic normalization can only negate both."""
     ncomp, dcomp = _composed(sym.n, cr_rewrite(sym))
-    direct = cr_define(sym)
-    return not _product_sum(((ncomp, _packed(direct.den)),
-                             (dcomp, _packed(-direct.num))), sym.n)
+    i, j, k, l = sym.indices
+    den = _cross_product(_packed_pair, i, j, l, k)
+    neg_num = _cross_product(_packed_pair, k, j, i, l)  # (x_k-x_i)(x_j-x_l)
+    return not _product_sum(((ncomp, den), (dcomp, neg_num)), sym.n)
 
 
 def _composed(n, rewritten):
@@ -190,16 +196,15 @@ def _composed(n, rewritten):
 
 @lru_cache(maxsize=None)
 def _generator_image(n, expo, tops):
-    """M_e = prod_m num_m^e_m den_m^(top_m - e_m), with (num_m, den_m) =
-    cr_define([1,2;3,m]), packed: the product ``RatFn.compose_pair`` would
+    """M_e = prod_m num_m^e_m den_m^(top_m - e_m), (num_m, den_m) the sides
+    of cr_define([1,2;3,m]), packed: the product ``RatFn.compose_pair`` would
     multiply out.  A rewrite has degree <= 1 in each t_m (every index occurs
     in one factor above and one below): at most 3^(n-3) keys per n."""
     image = {0: 1}
     for m, e, top in zip(range(4, n + 1), expo, tops):
-        if top:
-            gen = cr_define(generator_symbol(n, m))
-            for side in [gen.num] * e + [gen.den] * (top - e):
-                image = _product_sum([(image, _packed(side))], n)
+        for abcd in [(1, 2, 3, m)] * e + [(1, 2, m, 3)] * (top - e):
+            side = _cross_product(_packed_pair, *abcd)
+            image = _product_sum([(image, side)], n)
     return image
 
 
@@ -208,12 +213,8 @@ _FIELD = _MAX_EXPONENT.bit_length() + 1  # bits per variable, with a top bit
 _TOP = 1 << (_FIELD - 1)
 
 
-def _packed(p):
-    """A MultiPoly as {packed exponent: coefficient}."""
-    if max(map(max, p.terms), default=0) >= _TOP:
-        raise DegreeTooLarge("an exponent needs over %d bits" % (_FIELD - 1))
-    shifts = range(0, _FIELD * len(p.vars), _FIELD)
-    return {sum(map(lshift, e, shifts)): c for e, c in p.terms.items()}
+def _packed_pair(p, q):  # x_p x_q, p != q, as a packed monomial
+    return 1 << _FIELD * (p - 1) | 1 << _FIELD * (q - 1)
 
 
 def _product_sum(pairs, n):

@@ -67,15 +67,21 @@ def _interned_new(cls, *args, **kwargs):
     Filliâtre and Conchon, ML Workshop 2006).  A call looks its arguments up
     in ``_calls``, filled only by calls ``_build`` accepted, or builds and
     validates a record and keeps the first with its values in ``_values``.
-    A keyword call of a class with the built ``__init__`` is looked up by
-    its field values in order, as a positional call."""
+    For a class with the built ``__init__``, a keyword call is looked up as
+    the positional call of its field values, and a short positional call that
+    misses is made as that full call, then kept under its own arguments too."""
     if kwargs and cls._init_is_built:
         args, kwargs = tuple(_arguments(cls, args, kwargs)), {}
     if not kwargs:
         try:
             return cls._calls[args]
-        except (KeyError, TypeError):  # TypeError: an unhashable argument
-            pass
+        except KeyError:
+            short = cls._init_is_built and len(args) < len(cls._fields)
+        except TypeError:  # an unhashable argument
+            short = False
+        if short:
+            full = _arguments(cls, args, kwargs)
+            return cls._calls.setdefault(args, _interned_new(cls, *full))
     new = object.__new__(cls)
     cls._build(new, *args, **kwargs)
     record = cls._values.setdefault(cls._get(new), new)

@@ -13,18 +13,21 @@ and the tests check the closed forms against them.
 ``ExtField`` is the extension-field arithmetic the Tschirnhaus root oracle
 and criterion 5 compute in; the library itself never leaves F_q.
 ``check_rewrite_by_products`` is the cross-ratio check on MultiPoly products,
-the path ``crossratio.check_rewrite``'s packed monomials replace.
+the path ``crossratio.check_rewrite``'s packed monomials replace, and
+``rewrite_by_products`` the rewrite as MultiPoly products of differences,
+the path ``crossratio._rewrite``'s term dicts replace.
 """
 
 import math
 from dataclasses import dataclass
 
-from edim.crossratio import cr_define, cr_rewrite, generator_symbol
+from edim.crossratio import cr_define, cr_rewrite, generator_symbol, tvars
 from edim.errors import NotPrime, TooLarge, ZeroElement
 from edim.exactfield import _power, is_prime
 from edim.fielddesc import (NO, UNKNOWN, YES, char_of, contains_zeta,
                             extend_with_zeta)
 from edim.groups import PermGroup, _closure, pident, pmul
+from edim.ratfunc import QQ, MultiPoly, RatFn
 from edim.unipoly import divmod_poly, monic, mul, sub, trim
 
 CORE_CAP = 10 ** 5
@@ -487,3 +490,22 @@ def check_rewrite_by_products(sym):
     ncomp, dcomp = cr_rewrite(sym).compose_pair(bindings)
     direct = cr_define(sym)
     return ncomp * direct.den == dcomp * direct.num
+
+
+def rewrite_by_products(sym):
+    """``crossratio.cr_rewrite`` by MultiPoly arithmetic: each linear form
+    x_a - x_b on the slice (x_1, x_2, x_3) = (inf, 0, 1), x_m = t_m, built
+    with ``MultiPoly.var`` and ``-``, and the two pairs multiplied."""
+    vs = tvars(sym.n)
+    zero, one = MultiPoly.zero(QQ, vs), MultiPoly.const(QQ, vs, 1)
+
+    def x(m):  # the slice value of x_m for m >= 2
+        return zero if m == 2 else one if m == 3 else \
+            MultiPoly.var(QQ, vs, "t%d" % m)
+
+    def diff(a, b):  # x_a - x_b, with the factors that contain x_1 cancelled
+        return one if 1 in (a, b) else x(a) - x(b)
+
+    i, j, k, l = sym.indices
+    return RatFn(diff(i, k) * diff(j, l), diff(i, l) * diff(j, k),
+                 reduce=False)

@@ -11,7 +11,7 @@ from edim.crossratio import (CRSymbol, apply_action, check_rewrite, cr_define,
 from edim.errors import AmbientOutOfRange, AmbientTooSmall, DegreeTooLarge
 from edim.exactfield import fq_context
 from edim.ratfunc import QQ, MultiPoly, RatFn, render
-from oracles import check_rewrite_by_products
+from oracles import check_rewrite_by_products, rewrite_by_products
 
 # the six Mobius images of a cross-ratio t under reordering its four points,
 # generated by the paper's Step-2 identities (12).t = (34).t = 1/t and
@@ -184,23 +184,54 @@ def test_packed_check_matches_the_product_oracle():
 
 
 def test_packing_refuses_an_exponent_past_its_field():
-    # a field holds the degree bound below its top bit: packing an exponent
-    # that reaches the top bit raises, and so does a product whose exponent
-    # sum reaches it, before any sum could carry into the next field
-    n, top = 3, crossratio._TOP
+    # a field holds the degree bound below its top bit: a product whose
+    # exponent sum reaches the top bit raises, before any sum could carry
+    # into the next field
+    n, top, width = 3, crossratio._TOP, crossratio._FIELD
     assert crossratio._MAX_EXPONENT < top
-    x = [MultiPoly.var(QQ, xvars(n), v) for v in xvars(n)]
-    with pytest.raises(DegreeTooLarge):
-        crossratio._packed(x[0] ** top)
-    for v in (x[0], x[2]):  # the last field too: its carry has no neighbour
+
+    def power(i, a):  # x_(i+1)^a, packed
+        return {a << width * i: 1}
+
+    for i in (0, n - 1):  # the last field too: its carry has no neighbour
         for a, b in ((top - 1, 1), (top // 2, top // 2), (top - 1, top - 1)):
-            p, q = crossratio._packed(v ** a), crossratio._packed(v ** b)
             with pytest.raises(DegreeTooLarge):
-                crossratio._product_sum([(p, q)], n)
+                crossratio._product_sum([(power(i, a), power(i, b))], n)
     # below the top bit a product is exact
-    p, q = crossratio._packed(x[0] ** 3 * x[2]), crossratio._packed(x[0] ** 4)
-    assert _unpacked(crossratio._product_sum([(p, q)], n), n) == \
+    p = {3 + (1 << width * 2): 1}  # x_1^3 x_3
+    assert _unpacked(crossratio._product_sum([(p, power(0, 4))], n), n) == \
         {(top - 1, 0, 1): 1}
+
+
+def test_packed_sides_match_cr_define():
+    # check_rewrite's packed num, den and -num are cr_define's sides up to
+    # the one sign its monic normalization may put on both
+    cross, pair = crossratio._cross_product, crossratio._packed_pair
+
+    def negated(p):
+        return {e: -c for e, c in p.items()}
+
+    for n in range(4, 8):
+        for idx in itertools.permutations(range(1, n + 1), 4):
+            i, j, k, l = idx
+            defined = cr_define(CRSymbol(n, idx))
+            want = defined.num.terms, defined.den.terms
+            num = _unpacked(cross(pair, i, j, k, l), n)
+            den = _unpacked(cross(pair, i, j, l, k), n)
+            assert (num, den) in (want, tuple(map(negated, want))), idx
+            assert _unpacked(cross(pair, k, j, i, l), n) == negated(num), idx
+
+
+def test_rewrite_matches_the_product_oracle():
+    # every symbol with n = 5..8: the term-dict rewrite has the terms, in
+    # the same order, and the rendering of the MultiPoly products
+    for n in range(5, 9):
+        for idx in itertools.permutations(range(1, n + 1), 4):
+            sym = CRSymbol(n, idx)
+            got, want = cr_rewrite(sym), rewrite_by_products(sym)
+            for p, q in ((got.num, want.num), (got.den, want.den)):
+                assert list(p.terms.items()) == list(q.terms.items()), idx
+            assert render(got) == render(want), idx
 
 
 @pytest.mark.parametrize("n", [5, 6])

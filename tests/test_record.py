@@ -206,6 +206,32 @@ def test_keyword_calls_hit_the_call_cache(monkeypatch):
     assert Custom(0, frozenset(), frozenset(), frozenset(), no) is known[0]
 
 
+def test_short_keyword_and_full_calls_build_once(monkeypatch):
+    # a positional call that leaves out trailing defaults and misses is
+    # looked up again under its full field tuple, and is kept under both:
+    # whichever of the three spellings comes first, only it builds
+    empty, builds = frozenset(), []
+
+    def build(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    real = Custom._build
+    monkeypatch.setattr(Custom, "_build", build)
+    no = frozenset({991})
+    first = Custom(0, empty, empty, empty, no)
+    assert Custom(characteristic=0, real_zeta_no=no) is first
+    assert Custom(0, empty, empty, empty, no, None) is first
+    assert len(builds) == 1
+    # and a repeat of the short call hits at once
+    assert Custom._calls[0, empty, empty, empty, no] is first
+    no = frozenset({997})
+    first = Custom(characteristic=0, real_zeta_no=no)
+    assert Custom(0, empty, empty, empty, no) is first
+    assert Custom(0, empty, empty, empty, no, None) is first
+    assert len(builds) == 2
+
+
 def test_keyword_and_default_construction():
     assert repr(Product(Cyc(5), Dih(3))) \
         == "Product(factors=(Cyc(n=5), Dih(n=3)))"
