@@ -33,15 +33,19 @@ SCHEMA = "edim/1"
 # dearest field it draws from), so the largest accepted run stays under 1 s.
 TSCHIRNHAUS_DEGREE_CAP = 24
 TSCHIRNHAUS_COUNT_CAP = 50
-# `edim crossratio rewrite` and `action` refuse a larger --n with exit 3.
-# `action` makes n - 3 rewrites, each on exponent tuples of length n - 3,
-# so it costs O(n^2): about 0.4 s in process at the cap.
+# `edim crossratio` refuses a larger --n with exit 3.  `action` makes n - 3
+# rewrites on exponent tuples of length n - 3, O(n^2): about 0.4 s in process
+# at the cap; `verify` proves 2n - 5 rewrites, about 0.3 s.
 CROSSRATIO_N_CAP = 400
 
 
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
+
+def _digits(text):  # isdigit() alone passes other scripts' digits too
+    return text.isascii() and text.isdigit()
+
 
 def parse_group(text):
     """Expr := Atom | Expr "x" Expr; Atom := S|A|D|C int | E(p, r)."""
@@ -54,7 +58,7 @@ def parse_group(text):
     def read_int(why):
         nonlocal pos
         start = pos
-        while pos < len(s) and s[pos].isdigit():
+        while pos < len(s) and _digits(s[pos]):
             pos += 1
         if start == pos:
             fail("expected an integer (%s)" % why, start)
@@ -101,12 +105,12 @@ def parse_field(text):
         return RationalField()
     if s.startswith("Qzeta(") and s.endswith(")"):
         body = s[len("Qzeta("):-1]
-        if not body.isdigit():
+        if not _digits(body):
             raise ParseError("Qzeta needs an integer, got %r" % body)
         return Cyclotomic(int(body))
     if s.startswith("F(") and s.endswith(")"):
         body = s[2:-1]
-        if not body.isdigit():
+        if not _digits(body):
             raise ParseError("F needs a prime power, got %r" % body)
         q = int(body)
         if q < 2:
@@ -141,18 +145,18 @@ def _parse_custom(body, original):
                 raise ParseError("%s needs [..] in %r" % (key, original))
             inner = val[1:-1].strip()
             items = [x.strip() for x in inner.split(",")] if inner else []
-            if any(not x.isdigit() for x in items):
+            if not all(map(_digits, items)):
                 raise ParseError("non-integer in %s of %r" % (key, original))
             kwargs[keymap[key]] = frozenset(int(x) for x in items)
         elif key == "fp_dim":
             if val == "inf":
                 kwargs["fp_dim"] = INF
-            elif val.isdigit():
+            elif _digits(val):
                 kwargs["fp_dim"] = int(val)
             else:
                 raise ParseError("fp_dim must be an integer or inf")
         else:
-            if not val.isdigit():
+            if not _digits(val):
                 raise ParseError("char must be an integer")
             kwargs["characteristic"] = int(val)
     return Custom(**kwargs)
@@ -197,25 +201,24 @@ def _cmd_table(args):
     return {"rows": rows}
 
 
-def _parse_symbol(text, n):
+def _int_list(text, count, error):
     parts = [x.strip() for x in text.split(",")]
-    if len(parts) != 4 or any(not x.isdigit() for x in parts):
-        raise ParseError("--symbol needs four integers i,j,k,l")
-    return CRSymbol(n, tuple(int(x) for x in parts))
+    if len(parts) != count or not all(map(_digits, parts)):
+        raise ParseError(error)
+    return [int(x) for x in parts]
 
 
 def _cmd_crossratio(args):
-    if args.mode != "verify" and args.n > CROSSRATIO_N_CAP:
+    if args.n > CROSSRATIO_N_CAP:
         raise TooLarge("crossratio %s capped at n = %d"
                        % (args.mode, CROSSRATIO_N_CAP))
     if args.mode == "rewrite":
-        sym = _parse_symbol(args.symbol, args.n)
+        sym = CRSymbol(args.n, tuple(_int_list(
+            args.symbol, 4, "--symbol needs four integers i,j,k,l")))
         return {"symbol": str(sym), "expr": render(cr_rewrite(sym))}
     if args.mode == "action":
-        parts = [x.strip() for x in args.perm.split(",")]
-        if len(parts) != args.n or any(not x.isdigit() for x in parts):
-            raise ParseError("--perm needs the images of 1..n, comma-joined")
-        images = [int(x) for x in parts]
+        images = _int_list(args.perm, args.n,
+                           "--perm needs the images of 1..n, comma-joined")
         if sorted(images) != list(range(1, args.n + 1)):
             raise ParseError("--perm must be a permutation of 1..%d" % args.n)
         sigma = tuple(x - 1 for x in images)

@@ -1,20 +1,22 @@
 """The field of cross-ratios: symbolic [i,j;k,l] in K(x_1..x_n), the rewriting
 of any cross-ratio in the generators t_i = [1,2;3,i], the induced S_n action,
-and faithfulness verification.  ``cr_define``'s sides and a rewrite's, the
-same four-term products (``_cross_product``) on the slice (x_1, x_2, x_3) =
-(inf, 0, 1), x_m = t_m, are built reduced, with no gcd.  ``check_rewrite``
-proves a rewrite independently, by exact composition, with the generators'
-cleared products shared through a per-n table (``_generator_image``), on
-polynomials keyed by packed monomials: _FIELD bits per x_m, so a product of
-monomials is one int addition (Monagan and Pearce, CASC 2007).  A rewrite has
-degree <= 1 in at most four t_m, so no exponent passes 5 (4 in x_1, x_2, x_3
-from the cleared generators, 1 from cr_define); a field holds 5 below a
-spare top bit, and a product that reaches one raises.
+and Prop 3.2's certificate (``verify_faithful``): (1 2) and (1 2 ... n) keep
+K(t_4..t_n) stable, and S_n acts on it faithfully, as the kernel is normal,
+the normal subgroups of S_n (n >= 5) are 1, A_n and S_n, and (1 2 3) moves t_4.
+``cr_define``'s sides and a rewrite's, the same four-term products
+(``_cross_product``) on the slice (x_1, x_2, x_3) = (inf, 0, 1), x_m = t_m,
+are built reduced, with no gcd.  ``check_rewrite`` proves a rewrite by exact
+composition, with the generators' cleared products shared through one table
+for every n, keyed by the t_m the rewrite holds (``_generator_image``), on
+packed monomials: _FIELD bits per x_m, so a product of monomials is one int
+addition (Monagan and Pearce, CASC 2007).  A rewrite has degree <= 1 in at
+most four t_m, so no exponent passes 5 (4 in x_1, x_2, x_3 from the cleared
+generators, 1 from cr_define); a field holds 5 below a spare top bit, and a
+product that reaches one raises.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache, reduce
 from operator import or_
 
@@ -115,20 +117,19 @@ def cr_rewrite(sym):
     return _rewrite(sym.n, sym.indices)
 
 
-def sn_action(sigma):
-    """Generator images under a permutation (0-based tuple of length n).
-
-    t_i = [1,2;3,i] maps to the rewriting of [s(1),s(2);s(3),s(i)].
-    """
-    n = len(sigma)
-    if n < 5:
+def _image_symbols(sigma):
+    """sigma(t_i) = [s(1),s(2);s(3),s(i)] for each generator t_i, sigma a
+    permutation as a 0-based tuple of length n >= 5."""
+    if len(sigma) < 5:
         raise AmbientTooSmall("the action is modeled for n >= 5")
+    n, s = len(sigma), [None, *(x + 1 for x in sigma)]  # 1-based
+    return {i: CRSymbol(n, (s[1], s[2], s[3], s[i])) for i in range(4, n + 1)}
 
-    def s(m):  # 1-based application
-        return sigma[m - 1] + 1
 
-    return {i: cr_rewrite(CRSymbol(n, (s(1), s(2), s(3), s(i))))
-            for i in range(4, n + 1)}
+def sn_action(sigma):
+    """Generator images under a permutation (0-based tuple of length n): t_i
+    maps to the rewriting of its image symbol."""
+    return {i: cr_rewrite(sym) for i, sym in _image_symbols(sigma).items()}
 
 
 def apply_action(action, expr):
@@ -138,35 +139,23 @@ def apply_action(action, expr):
 
 
 class FaithfulReport(Record):
-    __slots__ = ("n", "passed", "checked", "details")
+    __slots__ = ("n", "passed", "checked")  # checked: identities proven
 
 
 def verify_faithful(n):
-    """Check that S_n acts with trivial kernel on K(t_4..t_n).
-
-    n = 5, 6: every non-identity permutation moves some generator.
-    n = 7: a transposition and a 3-cycle suffice — the kernel is normal and
-    the only candidates are S_7, A_7 and the trivial group.
-    """
-    if not 5 <= n <= 7:
-        raise AmbientOutOfRange("faithfulness verification supports 5 <= n <= 7")
-    vs = tvars(n)
-    gens = {i: RatFn.var(QQ, vs, "t%d" % i) for i in range(4, n + 1)}
-    if n == 7:  # the transposition (1 2) and the 3-cycle (1 2 3)
-        perms = [(1, 0, 2, 3, 4, 5, 6), (1, 2, 0, 3, 4, 5, 6)]
-    else:  # all but the identity, which comes first
-        perms = list(itertools.permutations(range(n)))[1:]
-    details = []
-    passed = True
-    for sigma in perms:
-        action = sn_action(sigma)
-        moved = next((i for i in action if action[i] != gens[i]), None)
-        if moved is None:
-            passed = False
-            details.append((sigma, "acts trivially"))
-        else:
-            details.append((sigma, "moves t%d" % moved))
-    return FaithfulReport(n, passed, len(perms), tuple(details))
+    """Prop 3.2's certificate, n >= 5 (Buhler and Reichstein, Compositio Math.
+    106, 1997).  L = K(t_4..t_n) is S_n-stable: for sigma in (1 2) and
+    (1 2 ... n), which generate S_n, check_rewrite proves each sigma(t_m), m
+    in 4..n, equal to a rewrite in the t's, 2(n - 3) identities over Z.  S_n
+    acts on L faithfully: the kernel is normal, the normal subgroups of S_n
+    are 1, A_n and S_n, and (1 2 3) moves t_4, its image [2,3;1,4] proven
+    equal to a rewrite other than t_4."""
+    syms = [*_image_symbols((1, 0, *range(2, n))).values(),  # (1 2)
+            *_image_symbols((*range(1, n), 0)).values(),  # (1 2 ... n)
+            _image_symbols((1, 2, 0, *range(3, n)))[4]]  # (1 2 3) on t_4
+    proven = sum(map(check_rewrite, syms))
+    moves = cr_rewrite(syms[-1]) != RatFn.var(QQ, tvars(n), "t4")
+    return FaithfulReport(n, proven == len(syms) and moves, proven)
 
 
 def check_rewrite(sym):
@@ -175,36 +164,42 @@ def check_rewrite(sym):
     checked as ncomp * den == dcomp * num on the unreduced composition and
     packed monomials, with no gcd (module docstring), num and den built as by
     cr_define, whose monic normalization can only negate both."""
-    ncomp, dcomp = _composed(sym.n, cr_rewrite(sym))
+    ncomp, dcomp = _composed(cr_rewrite(sym))
     i, j, k, l = sym.indices
     den = _cross_product(_packed_pair, i, j, l, k)
     neg_num = _cross_product(_packed_pair, k, j, i, l)  # (x_k-x_i)(x_j-x_l)
-    return not _product_sum(((ncomp, den), (dcomp, neg_num)), sym.n)
+    return not _product_sum(((ncomp, den), (dcomp, neg_num)))
 
 
-def _composed(n, rewritten):
+def _composed(rewritten):
     """The pair ``rewritten.compose_pair`` returns under t_m = [1,2;3,m],
-    packed: A/B cleared by prod_m den_m^top_m, top_m = max(deg_m A, deg_m B),
-    so that a term c t^e clears to c times ``_generator_image(n, e, tops)``."""
+    packed: A/B cleared by prod_m den_m^top_m, top_m = max(deg_m A, deg_m B)
+    over the t_m that occur, so that a term c t^e clears to c times
+    ``_generator_image(((m, e_m, top_m), ...))``."""
     num, den = rewritten.num, rewritten.den
-    tops = tuple(max(num.degree_in(i), den.degree_in(i), 0)
-                 for i in range(n - 3))
-    return tuple(_product_sum((({0: c}, _generator_image(n, e, tops))
-                               for e, c in p.terms.items()), n)
-                 for p in (num, den))
+    tops = {}  # top_m by the index of t_m in t_4..t_n
+    for e in (*num.terms, *den.terms):
+        for i, d in enumerate(e):
+            if d and d > tops.get(i, 0):
+                tops[i] = d
+    held = [(i, i + 4, top) for i, top in sorted(tops.items())]
+    return tuple(_product_sum([
+        ({0: c}, _generator_image(tuple([(m, e[i], t) for i, m, t in held])))
+        for e, c in p.terms.items()]) for p in (num, den))
 
 
 @lru_cache(maxsize=None)
-def _generator_image(n, expo, tops):
-    """M_e = prod_m num_m^e_m den_m^(top_m - e_m), (num_m, den_m) the sides
-    of cr_define([1,2;3,m]), packed: the product ``RatFn.compose_pair`` would
-    multiply out.  A rewrite has degree <= 1 in each t_m (every index occurs
-    in one factor above and one below): at most 3^(n-3) keys per n."""
+def _generator_image(key):
+    """M_e = prod_m num_m^e_m den_m^(top_m - e_m) over key = ((m, e_m, top_m),
+    ...), (num_m, den_m) the sides of cr_define([1,2;3,m]), packed: the
+    product ``RatFn.compose_pair`` would multiply out.  A key names each m, so
+    one table serves every n; a rewrite has degree <= 1 in at most four t_m
+    (every index occurs in one factor above and one below): few keys."""
     image = {0: 1}
-    for m, e, top in zip(range(4, n + 1), expo, tops):
+    for m, e, top in key:
         for abcd in [(1, 2, 3, m)] * e + [(1, 2, m, 3)] * (top - e):
             side = _cross_product(_packed_pair, *abcd)
-            image = _product_sum([(image, side)], n)
+            image = _product_sum([(image, side)])
     return image
 
 
@@ -217,9 +212,9 @@ def _packed_pair(p, q):  # x_p x_q, p != q, as a packed monomial
     return 1 << _FIELD * (p - 1) | 1 << _FIELD * (q - 1)
 
 
-def _product_sum(pairs, n):
-    """The sum of p * q over pairs of packed polynomials in n variables,
-    without zero terms; DegreeTooLarge when an exponent reaches a top bit."""
+def _product_sum(pairs):
+    """The sum of p * q over pairs of packed polynomials, without zero terms;
+    DegreeTooLarge when an exponent reaches its field's top bit, _TOP."""
     out = {}
     get = out.get
     for p, q in pairs:
@@ -229,6 +224,8 @@ def _product_sum(pairs, n):
             for e2, c2 in q.items():
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
-    if reduce(or_, out, 0) & sum(_TOP << _FIELD * i for i in range(n)):
+    used = reduce(or_, out, 0)
+    fields = -(-used.bit_length() // _FIELD)  # each field to the last used
+    if used & ((1 << _FIELD * fields) - 1) // ((1 << _FIELD) - 1) * _TOP:
         raise DegreeTooLarge("an exponent needs over %d bits" % (_FIELD - 1))
     return {e: c for e, c in out.items() if c}

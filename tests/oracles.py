@@ -15,13 +15,18 @@ and criterion 5 compute in; the library itself never leaves F_q.
 ``check_rewrite_by_products`` is the cross-ratio check on MultiPoly products,
 the path ``crossratio.check_rewrite``'s packed monomials replace, and
 ``rewrite_by_products`` the rewrite as MultiPoly products of differences,
-the path ``crossratio._rewrite``'s term dicts replace.
+the path ``crossratio._rewrite``'s term dicts replace, and
+``faithful_by_enumeration`` the faithfulness of the S_n action by walking
+every permutation, the path ``crossratio.verify_faithful``'s certificate
+replaces.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from edim.crossratio import cr_define, cr_rewrite, generator_symbol, tvars
+from edim.crossratio import (cr_define, cr_rewrite, generator_symbol,
+                             sn_action, tvars)
 from edim.errors import NotPrime, TooLarge, ZeroElement
 from edim.exactfield import _power, is_prime
 from edim.fielddesc import (NO, UNKNOWN, YES, char_of, contains_zeta,
@@ -509,3 +514,13 @@ def rewrite_by_products(sym):
     i, j, k, l = sym.indices
     return RatFn(diff(i, k) * diff(j, l), diff(i, l) * diff(j, k),
                  reduce=False)
+
+
+def faithful_by_enumeration(n):
+    """``crossratio.verify_faithful`` by enumeration: every non-identity
+    permutation of 1..n moves some generator t_m under ``sn_action``."""
+    gens = {m: RatFn.var(QQ, tvars(n), "t%d" % m) for m in range(4, n + 1)}
+    perms = itertools.permutations(range(n))
+    next(perms)  # the identity comes first
+    return all(any(img != gens[m] for m, img in sn_action(sigma).items())
+               for sigma in perms)

@@ -4,6 +4,7 @@ import math
 import os
 import pathlib
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -183,6 +184,27 @@ def test_crossratio_verify_command(capsys):
     assert doc["passed"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["crossratio", "action", "--n", "5", "--perm", "2,1,3,4,\u0665"],
+    ["crossratio", "rewrite", "--n", "5", "--symbol", "1,2,3,\u00b2"],
+    ["bound", "--group", "S\u00b2", "--field", "Q"],
+    ["bound", "--group", "E(\u0662,2)", "--field", "Q"],
+    ["bound", "--group", "S5", "--field", "F(\u00b2)"],
+    ["bound", "--group", "S5", "--field", "Qzeta(\u0665)"],
+    ["bound", "--group", "S5", "--field", "custom{char=\u0662, fp_dim=1}"],
+    ["bound", "--group", "S5", "--field", "custom{char=0, fp_dim=\u00b2}"],
+    ["bound", "--group", "S5", "--field", "custom{char=0, zeta_yes=[\u0662]}"],
+], ids=lambda argv: " ".join(argv).encode("ascii", "backslashreplace")
+    .decode())
+def test_integers_are_ascii_digits(capsys, argv):
+    # other scripts' digits used to parse as integers (Arabic-Indic five as
+    # 5), and superscripts failed with int()'s own message
+    code, out = _capture(capsys, argv)
+    assert code == 2, out
+    error = json.loads(out)["error"]
+    assert "invalid literal" not in error, error
+
+
 def test_pgl2_orders_command(capsys):
     code, out = _capture(capsys, ["pgl2", "orders", "--q", "2"])
     assert code == 0
@@ -294,7 +316,8 @@ def _perm(n, seed):
 
 # (argv, exit code): each input exits 3 in under 0.5 s or answers in under
 # 1 s.  Before the crossratio and D_n caps, `crossratio action --n 800` took
-# 1.6 s in process and `rewrite` had no bound on n; D10000018/F(10000019)
+# 1.6 s in process and `rewrite` had no bound on n, while `verify`, which
+# enumerated S_n, refused n > 7 with exit 2; D10000018/F(10000019)
 # took 1.9 s.  While the D_n trace search ran in code order, D5 over
 # F(999983^2) did not finish in 30 s and D9420 over F(13^12) took 1.1 s
 # in process.  Before the elimination,
@@ -393,6 +416,9 @@ BUDGET = [
     (["crossratio", "rewrite", "--n", "100000", "--symbol", "1,2,3,4"], 3),
     (["crossratio", "rewrite", "--n", str(cli.CROSSRATIO_N_CAP),
       "--symbol", "400,399,398,397"], 0),
+    (["crossratio", "verify", "--n", str(cli.CROSSRATIO_N_CAP)], 0),
+    (["crossratio", "verify", "--n", str(cli.CROSSRATIO_N_CAP + 1)], 3),
+    (["crossratio", "verify", "--n", "100000"], 3),
     (["pgl2", "reps", "--q", "10000019", "--group", "D10000018"], 3),
     (["pgl2", "reps", "--q", "1000003", "--group", "D1000002"], 3),
     (["pgl2", "reps", "--q", "19997", "--group", "D10001"], 3),
@@ -641,6 +667,26 @@ def test_python_m_edim_runs_the_cli(capsys):
     code, out = _capture(capsys, argv)
     assert done.stderr == b""
     assert (done.returncode, done.stdout.decode()) == (code, out) == (0, out)
+
+
+def test_readme_shell_examples_run():
+    # each line of the README's command-line block, run by sh with `edim`
+    # as `python -m edim` from src; an unquoted F(2) is a syntax error
+    root = pathlib.Path(__file__).resolve().parent.parent
+    text = (root / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command-line tool", 1)[1]
+    lines = block.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    edim = 'edim() { PYTHONPATH=%s %s -m edim "$@"; }\n' % (
+        shlex.quote(str(root / "src")), shlex.quote(sys.executable))
+    arrows = 0
+    for line in lines:
+        done = subprocess.run(["sh", "-c", edim + line], capture_output=True,
+                              text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, ""), line
+        if "# ->" in line:
+            assert line.split("# ->", 1)[1].strip() in done.stdout, line
+            arrows += 1
+    assert (len(lines), arrows) == (10, 2)
 
 
 def test_broken_pipe_exits_quietly(capsys):

@@ -8,10 +8,11 @@ from edim import crossratio, ratfunc
 from edim.crossratio import (CRSymbol, apply_action, check_rewrite, cr_define,
                              cr_rewrite, generator_symbol, sn_action, tvars,
                              verify_faithful, xvars)
-from edim.errors import AmbientOutOfRange, AmbientTooSmall, DegreeTooLarge
+from edim.errors import AmbientTooSmall, DegreeTooLarge
 from edim.exactfield import fq_context
 from edim.ratfunc import QQ, MultiPoly, RatFn, render
-from oracles import check_rewrite_by_products, rewrite_by_products
+from oracles import (check_rewrite_by_products, faithful_by_enumeration,
+                     rewrite_by_products)
 
 # the six Mobius images of a cross-ratio t under reordering its four points,
 # generated by the paper's Step-2 identities (12).t = (34).t = 1/t and
@@ -165,12 +166,12 @@ def test_generator_table_matches_compose_pair():
                     for i in range(4, n + 1)}
         for idx in itertools.permutations(range(1, n + 1), 4):
             rewritten = cr_rewrite(CRSymbol(n, idx))
-            got = crossratio._composed(n, rewritten)
+            got = crossratio._composed(rewritten)
             want = rewritten.compose_pair(bindings)
             assert [_unpacked(p, n) for p in got] == \
                 [p.terms for p in want], idx
-    # criterion 7's 1,320 symbols meet at most 3^(n-3) keys per n
-    assert crossratio._generator_image.cache_info().currsize <= 94
+    # criterion 7's 1,320 symbols meet 62 keys: one table for every n
+    assert crossratio._generator_image.cache_info().currsize <= 62
 
 
 def test_packed_check_matches_the_product_oracle():
@@ -196,10 +197,10 @@ def test_packing_refuses_an_exponent_past_its_field():
     for i in (0, n - 1):  # the last field too: its carry has no neighbour
         for a, b in ((top - 1, 1), (top // 2, top // 2), (top - 1, top - 1)):
             with pytest.raises(DegreeTooLarge):
-                crossratio._product_sum([(power(i, a), power(i, b))], n)
+                crossratio._product_sum([(power(i, a), power(i, b))])
     # below the top bit a product is exact
     p = {3 + (1 << width * 2): 1}  # x_1^3 x_3
-    assert _unpacked(crossratio._product_sum([(p, power(0, 4))], n), n) == \
+    assert _unpacked(crossratio._product_sum([(p, power(0, 4))]), n) == \
         {(top - 1, 0, 1): 1}
 
 
@@ -240,9 +241,9 @@ def test_check_rewrite_rejects_a_forged_generator_image(n, monkeypatch):
     # binds t_m to its inverse: every rewrite in t_m must then fail
     real = crossratio._generator_image
     for j in range(n - 3):
-        def forged(n_, expo, tops, j=j):
-            flipped = expo[:j] + (tops[j] - expo[j],) + expo[j + 1:]
-            return real(n_, flipped, tops)
+        def forged(key, m=j + 4):
+            return real(tuple((m_, top - e if m_ == m else e, top)
+                              for m_, e, top in key))
 
         monkeypatch.setattr(crossratio, "_generator_image", forged)
         for idx in itertools.permutations(range(1, n + 1), 4):
@@ -307,14 +308,41 @@ def test_action_matches_symbol_permutation():
 
 
 def test_verify_faithful():
-    for n in (5, 6, 7):
+    # every n that R-S-UB reaches in the catalog: 2(n - 3) stability
+    # identities and the image of t_4 under (1 2 3), all proven
+    for n in range(5, 41):
         rep = verify_faithful(n)
-        assert rep.passed
-        assert rep.checked > 0
-    with pytest.raises(AmbientOutOfRange):
-        verify_faithful(4)
-    with pytest.raises(AmbientOutOfRange):
-        verify_faithful(8)
+        assert rep.passed, n
+        assert rep.checked == 2 * (n - 3) + 1, n
+    for n in (4, 3, 0):
+        with pytest.raises(AmbientTooSmall):
+            verify_faithful(n)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_certificate_agrees_with_the_enumeration(n):
+    assert faithful_by_enumeration(n) is verify_faithful(n).passed is True
+
+
+# one image symbol of each permutation the certificate reads, n = 6:
+# (1 2) on t_5, the 6-cycle on t_6 and (1 2 3) on t_4
+@pytest.mark.parametrize("sigma, m", [((1, 0, 2, 3, 4, 5), 5),
+                                      ((1, 2, 3, 4, 5, 0), 6),
+                                      ((1, 2, 0, 3, 4, 5), 4)],
+                         ids=["swap", "cycle", "three-cycle"])
+def test_a_forged_image_rewrite_fails_the_certificate(sigma, m, monkeypatch):
+    # forge the image's rewrite to t_m itself (the permutation fixing t_m)
+    # and to the rewrite of the reciprocal [j,i;k,l]
+    n, real = len(sigma), crossratio._rewrite
+    target = crossratio._image_symbols(sigma)[m].indices
+    i, j, k, l = target
+    for wrong in ((1, 2, 3, m), (j, i, k, l)):
+        assert real(n, wrong) != real(n, target)
+        monkeypatch.setattr(crossratio, "_rewrite", lambda n_, idx, w=wrong:
+                            real(n_, w if idx == target else idx))
+        assert verify_faithful(n).passed is False, wrong
+        monkeypatch.setattr(crossratio, "_rewrite", real)
+    assert verify_faithful(n).passed is True
 
 
 def _cr_define_by_products(sym):

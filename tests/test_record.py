@@ -60,7 +60,7 @@ TWIN_FIELDS = {
     TransformRecord: ["steps"],
     GeneralPoly: ["n", "char", "coeffs"],
     CRSymbol: ["n", "indices"],
-    FaithfulReport: ["n", "passed", "checked", "details"],
+    FaithfulReport: ["n", "passed", "checked"],
 }
 # methods a value class writes itself that its twin needs too: the repr
 # its dataclass kept, and Product's constructor over any number of factors
@@ -107,7 +107,7 @@ CASES = [
     (TransformRecord, ((InvertRoot(),),), ((Shift(T1),),)),
     (GeneralPoly, (2, 0, (T1, GP)), (2, 3, (T1, GP))),
     (CRSymbol, (5, (1, 2, 3, 4)), (5, (2, 1, 3, 4))),
-    (FaithfulReport, (5, True, 119, ()), (6, True, 719, ())),
+    (FaithfulReport, (5, True, 5), (6, True, 7)),
 ]
 
 
