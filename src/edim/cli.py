@@ -47,6 +47,12 @@ def _digits(text):  # isdigit() alone passes other scripts' digits too
     return text.isascii() and text.isdigit()
 
 
+def integer(text):  # int() also takes underscores and other scripts' digits
+    if not _digits(text.removeprefix("-")):
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_group(text):
     """Expr := Atom | Expr "x" Expr; Atom := S|A|D|C int | E(p, r)."""
     s = "".join(text.split())
@@ -400,22 +406,22 @@ def build_parser():
 
     p = sub.add_parser("crossratio")
     p.add_argument("mode", choices=("rewrite", "action", "verify"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--symbol", default=None)
     p.add_argument("--perm", default=None)
     p.add_argument("--plain", action="store_true")
 
     p = sub.add_parser("tschirnhaus")
     p.add_argument("mode", choices=("reduce", "verify"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--char", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--char", type=integer, default=0)
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--count", type=integer, default=10)
     p.add_argument("--plain", action="store_true")
 
     p = sub.add_parser("pgl2")
     p.add_argument("mode", choices=("orders", "embed", "reps"))
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=integer, required=True)
     p.add_argument("--group", default=None)
     p.add_argument("--plain", action="store_true")
 
@@ -423,7 +429,7 @@ def build_parser():
     p.add_argument("--field", required=True)
     p.add_argument("--query", required=True,
                    choices=("zeta", "real_zeta", "char", "fp_dim", "extend"))
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=integer, default=None)
     p.add_argument("--plain", action="store_true")
     return top
 

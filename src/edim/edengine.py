@@ -27,12 +27,12 @@ edges and decided hypotheses.  The facts that ask nothing of the field are
 memoized per group, once for every field: ``atom_aliases``, ``_leaf_plan``
 (the leaf calls that ``leaf_facts`` and ``_leaf_phase`` both run),
 ``order_summary`` (R-PGL-OBS's reading of an atom's element orders, per
-characteristic) and ``_group_links`` (the product views, the subgroup pairs
-R-SUB certifies, and the splittings R-CE-SPLIT checks).  ``_leaf_phase``
-skips R-PGL-OBS past lo >= 2, where its facts, all (2, None), narrow
-nothing; ``leaf_facts``, which replay reads, lists them.  A raised refusal
-is not memoized.  No rule builds a field or searches a group of matrices;
-the tests check R-PGL-OBS against the exhaustive search in ``pgl2``.
+characteristic) and ``_group_links`` (the product views, R-SUB's pairs,
+certified where no view gives them, and the splittings R-CE-SPLIT checks).
+``_leaf_phase`` skips R-PGL-OBS past lo >= 2, where its facts, all (2,
+None), narrow nothing; ``leaf_facts``, which replay reads, lists them.  A
+raised refusal is not memoized.  No rule builds a field or searches a group
+of matrices; the tests check R-PGL-OBS against ``pgl2``'s exhaustive search.
 """
 
 from __future__ import annotations
@@ -601,9 +601,11 @@ def _one_more(rule, q, qq):
 @lru_cache(maxsize=None)
 def _group_links(e):
     """The field-free half of the edges of the canonical e: its product
-    views, the (sub, sup) pairs with an embedding certificate (Lemma 2.9(3)
-    asks nothing of K), and the distinct splittings (rest, p) of e as
-    rest x C_p that R-CE-SPLIT checks over each field."""
+    views, the (sub, sup) pairs of R-SUB (Lemma 2.9(3) asks nothing of K),
+    and the distinct splittings (rest, p) of e as rest x C_p that R-CE-SPLIT
+    checks over each field.  A view's factor is a subgroup of e by the
+    decomposition R-PROD reads; only the pairs no view gives, A_n and D_n
+    in S_n, ask for an embedding certificate (the tests certify all)."""
     views = product_views(e)
     pairs = [(a, Sym(a.n)) for a in atom_aliases(e)
              if isinstance(a, (Alt, Dih)) and a.n >= 3]
@@ -611,7 +613,7 @@ def _group_links(e):
     subs = tuple((sub, sup)  # E(p,2r) lists its pair twice
                  for sub, sup in dict.fromkeys(pairs)
                  if canon(sub) != canon(sup)
-                 and embedding_certificate(sub, sup) is not None)
+                 and (sup is e or embedding_certificate(sub, sup) is not None))
     splits = tuple(dict.fromkeys(  # C2^32 splits off the same C2 32 times
         (_product_of(view[:idx] + view[idx + 1:]), f.n)
         for view in views for idx, f in enumerate(view)
@@ -659,7 +661,6 @@ class _Engine:
     def __init__(self):
         self.intervals = {}
         self.trace = []
-        self.edges = []    # (rule, source keys, target key, interval map)
         self.readers = {}  # key -> the edges that read it
         self.queue = deque()
 
@@ -686,7 +687,6 @@ class _Engine:
 
     def link(self, rule, sources, target, imap):
         edge = (rule, tuple(sources), target, imap)
-        self.edges.append(edge)
         for src in set(edge[1]):
             self.readers.setdefault(src, []).append(edge)
         self.queue.append(edge)
@@ -705,13 +705,13 @@ class _Engine:
 
 # The engine's work grows with the number of atoms of a product, counted
 # with multiplicity, and with the rank summed over its E(p,r) atoms: an
-# E(p,r) splits in halves, a closure about log2 r queries deep, but each
-# R-SUB embedding certificate reads a block per unit of rank, and a
-# product of n atoms checks about 3n of them.  At the caps, E(p,10^4) x
-# C2^31, the dearest shape swept, answers in 0.4-0.5 s from the shell on
-# a 2-core x86 machine, and in 0.8-1.0 s at rank 2 x 10^4.
+# E(p,r) splits in halves, so its closure is about log2 r queries deep, and
+# no rule reads more of its rank.  That depth is what bounds the rank: the
+# closure recurses, and past r ~ 10^148 it exceeds Python's default
+# recursion limit.  At the caps, E(p,10^50) x C2^31, the dearest shape
+# swept, answers in about 0.15 s from the shell on a 2-core x86 machine.
 BOUND_ATOMS_CAP = 32
-BOUND_RANK_CAP = 10 ** 4
+BOUND_RANK_CAP = 10 ** 50
 
 
 def _rank(g):
@@ -730,17 +730,10 @@ def _check_size(g):
 
 
 def check_grid(gs):
-    """Refuse a grid of bounds over the groups gs before any cell runs:
-    each group must pass bound's caps, and the grid's cells share one
-    budget.  A group's rank-bound work (its views and R-SUB certificates)
-    is memoized once for every field, so each distinct group is charged
-    its E(p,r) rank once, and the sum may not exceed BOUND_RANK_CAP."""
+    """Refuse a grid of bounds over the groups gs before any cell runs when
+    one of them fails bound's caps."""
     for g in gs:
         _check_size(g)
-    ranks = {canon(g): _rank(g) for g in gs}
-    if sum(ranks.values()) > BOUND_RANK_CAP:
-        raise TooLarge("table capped at n = %d for the E(p,r) rank summed "
-                       "over its distinct groups" % BOUND_RANK_CAP)
 
 
 def bound(g, fd):

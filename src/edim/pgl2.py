@@ -240,11 +240,7 @@ def pgl2_embeds(h, ctx):
     k = _kernel(ctx)  # raises the q cap first
     if not isinstance(h, (Cyc, Dih, ElemAb)):
         raise TooLarge("unsupported family for PGL_2 search")
-    if isinstance(h, Cyc) and h.n > 60:
-        raise TooLarge("cyclic search capped at n = 60")
-    if isinstance(h, Dih) and h.n > 30:
-        raise TooLarge("dihedral search capped at n = 30")
-    if isinstance(h, ElemAb) and h.p ** h.r > 64:
+    if isinstance(h, ElemAb) and (h.r > 6 or h.p ** h.r > 64):  # 2^7 > 64
         raise TooLarge("elementary abelian search capped at order 64")
     got = _search(k, h)
     return None if got is None else PGL2Witness(

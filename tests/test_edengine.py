@@ -27,10 +27,12 @@ from edim.fielddesc import (NO, UNKNOWN, YES, Custom, Cyclotomic, FiniteField,
                             finite_field_from_q)
 from edim import groups
 from edim.groups import (Alt, Cyc, Dih, ElemAb, Product, Sym, degree,
-                         element_orders, expr_order, pmul, realize)
+                         element_orders, embedding_certificate, expr_order,
+                         pmul, realize)
 from oracles import (_pow, a_lower_recurrence, center, check_thm45,
                      enumerated_orders, l_core, porder, s_lower_recurrence)
 from test_cli import PRODUCT_ROWS
+from test_groups import _agrees_with_oracle, _catalog_groups
 
 Q = RationalField()
 F2 = FiniteField(2, 1)
@@ -108,13 +110,33 @@ def test_atom_aliases_are_isomorphic():
 
 
 def test_product_views_preserve_order():
-    for e in (ElemAb(3, 3), Cyc(12), Cyc(30), Product(Sym(3), Cyc(4))):
-        for factors in product_views(e):
-            assert len(factors) >= 2
-            prod = 1
-            for f in factors:
-                prod *= expr_order(f)
-            assert prod == expr_order(e)
+    # R-PROD reads a view as a direct decomposition and R-SUB takes its
+    # factors as subgroups, neither with a certificate: on every view that
+    # the catalog's queries reach, the factors' orders multiply to the
+    # group's, and each factor has an embedding certificate into the group
+    # that, within the oracle's reach, the point-map oracle agrees with
+    views = [(e, view) for e in _catalog_groups()
+             for view in product_views(e)]
+    assert len(views) > 50
+    for e, view in views:
+        assert len(view) >= 2
+        assert math.prod(map(expr_order, view)) == expr_order(e), e
+        for f in view:
+            assert embedding_certificate(f, e) is not None, (f, e)
+            assert _agrees_with_oracle(f, e), (f, e)
+
+
+def test_only_pairs_no_view_gives_ask_a_certificate(monkeypatch):
+    # a view factor is a subgroup by its decomposition; the certificates
+    # are asked for A_n and D_n in S_n alone
+    asked, certify = [], edengine.embedding_certificate
+    monkeypatch.setattr(edengine, "embedding_certificate",
+                        lambda h, g: asked.append((h, g)) or certify(h, g))
+    edengine._group_links.cache_clear()
+    for e in sorted(_catalog_groups(), key=str):
+        edengine._group_links(e)
+    assert asked and all(isinstance(h, (Alt, Dih)) and g == Sym(h.n)
+                         for h, g in asked)
 
 
 # --- structural facts vs enumeration ---------------------------------------
@@ -508,7 +530,7 @@ def test_replay_rejects_non_canonical_keys():
 
 def test_elemab_closure_is_logarithmic_in_rank():
     # E(p,r) splits in halves, so its closure does not grow with r
-    for r in (4, 100, 10 ** 4):
+    for r in (4, 100, 10 ** 4, edengine.BOUND_RANK_CAP):
         eng = edengine._Engine()
         eng.query(ElemAb(2, r), Q)
         assert len(eng.intervals) <= 4 * math.ceil(math.log2(r)), r
@@ -720,15 +742,17 @@ _NAIVE_IDS = ["Q", "F_2", "F_3", "F_4", "Q(zeta_3)", "custom{char=0}"]
 
 @pytest.mark.parametrize("fd", _NAIVE_FIELDS, ids=_NAIVE_IDS)
 def test_worklist_matches_naive_fixpoint(fd):
-    # oracle for the worklist: re-apply every stored edge, in creation
-    # order, until a whole sweep narrows nothing
+    # oracle for the worklist: re-apply every linked edge (each reads a
+    # source) until a whole sweep narrows nothing
     for g in _NAIVE_GROUPS:
         eng = edengine._Engine()
         key = eng.query(g, fd)
+        edges = list(dict.fromkeys(
+            edge for readers in eng.readers.values() for edge in readers))
         before = None
         while before != eng.intervals:
             before = dict(eng.intervals)
-            for edge in eng.edges:
+            for edge in edges:
                 eng.apply(edge)
         assert eng.intervals[key] == bound(g, fd)[0], (g, fd)
         worklist = edengine._Engine()
@@ -788,9 +812,8 @@ def test_edges_of_repeats_no_edge():
     c2s = Cyc(2)
     for _ in range(31):
         c2s = Product(c2s, Cyc(2))
-    eng = edengine._Engine()
-    eng.query(c2s, Q)
-    assert len(eng.edges) <= 155
+    assert sum(len(edengine.edges_of(*q))
+               for q in _closure_queries(c2s, Q)) <= 155
     grid = [Product(Product(Cyc(2), Cyc(2)), Cyc(2)),
             Product(Product(Cyc(3), Cyc(3)), Cyc(2)),
             Product(Sym(3), Sym(3)), Product(Cyc(6), Cyc(6)),

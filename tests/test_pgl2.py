@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -121,6 +122,15 @@ def test_unsupported_family_raises():
 def test_q_cap():
     with pytest.raises(TooLarge):
         pgl2_embeds(Cyc(3), fq_context(2, 6))  # q = 64 > 27
+
+
+def test_elemab_order_cap_computes_no_power_of_the_rank():
+    # the cap on p^r used to compute p^r: E(2,10^9) took 6 s to refuse
+    start = time.perf_counter()
+    for r in (7, 10 ** 9, 10 ** 50):
+        with pytest.raises(TooLarge, match="order 64"):
+            pgl2_embeds(ElemAb(2, r), fq_context(3, 3))
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("p,k", [(29, 1), (2, 5), (1000003, 1)])
