@@ -6,13 +6,13 @@ the normal subgroups of S_n (n >= 5) are 1, A_n and S_n, and (1 2 3) moves t_4.
 ``cr_define``'s sides and a rewrite's, the same four-term products
 (``_cross_product``) on the slice (x_1, x_2, x_3) = (inf, 0, 1), x_m = t_m,
 are built reduced, with no gcd.  ``check_rewrite`` proves a rewrite by exact
-composition, with the generators' cleared products shared through one table
-for every n, keyed by the t_m the rewrite holds (``_generator_image``), on
-packed monomials: _FIELD bits per x_m, so a product of monomials is one int
-addition (Monagan and Pearce, CASC 2007).  A rewrite has degree <= 1 in at
-most four t_m, so no exponent passes 5 (4 in x_1, x_2, x_3 from the cleared
-generators, 1 from cr_define); a field holds 5 below a spare top bit, and a
-product that reaches one raises.
+composition at x_1 = 0, x_2 = 1, with the generators' cleared products shared
+through one table for every n, keyed by the t_m the rewrite holds
+(``_generator_image``), on packed monomials: _FIELD bits per x_m, so a
+product of monomials is one int addition (Monagan and Pearce, CASC 2007).  A
+rewrite has degree <= 1 in at most four t_m, so no exponent passes 5 (4 in
+x_3 from the cleared generators, 1 from cr_define); a field holds 5 below a
+spare top bit, and a product that reaches one raises.
 """
 
 from __future__ import annotations
@@ -47,15 +47,18 @@ def xvars(n):
     return tuple("x%d" % i for i in range(1, n + 1))
 
 
+@lru_cache(maxsize=None)
 def tvars(n):
     return tuple("t%d" % i for i in range(4, n + 1))
 
 
 def _cross_product(mono, a, b, c, d):
     """(x_a - x_c)(x_b - x_d) = x_a x_b - x_a x_d - x_c x_b + x_c x_d as its
-    four terms {mono(p, q): coefficient}, ``mono`` spelling x_p x_q; for
-    distinct a, b, c, d the monomials differ."""
-    return {mono(a, b): 1, mono(a, d): -1, mono(c, b): -1, mono(c, d): 1}
+    terms {mono(p, q): coefficient}, ``mono`` spelling x_p x_q, or None for
+    a term it drops; for distinct a, b, c, d the monomials differ."""
+    terms = {mono(a, b): 1, mono(a, d): -1, mono(c, b): -1, mono(c, d): 1}
+    terms.pop(None, None)
+    return terms
 
 
 def _exponents(n, first):
@@ -84,9 +87,9 @@ def generator_symbol(n, i):
 # perfbench/make_catalog.py clears this cache to time a cold rewrite
 @lru_cache(maxsize=None)
 def _rewrite(n, indices):
-    """cr_define's four-term sides on the slice: x_2 = 0 drops a term, x_3 = 1
-    and x_m = t_m respell one, and x_1 = inf keeps, when 1 is an index, only
-    the terms in x_1 (a side's leading coefficient in x_1)."""
+    """cr_define's sides on the slice: x_2 = 0 drops a term, x_3 = 1 and
+    x_m = t_m respell one, and x_1 = inf keeps, when 1 is an index, only the
+    terms in x_1 (the leading coefficient in x_1)."""
     vs, mono, at_inf = tvars(n), _exponents(n, 4), 1 in indices
 
     def side(*abcd):
@@ -99,19 +102,13 @@ def _rewrite(n, indices):
 
 
 def cr_rewrite(sym):
-    """Express sym as a rational function of the generators t_4..t_n.
-
-    The result is [i,j;k,l] restricted to the slice x_1 = inf, x_2 = 0,
-    x_3 = 1, x_m = t_m, on which [1,2;3,m] is t_m itself.  This is sound:
-    both sym and its rewrite with t_m = [1,2;3,m] are PGL_2-invariant
-    functions of (x_1..x_n), PGL_2 is sharply 3-transitive, so one Mobius map
-    moves a generic point onto the slice, and two invariant functions that
-    agree on the slice agree everywhere.  It is reduced by construction: each
-    index occurs in one factor above and one below, so the two that contain
-    x_1 cancel, and the rest join distinct pairs of indices, so they are
-    pairwise non-associate linear forms (t_a, t_a - 1, t_a - t_b, or the
-    constant -1).
-    """
+    """sym in the generators t_4..t_n: [i,j;k,l] on the slice x_1 = inf,
+    x_2 = 0, x_3 = 1, x_m = t_m, where [1,2;3,m] is t_m.  Sound, as both
+    sides are PGL_2-invariant and PGL_2 is sharply 3-transitive, so a Mobius
+    map moves a generic point onto the slice.  Reduced by construction: each
+    index is in one factor above and one below, so the two with x_1 cancel
+    and the rest are pairwise non-associate linear forms (t_a, t_a - 1,
+    t_a - t_b, or -1)."""
     if sym.n < 5:
         raise AmbientTooSmall("rewriting needs n >= 5")
     return _rewrite(sym.n, sym.indices)
@@ -143,13 +140,10 @@ class FaithfulReport(Record):
 
 
 def verify_faithful(n):
-    """Prop 3.2's certificate, n >= 5 (Buhler and Reichstein, Compositio Math.
-    106, 1997).  L = K(t_4..t_n) is S_n-stable: for sigma in (1 2) and
-    (1 2 ... n), which generate S_n, check_rewrite proves each sigma(t_m), m
-    in 4..n, equal to a rewrite in the t's, 2(n - 3) identities over Z.  S_n
-    acts on L faithfully: the kernel is normal, the normal subgroups of S_n
-    are 1, A_n and S_n, and (1 2 3) moves t_4, its image [2,3;1,4] proven
-    equal to a rewrite other than t_4."""
+    """Prop 3.2's certificate for n >= 5 (Buhler and Reichstein, Compositio
+    Math. 106, 1997; module docstring): check_rewrite proves sigma(t_m) for
+    the generators sigma = (1 2), (1 2 ... n) of S_n and m in 4..n, and that
+    (1 2 3) sends t_4 to [2,3;1,4], a rewrite other than t_4."""
     syms = [*_image_symbols((1, 0, *range(2, n))).values(),  # (1 2)
             *_image_symbols((*range(1, n), 0)).values(),  # (1 2 ... n)
             _image_symbols((1, 2, 0, *range(3, n)))[4]]  # (1 2 3) on t_4
@@ -160,41 +154,46 @@ def verify_faithful(n):
 
 def check_rewrite(sym):
     """Exact soundness of cr_rewrite(sym), independent of the slice argument:
-    substituting t_i = [1,2;3,i] into the rewrite returns cr_define(sym),
-    checked as ncomp * den == dcomp * num on the unreduced composition and
-    packed monomials, with no gcd (module docstring), num and den built as by
-    cr_define, whose monic normalization can only negate both."""
-    ncomp, dcomp = _composed(cr_rewrite(sym))
+    with t_i = [1,2;3,i] the rewrite is cr_define(sym), checked as
+    ncomp * den == dcomp * num on the unreduced composition (cr_define can
+    only negate both).  Every factor is a difference x_a - x_b, so the two
+    sides' difference is homogeneous and unchanged by x -> x - x_1: it
+    vanishes iff it does at x_1 = 0, x_2 = 1, where the check runs."""
+    composed = _composed(cr_rewrite(sym), sym.indices)
+    if composed is None:
+        return False
     i, j, k, l = sym.indices
     den = _cross_product(_packed_pair, i, j, l, k)
     neg_num = _cross_product(_packed_pair, k, j, i, l)  # (x_k-x_i)(x_j-x_l)
-    return not _product_sum(((ncomp, den), (dcomp, neg_num)))
+    return not _product_sum(((composed[0], den), (composed[1], neg_num)))
 
 
-def _composed(rewritten):
-    """The pair ``rewritten.compose_pair`` returns under t_m = [1,2;3,m],
-    packed: A/B cleared by prod_m den_m^top_m, top_m = max(deg_m A, deg_m B)
-    over the t_m that occur, so that a term c t^e clears to c times
-    ``_generator_image(((m, e_m, top_m), ...))``."""
-    num, den = rewritten.num, rewritten.den
-    tops = {}  # top_m by the index of t_m in t_4..t_n
-    for e in (*num.terms, *den.terms):
-        for i, d in enumerate(e):
-            if d and d > tops.get(i, 0):
-                tops[i] = d
-    held = [(i, i + 4, top) for i, top in sorted(tops.items())]
-    return tuple(_product_sum([
-        ({0: c}, _generator_image(tuple([(m, e[i], t) for i, m, t in held])))
-        for e, c in p.terms.items()]) for p in (num, den))
+def _composed(rewritten, indices):
+    """``rewritten.compose_pair`` under t_m = [1,2;3,m], packed at x_1 = 0,
+    x_2 = 1: A/B cleared by prod_m den_m^top_m, top_m = max(deg_m A,
+    deg_m B), a term c t^e to c ``_generator_image(((m, e_m, top_m), ...))``,
+    over the t_m at indices m > 3; None if a term's degree shows another."""
+    terms = (*rewritten.num.terms, *rewritten.den.terms)
+    held = [(m, top) for m in sorted(indices) if m > 3
+            for top in [max(e[m - 4] for e in terms)] if top]
+    out = []
+    for p in (rewritten.num, rewritten.den):
+        pairs = []
+        for e, c in p.terms.items():
+            key = tuple([(m, e[m - 4], top) for m, top in held])
+            if sum(e) != sum(d for _, d, _ in key):
+                return None
+            pairs.append(({0: c}, _generator_image(key)))
+        out.append(_product_sum(pairs))
+    return out
 
 
 @lru_cache(maxsize=None)
 def _generator_image(key):
     """M_e = prod_m num_m^e_m den_m^(top_m - e_m) over key = ((m, e_m, top_m),
-    ...), (num_m, den_m) the sides of cr_define([1,2;3,m]), packed: the
-    product ``RatFn.compose_pair`` would multiply out.  A key names each m, so
-    one table serves every n; a rewrite has degree <= 1 in at most four t_m
-    (every index occurs in one factor above and one below): few keys."""
+    ...), (num_m, den_m) the sides of cr_define([1,2;3,m]), packed as by
+    ``_packed_pair``: what ``RatFn.compose_pair`` multiplies out.  A key
+    names each m, so one table serves every n, with few keys."""
     image = {0: 1}
     for m, e, top in key:
         for abcd in [(1, 2, 3, m)] * e + [(1, 2, m, 3)] * (top - e):
@@ -208,8 +207,9 @@ _FIELD = _MAX_EXPONENT.bit_length() + 1  # bits per variable, with a top bit
 _TOP = 1 << (_FIELD - 1)
 
 
-def _packed_pair(p, q):  # x_p x_q, p != q, as a packed monomial
-    return 1 << _FIELD * (p - 1) | 1 << _FIELD * (q - 1)
+def _packed_pair(p, q):  # x_p x_q, p != q, packed at x_1 = 0, x_2 = 1
+    if 1 not in (p, q):  # else None: the term drops
+        return sum(1 << _FIELD * (m - 1) for m in (p, q) if m != 2)
 
 
 def _product_sum(pairs):

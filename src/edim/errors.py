@@ -87,14 +87,6 @@ class AmbientOutOfRange(EdimError, ValueError):
 
 # -- tschirnhaus -------------------------------------------------------------
 
-class CharDividesDegree(EdimError, ValueError):
-    pass
-
-
-class DegenerateTail(EdimError, ValueError):
-    pass
-
-
 class Unsupported(EdimError, ValueError):
     pass
 

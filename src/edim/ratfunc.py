@@ -8,8 +8,8 @@ A rational coefficient is a Python ``int`` when its denominator is 1 and a
 polynomials never leave int arithmetic; every quotient of two coefficients
 goes through ``_div``, which is exact and never a float.
 
-``poly_gcd`` tries, in order: a monomial argument (gcd x^min), unit content in
-a private variable, and last the primitive PRS (pseudo-remainder sequence).
+``poly_gcd`` takes a monomial argument's gcd as x^min, and any other by the
+primitive PRS (pseudo-remainder sequence).
 """
 
 from __future__ import annotations
@@ -144,9 +144,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            c = self.domain.coerce(other)
-            return MultiPoly(self.domain, self.vars,
-                             {e: x * c for e, x in self.terms.items()})
+            return _scaled(self, self.domain.coerce(other))
         self._check(other)
         if _is_one(other):  # polynomials are immutable: no copy needed
             return self
@@ -187,6 +185,10 @@ def _is_one(p):
         return False
     (e, c), = p.terms.items()
     return c == 1 and not any(e)
+
+
+def _scaled(p, c):  # p times the scalar c of its domain
+    return MultiPoly(p.domain, p.vars, {e: x * c for e, x in p.terms.items()})
 
 
 def _nonzero_terms(terms):
@@ -305,23 +307,7 @@ def poly_gcd(f, g):
         # every divisor of a monomial is a monomial (a constant is x^0)
         low = tuple(map(min, *f.terms, *g.terms))
         return MultiPoly(f.domain, f.vars, {low: f.domain.one})
-    if _unit_content(f, g) or _unit_content(g, f):
-        return MultiPoly.const(f.domain, f.vars, f.domain.one)
     return _normalize(_gcd_prs(f, g))
-
-
-def _unit_content(f, g):
-    """Some variable v occurs in f, not in g, and a coefficient of f in v is a
-    nonzero constant: then gcd(f, g) = 1, as a common divisor is free of v
-    and so divides that constant."""
-    for v in f.occurring() - g.occurring():
-        coeffs = {}
-        for e in f.terms:
-            coeffs.setdefault(e[v], []).append(e)
-        if any(len(es) == 1 and sum(es[0]) == es[0][v]
-               for es in coeffs.values()):
-            return True
-    return False
 
 
 def _content_pp(f, v):
@@ -423,8 +409,7 @@ class RatFn:
         _, lc = den.leading()
         if lc != den.domain.one:
             inv = _div(den.domain.one, lc)
-            num = num * inv
-            den = den * inv
+            num, den = _scaled(num, inv), _scaled(den, inv)
         if num.is_zero():
             den = MultiPoly.const(den.domain, den.vars, den.domain.one)
         self.num = num
@@ -534,11 +519,8 @@ class RatFn:
     # -- substitution and evaluation ----------------------------------------
 
     def compose_pair(self, bindings):
-        """Unreduced (numerator, denominator) of self under substitution.
-
-        Both parts are cleared by the same product of binding denominators,
-        so the pair represents the substituted value without any gcd work.
-        """
+        """Unreduced (numerator, denominator) of self under substitution,
+        both cleared by one product of binding denominators: no gcd."""
         occ = {self.vars[i] for i in self.occurring()}
         missing = occ - set(bindings)
         if missing:
@@ -563,15 +545,11 @@ class RatFn:
         return RatFn(ncomp, dcomp)
 
     def evaluate(self, values):
-        """Exact evaluation at field elements keyed by variable name, with one
-        table of powers for both parts.
-
-        At a point with F_q elements the sums run on integer codes in the
-        field that holds the coefficients and every value (see
-        ``common_field``, which raises ValueError for a point that mixes
-        fields), and only the result is an FqElement; otherwise they run on
-        the values themselves (int and Fraction at a rational point), and
-        the quotient goes through ``_div``."""
+        """Exact value at field elements keyed by variable name, with one
+        table of powers for both parts: on integer codes in the field of the
+        coefficients and every value (``common_field`` raises ValueError for
+        mixed fields) at an F_q point, with only the result an FqElement;
+        on the values (int, Fraction) at a rational point, through ``_div``."""
         vs, occ = self.vars, self.occurring()
         missing = {vs[i] for i in occ} - set(values)
         if missing:

@@ -1,88 +1,84 @@
-"""The polynomial-reduction pipeline for the general degree-n polynomial:
-depress (kill X^{n-1}), rescale roots (tie the last two coefficients), and the
-characteristic-2/3 special paths, with a replayable transformation record and
-a finite-field specialization oracle.
+"""The reduction pipeline for the general degree-n polynomial: depress (kill
+X^{n-1}), rescale roots (tie the last two coefficients), and the wild
+characteristic-2/3 paths, with a replayable record and a finite-field
+specialization oracle.
 
-Conventions.  ``Shift(lam)`` turns f(X) into f(X + lam) and maps each root r
-to r - lam.  ``ScaleRoots(lam)`` turns f into lam^{-n} f(lam X) and maps r to
-r / lam.  ``InvertRoot`` reverses the coefficients (re-monicized) and maps r
-to 1/r.  Each step is thus a Mobius map on roots, r -> (a r + b)/(c r + d),
-with matrix (1, -lam; 0, 1), (1, 0; 0, lam) and (0, 1; 1, 0) respectively,
-and a record composes into one matrix.
+``Shift(lam)`` turns f(X) into f(X + lam), ``ScaleRoots(lam)`` into
+lam^{-n} f(lam X), and ``InvertRoot`` reverses the coefficients
+(re-monicized): on roots, the Mobius maps r - lam, r / lam and 1/r, with
+matrices (1, -lam; 0, 1), (1, 0; 0, lam) and (0, 1; 1, 0).
 
-The oracle ``verify_specialization`` checks one polynomial identity over the
-base field F_q: for mu = (a, b; c, d) and f = sum f_i X^i,
+The forms are built reduced, with no polynomial product and no gcd.  For
+f = sum_i t_i X^{n-i} (t_0 = 1) and lam = c t^alpha / t^beta, the
+coefficient of X^{n-j} in f(X + lam) is, in closed form,
 
-    G(X) = sum_i f_i (dX - b)^i (-cX + a)^(n-i)
-         = prod_i ((d + c r_i) X - (b + a r_i)) = const * prod_i (X - mu(r_i))
+    sum_{i<=j} C(n-i, j-i) c^{j-i} t_i t^{alpha (j-i) + beta i} / t^{beta j},
 
-over the algebraic closure, where f = prod (X - r_i).  So h's roots are the
-images of f's roots exactly when monic(G) = h, and deg G < n exactly when
-some root is sent to infinity.  No factoring and no extension field: the
-check runs on the integer codes of F_q (see ``exactfield.FqContext``), with
-no arithmetic on field elements, through a plan built once per (f, h,
-record, F_q) that codes the base RatFns' coefficients: a call codes the
-point, then sums terms and forms products, the Mobius matrix and G.
+over the common monomial of the two sides cancelled: a divisor of a
+monomial is a monomial.  After the shift by -t_1/n, a_n is t_n plus terms
+free of t_n, so irreducible (degree 1 in t_n over the unit 1), and a_{n-1}
+is free of t_n: a_n / a_{n-1} is reduced.
 
-``general_poly`` and ``reduce_general`` are memoized per (n, char): their
-results are frozen records (tuples of PowerProducts over RatFns), so every
-caller in a session shares one derivation.
+``verify_specialization`` checks one identity over F_q: for the record's
+matrix (a, b; c, d) and f = sum f_i X^i = prod (X - r_i),
+G(X) = sum_i f_i (dX - b)^i (-cX + a)^(n-i) = const * prod (X - mu(r_i)),
+so h's roots are the images of f's exactly when monic(G) = h, and deg G < n
+exactly when a root goes to infinity.  It runs on F_q's integer codes,
+through a plan built once per (f, h, record, F_q), with no factoring.
+
+``general_poly`` and ``reduce_general`` are memoized per (n, char), so a
+session shares one derivation of each.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 
-from .errors import (CharDividesDegree, DegenerateTail, PoleAtAssignment,
-                     PoleAtPoint, UnboundVariable, Unsupported)
+from .errors import (PoleAtAssignment, PoleAtPoint, UnboundVariable,
+                     Unsupported)
 from .exactfield import FqContext, common_field, fq_context
-from .ratfunc import QQ, RatFn, _coded, _pow_table, _term_sum
+from .ratfunc import QQ, MultiPoly, RatFn, _coded, _term_sum
 from .record import Record
 
 
-def tvars(n):
-    return tuple("t%d" % i for i in range(1, n + 1))
-
-
-def _domain(char):
-    return QQ if char == 0 else fq_context(char, 1)
-
-
 class PowerProduct:
-    """A coefficient kept in factored form: prod base_i ^ exp_i over reduced
-    RatFns.  Avoids expanding b_i = a_i (a_n/a_{n-1})^{-i}, which is huge for
-    n near 7, while staying comparably canonical; ``verify_specialization``
-    evaluates it at a point from the values of its bases."""
+    """A coefficient in factored form, prod base_i ^ exp_i over reduced
+    RatFns: b_i = a_i (a_n/a_{n-1})^{-i} is never expanded.  The zero test
+    and the hash are taken once; two or more factors are ordered by their
+    bases' renderings."""
 
-    __slots__ = ("factors", "_hash")
+    __slots__ = ("factors", "_zero", "_hash")
 
     def __init__(self, factors):
         combined = {}
         for base, exp in factors:
             if exp != 0:
                 combined[base] = combined.get(base, 0) + exp
-        self.factors = tuple(sorted(((b, e) for b, e in combined.items() if e),
-                                    key=lambda t: (repr(t[0]), t[1])))
+        items = [t for t in combined.items() if t[1]]
+        if len(items) > 1:
+            items.sort(key=lambda t: (repr(t[0]), t[1]))
+        self.factors = tuple(items)
+        self._zero = any(b.is_zero() and e > 0 for b, e in items)
         # every zero product is equal to every other, whatever its factors
-        self._hash = hash(0) if self.is_zero() else hash(self.factors)
+        self._hash = hash(0) if self._zero else hash(self.factors)
 
     @classmethod
     def of(cls, ratfn):
         return cls([(ratfn, 1)])
 
     def is_zero(self):
-        return any(b.is_zero() and e > 0 for b, e in self.factors)
+        return self._zero
 
     def is_constant(self):
-        return self.is_zero() or all(b.is_constant() for b, e in self.factors)
+        return self._zero or all(b.is_constant() for b, _ in self.factors)
 
     def __eq__(self, other):
         if not isinstance(other, PowerProduct):
             return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.factors == other.factors
+        return self._zero and other._zero or self.factors == other.factors
 
     def __hash__(self):
         return self._hash
@@ -93,27 +89,16 @@ class PowerProduct:
     def __pow__(self, e):
         return PowerProduct(tuple((b, x * e) for b, x in self.factors))
 
-    def expand(self):
-        if not self.factors:
-            raise ValueError("expanding the empty product needs a ring context")
-        acc = None
-        for base, exp in self.factors:
-            v = base ** exp
-            acc = v if acc is None else acc * v
-        return acc
-
     def render(self):
-        if self.is_zero():
+        if self._zero:
             return "0"
-        if not self.factors:
-            return "1"
         parts = []
         for base, exp in self.factors:
             s = repr(base)
             if " " in s or "*" in s:
                 s = "(%s)" % s
             parts.append(s if exp == 1 else "%s^%d" % (s, exp))
-        return " * ".join(parts)
+        return " * ".join(parts) or "1"
 
     def __repr__(self):
         return self.render()
@@ -144,11 +129,11 @@ class InvertRoot(Record):
         return c, d, a, b
 
 
-class TransformRecord(Record):
+class TransformRecord(Record, interned=True):
     __slots__ = ("steps",)
 
 
-class GeneralPoly(Record):
+class GeneralPoly(Record, interned=True):
     """Monic X^n + c_1 X^{n-1} + ... + c_n with PowerProduct coefficients in
     t_1..t_n; coeffs[j-1] is the coefficient of X^{n-j}."""
 
@@ -160,9 +145,7 @@ class GeneralPoly(Record):
 
 @lru_cache(maxsize=None)
 def general_poly(n, char):
-    dom = _domain(char)
-    vs = tvars(n)
-    coeffs = tuple(PowerProduct.of(RatFn.var(dom, vs, "t%d" % i))
+    coeffs = tuple(PowerProduct.of(_ratio(n, char, 1, i, 0))
                    for i in range(1, n + 1))
     return GeneralPoly(n, char, coeffs)
 
@@ -176,37 +159,54 @@ def parameter_count(gp):
 # the three elementary transformations
 # ---------------------------------------------------------------------------
 
-def _one(gp):
-    dom = _domain(gp.char)
-    return RatFn.const(dom, tvars(gp.n), dom.one)
+def _ratio(n, char, c, up, down):
+    """c t_up / t_down over the ring of general_poly(n, char), t_0 = 1."""
+    dom = QQ if char == 0 else fq_context(char, 1)
+    vs = tuple("t%d" % m for m in range(1, n + 1))
+
+    def mono(i, x):
+        return MultiPoly(dom, vs, {tuple(int(m == i) for m in
+                                         range(1, n + 1)): x})
+
+    return RatFn(mono(up, dom.coerce(c)), mono(down, dom.one), reduce=False)
 
 
 def apply_shift(gp, lam):
-    """f(X) -> f(X + lam) over one denominator: for polynomial a_i (a_0 = 1)
-    and lam = u/v, the coefficient of X^{n-j} is
-
-        sum_{i<=j} C(n-i, j-i) a_i u^{j-i} v^i / v^j,
-
-    one numerator polynomial reduced once against v^j."""
-    n = gp.n
-    a = [_one(gp)] + [c.expand() for c in gp.coeffs]
-    if not all(x.den.is_constant() for x in a):
-        raise ValueError("apply_shift needs polynomial coefficients")
-    upow = _pow_table(lam.num, n)
-    vpow = _pow_table(lam.den, n)
+    """f(X) -> f(X + lam) for the general gp and lam = c t^alpha / t^beta:
+    X^{n-j} gets sum_{i<=j} C(n-i, j-i) c^{j-i} t_i t^{alpha (j-i) + beta i}
+    over t^{beta j}, summed in integers over c's denominator (an F_p c is
+    its code), less the monomial the two share: then it is reduced."""
+    n, dom, vs = gp.n, lam.domain, lam.vars
+    (alpha, c), = lam.num.terms.items()
+    (beta, _), = lam.den.terms.items()
+    if gp != general_poly(n, gp.char):
+        raise ValueError("apply_shift takes the general polynomial")
+    u, w = (c.code, 1) if isinstance(dom, FqContext) else \
+        (c.numerator, c.denominator)
     out = []
     for j in range(1, n + 1):
-        num = sum(a[i].num * upow[j - i] * vpow[i] * math.comb(n - i, j - i)
-                  for i in range(j + 1))
-        out.append(PowerProduct.of(RatFn(num, vpow[j])))
+        terms = {}
+        for i in range(j + 1):
+            e = tuple(a * (j - i) + b * i + (m == i)
+                      for m, (a, b) in enumerate(zip(alpha, beta), 1))
+            terms[e] = terms.get(e, 0) + \
+                math.comb(n - i, j - i) * u ** (j - i) * w ** i
+        num = MultiPoly(dom, vs, {e: dom.coerce(Fraction(x, w ** j))
+                                  for e, x in terms.items()})
+        bj = tuple(b * j for b in beta)
+        low = tuple(map(min, bj, *num.terms)) if num.terms else bj
+        if any(low):
+            num = MultiPoly(dom, vs, {tuple(map(sub, e, low)): x
+                                      for e, x in num.terms.items()})
+        den = MultiPoly(dom, vs, {tuple(map(sub, bj, low)): dom.one})
+        out.append(PowerProduct.of(RatFn(num, den, reduce=False)))
     return GeneralPoly(n, gp.char, tuple(out))
 
 
 def apply_scale(gp, lam):
     """f(X) -> lam^{-n} f(lam X) for lam = a_n / a_{n-1}: coefficient j gets
-    lam^{-j}, and the constant term a_n lam^{-n} = a_{n-1} lam^{1-n} is
-    emitted in the X-coefficient's factored form, so their designed equality
-    is visible structurally."""
+    lam^{-j}, and the constant term a_n lam^{-n} is written a_{n-1} lam^{1-n},
+    so the last two are equal as products."""
     n = gp.n
     lampp = PowerProduct.of(lam)
     out = [gp.coefficient(j) * lampp ** (-j) for j in range(1, n)]
@@ -217,12 +217,9 @@ def apply_scale(gp, lam):
 def apply_invert(gp):
     """f(X) -> X^n f(1/X) / f(0): coefficients reversed and re-monicized."""
     n = gp.n
-    const = gp.coefficient(n)
-    if const.is_zero():
-        raise DegenerateTail("constant term is the zero rational function")
-    inv = const ** (-1)
+    inv = gp.coefficient(n) ** (-1)
     rev = [gp.coefficient(n - j) * inv for j in range(1, n)]
-    rev.append(PowerProduct.of(_one(gp)) * inv)
+    rev.append(PowerProduct.of(_ratio(n, gp.char, 1, 0, 0)) * inv)
     return GeneralPoly(n, gp.char, tuple(rev))
 
 
@@ -231,52 +228,35 @@ def apply_invert(gp):
 # ---------------------------------------------------------------------------
 
 def depress(gp):
-    """Kill the X^{n-1} coefficient by shifting roots; char must not divide n."""
-    n = gp.n
-    if gp.char > 0 and n % gp.char == 0:
-        raise CharDividesDegree("cannot depress degree %d in characteristic %d"
-                                % (n, gp.char))
-    a1 = gp.coefficient(1).expand() if not gp.coefficient(1).is_zero() else None
-    if a1 is None:
-        return gp, TransformRecord(())
-    lam = -(a1 / n)
+    """Kill X^{n-1} of the general gp by -t_1/n; char must not divide n."""
+    lam = _ratio(gp.n, gp.char, Fraction(-1, gp.n), 1, 0)
     out = apply_shift(gp, lam)
     assert out.coefficient(1).is_zero()
     return out, TransformRecord((Shift(lam),))
 
 
 def rescale(gp):
-    """Scale roots by lam = a_n/a_{n-1} so the last two coefficients agree."""
+    """Scale roots by lam = a_n/a_{n-1} so the last two coefficients agree,
+    for gp general or depressed: lam is then reduced (module docstring)."""
     n = gp.n
-    an1 = gp.coefficient(n - 1)
-    an = gp.coefficient(n)
-    if an1.is_zero() or an.is_zero():
-        raise DegenerateTail("rescale needs nonzero trailing coefficients")
-    lam = an.expand() / an1.expand()
-    if lam.is_constant() and lam.num == lam.den:
-        return gp, TransformRecord(())
-    out = apply_scale(gp, lam)
-    assert out.coefficient(n - 1) == out.coefficient(n)
-    return out, TransformRecord((ScaleRoots(lam),))
+    (an, _), = gp.coefficient(n).factors
+    (an1, _), = gp.coefficient(n - 1).factors
+    lam = RatFn(an.num, an1.num, reduce=False)
+    return apply_scale(gp, lam), TransformRecord((ScaleRoots(lam),))
 
 
 def reduce_char3_cubic():
-    """X^3 + t_1 X^2 + t_2 X + t_3 in characteristic 3, to X^3 + cX + c."""
+    """X^3 + t_1 X^2 + t_2 X + t_3 in characteristic 3, to X^3 + cX + c: the
+    shift by t_2/t_1 kills the X coefficient, InvertRoot makes it X^2's, and
+    the scale by mu = h_3/h_2 = (1/w)/(t_1/w) = 1/t_1 ties the last two."""
     gp = general_poly(3, 3)
-    t1 = gp.coefficient(1).expand()
-    t2 = gp.coefficient(2).expand()
-    lam = t2 / t1
+    lam = _ratio(3, 3, 1, 2, 1)
     g = apply_shift(gp, lam)
     assert g.coefficient(2).is_zero()
     h = apply_invert(g)
-    b1 = h.coefficient(2)
-    b2 = h.coefficient(3)
-    mu = b2.expand() / b1.expand()
-    out = apply_scale(h, mu)
-    assert out.coefficient(2) == out.coefficient(3)
-    assert out.coefficient(1).is_zero()
-    record = TransformRecord((Shift(lam), InvertRoot(), ScaleRoots(mu)))
-    return out, record
+    mu = _ratio(3, 3, 1, 0, 1)
+    return apply_scale(h, mu), \
+        TransformRecord((Shift(lam), InvertRoot(), ScaleRoots(mu)))
 
 
 @lru_cache(maxsize=None)
@@ -305,12 +285,11 @@ def reduce_general(n, char):
 
 @lru_cache(maxsize=None)
 def _plan(f, h, record, ctx):
-    """What ``verify_specialization`` reads of (f, h, record) over ctx, once
-    per key (compared by value): the (index, name) of each variable that
-    occurs; per distinct base RatFn, its denominator and numerator coded by
-    ``ratfunc._coded``, or None if p divides a coefficient's denominator;
-    f's and h's coefficients as ((base index, exponent), ...), None for the
-    zero product; each step's base index, None for InvertRoot."""
+    """What ``verify_specialization`` reads of (f, h, record) over ctx: the
+    (index, name) of each variable that occurs; per distinct base RatFn, its
+    den and num by ``ratfunc._coded``, None if p divides a coefficient's
+    denominator; f's and h's coefficients as ((base index, exponent), ...),
+    None for zero; each step's base index, None for InvertRoot."""
     index, bases = {}, []
     coeffs = tuple(tuple(None if c.is_zero() else tuple(
         (index.setdefault(b, len(index)), e) for b, e in c.factors)
@@ -340,9 +319,8 @@ def _mul(u, v, ctx):
 
 
 def verify_specialization(f, h, record, assignment, ctx):
-    """Specialize f and h at t-values in F_q and check that the record
-    carries the roots of f onto those of h, by the Mobius identity of the
-    module docstring, on ctx's codes and ``_plan(f, h, record, ctx)``."""
+    """Whether the record carries the roots of f onto those of h at a point
+    of F_q, by the identity of the module docstring, on ctx's codes."""
     occ, bases, coeffs, steps = _plan(f, h, record, ctx)
     point = {name: ctx.coerce(v).code for name, v in assignment.items()}
     missing = {x for _, x in occ} - point.keys()

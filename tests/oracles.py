@@ -18,9 +18,13 @@ the path ``crossratio.check_rewrite``'s packed monomials replace, and
 the path ``crossratio._rewrite``'s term dicts replace, and
 ``faithful_by_enumeration`` the faithfulness of the S_n action by walking
 every permutation, the path ``crossratio.verify_faithful``'s certificate
-replaces.
+replaces.  ``shift_by_products`` is the Tschirnhaus shift by MultiPoly
+products and one gcd per coefficient, the path ``tschirnhaus.apply_shift``'s
+closed form replaces, and ``reduce_by_products`` the whole reduction with
+every ratio found by RatFn division.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,7 +36,10 @@ from edim.exactfield import _power, is_prime
 from edim.fielddesc import (NO, UNKNOWN, YES, char_of, contains_zeta,
                             extend_with_zeta)
 from edim.groups import PermGroup, _closure, pident, pmul
-from edim.ratfunc import QQ, MultiPoly, RatFn
+from edim.ratfunc import QQ, MultiPoly, RatFn, _pow_table
+from edim.tschirnhaus import (GeneralPoly, InvertRoot, PowerProduct,
+                              ScaleRoots, Shift, TransformRecord,
+                              apply_invert, apply_scale, general_poly)
 from edim.unipoly import divmod_poly, monic, mul, sub, trim
 
 CORE_CAP = 10 ** 5
@@ -524,3 +531,81 @@ def faithful_by_enumeration(n):
     next(perms)  # the identity comes first
     return all(any(img != gens[m] for m, img in sn_action(sigma).items())
                for sigma in perms)
+
+
+# ---------------------------------------------------------------------------
+# Tschirnhaus
+# ---------------------------------------------------------------------------
+
+def shift_by_products(gp, lam):
+    """``tschirnhaus.apply_shift`` by MultiPoly arithmetic, for coefficients
+    a_i (a_0 = 1) each one polynomial factor, and any lam = u/v: the
+    coefficient of X^{n-j} is sum_{i<=j} C(n-i, j-i) a_i u^{j-i} v^i / v^j,
+    one numerator polynomial reduced against v^j by ``poly_gcd``."""
+    n, dom, vs = gp.n, lam.domain, lam.vars
+    a = [RatFn.const(dom, vs, dom.one)] + [b for c in gp.coeffs
+                                            for b, _ in c.factors]
+    if not all(x.den.is_constant() for x in a):
+        raise ValueError("shift_by_products needs polynomial coefficients")
+    upow, vpow = _pow_table(lam.num, n), _pow_table(lam.den, n)
+    out = []
+    for j in range(1, n + 1):
+        num = sum(a[i].num * upow[j - i] * vpow[i] * math.comb(n - i, j - i)
+                  for i in range(j + 1))
+        out.append(PowerProduct.of(RatFn(num, vpow[j])))
+    return GeneralPoly(n, gp.char, tuple(out))
+
+
+def _expanded(pp):
+    """A PowerProduct multiplied out by RatFn arithmetic."""
+    return functools.reduce(lambda acc, be: acc * be[0] ** be[1],
+                            pp.factors[1:],
+                            pp.factors[0][0] ** pp.factors[0][1])
+
+
+def unit_content(f, g):
+    """Some variable v occurs in f, not in g, and a coefficient of f in v is a
+    nonzero constant: then gcd(f, g) = 1, as a common divisor is free of v
+    and so divides that constant (the shortcut ``ratfunc.poly_gcd`` had
+    while the Tschirnhaus rescale asked it for a gcd)."""
+    for v in f.occurring() - g.occurring():
+        coeffs = {}
+        for e in f.terms:
+            coeffs.setdefault(e[v], []).append(e)
+        if any(len(es) == 1 and sum(es[0]) == es[0][v]
+               for es in coeffs.values()):
+            return True
+    return False
+
+
+def _quotient(a, b):
+    """a / b for polynomial RatFns a and b, reduced: with no gcd when a or
+    b has unit content in a variable the other lacks, else by poly_gcd."""
+    num, den = a.num * b.den, a.den * b.num
+    return RatFn(num, den, reduce=not (unit_content(num, den)
+                                       or unit_content(den, num)))
+
+
+def reduce_by_products(n, char):
+    """``tschirnhaus.reduce_general`` with each ratio a RatFn quotient and
+    each shift by ``shift_by_products``: lam = -a_1/n and a_n / a_{n-1},
+    the wild quadratic's a_2 / a_1, and the wild cubic's t_2/t_1 and
+    mu = h_3/h_2, each reduced by a gcd or by unit content."""
+    gp = general_poly(n, char)
+    t = [None] + [_expanded(c) for c in gp.coeffs]
+    if (n, char) == (2, 2):
+        lam = _quotient(t[2], t[1])
+        return apply_scale(gp, lam), TransformRecord((ScaleRoots(lam),))
+    if (n, char) == (3, 3):
+        lam = _quotient(t[2], t[1])
+        h = apply_invert(shift_by_products(gp, lam))
+        mu = _expanded(h.coefficient(3)) / _expanded(h.coefficient(2))
+        return apply_scale(h, mu), \
+            TransformRecord((Shift(lam), InvertRoot(), ScaleRoots(mu)))
+    lam = -(t[1] / n)
+    g = shift_by_products(gp, lam)
+    if n == 2:
+        return g, TransformRecord((Shift(lam),))
+    mu = _quotient(_expanded(g.coefficient(n)),
+                   _expanded(g.coefficient(n - 1)))
+    return apply_scale(g, mu), TransformRecord((Shift(lam), ScaleRoots(mu)))

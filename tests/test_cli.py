@@ -368,7 +368,11 @@ def _product(letter, ns):
     return "x".join("%s%d" % (letter, n) for n in ns)
 
 
-_PRIMES = [p for p in range(2, 132) if all(p % d for d in range(2, p))]
+_PRIMES = [p for p in range(2, 282) if all(p % d for d in range(2, p))]
+
+
+def _fields(n):  # the first n prime fields
+    return ",".join("F(%d)" % p for p in _PRIMES[:n])
 
 # large products whose element-order conditions R-PGL-OBS decides from its
 # factors' orders alone; each answers within the budget
@@ -385,7 +389,7 @@ PRODUCT_ROWS = [
      "S40xS39xS38xS37"],
     ["bound", "--field", "F(3)", "--group", "A40xA40xA40"],
     ["bound", "--field", "custom{char=0}", "--group",
-     _product("C", _PRIMES)],
+     _product("C", _PRIMES[:32])],
     ["bound", "--field", "F(2)", "--group", _product("C", _PRIMES[:20])],
     ["bound", "--field", "custom{char=0}", "--group",
      _product("D", _PRIMES[1:21])],
@@ -415,6 +419,12 @@ BUDGET = [
     (["table", "--fields", "F(5),Q", "--groups",
       "E(2,%d),E(3,%d)x%s" % (_RANK // 2, _RANK // 2 + 1, _c2s(_ATOMS - 1))],
      0),
+    # table's closure charge: E(3,10^50) costs 1,243 units a prime field
+    (["table", "--groups", "E(3,%d)" % _RANK, "--fields", _fields(60)], 3),
+    (["table", "--groups", "E(3,%d)x%s" % (_RANK, _c2s(_ATOMS - 1)),
+      "--fields", _fields(60)], 3),
+    (["table", "--groups", "E(3,%d)" % _RANK, "--fields", _fields(25)], 3),
+    (["table", "--groups", "E(3,%d)" % _RANK, "--fields", _fields(24)], 0),
     (["bound", "--field", "Q", "--group", "E(2,500)"], 0),
     (["bound", "--field", "F(4)", "--group", "E(3,500)"], 0),
     (["bound", "--field", "Q", "--group", "E(1000003,2)xC2"], 0),

@@ -151,6 +151,24 @@ def test_check_rewrite_rejects_forged_rewrites(n, monkeypatch):
     assert forged == 5 * 20
 
 
+def test_check_rewrite_rejects_a_rewrite_in_other_generators(monkeypatch):
+    # check_rewrite reads only the t_m at the symbol's indices; a rewrite
+    # that holds any other t_m is refused, not read as if that t_m were 1:
+    # t4 * t7 for [1,2;3,4] would pass so
+    n, real = 7, crossratio._rewrite
+    t7 = MultiPoly.var(QQ, tvars(n), "t7")
+    forgeries = {(1, 2, 3, 4): lambda r: RatFn(r.num * t7, r.den),
+                 (4, 5, 6, 1): lambda r: RatFn(r.num * (t7 + 1),
+                                               r.den * (t7 + 1), reduce=False),
+                 (2, 4, 5, 6): lambda r: real(n, (1, 2, 3, 7))}
+    for idx, forge in forgeries.items():
+        monkeypatch.setattr(crossratio, "_rewrite",
+                            lambda n_, idx_, f=forge: f(real(n_, idx_)))
+        assert check_rewrite(CRSymbol(n, idx)) is False, idx
+        monkeypatch.setattr(crossratio, "_rewrite", real)
+        assert check_rewrite(CRSymbol(n, idx)) is True, idx
+
+
 def _unpacked(poly, n):
     """A packed polynomial of ``crossratio`` as {exponent tuple: coeff}."""
     width = crossratio._FIELD
@@ -158,18 +176,29 @@ def _unpacked(poly, n):
             for e, c in poly.items()}
 
 
+def _affine(terms):
+    """{exponent tuple: coeff} over x_1..x_n at x_1 = 0 and x_2 = 1."""
+    out = {}
+    for e, c in terms.items():
+        if not e[0]:
+            e = (0, 0, *e[2:])
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
 def test_generator_table_matches_compose_pair():
-    # RatFn.compose_pair is the oracle: the table only shares its products
+    # RatFn.compose_pair is the oracle, at x_1 = 0 and x_2 = 1: the table
+    # only shares its products
     crossratio._generator_image.cache_clear()
     for n in (5, 6, 7):
         bindings = {"t%d" % i: cr_define(generator_symbol(n, i))
                     for i in range(4, n + 1)}
         for idx in itertools.permutations(range(1, n + 1), 4):
             rewritten = cr_rewrite(CRSymbol(n, idx))
-            got = crossratio._composed(rewritten)
+            got = crossratio._composed(rewritten, idx)
             want = rewritten.compose_pair(bindings)
             assert [_unpacked(p, n) for p in got] == \
-                [p.terms for p in want], idx
+                [_affine(p.terms) for p in want], idx
     # criterion 7's 1,320 symbols meet 62 keys: one table for every n
     assert crossratio._generator_image.cache_info().currsize <= 62
 
@@ -205,8 +234,9 @@ def test_packing_refuses_an_exponent_past_its_field():
 
 
 def test_packed_sides_match_cr_define():
-    # check_rewrite's packed num, den and -num are cr_define's sides up to
-    # the one sign its monic normalization may put on both
+    # check_rewrite's packed num, den and -num are cr_define's sides at
+    # x_1 = 0, x_2 = 1, up to the one sign its monic normalization may put
+    # on both
     cross, pair = crossratio._cross_product, crossratio._packed_pair
 
     def negated(p):
@@ -216,7 +246,7 @@ def test_packed_sides_match_cr_define():
         for idx in itertools.permutations(range(1, n + 1), 4):
             i, j, k, l = idx
             defined = cr_define(CRSymbol(n, idx))
-            want = defined.num.terms, defined.den.terms
+            want = _affine(defined.num.terms), _affine(defined.den.terms)
             num = _unpacked(cross(pair, i, j, k, l), n)
             den = _unpacked(cross(pair, i, j, l, k), n)
             assert (num, den) in (want, tuple(map(negated, want))), idx

@@ -20,7 +20,7 @@ from edim.edengine import (INF, BoundInterval, RuleCatalog, Thm46Result,
                            dn_criterion, l_core_trivial, product_views,
                            replay_trace, trace_json)
 from edim.cli import parse_field, parse_group
-from edim.errors import DependentAlphas, Inconsistent
+from edim.errors import DependentAlphas, Inconsistent, TooLarge
 from edim.exactfield import fq_context, is_prime
 from edim.fielddesc import (NO, UNKNOWN, YES, Custom, Cyclotomic, FiniteField,
                             RationalField, contains_real_zeta,
@@ -534,6 +534,47 @@ def test_elemab_closure_is_logarithmic_in_rank():
         eng = edengine._Engine()
         eng.query(ElemAb(2, r), Q)
         assert len(eng.intervals) <= 4 * math.ceil(math.log2(r)), r
+
+
+def test_table_charge_follows_the_engine_closure():
+    # the charge counts the queries a cell reaches, each with its ends: for
+    # every shape swept it lies within a factor of four of the engine's own
+    # queries and reader edges (give or take one product's 32 factors, where
+    # a closed form decides and the engine asks less), and the walk stops
+    # past the budget it has
+    c2s = "x".join(["C2"] * 31)
+    for text in ("E(3,%d)" % 10 ** 50, c2s, "E(3,%d)x%s" % (10 ** 50, c2s),
+                 "C7420738134810", "S40xS39xS38xS37", "D30xS5xA6"):
+        for fd in (Q, parse_field("F(5)"), parse_field("F(2)")):
+            g = edengine.canon(parse_group(text))
+            eng = edengine._Engine()
+            eng.query(g, fd)
+            real = len(eng.intervals) + sum(map(len, eng.readers.values()))
+            charge = edengine._closure_charge(g, fd, math.inf)
+            assert real / 4 <= charge <= 4 * real + 32, \
+                (text, fd, charge, real)
+            assert edengine._closure_charge(g, fd, charge // 2) < charge
+
+
+def test_table_charge_counts_every_cell():
+    # E(3,10^50) costs 1,243 units over a prime field: 24 cells fit under
+    # the cap, 25 do not, and a repeated group or field is charged again
+    e = "E(3,%d)" % 10 ** 50
+    fields = [parse_field("F(%d)" % p) for p in range(2, 120) if is_prime(p)]
+    assert edengine._closure_charge(edengine.canon(parse_group(e)), fields[0],
+                                    math.inf) == 1243
+    for groups, fds, fits in (([e], fields[:24], True),
+                              ([e], fields[:25], False),
+                              ([e, e], fields[:12], True),
+                              ([e, e], fields[:13], False),
+                              ([e], fields[:12] * 2, True),
+                              ([e], fields[:13] * 2, False)):
+        gs = [parse_group(t) for t in groups]
+        if fits:
+            edengine.check_grid(gs, fds)
+        else:
+            with pytest.raises(TooLarge):
+                edengine.check_grid(gs, fds)
 
 
 def test_halves_narrow_elemab_in_its_characteristic():

@@ -12,6 +12,7 @@ from edim.exactfield import FqElement, common_field, fq_context
 from edim.ratfunc import (QQ, MultiPoly, RatFn, _gcd_prs, _normalize,
                           poly_divexact, poly_gcd, render)
 from edim.tschirnhaus import reduce_general
+from oracles import unit_content
 
 
 def _vars():
@@ -127,20 +128,13 @@ def _rand_poly(rng, dom, vars, use, coeffs, terms, deg):
     return p
 
 
-def test_poly_gcd_fast_paths_match_prs_oracle(monkeypatch):
-    # poly_gcd decides monomial and unit-content pairs by structure; the
-    # primitive PRS is the oracle.  f = a h and g = b h, where a may carry a
-    # linear factor in t1, a variable that g never has.
+def test_poly_gcd_fast_paths_match_prs_oracle():
+    # poly_gcd decides a monomial argument by structure, and the oracles'
+    # unit-content test finds coprime pairs; the primitive PRS is the
+    # oracle.  f = a h and g = b h, where a may carry a linear factor in t1,
+    # a variable that g never has.
     vars = ("t1", "t2", "t3")
     fired = {"monomial": 0, "unit_content": 0, "common_factor": 0}
-    unit_content = ratfunc._unit_content
-
-    def counted(f, g):
-        found = unit_content(f, g)
-        fired["unit_content"] += found
-        return found
-
-    monkeypatch.setattr(ratfunc, "_unit_content", counted)
     domains = [QQ, fq_context(2, 1), fq_context(3, 1), fq_context(5, 1),
                fq_context(2, 2)]
     for seed, dom in enumerate(domains):
@@ -163,6 +157,9 @@ def test_poly_gcd_fast_paths_match_prs_oracle(monkeypatch):
             for x, y in ((f, g), (g, f)):
                 d = poly_gcd(x, y)
                 assert d == _normalize(_gcd_prs(x, y)), (x, y)
+                found = unit_content(x, y)
+                fired["unit_content"] += found
+                assert d.is_constant() or not found, (x, y)
             fired["common_factor"] += not (monomial or d.is_constant())
     assert min(fired.values()) >= 20, fired
 

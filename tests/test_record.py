@@ -2,8 +2,9 @@
 equality by exact class and field values, hashing by field values, the
 dataclass ``repr``, keyword and default construction, refused assignment
 and validation in the constructor.  The interned classes, the group
-expressions and field descriptors, give one object for equal values, so
-they compare and hash by identity."""
+expressions, field descriptors and the Tschirnhaus records that key the
+specialization plans, give one object for equal values, so they compare
+and hash by identity."""
 
 from dataclasses import field, make_dataclass
 
@@ -163,7 +164,8 @@ def test_equality_checks_the_exact_class():
 def test_interned_classes_keep_one_object_per_value():
     interned = {c for c, _, _ in CASES if c._interned}
     assert interned == {c for c in TWIN_FIELDS
-                        if issubclass(c, (GroupExpr, FieldDescriptor))}
+                        if issubclass(c, (GroupExpr, FieldDescriptor))} \
+        | {GeneralPoly, TransformRecord}
     for cls in interned:
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
     assert Cyc(5) is Cyc(n=5) and ElemAb(3, 2) is ElemAb(r=2, p=3)
@@ -174,6 +176,9 @@ def test_interned_classes_keep_one_object_per_value():
     assert Product(Product(a, b), c) is Product(a, b, c) \
         is Product(a, Product(b, c))
     assert RationalField() is RationalField() is not Cyclotomic(1)
+    assert GeneralPoly(2, 0, (T1, GP)) is GeneralPoly(n=2, char=0,
+                                                      coeffs=(T1, GP))
+    assert TransformRecord((Shift(T1),)) is TransformRecord((Shift(T1),))
     for _ in range(2):  # a refused call is not remembered as a spelling
         with pytest.raises(TypeError):
             RationalField(1)

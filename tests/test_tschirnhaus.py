@@ -11,7 +11,7 @@ from edim.tschirnhaus import (GeneralPoly, InvertRoot, PowerProduct,
                               ScaleRoots, Shift, TransformRecord,
                               general_poly, parameter_count, reduce_general,
                               verify_specialization)
-from oracles import ExtField
+from oracles import ExtField, reduce_by_products, shift_by_products
 
 # criterion 8's (degree, characteristic) pairs
 PAIRS = [(2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0),
@@ -400,19 +400,19 @@ def test_rendered_char0_reductions_are_pinned():
         [("Shift", "-1/7 * t1"), ("ScaleRoots", lam)])
 
 
-def test_structure_decides_every_reduction_gcd(monkeypatch):
-    # the shift reduces over a constant or monomial denominator, and the
-    # rescale's a_n / a_{n-1} has unit content in t_n; only the wild cubic
-    # expands products whose gcd needs the PRS
-    def no_gcd(*args, **kwargs):
-        raise AssertionError("gcd by PRS")
+def test_reductions_are_built_with_no_product_and_no_gcd(monkeypatch):
+    # the shift is a closed form, the rescale's a_n / a_{n-1} is coprime by
+    # structure and the wild cubic's mu is 1/t_1: no derivation multiplies
+    # two polynomials, scales one, or asks for a gcd
+    def forbidden(*args, **kwargs):
+        raise AssertionError("polynomial product or gcd")
 
-    monkeypatch.setattr(ratfunc, "_gcd_prs", no_gcd)
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(ratfunc.MultiPoly, name, forbidden)
+    monkeypatch.setattr(ratfunc, "poly_gcd", forbidden)
     reduced = 0
     for n in range(2, 10):
         for char in (0, 2, 3, 5, 7):
-            if (n, char) == (3, 3):
-                continue
             try:
                 # past the memo, so every pair is derived under the patch
                 reduce_general.__wrapped__(n, char)
@@ -420,7 +420,49 @@ def test_structure_decides_every_reduction_gcd(monkeypatch):
                 assert n % char == 0, (n, char)
                 continue
             reduced += 1
-    assert reduced == 32
+    assert reduced == 33
+
+
+def _ratio(n, char, c, up, down):
+    """c * t^up / t^down over general_poly(n, char)'s ring, exponent lists."""
+    dom = fq_context(char, 1) if char else QQ
+    vs = tuple("t%d" % i for i in range(1, n + 1))
+    return RatFn(ratfunc.MultiPoly(dom, vs, {tuple(up): dom.coerce(c)}),
+                 ratfunc.MultiPoly(dom, vs, {tuple(down): dom.one}))
+
+
+def test_closed_form_shift_matches_the_product_oracle():
+    # depress's -t_1/n for every n <= 12 and characteristic not dividing
+    # n, the wild cubic's t_2/t_1, and ratios whose numerator and
+    # denominator share several variables with the shifted coefficients
+    cases = []
+    for n in range(2, 13):
+        for char in (0, 2, 3, 5, 7):
+            if not char or n % char:
+                unit = [1] + [0] * (n - 1)
+                cases.append((n, char, _ratio(n, char, Fraction(-1, n), unit,
+                                              [0] * n)))
+    cases.append((3, 3, _ratio(3, 3, 1, [0, 1, 0], [1, 0, 0])))
+    for n, char in ((4, 0), (5, 7), (6, 5)):
+        cases.append((n, char, _ratio(n, char, Fraction(3, 2),
+                                      [0, 1, 2] + [0] * (n - 3),
+                                      [2, 0, 1] + [0] * (n - 3))))
+    for n, char, lam in cases:
+        f = general_poly(n, char)
+        got, want = tschirnhaus.apply_shift(f, lam), shift_by_products(f, lam)
+        assert got == want, (n, char, lam)
+        assert [c.render() for c in got.coeffs] == \
+            [c.render() for c in want.coeffs], (n, char, lam)
+    assert len(cases) == 46
+
+
+def test_reductions_match_the_product_oracle():
+    # criterion 8's pairs: the closed forms give the records that RatFn
+    # division and the product shift derive, factor for factor
+    for n, char in PAIRS:
+        got, want = reduce_general(n, char), reduce_by_products(n, char)
+        assert got == want, (n, char)
+        assert _render_reduction(got) == _render_reduction(want), (n, char)
 
 
 def test_zero_products_share_a_hash():
