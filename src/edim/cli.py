@@ -28,9 +28,10 @@ from . import pgl2 as _pgl2
 
 SCHEMA = "edim/1"
 
-# `edim tschirnhaus` refuses larger inputs with exit 3.  A pass of `verify`
-# near n = 24 costs up to about 10 ms (over F_{p^2} with p near 10^12, the
-# dearest field it draws from), so the largest accepted run stays under 1 s.
+# `edim tschirnhaus` refuses larger inputs with exit 3.  At n = 24 and p near
+# 10^12 one check costs about 10 ms over F_{p^2}, the dearest field `verify`
+# draws from, and under 2 ms over F_p, so `verify --count 50` there takes
+# about 0.3 s from the shell.
 TSCHIRNHAUS_DEGREE_CAP = 24
 TSCHIRNHAUS_COUNT_CAP = 50
 # `edim crossratio` refuses a larger --n with exit 3.  `action` makes n - 3

@@ -26,9 +26,10 @@ cell and replayed node after the first to meet a query reuses its facts,
 edges and decided hypotheses.  The facts that ask nothing of the field are
 memoized per group, once for every field: ``atom_aliases``, ``_leaf_plan``
 (the leaf calls that ``leaf_facts`` and ``_leaf_phase`` both run),
-``order_summary`` (R-PGL-OBS's reading of an atom's element orders, per
-characteristic) and ``_group_links`` (the product views, R-SUB's pairs,
-certified where no view gives them, and the splittings R-CE-SPLIT checks).
+``_maximal_orders`` (an atom's maximal element orders), ``order_summary``
+(R-PGL-OBS's reading of them, per characteristic) and ``_group_links``
+(the product views, R-SUB's pairs, certified where no view gives them,
+and the splittings R-CE-SPLIT checks).
 ``_leaf_phase`` skips R-PGL-OBS past lo >= 2, where its facts, all (2,
 None), narrow nothing; ``leaf_facts``, which replay reads, lists them.  A
 raised refusal is not memoized.  No rule builds a field or searches a group
@@ -471,11 +472,27 @@ def _leaf_pgl_obs(a, fd):
 def order_summary(a, l):
     """What R-PGL-OBS reads of the atom a's element orders in char K = l: (an
     order is a multiple of l other than l, l is an order, an order is not 1
-    or l, the maximal orders prime to l), the first two False if l = 0."""
-    orders = element_orders(a)
-    return (l > 0 and any(o % l == 0 and o != l for o in orders),
-            l in orders, not orders <= {1, l},
-            tuple(_maximal(o for o in orders if l == 0 or o % l)))
+    or l, the maximal orders prime to l), the first two False if l = 0.
+    The orders are the divisors of the maximal ones, so each is read off
+    those: the maximal orders prime to l are the maximal l-free parts."""
+    top = _maximal_orders(a)
+    return (l > 0 and any(o % l == 0 and o != l for o in top),
+            l > 0 and any(o % l == 0 for o in top),
+            any(o not in (1, l) for o in top),
+            tuple(_maximal({_l_free(o, l) for o in top})))
+
+
+@lru_cache(maxsize=None)
+def _maximal_orders(a):
+    """The element orders of the atom a that divide no other, once per
+    atom for every characteristic."""
+    return _maximal(element_orders(a))
+
+
+def _l_free(o, l):  # o less every factor l, for l prime or 0
+    while l and o % l == 0:
+        o //= l
+    return o
 
 
 def _maximal(values):  # the members of values that divide no other member

@@ -7,14 +7,18 @@ elements are reproducible across runs.  Prime fields (k = 1) use the same
 element interface with modulus X.  An element is its integer code
 c_0 + c_1 p + ... + c_{k-1} p^{k-1}: prime fields compute with ints mod p,
 fields with q <= TABLE_CAP with log, antilog and Zech tables, built on the
-first operation, and larger fields with polynomial products mod m.
+first operation, and larger fields with polynomial products mod m.  Besides
+the one-operation closures, a context has three whole-sum kernels (a coded
+term sum at a point, a product of powers, a product of code lists): over
+F_p they sum plain ints and reduce mod p once per result, and over the
+other kinds they run the closures one operation at a time.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import DegreeTooLarge, NotPrime, TooLarge, ZeroElement
 
@@ -203,7 +207,49 @@ def _is_irreducible(m, p):
     return True
 
 
-_OPS = frozenset(("add", "sub", "neg", "mul", "inv", "pow"))
+def _term_sum(add, mul, pow_, sums, powers):
+    """The value of each coded term list in sums, the sum of its terms
+    c * prod x_i^d, written (c, ((i, d), ...)), one operation at a time.
+    powers holds each x_i^d under (i, d), starting from the values under
+    (i, 1), and grows, so sums at one point share it."""
+    out = []
+    for terms in sums:
+        acc = 0
+        for c, mono in terms:
+            for key in mono:
+                v = powers.get(key)
+                if v is None:
+                    v = powers[key] = pow_(powers[key[0], 1], key[1])
+                c = mul(c, v)
+            acc = add(acc, c)
+        out.append(acc)
+    return out
+
+
+def _power_product(mul, pow_, inv, values, products):
+    """For each tuple of (k, e) pairs in products, prod values[k]^e, one
+    operation at a time; values[k] is nonzero where e < 0."""
+    out = []
+    for pairs in products:
+        acc = 1
+        for k, e in pairs:
+            v = values[k]
+            acc = mul(acc, pow_(v if e > 0 else inv(v), abs(e)))
+        out.append(acc)
+    return out
+
+
+def _convolve(add, mul, u, v, w=(), s=1):
+    """u * v + s * w for polynomials as code lists, low degree first."""
+    out = [mul(s, x) for x in w] + [0] * (len(u) + len(v) - 1 - len(w))
+    for i, x in enumerate(u):
+        for j, y in enumerate(v, i):
+            out[j] = add(out[j], mul(x, y))
+    return out
+
+
+_OPS = frozenset(("add", "sub", "neg", "mul", "inv", "pow", "term_sum",
+                  "power_product", "convolve"))
 
 
 class FqContext:
@@ -211,10 +257,12 @@ class FqContext:
 
     An element is its integer code c_0 + c_1 p + ... + c_{k-1} p^{k-1}.  The
     operations on codes -- ``add``, ``sub``, ``neg``, ``mul``, ``inv`` (of a
-    nonzero code) and ``pow`` (e >= 0) -- are installed on first use, so a
-    context that is never computed in builds nothing.  Also serves as a
-    coefficient domain for ratfunc (attributes ``char``, ``zero``, ``one``,
-    ``coerce``).
+    nonzero code) and ``pow`` (e >= 0) -- and the whole-sum kernels
+    ``term_sum(sums, powers)``, ``power_product(values, products)`` and
+    ``convolve(u, v, w=(), s=1)`` (as ``_term_sum``, ``_power_product`` and
+    ``_convolve``) are installed on first use, so a context that is never
+    computed in builds nothing.  Also serves as a coefficient domain for
+    ratfunc (attributes ``char``, ``zero``, ``one``, ``coerce``).
     """
 
     def __init__(self, p: int, k: int, modulus):
@@ -227,23 +275,63 @@ class FqContext:
         self.one = FqElement(self, 1)
 
     def __getattr__(self, name):
-        """Install all code operations when the first one is looked up."""
+        """Install all code operations when the first one is looked up: the
+        closures of ``_operations``, and the whole-sum kernels over them
+        where the field has none of its own."""
         if name not in _OPS:
             raise AttributeError(name)
-        self.__dict__.update(self._operations())
+        ops = self._operations()
+        add, mul, pow_ = ops["add"], ops["mul"], ops["pow"]
+        self.__dict__.update(dict(
+            term_sum=partial(_term_sum, add, mul, pow_),
+            power_product=partial(_power_product, mul, pow_, ops["inv"]),
+            convolve=partial(_convolve, add, mul)), **ops)
         return self.__dict__[name]
 
     def _operations(self):
-        """Int arithmetic mod p for k = 1; log, antilog and Zech lookups for
+        """Int arithmetic mod p for k = 1, with kernels that sum plain ints
+        and reduce once per result; log, antilog and Zech lookups for
         q <= TABLE_CAP; polynomial products, digit-wise sums and
         extended-Euclid inverses above it."""
         p, q = self.p, self.q
         if self.k == 1:
+            def term_sum(sums, powers):
+                out = []
+                for terms in sums:
+                    acc = 0
+                    for c, mono in terms:
+                        for key in mono:
+                            try:
+                                c *= powers[key]
+                            except KeyError:
+                                c *= powers.setdefault(key, pow(
+                                    powers[key[0], 1], key[1], p))
+                        acc += c
+                    out.append(acc % p)
+                return out
+
+            def power_product(values, products):
+                out = []
+                for pairs in products:
+                    acc = 1
+                    for k, e in pairs:
+                        acc *= pow(values[k], e, p)
+                    out.append(acc % p)
+                return out
+
+            def convolve(u, v, w=(), s=1):
+                out = [s * x for x in w]
+                out += [0] * (len(u) + len(v) - 1 - len(w))
+                for i, x in enumerate(u):
+                    for j, y in enumerate(v, i):
+                        out[j] += x * y
+                return [x % p for x in out]
             return dict(add=lambda a, b: (a + b) % p,
                         sub=lambda a, b: (a - b) % p, neg=lambda a: -a % p,
                         mul=lambda a, b: a * b % p,
                         inv=lambda a: pow(a, p - 2, p),
-                        pow=lambda a, e: pow(a, e, p))
+                        pow=lambda a, e: pow(a, e, p), term_sum=term_sum,
+                        power_product=power_product, convolve=convolve)
         mul, digitwise = self._poly_mul, self._digitwise
         if q > TABLE_CAP:
             k, m = self.k, list(self.modulus) + [1]

@@ -15,11 +15,12 @@ primitive PRS (pseudo-remainder sequence).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from operator import add, mul
 
 from .errors import (DivisionByZero, DomainMismatch, IndeterminateForm,
                      PoleAtPoint, UnboundVariable)
-from .exactfield import FqContext, FqElement, _power, common_field
+from .exactfield import FqContext, FqElement, _power, _term_sum, common_field
 
 
 class RationalDomain:
@@ -220,32 +221,12 @@ def _div(a, b):
 
 
 def _coded(p, ctx):
-    """p's terms as (coefficient, ((variable index, degree), ...)) for
-    ``_term_sum``: each coefficient as its code in ctx, or as itself with
-    ctx None."""
+    """p's terms as (coefficient, ((variable index, degree), ...)) for a
+    term sum (``FqContext.term_sum``): each coefficient as its code in ctx,
+    or as itself with ctx None."""
     return tuple((c if ctx is None else _coerce(c, ctx).code,
                   tuple((i, d) for i, d in enumerate(e) if d))
                  for e, c in p.terms.items())
-
-
-def _term_sum(terms, ctx, powers):
-    """The sum of c * prod x_i^d over ``_coded`` terms: on codes with ctx's
-    operations, or with ctx None on the values themselves.  powers holds
-    each x_i^d under (i, d), starting from the values under (i, 1), and
-    grows."""
-    if ctx is None:
-        add_, mul_, pow_ = add, mul, pow
-    else:
-        add_, mul_, pow_ = ctx.add, ctx.mul, ctx.pow
-    acc = 0
-    for c, mono in terms:
-        for key in mono:
-            v = powers.get(key)
-            if v is None:
-                v = powers[key] = pow_(powers[key[0], 1], key[1])
-            c = mul_(c, v)
-        acc = add_(acc, c)
-    return acc
 
 
 def _coerce(c, dom):
@@ -560,10 +541,11 @@ class RatFn:
                 ctx = v.ctx if ctx is None else common_field(ctx, v.ctx)
         powers = {(i, 1): values[vs[i]] if ctx is None else
                   _coerce(values[vs[i]], ctx).code for i in occ}
-        d = _term_sum(_coded(self.den, ctx), ctx, powers)
+        term_sum = partial(_term_sum, add, mul, pow) if ctx is None else \
+            ctx.term_sum
+        d, n = term_sum((_coded(self.den, ctx), _coded(self.num, ctx)), powers)
         if d == 0:
             raise PoleAtPoint("denominator vanishes at the given point")
-        n = _term_sum(_coded(self.num, ctx), ctx, powers)
         return _div(n, d) if ctx is None else \
             FqElement(ctx, ctx.mul(n, ctx.inv(d)))
 

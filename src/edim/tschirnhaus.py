@@ -22,9 +22,12 @@ is free of t_n: a_n / a_{n-1} is reduced.
 ``verify_specialization`` checks one identity over F_q: for the record's
 matrix (a, b; c, d) and f = sum f_i X^i = prod (X - r_i),
 G(X) = sum_i f_i (dX - b)^i (-cX + a)^(n-i) = const * prod (X - mu(r_i)),
-so h's roots are the images of f's exactly when monic(G) = h, and deg G < n
-exactly when a root goes to infinity.  It runs on F_q's integer codes,
-through a plan built once per (f, h, record, F_q), with no factoring.
+so h's roots are the images of f's exactly when G = g h for g the leading
+coefficient of G, and deg G < n exactly when a root goes to infinity.  It
+runs on F_q's integer codes, with no factoring, through a plan built once
+per (f, h, record) and characteristic, as F_p keeps its codes in every
+extension; a call's sums, products and polynomial products are the field's
+whole-sum kernels.
 
 ``general_poly`` and ``reduce_general`` are memoized per (n, char), so a
 session shares one derivation of each.
@@ -40,15 +43,16 @@ from operator import sub
 from .errors import (PoleAtAssignment, PoleAtPoint, UnboundVariable,
                      Unsupported)
 from .exactfield import FqContext, common_field, fq_context
-from .ratfunc import QQ, MultiPoly, RatFn, _coded, _term_sum
+from .ratfunc import QQ, MultiPoly, RatFn, _coded
 from .record import Record
 
 
 class PowerProduct:
     """A coefficient in factored form, prod base_i ^ exp_i over reduced
-    RatFns: b_i = a_i (a_n/a_{n-1})^{-i} is never expanded.  The zero test
-    and the hash are taken once; two or more factors are ordered by their
-    bases' renderings."""
+    RatFns: b_i = a_i (a_n/a_{n-1})^{-i} is never expanded.  The factors,
+    one per base, are a multiset to equality and the hash, and only
+    ``render`` orders them, by their bases' renderings.  The zero test and
+    the hash are taken once."""
 
     __slots__ = ("factors", "_zero", "_hash")
 
@@ -57,13 +61,10 @@ class PowerProduct:
         for base, exp in factors:
             if exp != 0:
                 combined[base] = combined.get(base, 0) + exp
-        items = [t for t in combined.items() if t[1]]
-        if len(items) > 1:
-            items.sort(key=lambda t: (repr(t[0]), t[1]))
-        self.factors = tuple(items)
-        self._zero = any(b.is_zero() and e > 0 for b, e in items)
+        self.factors = tuple(t for t in combined.items() if t[1])
+        self._zero = any(b.is_zero() and e > 0 for b, e in self.factors)
         # every zero product is equal to every other, whatever its factors
-        self._hash = hash(0) if self._zero else hash(self.factors)
+        self._hash = hash(0) if self._zero else hash(frozenset(self.factors))
 
     @classmethod
     def of(cls, ratfn):
@@ -78,7 +79,8 @@ class PowerProduct:
     def __eq__(self, other):
         if not isinstance(other, PowerProduct):
             return NotImplemented
-        return self._zero and other._zero or self.factors == other.factors
+        return self._zero and other._zero or self._hash == other._hash and \
+            frozenset(self.factors) == frozenset(other.factors)
 
     def __hash__(self):
         return self._hash
@@ -93,8 +95,7 @@ class PowerProduct:
         if self._zero:
             return "0"
         parts = []
-        for base, exp in self.factors:
-            s = repr(base)
+        for s, exp in sorted((repr(b), e) for b, e in self.factors):
             if " " in s or "*" in s:
                 s = "(%s)" % s
             parts.append(s if exp == 1 else "%s^%d" % (s, exp))
@@ -107,9 +108,9 @@ class PowerProduct:
 class Shift(Record):
     __slots__ = ("lam",)
 
-    def mobius(self, m, lv, ctx):
+    def mobius(self, m, lv, ctx):  # row (a, b) less lv times row (c, d)
         a, b, c, d = m
-        return ctx.sub(a, ctx.mul(lv, c)), ctx.sub(b, ctx.mul(lv, d)), c, d
+        return (*ctx.convolve([ctx.neg(lv)], [c, d], [a, b]), c, d)
 
 
 class ScaleRoots(Record):
@@ -117,7 +118,7 @@ class ScaleRoots(Record):
 
     def mobius(self, m, lv, ctx):
         a, b, c, d = m
-        return a, b, ctx.mul(lv, c), ctx.mul(lv, d)
+        return (a, b, *ctx.convolve([lv], [c, d]))
 
 
 class InvertRoot(Record):
@@ -284,73 +285,63 @@ def reduce_general(n, char):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _plan(f, h, record, ctx):
-    """What ``verify_specialization`` reads of (f, h, record) over ctx: the
-    (index, name) of each variable that occurs; per distinct base RatFn, its
-    den and num by ``ratfunc._coded``, None if p divides a coefficient's
-    denominator; f's and h's coefficients as ((base index, exponent), ...),
-    None for zero; each step's base index, None for InvertRoot."""
-    index, bases = {}, []
-    coeffs = tuple(tuple(None if c.is_zero() else tuple(
-        (index.setdefault(b, len(index)), e) for b, e in c.factors)
-        for c in gp.coeffs) for gp in (f, h))
+def _plan(f, h, record, p):
+    """What ``verify_specialization`` reads of (f, h, record) in
+    characteristic p, for every field of it: the field the bases are coded
+    in (F_p, or the extension their coefficients lie in); the (index,
+    name) of each variable that occurs; the term lists to sum, by
+    ``ratfunc._coded``: an empty one, then the den and num of base k at
+    2k - 1 and 2k, both empty if p divides a coefficient's denominator (a
+    pole at every point); the values as products of those sums: 0, then
+    num / den of each base; the coefficients of f, then of h, as ((value
+    index, exponent), ...), 0 as value 0; each step's value index, None for
+    InvertRoot."""
+    index = {}
+    coeffs = tuple(((0, 1),) if c.is_zero() else tuple(
+        (index.setdefault(b, len(index) + 1), e) for b, e in c.factors)
+        for gp in (f, h) for c in gp.coeffs)
     steps = tuple(None if s.lam is None else
-                  index.setdefault(s.lam, len(index)) for s in record.steps)
-    dom = next(iter(index)).domain
-    if isinstance(dom, FqContext) and \
-            common_field(ctx, common_field(dom, ctx)) is not ctx:
-        raise ValueError("the coefficients do not lie in %r" % (ctx,))
+                  index.setdefault(s.lam, len(index) + 1)
+                  for s in record.steps)
+    field = fq_context(p, 1)  # F_p keeps its codes in every extension
+    for b in index:
+        if isinstance(b.domain, FqContext):
+            field = common_field(field, b.domain)
+    sums = [()]
     for b in index:
         try:
-            bases.append((_coded(b.den, ctx), _coded(b.num, ctx)))
+            sums += _coded(b.den, field), _coded(b.num, field)
         except PoleAtPoint:
-            bases.append(None)
+            sums += (), ()
+    values = (((0, 1),), *(((2 * k, 1), (2 * k - 1, -1))
+                           for k in index.values()))
     occ = {(i, b.vars[i]) for b in index for i in b.occurring()}
-    return occ, tuple(bases), coeffs, steps
-
-
-def _mul(u, v, ctx):
-    """The product of two code lists, low degree first."""
-    out = [0] * (len(u) + len(v) - 1)
-    for i, x in enumerate(u):
-        for j, y in enumerate(v, i):
-            out[j] = ctx.add(out[j], ctx.mul(x, y))
-    return out
+    return field, occ, tuple(sums), values, coeffs, steps
 
 
 def verify_specialization(f, h, record, assignment, ctx):
     """Whether the record carries the roots of f onto those of h at a point
     of F_q, by the identity of the module docstring, on ctx's codes."""
-    occ, bases, coeffs, steps = _plan(f, h, record, ctx)
+    field, occ, sums, values, coeffs, steps = _plan(f, h, record, ctx.p)
+    if common_field(ctx, common_field(field, ctx)) is not ctx:
+        raise ValueError("the coefficients do not lie in %r" % (ctx,))
     point = {name: ctx.coerce(v).code for name, v in assignment.items()}
     missing = {x for _, x in occ} - point.keys()
     if missing:
         raise UnboundVariable("unbound variables: %s" % sorted(missing))
-    mul, inv = ctx.mul, ctx.inv
-    powers = {(i, 1): point[x] for i, x in occ}
-    at = []
-    for terms in bases:
-        den = terms and _term_sum(terms[0], ctx, powers)
-        at.append(mul(_term_sum(terms[1], ctx, powers), inv(den))
-                  if den else None)
-
-    def product(c):
-        acc = 0 if c is None else 1  # a zero product needs no factor
-        for k, e in c or ():
-            v = at[k]
-            if v is None or not v and e < 0:
-                raise PoleAtAssignment("coefficient has a pole at the "
-                                       "assignment")
-            acc = mul(acc, ctx.pow(v if e > 0 else inv(v), abs(e)))
-        return acc
-
-    f_codes, h_codes = [[product(c) for c in gp] for gp in coeffs]
+    sums = ctx.term_sum(sums, {(i, 1): point[x] for i, x in occ})
+    if not all(sums[1::2]):  # a base's denominator vanishes
+        raise PoleAtAssignment("%s has a pole at the assignment" % (
+            "coefficient" if any(not sums[2 * k - 1] for c in coeffs
+                                 for k, _ in c) else "step parameter"))
+    at = ctx.power_product(sums, values)  # at[0] is 0, the zero coefficient
+    if at.count(0) > 1 and any(e < 0 and not at[k]
+                               for c in coeffs for k, e in c):
+        raise PoleAtAssignment("coefficient has a pole at the assignment")
+    codes = ctx.power_product(at, coeffs)
     m = (1, 0, 0, 1)
     for step, k in zip(record.steps, steps):
         lv = None if k is None else at[k]
-        if k is not None and lv is None:
-            raise PoleAtAssignment("step parameter has a pole at the "
-                                   "assignment")
         if isinstance(step, ScaleRoots) and not lv:
             raise PoleAtAssignment("scaling parameter vanishes at the "
                                    "assignment: a pole of its inverse")
@@ -359,14 +350,11 @@ def verify_specialization(f, h, record, assignment, ctx):
     num = [ctx.neg(b), d] if d else [ctx.neg(b)]  # dX - b, low to high
     den = [a, ctx.neg(c)] if c else [a]  # -cX + a
     # Horner in num, starting from f_n = 1; f_{n-i} comes with den^i
-    g, dp = [1], [1]
-    for fi in f_codes:
-        g, dp = _mul(g, num, ctx), _mul(dp, den, ctx)
-        g += [0] * (len(dp) - len(g))
-        for j, y in enumerate(dp):
-            g[j] = ctx.add(g[j], ctx.mul(fi, y))
+    convolve, g, dp = ctx.convolve, [1], [1]
+    for fi in codes[:f.n]:
+        dp = convolve(dp, den)
+        g = convolve(g, num, dp, fi)
     if not g[-1]:  # g has n + 1 entries, as (c, d) != 0: deg G < n
         raise PoleAtAssignment("a root is sent to infinity: pole of the "
                                "composed Mobius map")
-    inv = ctx.inv(g[-1])
-    return [ctx.mul(x, inv) for x in g] == h_codes[::-1] + [1]
+    return g == convolve([g[-1]], codes[:f.n - 1:-1] + [1])

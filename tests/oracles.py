@@ -20,8 +20,10 @@ the path ``crossratio._rewrite``'s term dicts replace, and
 every permutation, the path ``crossratio.verify_faithful``'s certificate
 replaces.  ``shift_by_products`` is the Tschirnhaus shift by MultiPoly
 products and one gcd per coefficient, the path ``tschirnhaus.apply_shift``'s
-closed form replaces, and ``reduce_by_products`` the whole reduction with
-every ratio found by RatFn division.
+closed form replaces, ``reduce_by_products`` the whole reduction with
+every ratio found by RatFn division, and ``verify_by_field_ops`` the
+specialization check one field operation at a time, the path the whole-sum
+kernels of ``tschirnhaus.verify_specialization`` replace.
 """
 
 import functools
@@ -31,12 +33,13 @@ from dataclasses import dataclass
 
 from edim.crossratio import (cr_define, cr_rewrite, generator_symbol,
                              sn_action, tvars)
-from edim.errors import NotPrime, TooLarge, ZeroElement
-from edim.exactfield import _power, is_prime
+from edim.errors import (NotPrime, PoleAtAssignment, PoleAtPoint, TooLarge,
+                         ZeroElement)
+from edim.exactfield import _power, _term_sum, is_prime
 from edim.fielddesc import (NO, UNKNOWN, YES, char_of, contains_zeta,
                             extend_with_zeta)
 from edim.groups import PermGroup, _closure, pident, pmul
-from edim.ratfunc import QQ, MultiPoly, RatFn, _pow_table
+from edim.ratfunc import QQ, MultiPoly, RatFn, _coded, _pow_table
 from edim.tschirnhaus import (GeneralPoly, InvertRoot, PowerProduct,
                               ScaleRoots, Shift, TransformRecord,
                               apply_invert, apply_scale, general_poly)
@@ -609,3 +612,66 @@ def reduce_by_products(n, char):
     mu = _quotient(_expanded(g.coefficient(n)),
                    _expanded(g.coefficient(n - 1)))
     return apply_scale(g, mu), TransformRecord((Shift(lam), ScaleRoots(mu)))
+
+
+def verify_by_field_ops(f, h, record, assignment, ctx):
+    """``tschirnhaus.verify_specialization`` one field operation at a time,
+    the path its whole-sum kernels replace: each base RatFn summed term by
+    term with ctx's closures, the record composed into one Mobius matrix
+    (a, b; c, d), and monic(sum_i f_i (dX - b)^i (-cX + a)^(n-i)) compared
+    with h; True, False or PoleAtAssignment."""
+    add, sub, mul, pow_ = ctx.add, ctx.sub, ctx.mul, ctx.pow
+    inv, neg = ctx.inv, ctx.neg
+    point = {name: ctx.coerce(v).code for name, v in assignment.items()}
+
+    def value(base):  # None at a pole
+        try:
+            sums = (_coded(base.den, ctx), _coded(base.num, ctx))
+        except PoleAtPoint:
+            return None
+        powers = {(i, 1): point[base.vars[i]] for i in base.occurring()}
+        d, n = _term_sum(add, mul, pow_, sums, powers)
+        return mul(n, inv(d)) if d else None
+
+    def product(c):
+        acc = 0 if c.is_zero() else 1  # a zero product needs no factor
+        for base, e in () if c.is_zero() else c.factors:
+            v = value(base)
+            if v is None or not v and e < 0:
+                raise PoleAtAssignment("coefficient has a pole")
+            acc = mul(acc, pow_(v if e > 0 else inv(v), abs(e)))
+        return acc
+
+    def times(u, v):
+        out = [0] * (len(u) + len(v) - 1)
+        for i, x in enumerate(u):
+            for j, y in enumerate(v, i):
+                out[j] = add(out[j], mul(x, y))
+        return out
+
+    f_codes, h_codes = ([product(c) for c in gp.coeffs] for gp in (f, h))
+    a, b, c, d = 1, 0, 0, 1
+    for step in record.steps:
+        lv = None if step.lam is None else value(step.lam)
+        if step.lam is not None and lv is None:
+            raise PoleAtAssignment("step parameter has a pole")
+        if isinstance(step, Shift):
+            a, b = sub(a, mul(lv, c)), sub(b, mul(lv, d))
+        elif isinstance(step, ScaleRoots):
+            if not lv:
+                raise PoleAtAssignment("scaling by 0: a pole of its inverse")
+            c, d = mul(lv, c), mul(lv, d)
+        else:
+            a, b, c, d = c, d, a, b
+    num = [neg(b), d] if d else [neg(b)]
+    den = [a, neg(c)] if c else [a]
+    g, dp = [1], [1]
+    for fi in f_codes:
+        g, dp = times(g, num), times(dp, den)
+        g += [0] * (len(dp) - len(g))
+        for j, y in enumerate(dp):
+            g[j] = add(g[j], mul(fi, y))
+    if not g[-1]:
+        raise PoleAtAssignment("a root is sent to infinity: a pole")
+    lead = inv(g[-1])
+    return [mul(x, lead) for x in g] == h_codes[::-1] + [1]

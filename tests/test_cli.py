@@ -425,6 +425,13 @@ BUDGET = [
       "--fields", _fields(60)], 3),
     (["table", "--groups", "E(3,%d)" % _RANK, "--fields", _fields(25)], 3),
     (["table", "--groups", "E(3,%d)" % _RANK, "--fields", _fields(24)], 0),
+    # leaf work: S40x...xS37, A40x...xA36, S36x...xS33, ..., A20x...xA16
+    # over 60 prime fields; each atom's maximal orders are read once
+    (["table", "--groups", ",".join(
+        _product(x, range(top, top - k, -1)) for s, a in zip(
+            range(40, 20, -4), range(40, 15, -5))
+        for x, top, k in (("S", s, 4), ("A", a, 5))),
+      "--fields", _fields(60)], 0),
     (["bound", "--field", "Q", "--group", "E(2,500)"], 0),
     (["bound", "--field", "F(4)", "--group", "E(3,500)"], 0),
     (["bound", "--field", "Q", "--group", "E(1000003,2)xC2"], 0),

@@ -1002,8 +1002,9 @@ def test_bound_reads_no_product_element_orders(monkeypatch):
 
 _MEMOS = (edengine._key, atom_aliases, edengine.leaf_facts,
           edengine.edges_of, edengine._leaf_phase, edengine._group_links,
-          edengine.canon, edengine.order_summary, edengine._leaf_plan,
-          groups.element_orders, groups._partition_orders)
+          edengine.canon, edengine.order_summary, edengine._maximal_orders,
+          edengine._leaf_plan, groups.element_orders,
+          groups._partition_orders)
 
 
 def test_each_test_starts_on_an_empty_engine_memo():

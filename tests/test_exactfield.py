@@ -5,9 +5,10 @@ import pytest
 
 from edim.errors import NotPrime, TooLarge, ZeroElement
 from edim.exactfield import (FACTOR_CAP, TABLE_CAP, FqContext, FqElement,
-                             _digits, _is_irreducible, _pmod, _pmul, _power,
-                             _trim, divisors, factorize, fq_context,
-                             is_prime, order_mod, totient)
+                             _convolve, _digits, _is_irreducible, _pmod,
+                             _pmul, _power, _power_product, _term_sum, _trim,
+                             divisors, factorize, fq_context, is_prime,
+                             order_mod, totient)
 from oracles import has_zeta, multiplicative_order
 
 
@@ -371,4 +372,37 @@ def test_operations_are_installed_on_first_arithmetic():
         assert {"add", "mul", "inv"}.isdisjoint(vars(ctx))
         x = ctx.gen()
         assert x * x == fq_context(p, k).gen() ** 2
-        assert {"add", "sub", "neg", "mul", "inv", "pow"} <= set(vars(ctx))
+        assert {"add", "sub", "neg", "mul", "inv", "pow", "term_sum",
+                "power_product", "convolve"} <= set(vars(ctx))
+
+
+def test_whole_sum_kernels_match_their_one_operation_forms():
+    # each kernel returns the codes that the same sums, products and
+    # convolutions give one closure call at a time: over F_p the kernels sum
+    # plain ints, so this checks their reduction; the other kinds run the
+    # closures inside the same kernels
+    rng = random.Random(39)
+    for p, k in [(2, 1), (101, 1), (999999999989, 1), (5, 2), (2, 11)]:
+        ctx = fq_context(p, k)
+        add, mul, pow_, inv = ctx.add, ctx.mul, ctx.pow, ctx.inv
+
+        def codes(count, low=0):
+            return [rng.randrange(low, ctx.q) for _ in range(count)]
+        for _ in range(30):
+            sums = [tuple((c, tuple((i, rng.randrange(1, 5)) for i in
+                                    rng.sample(range(4), rng.randrange(4))))
+                          for c in codes(rng.randrange(5)))
+                    for _ in range(3)]
+            point = {(i, 1): x for i, x in enumerate(codes(4))}
+            assert ctx.term_sum(sums, dict(point)) == \
+                _term_sum(add, mul, pow_, sums, dict(point))
+            values = codes(5, 1) + [0]
+            products = [tuple((rng.randrange(5), rng.choice((-3, -1, 1, 2)))
+                              for _ in range(rng.randrange(4)))
+                        + ((5, 1),) * rng.randrange(2) for _ in range(4)]
+            assert ctx.power_product(values, products) == \
+                _power_product(mul, pow_, inv, values, products)
+            u, v, w = (codes(rng.randrange(1, 6)) for _ in range(3))
+            s = rng.randrange(ctx.q)
+            assert ctx.convolve(u, v, w, s) == _convolve(add, mul, u, v, w, s)
+            assert ctx.convolve(u, v) == _convolve(add, mul, u, v)

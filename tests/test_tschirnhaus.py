@@ -5,13 +5,14 @@ import pytest
 
 from edim import ratfunc, tschirnhaus, unipoly
 from edim.errors import PoleAtAssignment, PoleAtPoint, Unsupported
-from edim.exactfield import FqElement, fq_context
+from edim.exactfield import TABLE_CAP, FqElement, fq_context
 from edim.ratfunc import QQ, RatFn, render
 from edim.tschirnhaus import (GeneralPoly, InvertRoot, PowerProduct,
                               ScaleRoots, Shift, TransformRecord,
                               general_poly, parameter_count, reduce_general,
                               verify_specialization)
-from oracles import ExtField, reduce_by_products, shift_by_products
+from oracles import (ExtField, reduce_by_products, shift_by_products,
+                     verify_by_field_ops)
 
 # criterion 8's (degree, characteristic) pairs
 PAIRS = [(2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0),
@@ -150,13 +151,14 @@ def test_specialization_oracle_accepts():
         ctx = fq_context(101 if char == 0 else char, 1 if char == 0 else 2)
         els = list(ctx.elements())
         done = 0
-        while done < 10:
+        for _ in range(200):  # a check that finds only poles fails here
             assignment = {"t%d" % (i + 1): rng.choice(els) for i in range(n)}
             try:
                 assert verify_specialization(f, h, record, assignment, ctx)
             except PoleAtAssignment:
                 continue
             done += 1
+        assert done >= 10, (n, char, done)
 
 
 def test_specialization_oracle_rejects_tampering():
@@ -230,10 +232,95 @@ def test_specialization_does_no_field_element_arithmetic(monkeypatch):
     assert True in outcomes and outcomes <= {True, "pole"}, outcomes
 
 
-def test_one_plan_per_reduction_and_field():
-    # criterion 8's pairs: each (f, h, record, ctx) builds its plan once and
-    # every later point reuses it; the key is compared by value, so the
-    # rotated h is a key of its own (unless it equals h), and is rejected
+def _field_kinds(char):
+    """F_p, a table-kind F_{p^2} and a polynomial-kind field (q above
+    TABLE_CAP) of the characteristic; for char 0, of three primes."""
+    if char == 0:
+        return [fq_context(101, 1), fq_context(31, 2), fq_context(1009, 2)]
+    k = next(k for k in range(3, 13) if char ** k > TABLE_CAP)
+    return [fq_context(char, 1), fq_context(char, 2), fq_context(char, k)]
+
+
+def test_field_op_oracle_agrees_on_criterion_8_pairs():
+    # the whole-sum kernels against one closure call per operation, on h
+    # and on a forged h (its coefficients rotated), over every kind of
+    # field: the same True, False or pole at every point; coordinates 0
+    # and 1 are drawn often, so that large fields meet poles too
+    rng = random.Random(39)
+    seen = {}
+    for n, char in PAIRS:
+        f = general_poly(n, char)
+        h, record = reduce_general(n, char)
+        forged = GeneralPoly(n, char, h.coeffs[1:] + h.coeffs[:1])
+        for kind, ctx in enumerate(_field_kinds(char)):
+            for target in (h, forged) * 6:
+                point = {"t%d" % (i + 1): FqElement(ctx, rng.choice(
+                    (0, 1, rng.randrange(ctx.q), rng.randrange(ctx.q))))
+                    for i in range(n)}
+                args = (f, target, record, point, ctx)
+                got = _outcome(verify_specialization, *args)
+                assert got == _outcome(verify_by_field_ops, *args), \
+                    (n, char, ctx, target is h, point)
+                seen.setdefault(kind, set()).add(got)
+    assert all(got == {True, False, "pole"} for got in seen.values()), seen
+
+
+def test_a_prime_field_check_calls_no_one_operation_closure(monkeypatch):
+    # over F_p the kernels sum plain ints and reduce once per result: from
+    # the point to the verdict, plans included, no ctx.add, ctx.mul or
+    # ctx.pow runs
+    rng = random.Random(7)
+    cases = []
+    for n, char in PAIRS:
+        ctx = fq_context(101 if char == 0 else char, 1)
+        points = [{"t%d" % (i + 1): FqElement(ctx, rng.randrange(ctx.q))
+                   for i in range(n)} for _ in range(6)]
+        cases.append((general_poly(n, char), reduce_general(n, char), ctx,
+                      points))
+
+    def forbidden(*args):
+        raise AssertionError("a one-operation closure")
+
+    for ctx in {case[2] for case in cases}:
+        ctx.add  # install the operations, then replace three of them
+        for name in ("add", "mul", "pow"):
+            monkeypatch.setitem(vars(ctx), name, forbidden)
+    tschirnhaus._plan.cache_clear()
+    outcomes = set()
+    for f, (h, record), ctx, points in cases:
+        for point in points:
+            outcomes.add(_outcome(verify_specialization, f, h, record, point,
+                                  ctx))
+    assert True in outcomes and outcomes <= {True, "pole"}, outcomes
+
+
+def test_the_coefficients_field_is_checked_on_every_call():
+    # the plan is keyed by the characteristic, so F_3 and F_9 share it: an
+    # h with a coefficient in F_9 is checked over F_9, and refused over F_3
+    # before and after
+    f = general_poly(2, 3)
+    f3, f9 = fq_context(3, 1), fq_context(3, 2)
+    t1 = RatFn.var(f9, ("t1", "t2"), "t1")
+    h = GeneralPoly(2, 3, (PowerProduct.of(t1 * f9.gen()), f.coeffs[1]))
+    record = TransformRecord(())
+    tschirnhaus._plan.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            verify_specialization(f, h, record, {"t1": f3.one, "t2": f3.one},
+                                  f3)
+        point = {"t1": f9.gen(), "t2": f9.one}
+        assert verify_specialization(f, h, record, point, f9) is False
+        assert verify_by_field_ops(f, h, record, point, f9) is False
+        point = {"t1": f9.zero, "t2": f9.one}
+        assert verify_specialization(f, h, record, point, f9) is True
+    assert tschirnhaus._plan.cache_info().misses == 1
+
+
+def test_one_plan_per_reduction_and_prime():
+    # criterion 8's pairs: each (f, h, record) builds its plan once per
+    # characteristic, F_p and F_{p^2} alike, and every later point reuses
+    # it; the key is compared by value, so the rotated h is a key of its own
+    # (unless it equals h), and is rejected
     rng = random.Random(29)
     tschirnhaus._plan.cache_clear()
     keys, calls, rejected, forged = set(), 0, set(), set()
@@ -254,7 +341,7 @@ def test_one_plan_per_reduction_and_field():
                 forged.add((n, char))
             if outcome is False:
                 rejected.add((n, char))
-            keys.add((f, target, record, ctx))
+            keys.add((f, target, record, ctx.p))
             calls += 1
     info = tschirnhaus._plan.cache_info()
     assert (info.misses, info.hits) == (len(keys), calls - len(keys))
@@ -478,6 +565,27 @@ def test_zero_products_share_a_hash():
     c1 = h.coefficient(1)
     assert c1.is_zero() and len(c1.factors) == 2
     assert len({c1, a, b}) == 1
+
+
+def test_factors_are_a_multiset_and_render_in_one_order():
+    vs = ("t1", "t2")
+    t1, t2 = (RatFn.var(QQ, vs, v) for v in vs)
+    a = PowerProduct([(t1, 1), (t2 + t1, -2)])
+    b = PowerProduct([(t2 + t1, -2), (t1, 1)])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.render() == b.render() == "t1 * (t1 + t2)^-2"
+    assert a != PowerProduct([(t1, 1), (t2 + t1, -1)])
+
+
+def test_reductions_render_no_base(monkeypatch):
+    # PowerProduct orders its factors only to render them, so deriving a
+    # reduction renders nothing
+    def forbidden(self):
+        raise AssertionError("a rendered base")
+
+    monkeypatch.setattr(ratfunc.RatFn, "__repr__", forbidden)
+    for n, char in PAIRS:
+        reduce_general.__wrapped__(n, char)
 
 
 def _render_poly(gp):
