@@ -29,8 +29,8 @@ from . import pgl2 as _pgl2
 SCHEMA = "edim/1"
 
 # `edim tschirnhaus` refuses larger inputs with exit 3.  At n = 24 and p near
-# 10^12 one check costs about 10 ms over F_{p^2}, the dearest field `verify`
-# draws from, and under 2 ms over F_p, so `verify --count 50` there takes
+# 10^12 one check costs about 9 ms over F_{p^2}, the dearest field `verify`
+# draws from, and under 0.5 ms over F_p, so `verify --count 50` there takes
 # about 0.3 s from the shell.
 TSCHIRNHAUS_DEGREE_CAP = 24
 TSCHIRNHAUS_COUNT_CAP = 50

@@ -9,9 +9,9 @@ c_0 + c_1 p + ... + c_{k-1} p^{k-1}: prime fields compute with ints mod p,
 fields with q <= TABLE_CAP with log, antilog and Zech tables, built on the
 first operation, and larger fields with polynomial products mod m.  Besides
 the one-operation closures, a context has three whole-sum kernels (a coded
-term sum at a point, a product of powers, a product of code lists): over
-F_p they sum plain ints and reduce mod p once per result, and over the
-other kinds they run the closures one operation at a time.
+term sum at a point, a product of powers, a Taylor shift of a code list):
+over F_p they compute in plain ints and reduce mod p once per result, and
+over the other kinds they run the closures one operation at a time.
 """
 
 from __future__ import annotations
@@ -239,17 +239,20 @@ def _power_product(mul, pow_, inv, values, products):
     return out
 
 
-def _convolve(add, mul, u, v, w=(), s=1):
-    """u * v + s * w for polynomials as code lists, low degree first."""
-    out = [mul(s, x) for x in w] + [0] * (len(u) + len(v) - 1 - len(w))
-    for i, x in enumerate(u):
-        for j, y in enumerate(v, i):
-            out[j] = add(out[j], mul(x, y))
-    return out
+def _taylor_shift(add, mul, u, s):
+    """u(X + s) for a polynomial u as a code list, low degree first: n
+    passes of synthetic division by X - s, the pass for degree i leaving
+    its coefficient final, n(n + 1)/2 products (the classical method; see
+    von zur Gathen and Gerhard, ISSAC 1997)."""
+    u, n = list(u), len(u) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            u[j] = add(u[j], mul(s, u[j + 1]))
+    return u
 
 
 _OPS = frozenset(("add", "sub", "neg", "mul", "inv", "pow", "term_sum",
-                  "power_product", "convolve"))
+                  "power_product", "taylor_shift"))
 
 
 class FqContext:
@@ -259,8 +262,8 @@ class FqContext:
     operations on codes -- ``add``, ``sub``, ``neg``, ``mul``, ``inv`` (of a
     nonzero code) and ``pow`` (e >= 0) -- and the whole-sum kernels
     ``term_sum(sums, powers)``, ``power_product(values, products)`` and
-    ``convolve(u, v, w=(), s=1)`` (as ``_term_sum``, ``_power_product`` and
-    ``_convolve``) are installed on first use, so a context that is never
+    ``taylor_shift(u, s)`` (as ``_term_sum``, ``_power_product`` and
+    ``_taylor_shift``) are installed on first use, so a context that is never
     computed in builds nothing.  Also serves as a coefficient domain for
     ratfunc (attributes ``char``, ``zero``, ``one``, ``coerce``).
     """
@@ -285,14 +288,14 @@ class FqContext:
         self.__dict__.update(dict(
             term_sum=partial(_term_sum, add, mul, pow_),
             power_product=partial(_power_product, mul, pow_, ops["inv"]),
-            convolve=partial(_convolve, add, mul)), **ops)
+            taylor_shift=partial(_taylor_shift, add, mul)), **ops)
         return self.__dict__[name]
 
     def _operations(self):
-        """Int arithmetic mod p for k = 1, with kernels that sum plain ints
-        and reduce once per result; log, antilog and Zech lookups for
-        q <= TABLE_CAP; polynomial products, digit-wise sums and
-        extended-Euclid inverses above it."""
+        """Int arithmetic mod p for k = 1, with kernels that compute in
+        plain ints and reduce once per result; log, antilog and Zech
+        lookups for q <= TABLE_CAP; polynomial products, digit-wise sums
+        and extended-Euclid inverses above it."""
         p, q = self.p, self.q
         if self.k == 1:
             def term_sum(sums, powers):
@@ -319,19 +322,19 @@ class FqContext:
                     out.append(acc % p)
                 return out
 
-            def convolve(u, v, w=(), s=1):
-                out = [s * x for x in w]
-                out += [0] * (len(u) + len(v) - 1 - len(w))
-                for i, x in enumerate(u):
-                    for j, y in enumerate(v, i):
-                        out[j] += x * y
-                return [x % p for x in out]
+            def taylor_shift(u, s):  # over Z, then one reduction
+                u, n = list(u), len(u) - 1
+                for i in range(n):
+                    for j in range(n - 1, i - 1, -1):
+                        u[j] += s * u[j + 1]
+                return [x % p for x in u]
             return dict(add=lambda a, b: (a + b) % p,
                         sub=lambda a, b: (a - b) % p, neg=lambda a: -a % p,
                         mul=lambda a, b: a * b % p,
-                        inv=lambda a: pow(a, p - 2, p),
+                        inv=lambda a: pow(a, -1, p),
                         pow=lambda a, e: pow(a, e, p), term_sum=term_sum,
-                        power_product=power_product, convolve=convolve)
+                        power_product=power_product,
+                        taylor_shift=taylor_shift)
         mul, digitwise = self._poly_mul, self._digitwise
         if q > TABLE_CAP:
             k, m = self.k, list(self.modulus) + [1]
@@ -410,7 +413,7 @@ class FqContext:
             den = v.denominator % self.p
             if den == 0:
                 raise ZeroDivisionError("denominator vanishes mod %d" % self.p)
-            return self.from_int(v.numerator * pow(den, self.p - 2, self.p))
+            return self.from_int(v.numerator * pow(den, -1, self.p))
         raise TypeError("cannot coerce %r" % (v,))
 
     def elements(self):

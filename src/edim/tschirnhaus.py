@@ -5,8 +5,7 @@ specialization oracle.
 
 ``Shift(lam)`` turns f(X) into f(X + lam), ``ScaleRoots(lam)`` into
 lam^{-n} f(lam X), and ``InvertRoot`` reverses the coefficients
-(re-monicized): on roots, the Mobius maps r - lam, r / lam and 1/r, with
-matrices (1, -lam; 0, 1), (1, 0; 0, lam) and (0, 1; 1, 0).
+(re-monicized): on roots, r - lam, r / lam and 1/r.
 
 The forms are built reduced, with no polynomial product and no gcd.  For
 f = sum_i t_i X^{n-i} (t_0 = 1) and lam = c t^alpha / t^beta, the
@@ -19,15 +18,16 @@ monomial is a monomial.  After the shift by -t_1/n, a_n is t_n plus terms
 free of t_n, so irreducible (degree 1 in t_n over the unit 1), and a_{n-1}
 is free of t_n: a_n / a_{n-1} is reduced.
 
-``verify_specialization`` checks one identity over F_q: for the record's
-matrix (a, b; c, d) and f = sum f_i X^i = prod (X - r_i),
-G(X) = sum_i f_i (dX - b)^i (-cX + a)^(n-i) = const * prod (X - mu(r_i)),
-so h's roots are the images of f's exactly when G = g h for g the leading
-coefficient of G, and deg G < n exactly when a root goes to infinity.  It
-runs on F_q's integer codes, with no factoring, through a plan built once
-per (f, h, record) and characteristic, as F_p keeps its codes in every
-extension; a call's sums, products and polynomial products are the field's
-whole-sum kernels.
+``verify_specialization`` applies the record to f at a point of F_q, step
+by step, and compares the result with h: f's monic coefficients, low degree
+first, go through a Taylor shift for ``Shift``, a product of powers for
+``ScaleRoots`` (X^i's coefficient times lam^{i-n}) and, for ``InvertRoot``,
+the reversed list over the constant term.  A zero constant term there is a
+root sent to infinity, a pole, even where a later step would bring it back.
+It runs on F_q's integer codes, with no factoring, through a plan built
+once per (f, h, record) and characteristic, as F_p keeps its codes in every
+extension; a call is one term sum, two products of powers and one kernel
+call per step, all of them the field's whole-sum kernels.
 
 ``general_poly`` and ``reduce_general`` are memoized per (n, char), so a
 session shares one derivation of each.
@@ -108,26 +108,14 @@ class PowerProduct:
 class Shift(Record):
     __slots__ = ("lam",)
 
-    def mobius(self, m, lv, ctx):  # row (a, b) less lv times row (c, d)
-        a, b, c, d = m
-        return (*ctx.convolve([ctx.neg(lv)], [c, d], [a, b]), c, d)
-
 
 class ScaleRoots(Record):
     __slots__ = ("lam",)
-
-    def mobius(self, m, lv, ctx):
-        a, b, c, d = m
-        return (a, b, *ctx.convolve([lv], [c, d]))
 
 
 class InvertRoot(Record):
     __slots__ = ()
     lam = None
-
-    def mobius(self, m, lv, ctx):
-        a, b, c, d = m
-        return c, d, a, b
 
 
 class TransformRecord(Record, interned=True):
@@ -294,14 +282,19 @@ def _plan(f, h, record, p):
     2k - 1 and 2k, both empty if p divides a coefficient's denominator (a
     pole at every point); the values as products of those sums: 0, then
     num / den of each base; the coefficients of f, then of h, as ((value
-    index, exponent), ...), 0 as value 0; each step's value index, None for
-    InvertRoot."""
-    index = {}
+    index, exponent), ...), 0 as value 0; for each step, its value index
+    (None for InvertRoot) and the products that ``power_product`` takes over
+    the n + 1 coefficients, low degree first, and for ScaleRoots lam after
+    them (None for Shift, whose kernel is ``taylor_shift``)."""
+    index, n = {}, f.n
     coeffs = tuple(((0, 1),) if c.is_zero() else tuple(
         (index.setdefault(b, len(index) + 1), e) for b, e in c.factors)
         for gp in (f, h) for c in gp.coeffs)
-    steps = tuple(None if s.lam is None else
-                  index.setdefault(s.lam, len(index) + 1)
+    scale = tuple(((i, 1), (n + 1, i - n)) for i in range(n)) + ((),)
+    invert = tuple(((n - i, 1), (0, -1)) for i in range(n)) + ((),)
+    steps = tuple((None, invert) if s.lam is None else
+                  (index.setdefault(s.lam, len(index) + 1),
+                   scale if isinstance(s, ScaleRoots) else None)
                   for s in record.steps)
     field = fq_context(p, 1)  # F_p keeps its codes in every extension
     for b in index:
@@ -321,7 +314,8 @@ def _plan(f, h, record, p):
 
 def verify_specialization(f, h, record, assignment, ctx):
     """Whether the record carries the roots of f onto those of h at a point
-    of F_q, by the identity of the module docstring, on ctx's codes."""
+    of F_q: f's coefficients there, run through the record's steps on ctx's
+    codes (module docstring), against h's."""
     field, occ, sums, values, coeffs, steps = _plan(f, h, record, ctx.p)
     if common_field(ctx, common_field(field, ctx)) is not ctx:
         raise ValueError("the coefficients do not lie in %r" % (ctx,))
@@ -339,22 +333,17 @@ def verify_specialization(f, h, record, assignment, ctx):
                                for c in coeffs for k, e in c):
         raise PoleAtAssignment("coefficient has a pole at the assignment")
     codes = ctx.power_product(at, coeffs)
-    m = (1, 0, 0, 1)
-    for step, k in zip(record.steps, steps):
-        lv = None if k is None else at[k]
-        if isinstance(step, ScaleRoots) and not lv:
+    poly = codes[f.n - 1::-1] + [1]  # f, low degree first
+    for k, products in steps:
+        if products is None:
+            poly = ctx.taylor_shift(poly, at[k])
+        elif k is None:
+            if not poly[0]:
+                raise PoleAtAssignment("a root is sent to infinity: a pole")
+            poly = ctx.power_product(poly, products)
+        elif at[k]:
+            poly = ctx.power_product(poly + [at[k]], products)
+        else:
             raise PoleAtAssignment("scaling parameter vanishes at the "
                                    "assignment: a pole of its inverse")
-        m = step.mobius(m, lv, ctx)
-    a, b, c, d = m
-    num = [ctx.neg(b), d] if d else [ctx.neg(b)]  # dX - b, low to high
-    den = [a, ctx.neg(c)] if c else [a]  # -cX + a
-    # Horner in num, starting from f_n = 1; f_{n-i} comes with den^i
-    convolve, g, dp = ctx.convolve, [1], [1]
-    for fi in codes[:f.n]:
-        dp = convolve(dp, den)
-        g = convolve(g, num, dp, fi)
-    if not g[-1]:  # g has n + 1 entries, as (c, d) != 0: deg G < n
-        raise PoleAtAssignment("a root is sent to infinity: pole of the "
-                               "composed Mobius map")
-    return g == convolve([g[-1]], codes[:f.n - 1:-1] + [1])
+    return poly == codes[:f.n - 1:-1] + [1]

@@ -22,8 +22,9 @@ replaces.  ``shift_by_products`` is the Tschirnhaus shift by MultiPoly
 products and one gcd per coefficient, the path ``tschirnhaus.apply_shift``'s
 closed form replaces, ``reduce_by_products`` the whole reduction with
 every ratio found by RatFn division, and ``verify_by_field_ops`` the
-specialization check one field operation at a time, the path the whole-sum
-kernels of ``tschirnhaus.verify_specialization`` replace.
+specialization check one field operation at a time through the record's
+composed Mobius matrix, the path that ``tschirnhaus.verify_specialization``'s
+whole-sum kernels and step-wise record replace.
 """
 
 import functools
@@ -615,11 +616,14 @@ def reduce_by_products(n, char):
 
 
 def verify_by_field_ops(f, h, record, assignment, ctx):
-    """``tschirnhaus.verify_specialization`` one field operation at a time,
-    the path its whole-sum kernels replace: each base RatFn summed term by
-    term with ctx's closures, the record composed into one Mobius matrix
-    (a, b; c, d), and monic(sum_i f_i (dX - b)^i (-cX + a)^(n-i)) compared
-    with h; True, False or PoleAtAssignment."""
+    """``tschirnhaus.verify_specialization`` by another route, one field
+    operation at a time: each base RatFn summed term by term with ctx's
+    closures, the record composed into one Mobius matrix (a, b; c, d), and
+    monic(sum_i f_i (dX - b)^i (-cX + a)^(n-i)) compared with h; True, False
+    or PoleAtAssignment.  A composed map cannot see a root that one step
+    sends to infinity and a later one brings back (two InvertRoots at a
+    root 0), which the step-wise check reports as a pole; the records of
+    criterion 8 never bring a root back from infinity."""
     add, sub, mul, pow_ = ctx.add, ctx.sub, ctx.mul, ctx.pow
     inv, neg = ctx.inv, ctx.neg
     point = {name: ctx.coerce(v).code for name, v in assignment.items()}

@@ -683,6 +683,15 @@ def test_tschirnhaus_verify_output_is_unchanged(capsys):
     assert digest == TSCHIRNHAUS_GRID_SHA256
 
 
+def test_large_prime_tschirnhaus_verify_output_is_unchanged(capsys):
+    # the grid stops at char 7; this is the path of huge primes and of
+    # polynomial-kind fields above TABLE_CAP (F_{p^2} at p near 10^12)
+    code, out = _capture(capsys, ["tschirnhaus", "verify", "--n", "23",
+                                  "--char", "999999999989", "--count", "50"])
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+        "5dfd45b314c7cc78304533044bf4e9f529d02e0e2c61960a3c2dab19d1510387")
+
+
 def _edim(argv, stdout):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

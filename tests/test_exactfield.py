@@ -1,12 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from edim.errors import NotPrime, TooLarge, ZeroElement
 from edim.exactfield import (FACTOR_CAP, TABLE_CAP, FqContext, FqElement,
-                             _convolve, _digits, _is_irreducible, _pmod,
-                             _pmul, _power, _power_product, _term_sum, _trim,
+                             _digits, _is_irreducible, _pmod, _pmul, _power,
+                             _power_product, _taylor_shift, _term_sum, _trim,
                              divisors, factorize, fq_context, is_prime,
                              order_mod, totient)
 from oracles import has_zeta, multiplicative_order
@@ -334,6 +335,22 @@ def test_zero_powers_and_inverses():
             ctx.one / ctx.zero
 
 
+def test_prime_field_inverses_are_fermat_powers():
+    # pow(a, -1, p) against a^(p-2), for the closure, for FqElement and for
+    # a Fraction's denominator; zero still has no inverse
+    for p in (2, 3, 101, 999999999989):
+        ctx = fq_context(p, 1)
+        rng = random.Random(p)
+        for a in [1, p - 1] + [rng.randrange(1, p) for _ in range(30)]:
+            want = pow(a, p - 2, p)
+            assert ctx.inv(a) == FqElement(ctx, a).inverse().code == want
+            assert ctx.coerce(Fraction(1, a + p)).code == want, (p, a)
+        with pytest.raises(ZeroElement):
+            FqElement(ctx, 0).inverse()
+        with pytest.raises(ZeroDivisionError):
+            ctx.coerce(Fraction(1, p))
+
+
 def test_prime_field_elements_promote_by_code():
     for p in (2, 3, 5, 1009):
         fp, fq = fq_context(p, 1), fq_context(p, 2)
@@ -373,14 +390,15 @@ def test_operations_are_installed_on_first_arithmetic():
         x = ctx.gen()
         assert x * x == fq_context(p, k).gen() ** 2
         assert {"add", "sub", "neg", "mul", "inv", "pow", "term_sum",
-                "power_product", "convolve"} <= set(vars(ctx))
+                "power_product", "taylor_shift"} <= set(vars(ctx))
 
 
 def test_whole_sum_kernels_match_their_one_operation_forms():
     # each kernel returns the codes that the same sums, products and
-    # convolutions give one closure call at a time: over F_p the kernels sum
-    # plain ints, so this checks their reduction; the other kinds run the
-    # closures inside the same kernels
+    # Taylor shifts give one closure call at a time: over F_p the kernels
+    # compute in plain ints, so this checks their reduction; the other kinds
+    # run the closures inside the same kernels.  The shift is also checked
+    # against its binomial form, sum_i C(i, k) s^(i-k) u_i at X^k
     rng = random.Random(39)
     for p, k in [(2, 1), (101, 1), (999999999989, 1), (5, 2), (2, 11)]:
         ctx = fq_context(p, k)
@@ -402,7 +420,11 @@ def test_whole_sum_kernels_match_their_one_operation_forms():
                         + ((5, 1),) * rng.randrange(2) for _ in range(4)]
             assert ctx.power_product(values, products) == \
                 _power_product(mul, pow_, inv, values, products)
-            u, v, w = (codes(rng.randrange(1, 6)) for _ in range(3))
-            s = rng.randrange(ctx.q)
-            assert ctx.convolve(u, v, w, s) == _convolve(add, mul, u, v, w, s)
-            assert ctx.convolve(u, v) == _convolve(add, mul, u, v)
+            u, s = codes(rng.randrange(1, 9)), rng.randrange(ctx.q)
+            binomial = [0] * len(u)
+            for i, x in enumerate(u):
+                for j in range(i + 1):
+                    term = mul(math.comb(i, j) % p, mul(pow_(s, i - j), x))
+                    binomial[j] = add(binomial[j], term)
+            assert ctx.taylor_shift(u, s) == _taylor_shift(add, mul, u, s) \
+                == binomial, (p, k, u, s)

@@ -242,10 +242,11 @@ def _field_kinds(char):
 
 
 def test_field_op_oracle_agrees_on_criterion_8_pairs():
-    # the whole-sum kernels against one closure call per operation, on h
-    # and on a forged h (its coefficients rotated), over every kind of
-    # field: the same True, False or pole at every point; coordinates 0
-    # and 1 are drawn often, so that large fields meet poles too
+    # the whole-sum kernels and the step-wise record against one closure
+    # call per operation through the composed Mobius matrix, on h and on a
+    # forged h (its coefficients rotated), over every kind of field: the
+    # same True, False or pole at every point; coordinates 0 and 1 are
+    # drawn often, so that large fields meet poles too
     rng = random.Random(39)
     seen = {}
     for n, char in PAIRS:
@@ -292,6 +293,40 @@ def test_a_prime_field_check_calls_no_one_operation_closure(monkeypatch):
             outcomes.add(_outcome(verify_specialization, f, h, record, point,
                                   ctx))
     assert True in outcomes and outcomes <= {True, "pole"}, outcomes
+
+
+def test_a_check_makes_three_kernel_calls_and_one_per_step(monkeypatch):
+    # one term sum, two products of powers and one call per step, so at
+    # most 6 for any n: general polynomials of degree 2 to 24 (depress and
+    # rescale) and the wild quadratic and cubic (3 steps), over F_p and a
+    # table F_{p^2}
+    calls = []
+
+    def counted(kernel):
+        return lambda *args: calls.append(kernel) or kernel(*args)
+
+    cases = [(n, 0, ctx) for n in range(2, 25)
+             for ctx in (fq_context(101, 1), fq_context(31, 2))]
+    cases += [(2, 2, fq_context(2, 2)), (3, 3, fq_context(3, 1)),
+              (3, 3, fq_context(3, 2))]
+    for ctx in {ctx for _, _, ctx in cases}:
+        for name in ("term_sum", "power_product", "taylor_shift"):
+            monkeypatch.setitem(vars(ctx), name, counted(getattr(ctx, name)))
+    rng = random.Random(40)
+    for n, char, ctx in cases:
+        f = general_poly(n, char)
+        h, record = reduce_general(n, char)
+        accepted = 0
+        for _ in range(40):
+            point = {"t%d" % (i + 1): FqElement(ctx, rng.randrange(ctx.q))
+                     for i in range(n)}
+            calls.clear()
+            if _outcome(verify_specialization, f, h, record, point,
+                        ctx) is True:
+                accepted += 1
+                assert len(calls) == 3 + len(record.steps) <= 6, (n, char)
+            assert len(calls) <= 6, (n, char, ctx)
+        assert accepted, (n, char, ctx)
 
 
 def test_the_coefficients_field_is_checked_on_every_call():
@@ -350,14 +385,20 @@ def test_one_plan_per_reduction_and_prime():
 
 def test_mobius_check_finds_roots_sent_to_infinity():
     # X^2 + t1 X + t2 with t2 = 0 has the root 0, which InvertRoot sends
-    # to infinity; the oracle reports the same point as a pole
+    # to infinity; the oracle reports the same point as a pole.  A second
+    # InvertRoot brings the root back, and the point is still a pole, as
+    # the step-wise check sees the root at infinity; the composed Mobius
+    # map of verify_by_field_ops is the identity there, and accepts
     f = general_poly(2, 0)
-    record = TransformRecord((InvertRoot(),))
     ctx = fq_context(101, 1)
     assignment = {"t1": ctx.from_int(3), "t2": ctx.zero}
-    for check in (verify_specialization, _verify_by_roots):
-        with pytest.raises(PoleAtAssignment):
-            check(f, f, record, assignment, ctx)
+    once = TransformRecord((InvertRoot(),))
+    twice = TransformRecord((InvertRoot(), InvertRoot()))
+    for record in (once, twice):
+        for check in (verify_specialization, _verify_by_roots):
+            with pytest.raises(PoleAtAssignment):
+                check(f, f, record, assignment, ctx)
+    assert verify_by_field_ops(f, f, twice, assignment, ctx) is True
 
 
 def test_every_pole_message_says_pole():
